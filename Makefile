@@ -1,8 +1,8 @@
 # Tier-1 gate: everything must build, vet clean, lint clean, and pass
 # under the race detector before a change lands.
-.PHONY: check build vet lint lint-fixtures test bench bench-allocs bench-smoke calibrate-smoke chaos
+.PHONY: check build vet lint lint-fixtures test test-benchmark bench bench-allocs bench-smoke calibrate-smoke chaos
 
-check: build vet lint lint-fixtures test bench-allocs bench-smoke calibrate-smoke chaos
+check: build vet lint lint-fixtures test test-benchmark bench-allocs bench-smoke calibrate-smoke chaos
 
 build:
 	go build ./...
@@ -25,6 +25,11 @@ lint-fixtures:
 test:
 	go test -race ./...
 
+# The repo benchmark (benchmark/) is a module of its own, so ./... above
+# does not reach it; vet and test it from its own directory.
+test-benchmark:
+	go vet -C benchmark ./... && go test -C benchmark ./...
+
 # Regenerate BENCH_results.json (figure workload timings, transfer-stage
 # breakdown, fetch-concurrency sweep, sharded directory throughput).
 bench:
@@ -32,11 +37,12 @@ bench:
 
 # Steady-state allocation gates (testing.AllocsPerRun) over the
 # //lotec:noalloc surfaces: pooled frame get/release, EncodeFrame,
-# ReadFrame, DecodeView, and the directory's immediate-grant fast path.
+# ReadFrame, DecodeView, the directory's immediate-grant fast path, and a
+# whole TCPNet.Call round trip on loopback.
 # Run without -race: the poison pass and detector instrumentation change
 # the allocation behavior under test.
 bench-allocs:
-	go test -run 'TestAllocs' ./internal/wire/ ./internal/directory/
+	go test -run 'TestAllocs' ./internal/wire/ ./internal/directory/ ./internal/server/
 
 # Fast data-plane invariant check: the byte/message trace must be identical
 # at FetchConcurrency 1 and 4, and the modeled gather wall-clock must

@@ -10,15 +10,16 @@ import (
 	"lotec/internal/gdo"
 	"lotec/internal/ids"
 	"lotec/internal/o2pl"
+	"lotec/internal/server"
 	"lotec/internal/wire"
 )
 
 // Per-path perf ledger: microbenchmarks over the pooled data-plane
-// primitives (codec encode/decode, frame read/write) and the directory
-// acquire/release fast path. Each row lands in BENCH_results.json next to
-// the workload rows, and the smoke gate reruns the set against the
-// committed values — the continuous record of where each hot path's
-// ns/op and allocs/op stand.
+// primitives (codec encode/decode, frame read/write), the directory
+// acquire/release fast path, and the TCP call path the three of them feed.
+// Each row lands in BENCH_results.json next to the workload rows, and the
+// smoke gate reruns the set against the committed values — the continuous
+// record of where each hot path's ns/op and allocs/op stand.
 
 // perfMsg builds the representative data-plane message the codec and frame
 // rows price: a one-page fetch reply, the most common payload-carrying
@@ -62,9 +63,11 @@ func (w *countWriter) Write(p []byte) (int, error) {
 // perfLedger measures every hot-path row. The codec/frame rows exercise the
 // pooled encode buffers and in-place decode views end to end; the directory
 // row exercises the scratch-backed acquire/release path with immediate
-// grants. Steady-state allocations per op should stay near zero on the
+// grants; the tcp-call row is a whole RPC between two endpoints on
+// loopback. Steady-state allocations per op should stay near zero on the
 // pooled paths and small and constant on decode (the message struct and its
-// payload headers; page bytes alias the frame).
+// payload headers; page bytes alias the frame) — which is all a call
+// allocates too, once at each end.
 func perfLedger() ([]benchResult, error) {
 	env, msg := perfMsg()
 
@@ -141,10 +144,48 @@ func perfLedger() ([]benchResult, error) {
 		return nil, fmt.Errorf("perf ledger: directory row: %w", dirErr)
 	}
 
+	call, err := tcpCallRow()
+	if err != nil {
+		return nil, fmt.Errorf("perf ledger: tcp-call row: %w", err)
+	}
+	rows = append(rows, call)
+
 	for _, r := range rows {
 		fmt.Printf("%-32s %10d ops  %8.0f ns/op  %6.2f allocs/op\n", r.Op, r.Ops, r.NsPerOp, r.AllocsPerOp)
 	}
 	return rows, nil
+}
+
+// tcpCallRow prices one TCPNet.Call round trip: a control-sized request to
+// a peer that answers with a preallocated reply, so the row holds the
+// transport's own cost (call table, frames, two socket hops) and nothing of
+// a handler's.
+func tcpCallRow() (benchResult, error) {
+	addrs, err := calibFreeAddrs(2)
+	if err != nil {
+		return benchResult{}, err
+	}
+	table := map[ids.NodeID]string{1: addrs[0], 2: addrs[1]}
+	a, b := server.NewTCPNet(1, table), server.NewTCPNet(2, table)
+	reply := &wire.CommitSeqResp{Seq: 7}
+	b.SetHandler(func(ids.NodeID, wire.Msg) wire.Msg { return reply })
+	for _, n := range []*server.TCPNet{a, b} {
+		if err := n.Listen(); err != nil {
+			return benchResult{}, err
+		}
+		defer n.Close()
+	}
+	req := &wire.CommitSeqReq{Family: 9}
+	var callErr error
+	row := benchRow("perf/tcp-call", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := a.Call(2, req); err != nil {
+				callErr = err
+				b.Skip(err)
+			}
+		}
+	})
+	return row, callErr
 }
 
 // checkPerfLedger is the smoke gate over the per-path rows: rerun the

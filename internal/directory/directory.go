@@ -128,9 +128,8 @@ type Sharded struct {
 
 	// Commit-order bookkeeping (see package doc); the acquire path never
 	// takes mu.
-	mu          sync.Mutex
-	commitSeq   uint64                  // guarded by mu
-	commitOrder map[ids.FamilyID]uint64 // guarded by mu
+	mu      sync.Mutex
+	commits gdo.CommitWindow // guarded by mu
 }
 
 // NewSharded returns an empty sharded directory with the given number of
@@ -138,9 +137,8 @@ type Sharded struct {
 func NewSharded(shards, nodes int) *Sharded {
 	p := NewPlacement(shards, nodes)
 	s := &Sharded{
-		place:       p,
-		shards:      make([]*gdo.Directory, p.Shards),
-		commitOrder: make(map[ids.FamilyID]uint64),
+		place:  p,
+		shards: make([]*gdo.Directory, p.Shards),
 	}
 	for i := range s.shards {
 		s.shards[i] = gdo.New(p.Nodes)
@@ -247,8 +245,7 @@ func (s *Sharded) LastWriter(obj ids.ObjectID) (ids.NodeID, error) {
 func (s *Sharded) CommitSeq(f ids.FamilyID) (uint64, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	seq, ok := s.commitOrder[f]
-	return seq, ok
+	return s.commits.Seq(f)
 }
 
 // AssignCommitSeq fixes the family's position in the global commit order
@@ -259,12 +256,7 @@ func (s *Sharded) CommitSeq(f ids.FamilyID) (uint64, bool) {
 func (s *Sharded) AssignCommitSeq(f ids.FamilyID) uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if seq, ok := s.commitOrder[f]; ok {
-		return seq
-	}
-	s.commitSeq++
-	s.commitOrder[f] = s.commitSeq
-	return s.commitSeq
+	return s.commits.Assign(f)
 }
 
 // CancelRequest withdraws family's queued requests and pending upgrades on
@@ -311,10 +303,7 @@ func (s *Sharded) Acquire(obj ids.ObjectID, ref ids.TxRef, family ids.FamilyID, 
 func (s *Sharded) Release(family ids.FamilyID, site ids.NodeID, commit bool, rels []gdo.ObjectRelease) ([]gdo.Event, []gdo.PageStamp, error) {
 	if commit {
 		s.mu.Lock()
-		if _, ok := s.commitOrder[family]; !ok {
-			s.commitSeq++
-			s.commitOrder[family] = s.commitSeq
-		}
+		s.commits.Assign(family)
 		s.mu.Unlock()
 	}
 	if len(s.shards) == 1 {

@@ -235,3 +235,25 @@ func TestRouterCommitOrder(t *testing.T) {
 		t.Error("unknown family has a commit seq")
 	}
 }
+
+// TestShardedCommitOrderIsBounded: the router's commit-order bookkeeping is
+// a window over the most recent assignments, not a record of every family
+// that ever committed.
+func TestShardedCommitOrderIsBounded(t *testing.T) {
+	s := NewSharded(2, 1)
+	const commits = 3 * gdo.CommitWindowSize
+	for f := ids.FamilyID(1); f <= commits; f++ {
+		if seq := s.AssignCommitSeq(f); seq != uint64(f) {
+			t.Fatalf("family %v assigned %d", f, seq)
+		}
+	}
+	if got := s.commits.Len(); got != gdo.CommitWindowSize {
+		t.Errorf("window holds %d assignments after %d commits, want %d", got, commits, gdo.CommitWindowSize)
+	}
+	if seq := s.AssignCommitSeq(commits); seq != commits {
+		t.Errorf("re-assignment inside the window gave %d, want %d", seq, commits)
+	}
+	if _, ok := s.CommitSeq(1); ok {
+		t.Error("first family still remembered")
+	}
+}

@@ -1,6 +1,7 @@
 package directory
 
 import (
+	"bytes"
 	"math"
 	"testing"
 	"time"
@@ -373,5 +374,42 @@ func TestHandoffPreservesReleasedState(t *testing.T) {
 	hs := b.rec.Handoffs()
 	if len(hs) != 1 || hs[0].Bytes == 0 {
 		t.Errorf("recorded handoffs = %+v, want one sample with bytes", hs)
+	}
+}
+
+// TestBackupReplaysCommitWindow: commit-order eviction is a function of the
+// assignment sequence alone, so a backup that replays the primary's op-log
+// holds the primary's window byte for byte — also once the window has
+// wrapped and both have evicted.
+func TestBackupReplaysCommitWindow(t *testing.T) {
+	m := InitialMap(1, 1, []ids.NodeID{2, 3}, false)
+	b := newRepBed(t, 2, 1, m)
+	obj := ids.ObjectID(1)
+	b.register(t, obj, 1)
+
+	const commits = gdo.CommitWindowSize + gdo.CommitWindowSize/4
+	b.client(t, func(env transport.Env, rt *RouteTable) {
+		for f := ids.FamilyID(1); f <= commits; f++ {
+			acquire(t, rt, b.place, obj, f, o2pl.Write)
+			release(t, rt, b.place, obj, f, []ids.PageNum{0})
+		}
+	})
+
+	pd, ok := b.hosts[2].PrimaryDir(0)
+	if !ok {
+		t.Fatal("host 2 lost shard 0 primaryship in a fault-free run")
+	}
+	bd, _, ok := b.hosts[3].ReplicaDir(0)
+	if !ok {
+		t.Fatal("host 3 has no replica of shard 0")
+	}
+	if seq, ok := pd.CommitSeq(commits); !ok || seq != commits {
+		t.Fatalf("primary: last family has sequence %d, %v; want %d", seq, ok, commits)
+	}
+	if _, ok := pd.CommitSeq(1); ok {
+		t.Error("primary still remembers the first family: the window did not wrap")
+	}
+	if !bytes.Equal(pd.Export(), bd.Export()) {
+		t.Error("backup's snapshot differs from the primary's after replaying its op-log")
 	}
 }

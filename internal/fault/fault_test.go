@@ -253,6 +253,28 @@ func TestDedupReplaysAndPassesThrough(t *testing.T) {
 	}
 }
 
+// TestDedupIsBounded: the idempotency cache is a FIFO window over the last
+// dedupCap stamped requests, however many a server has answered.
+func TestDedupIsBounded(t *testing.T) {
+	d := NewDedup()
+	reply := &wire.AcquireResp{}
+	wrapped := d.Wrap(func(ids.NodeID, wire.Msg) wire.Msg { return reply })
+	const requests = 3 * dedupCap
+	for id := uint64(1); id <= requests; id++ {
+		wrapped(1, &wire.AcquireReq{ReqID: id})
+	}
+	if len(d.seen) != dedupCap || len(d.order) != dedupCap {
+		t.Errorf("cache holds %d replies (ring %d) after %d requests, want %d",
+			len(d.seen), len(d.order), requests, dedupCap)
+	}
+	if _, ok := d.seen[dedupKey{from: 1, req: requests}]; !ok {
+		t.Error("most recent request already evicted")
+	}
+	if _, ok := d.seen[dedupKey{from: 1, req: requests - dedupCap}]; ok {
+		t.Error("request older than the window still cached")
+	}
+}
+
 func TestDedupParksConcurrentDuplicates(t *testing.T) {
 	release := make(chan struct{})
 	var calls int

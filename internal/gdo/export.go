@@ -21,7 +21,7 @@ import (
 var ErrBadSnapshot = errors.New("gdo: bad snapshot")
 
 // exportVersion is bumped whenever the snapshot layout changes.
-const exportVersion = 1
+const exportVersion = 2
 
 // exportMagic guards against feeding arbitrary bytes to Import.
 const exportMagic = 0x4c474458 // "LGDX"
@@ -104,16 +104,13 @@ func (d *Directory) Export() []byte {
 	w.u8(exportVersion)
 	w.u32(uint32(d.nodes))
 
-	w.u64(d.commitSeq)
-	fams := make([]ids.FamilyID, 0, len(d.commitOrder))
-	for f := range d.commitOrder {
-		fams = append(fams, f)
-	}
-	sort.Slice(fams, func(i, j int) bool { return fams[i] < fams[j] })
-	w.u32(uint32(len(fams)))
-	for _, f := range fams {
-		w.u64(uint64(f))
-		w.u64(d.commitOrder[f])
+	// The commit-order window, oldest assignment first; Import checks the
+	// sequence numbers against that order.
+	w.u64(d.commits.seq)
+	w.u32(uint32(d.commits.Len()))
+	for s := d.commits.oldest(); s <= d.commits.seq; s++ {
+		w.u64(uint64(d.commits.family(s)))
+		w.u64(s)
 	}
 
 	objs := make([]ids.ObjectID, 0, len(d.entries))
@@ -192,10 +189,16 @@ func Import(data []byte) (*Directory, error) {
 	nodes := int(r.u32())
 	d := New(nodes)
 
-	d.commitSeq = r.u64()
-	for i, n := 0, r.count(16); i < n; i++ {
-		f := ids.FamilyID(r.u64())
-		d.commitOrder[f] = r.u64()
+	seq := r.u64()
+	fams := make([]ids.FamilyID, r.count(16))
+	for i := range fams {
+		fams[i] = ids.FamilyID(r.u64())
+		if s := r.u64(); r.err == nil && s != seq-uint64(len(fams))+1+uint64(i) {
+			return nil, fmt.Errorf("%w: commit window entry %d has sequence %d", ErrBadSnapshot, i, s)
+		}
+	}
+	if r.err == nil && !d.commits.restore(seq, fams) {
+		return nil, fmt.Errorf("%w: %d entries are not the commit window at sequence %d", ErrBadSnapshot, len(fams), seq)
 	}
 
 	for i, n := 0, r.count(16); i < n; i++ {

@@ -168,8 +168,7 @@ type Directory struct {
 
 	// Commit-order bookkeeping: strict O2PL serializes committed families
 	// in the order their (first) committing release reaches the directory.
-	commitSeq   uint64                  // guarded by mu
-	commitOrder map[ids.FamilyID]uint64 // guarded by mu
+	commits CommitWindow // guarded by mu
 
 	// Reused hot-path scratch. Acquire and Release run on every protocol
 	// crossover, so their working sets are kept on the Directory and
@@ -189,10 +188,9 @@ func New(n int) *Directory {
 		n = 1
 	}
 	return &Directory{
-		entries:     make(map[ids.ObjectID]*entry),
-		nodes:       n,
-		waitObjs:    make(map[ids.ObjectID]*entry),
-		commitOrder: make(map[ids.FamilyID]uint64),
+		entries:  make(map[ids.ObjectID]*entry),
+		nodes:    n,
+		waitObjs: make(map[ids.ObjectID]*entry),
 	}
 }
 
@@ -357,11 +355,12 @@ func (d *Directory) CopySet(obj ids.ObjectID) ([]ids.NodeID, error) {
 // first), recorded when its first committing release was processed. Strict
 // nested O2PL holds every lock until root commit, so this order linearizes
 // all transaction conflicts — it is the serialization order tests replay.
+// Only the last CommitWindowSize assignments are remembered: ask while the
+// family is committing or just after, as the simulator does.
 func (d *Directory) CommitSeq(f ids.FamilyID) (uint64, bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	seq, ok := d.commitOrder[f]
-	return seq, ok
+	return d.commits.Seq(f)
 }
 
 // AssignCommitSeq assigns (or returns the already-assigned) commit-order
@@ -372,12 +371,7 @@ func (d *Directory) CommitSeq(f ids.FamilyID) (uint64, bool) {
 func (d *Directory) AssignCommitSeq(f ids.FamilyID) uint64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if seq, ok := d.commitOrder[f]; ok {
-		return seq
-	}
-	d.commitSeq++
-	d.commitOrder[f] = d.commitSeq
-	return d.commitSeq
+	return d.commits.Assign(f)
 }
 
 // LastWriter returns the site of obj's most recent committing update.

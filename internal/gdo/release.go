@@ -37,10 +37,7 @@ func (d *Directory) Release(family ids.FamilyID, site ids.NodeID, commit bool, r
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if commit {
-		if _, ok := d.commitOrder[family]; !ok {
-			d.commitSeq++
-			d.commitOrder[family] = d.commitSeq
-		}
+		d.commits.Assign(family)
 	}
 
 	var stamps []PageStamp

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -24,14 +23,8 @@ const runTimeout = 2 * time.Minute
 // for concurrent use; concurrent Run calls are multiplexed on one
 // connection.
 type Client struct {
-	node ids.NodeID
-
-	mu      sync.Mutex
-	conn    net.Conn                      // set once by Dial; read loop reads it lock-free
-	pending map[uint64]chan *wire.RunResp // guarded by mu
-	closed  bool                          // guarded by mu
-	readErr error                         // guarded by mu
-
+	node  ids.NodeID
+	conn  *tcpConn
 	reqID atomic.Uint64
 }
 
@@ -39,91 +32,33 @@ type Client struct {
 // match the transport's clientIDBase).
 const ClientNodeBase = 1 << 20
 
+var errClientClosed = errors.New("client: closed")
+
 // Dial connects to the node serving at addr.
 func Dial(addr string, node ids.NodeID) (*Client, error) {
 	conn, err := net.DialTimeout("tcp", addr, dialTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("client: dial %s: %w (%v)", addr, transport.ErrUnreachable, err)
 	}
-	c := &Client{
-		node:    node,
-		conn:    conn,
-		pending: make(map[uint64]chan *wire.RunResp),
-	}
-	go c.readLoop()
+	c := &Client{node: node, conn: newTCPConn(conn)}
+	go func() { c.conn.shut(c.conn.readFrames(nil)) }()
 	return c, nil
 }
 
 // Close shuts the client down; outstanding Runs fail.
 func (c *Client) Close() error {
-	c.mu.Lock()
-	c.closed = true
-	for _, ch := range c.pending {
-		close(ch)
-	}
-	c.pending = map[uint64]chan *wire.RunResp{}
-	conn := c.conn
-	c.mu.Unlock()
-	return conn.Close()
-}
-
-func (c *Client) readLoop() {
-	for {
-		buf, err := wire.ReadFrame(c.conn)
-		if err != nil {
-			c.mu.Lock()
-			c.readErr = err
-			for _, ch := range c.pending {
-				close(ch)
-			}
-			c.pending = map[uint64]chan *wire.RunResp{}
-			c.mu.Unlock()
-			return
-		}
-		// The decoded reply aliases the pooled frame until it is handed to a
-		// waiter, which retains it; the frame is recycled either way.
-		env, m, err := wire.DecodeView(buf)
-		if err != nil || env.ReqID&replyBit == 0 {
-			wire.ReleaseFrame(buf)
-			continue
-		}
-		resp, ok := m.(*wire.RunResp)
-		if !ok {
-			er, isErr := m.(*wire.ErrResp)
-			if !isErr {
-				wire.ReleaseFrame(buf)
-				continue
-			}
-			resp = &wire.RunResp{ErrMsg: er.Msg}
-		}
-		id := env.ReqID &^ replyBit
-		c.mu.Lock()
-		ch, found := c.pending[id]
-		if found {
-			delete(c.pending, id)
-		}
-		c.mu.Unlock()
-		if found {
-			wire.Retain(resp)
-			ch <- resp
-		}
-		wire.ReleaseFrame(buf)
-	}
+	c.conn.calls.fail(errClientClosed)
+	return c.conn.c.Close()
 }
 
 // Run executes method on obj as a root transaction at the connected node
 // and returns the body's result.
 func (c *Client) Run(obj ids.ObjectID, method string, arg []byte) ([]byte, error) {
 	id := c.reqID.Add(1)
-	ch := make(chan *wire.RunResp, 1)
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil, errors.New("client: closed")
+	slot, err := c.conn.calls.register(id)
+	if err != nil {
+		return nil, err
 	}
-	c.pending[id] = ch
-	c.mu.Unlock()
-
 	// The pooled frame carries the length prefix in its headroom, so the
 	// request goes out in one write with no prepend copy.
 	frame := wire.EncodeFrame(wire.Envelope{
@@ -131,36 +66,31 @@ func (c *Client) Run(obj ids.ObjectID, method string, arg []byte) ([]byte, error
 		From:  ids.NodeID(ClientNodeBase),
 		To:    c.node,
 	}, &wire.RunReq{Obj: obj, Method: method, Arg: arg})
-	c.mu.Lock()
-	// Deadline the write: a node with full socket buffers fails the call
-	// instead of wedging every client goroutine on c.mu.
-	_ = c.conn.SetWriteDeadline(time.Now().Add(writeTimeout))
-	_, err := c.conn.Write(frame)
-	c.mu.Unlock()
+	err = c.conn.writeFrame(frame)
 	wire.ReleaseFrame(frame)
-	clear := func() {
-		c.mu.Lock()
-		delete(c.pending, id)
-		c.mu.Unlock()
-	}
 	if err != nil {
-		clear()
+		c.conn.calls.cancel(id, slot)
 		return nil, fmt.Errorf("client: send: %w (%v)", transport.ErrUnreachable, err)
 	}
 	// RunReq is NOT idempotent (re-running a committed transaction would
 	// apply its effects twice), so a timeout surfaces as an error for the
 	// caller to handle rather than triggering a transparent retry.
-	select {
-	case resp, ok := <-ch:
-		if !ok {
-			return nil, ErrNoReply
-		}
+	reply, err := c.conn.calls.await(id, slot, runTimeout)
+	if err == errCallTimeout {
+		return nil, fmt.Errorf("client: run on %v: %w", c.node, transport.ErrTimeout)
+	}
+	if err != nil {
+		return nil, err
+	}
+	switch resp := reply.(type) {
+	case *wire.RunResp:
 		if resp.ErrMsg != "" {
 			return nil, fmt.Errorf("client: transaction failed: %s", resp.ErrMsg)
 		}
 		return resp.Result, nil
-	case <-time.After(runTimeout):
-		clear()
-		return nil, fmt.Errorf("client: run on %v: %w", c.node, transport.ErrTimeout)
+	case *wire.ErrResp:
+		return nil, fmt.Errorf("client: transaction failed: %s", resp.Msg)
+	default:
+		return nil, fmt.Errorf("client: unexpected reply %T", reply)
 	}
 }

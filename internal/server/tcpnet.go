@@ -6,6 +6,7 @@
 package server
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -65,10 +66,9 @@ type TCPNet struct {
 	async   map[wire.MsgType]AsyncHandler
 
 	mu       sync.Mutex
-	listener net.Listener             // guarded by mu
-	conns    map[ids.NodeID]*tcpConn  // guarded by mu
-	pending  map[uint64]chan wire.Msg // guarded by mu
-	closed   bool                     // guarded by mu
+	listener net.Listener            // guarded by mu
+	conns    map[ids.NodeID]*tcpConn // guarded by mu
+	closed   bool                    // guarded by mu
 
 	reqID atomic.Uint64
 
@@ -82,10 +82,26 @@ type TCPNet struct {
 
 var _ transport.Env = (*TCPNet)(nil)
 
-// tcpConn is one established connection with a write lock.
+// readBufSize is each connection's read buffer. Control messages are tens
+// of bytes, so one read(2) brings in a whole frame, prefix and body, and
+// often the next few. It is kept well under a bulk frame on purpose: a body
+// passes through the buffer only up to its size — bufio reads the rest
+// straight into the frame — so a buffer as large as a 16-page reply (64 KiB
+// was tried) copies all of it twice and measured 6 % off bulk throughput,
+// where 4 KiB measured none (EXPERIMENTS.md).
+const readBufSize = 4 << 10
+
+// tcpConn is one established connection: a write lock, the buffered reader
+// its read loop owns, and the table of calls awaiting replies on it.
 type tcpConn struct {
-	c  net.Conn
-	wm sync.Mutex
+	c     net.Conn
+	wm    sync.Mutex
+	r     *bufio.Reader // read loop only
+	calls callTable
+}
+
+func newTCPConn(c net.Conn) *tcpConn {
+	return &tcpConn{c: c, r: bufio.NewReaderSize(c, readBufSize)}
 }
 
 // NewTCPNet creates the endpoint for node self. addrs maps every node ID in
@@ -96,12 +112,11 @@ func NewTCPNet(self ids.NodeID, addrs map[ids.NodeID]string) *TCPNet {
 		cp[k] = v
 	}
 	return &TCPNet{
-		self:    self,
-		addrs:   cp,
-		start:   time.Now(),
-		async:   make(map[wire.MsgType]AsyncHandler),
-		conns:   make(map[ids.NodeID]*tcpConn),
-		pending: make(map[uint64]chan wire.Msg),
+		self:  self,
+		addrs: cp,
+		start: time.Now(),
+		async: make(map[wire.MsgType]AsyncHandler),
+		conns: make(map[ids.NodeID]*tcpConn),
 	}
 }
 
@@ -159,22 +174,20 @@ func (n *TCPNet) Addr() string {
 	return n.listener.Addr().String()
 }
 
-// Close shuts the endpoint down.
+// Close shuts the endpoint down; calls awaiting replies fail with
+// transport.ErrClosed.
 func (n *TCPNet) Close() error {
 	n.mu.Lock()
 	n.closed = true
 	l := n.listener
 	conns := n.conns
 	n.conns = map[ids.NodeID]*tcpConn{}
-	for _, ch := range n.pending {
-		close(ch)
-	}
-	n.pending = map[uint64]chan wire.Msg{}
 	n.mu.Unlock()
 	if l != nil {
 		_ = l.Close()
 	}
 	for _, c := range conns {
+		c.calls.fail(transport.ErrClosed)
 		_ = c.c.Close()
 	}
 	return nil
@@ -186,7 +199,7 @@ func (n *TCPNet) acceptLoop(l net.Listener) {
 		if err != nil {
 			return
 		}
-		go n.readLoop(&tcpConn{c: c}, ids.NoNode)
+		go n.readLoop(newTCPConn(c), ids.NoNode)
 	}
 }
 
@@ -210,8 +223,13 @@ func (n *TCPNet) conn(to ids.NodeID) (*tcpConn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("server: dial %v at %s: %w (%v)", to, addr, transport.ErrUnreachable, err)
 	}
-	c := &tcpConn{c: raw}
+	c := newTCPConn(raw)
 	n.mu.Lock()
+	if n.closed {
+		n.mu.Unlock()
+		_ = raw.Close()
+		return nil, transport.ErrClosed
+	}
 	if existing, ok := n.conns[to]; ok {
 		n.mu.Unlock()
 		_ = raw.Close()
@@ -256,33 +274,44 @@ func (c *tcpConn) writeMsg(buf []byte) error {
 	return err
 }
 
-// readLoop decodes inbound frames: replies complete pending calls, requests
-// run through the handlers.
-func (n *TCPNet) readLoop(c *tcpConn, peer ids.NodeID) {
-	defer func() {
-		_ = c.c.Close()
-		if peer != ids.NoNode {
-			n.mu.Lock()
-			if n.conns[peer] == c {
-				delete(n.conns, peer)
-			}
-			n.mu.Unlock()
-		}
-	}()
+// readFrames decodes inbound frames until the connection fails and returns
+// the read error: replies complete the calls awaiting them, every other
+// message goes to onRequest (nil drops them).
+func (c *tcpConn) readFrames(onRequest func(wire.Envelope, wire.Msg)) error {
 	for {
-		buf, err := wire.ReadFrame(c.c)
+		buf, err := wire.ReadFrame(c.r)
 		if err != nil {
-			return
+			return err
 		}
 		// Decode in place: payload fields alias the pooled frame, which is
 		// released at the bottom of the loop. Messages that outlive this
-		// iteration (replies parked on pending channels, requests handed to
+		// iteration (replies handed to waiting calls, requests handed to
 		// async handlers) are retained — deep-copied — first.
 		env, m, err := wire.DecodeView(buf)
-		if err != nil {
-			wire.ReleaseFrame(buf)
-			continue // drop undecodable frames
+		switch {
+		case err != nil: // drop undecodable frames
+		case env.ReqID&replyBit != 0:
+			wire.Retain(m)
+			c.calls.deliver(env.ReqID&^replyBit, m)
+		case onRequest != nil:
+			onRequest(env, m)
 		}
+		wire.ReleaseFrame(buf)
+	}
+}
+
+// shut ends a connection whose read loop stopped on cause. Nothing more
+// will arrive on it, so the calls still waiting fail now — retryably — and
+// not at their timeouts.
+func (c *tcpConn) shut(cause error) {
+	c.calls.fail(fmt.Errorf("%w: %w (%v)", ErrNoReply, transport.ErrUnreachable, cause))
+	_ = c.c.Close()
+}
+
+// readLoop serves one connection until it fails: replies complete pending
+// calls, requests run through the handlers.
+func (n *TCPNet) readLoop(c *tcpConn, peer ids.NodeID) {
+	err := c.readFrames(func(env wire.Envelope, m wire.Msg) {
 		if peer == ids.NoNode && env.From != ids.NoNode && int64(env.From) < clientIDBase {
 			// Learn the peer's identity from its first frame so replies and
 			// future sends reuse this connection. Client identities are not
@@ -295,21 +324,6 @@ func (n *TCPNet) readLoop(c *tcpConn, peer ids.NodeID) {
 			}
 			n.mu.Unlock()
 		}
-		if env.ReqID&replyBit != 0 {
-			id := env.ReqID &^ replyBit
-			n.mu.Lock()
-			ch, ok := n.pending[id]
-			if ok {
-				delete(n.pending, id)
-			}
-			n.mu.Unlock()
-			if ok {
-				wire.Retain(m)
-				ch <- m
-			}
-			wire.ReleaseFrame(buf)
-			continue
-		}
 		if _, isAsync := n.async[m.Type()]; isAsync {
 			wire.Retain(m)
 		}
@@ -317,8 +331,17 @@ func (n *TCPNet) readLoop(c *tcpConn, peer ids.NodeID) {
 		// transport contract; replies and page installs copy what they
 		// keep), so the frame is safe to recycle once dispatch returns.
 		n.dispatch(c, env, m)
-		wire.ReleaseFrame(buf)
+	})
+	// Out of the pool first, so a caller woken by the failure re-dials
+	// instead of finding this connection again.
+	if peer != ids.NoNode {
+		n.mu.Lock()
+		if n.conns[peer] == c {
+			delete(n.conns, peer)
+		}
+		n.mu.Unlock()
 	}
+	c.shut(err)
 }
 
 // dispatch routes one inbound request.
@@ -506,54 +529,47 @@ func (n *TCPNet) Call(to ids.NodeID, m wire.Msg) (wire.Msg, error) {
 		transport.ErrUnreachable, to, attempts, lastErr)
 }
 
-// callOnce is one RPC transmission: register the pending slot, write the
-// frame (through the fault injector when installed), and wait up to
-// timeout for the reply.
+// callOnce is one RPC transmission: register the call on the peer's
+// connection, write the frame (through the fault injector when installed),
+// and wait up to timeout for the reply.
 func (n *TCPNet) callOnce(to ids.NodeID, m wire.Msg, timeout time.Duration) (wire.Msg, error) {
 	c, err := n.conn(to)
 	if err != nil {
 		return nil, err
 	}
 	id := n.reqID.Add(1)
-	ch := make(chan wire.Msg, 1)
-	n.mu.Lock()
-	if n.closed {
-		n.mu.Unlock()
-		return nil, transport.ErrClosed
-	}
-	n.pending[id] = ch
-	n.mu.Unlock()
-	clear := func() {
-		n.mu.Lock()
-		delete(n.pending, id)
-		n.mu.Unlock()
+	slot, err := c.calls.register(id)
+	if err != nil {
+		// The connection died under us (or the endpoint closed); make sure
+		// a retry re-dials rather than finding it again.
+		n.dropConn(to, c)
+		return nil, err
 	}
 	if err := n.transmit(c, to, wire.Envelope{ReqID: id, From: n.self, To: to}, m); err != nil {
-		clear()
+		c.calls.cancel(id, slot)
 		// Tear the connection down so a retry re-dials rather than reusing
 		// the broken socket.
 		n.dropConn(to, c)
 		return nil, fmt.Errorf("server: write to %v: %w (%v)", to, transport.ErrUnreachable, err)
 	}
-	select {
-	case reply, ok := <-ch:
-		if !ok {
-			return nil, transport.ErrClosed
-		}
-		if er, ok := reply.(*wire.ErrResp); ok {
-			return nil, fmt.Errorf("server: remote error from %v: %s", to, er.Msg)
-		}
-		return reply, nil
-	case <-time.After(timeout):
-		clear()
+	reply, err := c.calls.await(id, slot, timeout)
+	if err == errCallTimeout {
 		if n.rec != nil {
 			n.rec.AddCallTimeout()
 		}
 		return nil, fmt.Errorf("server: call to %v: %w", to, transport.ErrTimeout)
 	}
+	if err != nil {
+		return nil, err
+	}
+	if er, ok := reply.(*wire.ErrResp); ok {
+		return nil, fmt.Errorf("server: remote error from %v: %s", to, er.Msg)
+	}
+	return reply, nil
 }
 
-// dropConn removes a connection from the pool after a write failure.
+// dropConn removes a connection from the pool after a write failure and
+// closes it, which stops its read loop and fails the calls pending on it.
 func (n *TCPNet) dropConn(to ids.NodeID, c *tcpConn) {
 	n.mu.Lock()
 	if n.conns[to] == c {
@@ -586,5 +602,6 @@ func (f *chanFuture) Wait() (any, error) {
 	return r.v, r.err
 }
 
-// ErrNoReply reports a closed connection during an RPC.
+// ErrNoReply reports a connection lost during an RPC. The error a call
+// returns wraps it together with transport.ErrUnreachable.
 var ErrNoReply = errors.New("server: connection closed before reply")

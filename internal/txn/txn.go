@@ -60,7 +60,6 @@ var (
 	ErrNotRoot         = errors.New("txn: operation requires a root transaction")
 	ErrRootOp          = errors.New("txn: operation not valid on a root transaction")
 	ErrCrossNodeChild  = errors.New("txn: sub-transaction must run at its family's node")
-	ErrUnknownTx       = errors.New("txn: unknown transaction")
 	ErrTooDeeplyNested = errors.New("txn: nesting depth limit exceeded")
 )
 
@@ -137,17 +136,16 @@ func (t *Txn) SelfOrAncestorOf(u *Txn) bool {
 }
 
 // Manager creates transactions and validates their lifecycle transitions.
-// A Manager is safe for concurrent use.
+// It keeps no reference to the transactions it creates: a family tree is
+// reachable only through the *Txn values its caller holds and is collected
+// with them. A Manager is safe for concurrent use.
 type Manager struct {
 	gen ids.TxIDGenerator
-
-	mu   sync.Mutex
-	byID map[ids.TxID]*Txn // guarded by mu
 }
 
 // NewManager returns an empty Manager.
 func NewManager() *Manager {
-	return &Manager{byID: make(map[ids.TxID]*Txn)}
+	return &Manager{}
 }
 
 // NewManagerAt returns a Manager issuing TxIDs above base, giving each node
@@ -166,9 +164,6 @@ func (m *Manager) Begin(node ids.NodeID) *Txn {
 		status: Active,
 	}
 	t.root = t
-	m.mu.Lock()
-	m.byID[t.id] = t
-	m.mu.Unlock()
 	return t
 }
 
@@ -195,21 +190,6 @@ func (m *Manager) BeginChild(parent *Txn) (*Txn, error) {
 	parent.children = append(parent.children, t)
 	parent.activeChildren++
 	parent.mu.Unlock()
-
-	m.mu.Lock()
-	m.byID[t.id] = t
-	m.mu.Unlock()
-	return t, nil
-}
-
-// Lookup returns the transaction with the given ID.
-func (m *Manager) Lookup(id ids.TxID) (*Txn, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	t, ok := m.byID[id]
-	if !ok {
-		return nil, fmt.Errorf("%w: %v", ErrUnknownTx, id)
-	}
 	return t, nil
 }
 

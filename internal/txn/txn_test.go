@@ -2,6 +2,7 @@ package txn
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -58,15 +59,50 @@ func TestBeginChildOfFinishedParentFails(t *testing.T) {
 	}
 }
 
-func TestLookup(t *testing.T) {
-	m := NewManager()
-	r := m.Begin(1)
-	got, err := m.Lookup(r.ID())
-	if err != nil || got != r {
-		t.Errorf("Lookup = %v, %v", got, err)
+// TestCommittedFamiliesAreCollected pins that the Manager keeps nothing per
+// transaction: once the caller drops a committed family it is garbage. The
+// check is on live heap rather than finalizers, which the runtime does not
+// run on cyclic structures (parent and children point at each other).
+func TestCommittedFamiliesAreCollected(t *testing.T) {
+	liveHeap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
 	}
-	if _, err := m.Lookup(9999); !errors.Is(err, ErrUnknownTx) {
-		t.Errorf("Lookup missing: %v", err)
+	family := func(m *Manager) {
+		r := m.Begin(1)
+		c, err := m.BeginChild(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := m.BeginChild(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tx := range []*Txn{g, c} {
+			if err := m.PreCommit(tx); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := m.CommitRoot(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m := NewManager()
+	family(m) // warm up anything lazily allocated
+	const families = 20000
+	before := liveHeap()
+	for i := 0; i < families; i++ {
+		family(m)
+	}
+	after := liveHeap()
+	runtime.KeepAlive(m)
+	// A retained family is three Txn of ~100 B each; 4 B leaves room only
+	// for the test binary's own noise.
+	if grown := int64(after) - int64(before); grown > 4*families {
+		t.Errorf("live heap grew %d B over %d committed families (%.1f B each); the manager must not retain them",
+			grown, families, float64(grown)/families)
 	}
 }
 

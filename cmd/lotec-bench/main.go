@@ -81,6 +81,9 @@ type benchResult struct {
 	AbortsPerFailover float64 `json:"aborts_per_failover,omitempty"`
 	HandoffBytes      uint64  `json:"handoff_bytes,omitempty"`
 	HandoffNs         int64   `json:"handoff_ns,omitempty"`
+	// MsgsPerOp is the frames on the wire per committed root (the
+	// tcp/msgs-per-root row only): a count, gated exactly.
+	MsgsPerOp float64 `json:"msgs_per_op,omitempty"`
 }
 
 func main() {
@@ -123,6 +126,10 @@ func main() {
 				os.Exit(1)
 			}
 			if err := checkPerfLedger(*baseline); err != nil {
+				fmt.Fprintln(os.Stderr, "lotec-bench: smoke:", err)
+				os.Exit(1)
+			}
+			if err := checkMsgsPerRoot(*baseline); err != nil {
 				fmt.Fprintln(os.Stderr, "lotec-bench: smoke:", err)
 				os.Exit(1)
 			}
@@ -268,6 +275,13 @@ func writeJSON(spec sim.FigureSpec, path string) error {
 		return err
 	}
 	results = append(results, perf...)
+
+	msgs, err := msgsPerRootRow()
+	if err != nil {
+		return err
+	}
+	fmt.Printf("%-32s %10d ops  %6.2f msgs/op\n", msgs.Op, msgs.Ops, msgs.MsgsPerOp)
+	results = append(results, msgs)
 
 	doc, err := readBenchDoc(path)
 	if err != nil {

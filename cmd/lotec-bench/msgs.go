@@ -1,0 +1,100 @@
+package main
+
+import (
+	"fmt"
+
+	"lotec/internal/core"
+	"lotec/internal/ids"
+	"lotec/internal/node"
+	"lotec/internal/schema"
+	"lotec/internal/server"
+	"lotec/internal/stats"
+)
+
+// msgsPerRootOp names the ledger row that counts a root's directory round
+// trips on the TCP runtime.
+const msgsPerRootOp = "tcp/msgs-per-root"
+
+// msgsPerRootRow commits flat roots at the owner of their object on the
+// default TCP topology (one GDO, one shard) and counts the frames each one
+// puts on the wire. No page moves, so the count is the directory protocol
+// alone: an acquire pair and a release pair — the committing release is the
+// commit point — make 4. The row is a count; it carries no timing.
+func msgsPerRootRow() (benchResult, error) {
+	addrs, err := calibFreeAddrs(2)
+	if err != nil {
+		return benchResult{}, err
+	}
+	topo := server.Topology{NodeAddrs: addrs[:1], GDOAddr: addrs[1]}
+	rec := stats.NewRecorder()
+	gdo := server.NewGDOServer(topo)
+	gdo.SetRecorder(rec)
+	if err := gdo.Start(); err != nil {
+		return benchResult{}, fmt.Errorf("start GDO: %w", err)
+	}
+	defer gdo.Close()
+	n, err := server.NewNodeServer(server.NodeConfig{Topology: topo, Self: 1, Protocol: core.LOTEC, Rec: rec})
+	if err != nil {
+		return benchResult{}, err
+	}
+	cls, err := schema.NewClassBuilder(1, "Counter").
+		Attr("n", 8).
+		Method(schema.MethodSpec{Name: "bump", Writes: []string{"n"}}).
+		Build()
+	if err != nil {
+		return benchResult{}, err
+	}
+	if err := n.AddClass(cls); err != nil {
+		return benchResult{}, err
+	}
+	if err := n.OnMethod(cls, "bump", func(ctx *node.Ctx) error { return ctx.Write("n", make([]byte, 8)) }); err != nil {
+		return benchResult{}, err
+	}
+	if err := n.Start(); err != nil {
+		return benchResult{}, fmt.Errorf("start node: %w", err)
+	}
+	defer n.Close()
+	const obj = ids.ObjectID(1)
+	if err := n.CreateObject(obj, cls.ID, 1); err != nil {
+		return benchResult{}, err
+	}
+
+	const roots = 1000
+	before := rec.MsgCount()
+	for i := 0; i < roots; i++ {
+		if _, err := n.Run(obj, "bump", nil); err != nil {
+			return benchResult{}, fmt.Errorf("root %d: %w", i, err)
+		}
+	}
+	return benchResult{
+		Op:        msgsPerRootOp,
+		Ops:       roots,
+		MsgsPerOp: float64(rec.MsgCount()-before) / roots,
+	}, nil
+}
+
+// checkMsgsPerRoot is the smoke gate over that row: the frame count is a
+// property of the protocol, not of the machine, so it must equal the
+// committed one exactly.
+func checkMsgsPerRoot(path string) error {
+	doc, err := readBenchDoc(path)
+	if err != nil {
+		return err
+	}
+	for _, base := range doc.Results {
+		if base.Op != msgsPerRootOp {
+			continue
+		}
+		got, err := msgsPerRootRow()
+		if err != nil {
+			return err
+		}
+		if got.MsgsPerOp != base.MsgsPerOp {
+			return fmt.Errorf("%s: a flat root at its owner sends %v frames, committed %v", msgsPerRootOp, got.MsgsPerOp, base.MsgsPerOp)
+		}
+		fmt.Printf("smoke ok: %s %v frames (committed %v)\n", msgsPerRootOp, got.MsgsPerOp, base.MsgsPerOp)
+		return nil
+	}
+	fmt.Printf("smoke: %s has no %s row; skipping\n", path, msgsPerRootOp)
+	return nil
+}

@@ -167,7 +167,7 @@ func tcpCallRow() (benchResult, error) {
 	}
 	table := map[ids.NodeID]string{1: addrs[0], 2: addrs[1]}
 	a, b := server.NewTCPNet(1, table), server.NewTCPNet(2, table)
-	reply := &wire.CommitSeqResp{Seq: 7}
+	reply := &wire.ReleaseResp{}
 	b.SetHandler(func(ids.NodeID, wire.Msg) wire.Msg { return reply })
 	for _, n := range []*server.TCPNet{a, b} {
 		if err := n.Listen(); err != nil {
@@ -175,7 +175,7 @@ func tcpCallRow() (benchResult, error) {
 		}
 		defer n.Close()
 	}
-	req := &wire.CommitSeqReq{Family: 9}
+	req := &wire.ReleaseReq{Family: 9, Site: 1, Commit: true}
 	var callErr error
 	row := benchRow("perf/tcp-call", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {

@@ -249,10 +249,8 @@ func (s *Sharded) CommitSeq(f ids.FamilyID) (uint64, bool) {
 }
 
 // AssignCommitSeq fixes the family's position in the global commit order
-// now, ahead of its per-shard releases, and returns it (skip-if-present:
-// re-assignment is a no-op). Routed clients call this through the control
-// plane before fanning their release batches out, so the order is decided
-// by a single counter even when the releases land on different shards.
+// and returns it (skip-if-present: re-assignment is a no-op). Release calls
+// it for every committing batch, so the family's first one decides.
 func (s *Sharded) AssignCommitSeq(f ids.FamilyID) uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -295,19 +293,24 @@ func (s *Sharded) Acquire(obj ids.ObjectID, ref ids.TxRef, family ids.FamilyID, 
 }
 
 // Release routes Algorithm 4.4: the batch is split by shard and each shard
-// releases, restamps and re-schedules its own objects. Committing releases
-// are assigned their global commit sequence first. After the per-shard
-// releases, re-pointed waiters may close inter-shard cycles the shard-local
-// re-checks cannot see, so with multiple shards the router sweeps the union
-// waits-for graph until it is acyclic.
+// releases, restamps and re-schedules its own objects. A family's first
+// committing release is its commit point: the router assigns the global
+// commit sequence here, once, and hands the shards a plain release — the
+// partitions of a Sharded keep no commit window of their own. An empty
+// committing batch (a routed family that holds nothing on shard 0, see
+// node.Engine.releaseGlobal) does only that. After the per-shard releases,
+// re-pointed waiters may close inter-shard cycles the shard-local re-checks
+// cannot see, so with multiple shards the router sweeps the union waits-for
+// graph until it is acyclic.
 func (s *Sharded) Release(family ids.FamilyID, site ids.NodeID, commit bool, rels []gdo.ObjectRelease) ([]gdo.Event, []gdo.PageStamp, error) {
 	if commit {
-		s.mu.Lock()
-		s.commits.Assign(family)
-		s.mu.Unlock()
+		s.AssignCommitSeq(family)
+	}
+	if len(rels) == 0 {
+		return nil, nil, nil
 	}
 	if len(s.shards) == 1 {
-		events, stamps, err := s.shards[0].Release(family, site, commit, rels)
+		events, stamps, err := s.shards[0].Release(family, site, false, rels)
 		return stamp(0, events), stamps, err
 	}
 
@@ -315,7 +318,7 @@ func (s *Sharded) Release(family ids.FamilyID, site ids.NodeID, commit bool, rel
 	// already sends one ReleaseReq per (home, shard)) skip the grouping
 	// allocation.
 	if sh, ok := singleShardOf(s.place, rels); ok {
-		events, stamps, err := s.shards[sh].Release(family, site, commit, rels)
+		events, stamps, err := s.shards[sh].Release(family, site, false, rels)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -336,7 +339,7 @@ func (s *Sharded) Release(family ids.FamilyID, site ids.NodeID, commit bool, rel
 		if !ok {
 			continue
 		}
-		ev, st, err := s.shards[sh].Release(family, site, commit, part)
+		ev, st, err := s.shards[sh].Release(family, site, false, part)
 		if err != nil {
 			return nil, nil, err
 		}

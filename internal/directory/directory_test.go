@@ -257,3 +257,44 @@ func TestShardedCommitOrderIsBounded(t *testing.T) {
 		t.Error("first family still remembered")
 	}
 }
+
+// TestShardsOfAShardedHoldNoWindow: the order is kept once, in the router.
+// A committing release assigns there and reaches the partitions as a plain
+// release; an empty committing batch assigns and touches no partition.
+func TestShardsOfAShardedHoldNoWindow(t *testing.T) {
+	s := NewSharded(2, 1)
+	for _, o := range []ids.ObjectID{2, 3} {
+		if err := s.Register(o, 1, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, o := range []ids.ObjectID{2, 3} {
+		if _, _, err := s.Acquire(o, ids.TxRef{Tx: 10, Node: 1}, 10, 10, 1, o2pl.Write); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := s.Release(10, 1, true, []gdo.ObjectRelease{{Obj: o, Dirty: []ids.PageNum{0}}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ev, stamps, err := s.Release(20, 1, true, nil)
+	if err != nil || len(ev) != 0 || len(stamps) != 0 {
+		t.Fatalf("empty committing release = %v, %v, %v", ev, stamps, err)
+	}
+	if _, _, err := s.Release(30, 1, false, nil); err != nil {
+		t.Fatal(err)
+	}
+
+	for f, want := range map[ids.FamilyID]uint64{10: 1, 20: 2} {
+		if seq, ok := s.CommitSeq(f); !ok || seq != want {
+			t.Errorf("router: family %v has sequence %d, %v; want %d", f, seq, ok, want)
+		}
+		for i := 0; i < s.NumShards(); i++ {
+			if seq, ok := s.Shard(i).CommitSeq(f); ok {
+				t.Errorf("shard %d keeps its own sequence %d for family %v", i, seq, f)
+			}
+		}
+	}
+	if seq, ok := s.CommitSeq(30); ok {
+		t.Errorf("an empty abort release was given sequence %d", seq)
+	}
+}

@@ -61,8 +61,6 @@ func stampEpoch(m wire.Msg, epoch uint64) {
 		t.Epoch = epoch
 	case *wire.ReleaseReq:
 		t.Epoch = epoch
-	case *wire.CommitSeqReq:
-		t.Epoch = epoch
 	case *wire.AbortFamilyReq:
 		t.Epoch = epoch
 	case *wire.PromoteReq:

@@ -307,9 +307,6 @@ func (h *Host) handle(from ids.NodeID, m wire.Msg, reply func(wire.Msg)) {
 		h.clientOpLocked(a, from, int(t.Shard), t.Epoch, m, reply)
 	case *wire.ReleaseReq:
 		h.clientOpLocked(a, from, int(t.Shard), t.Epoch, m, reply)
-	case *wire.CommitSeqReq:
-		// The global commit sequencer lives on shard 0's primary.
-		h.clientOpLocked(a, from, 0, t.Epoch, m, reply)
 	case *wire.RegisterReq:
 		// Registration is epoch-free (setup traffic); route by ownership.
 		h.clientOpLocked(a, from, h.place.ShardOf(t.Obj), h.cur.Epoch, m, reply)
@@ -382,8 +379,6 @@ func (h *Host) replayParkedLocked(a *acts, ops []parkedOp) {
 			h.clientOpLocked(a, p.from, int(t.Shard), t.Epoch, p.m, p.reply)
 		case *wire.ReleaseReq:
 			h.clientOpLocked(a, p.from, int(t.Shard), t.Epoch, p.m, p.reply)
-		case *wire.CommitSeqReq:
-			h.clientOpLocked(a, p.from, 0, t.Epoch, p.m, p.reply)
 		case *wire.RegisterReq:
 			h.clientOpLocked(a, p.from, h.place.ShardOf(t.Obj), h.cur.Epoch, p.m, p.reply)
 		default:
@@ -457,8 +452,6 @@ func (h *Host) applyLocked(rep *replica, from ids.NodeID, m wire.Msg) (*repOp, m
 		op.events = stamp(rep.shard, events)
 		extras = h.sweepLocked(rep, op)
 		op.reply = &wire.ReleaseResp{Shard: t.Shard, Stamps: stamps}
-	case *wire.CommitSeqReq:
-		op.reply = &wire.CommitSeqResp{Seq: rep.dir.AssignCommitSeq(t.Family)}
 	case *wire.RegisterReq:
 		if err := rep.dir.Register(t.Obj, int(t.NumPages), t.Owner); err != nil {
 			return nil, nil, &wire.ErrResp{Msg: err.Error()}
@@ -640,8 +633,6 @@ func (h *Host) applyBackupOp(rep *replica, m wire.Msg) []gdo.Event {
 	case *wire.ReleaseReq:
 		events, _, _ := rep.dir.Release(t.Family, t.Site, t.Commit, t.Rels)
 		return stamp(rep.shard, events)
-	case *wire.CommitSeqReq:
-		rep.dir.AssignCommitSeq(t.Family)
 	case *wire.RegisterReq:
 		_ = rep.dir.Register(t.Obj, int(t.NumPages), t.Owner)
 	}

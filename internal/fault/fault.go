@@ -152,7 +152,6 @@ var RetriableKinds = []stats.MsgKind{
 	stats.KindEpoch, stats.KindEpochReply,
 	stats.KindHandoff, stats.KindHandoffReply,
 	stats.KindDetect, stats.KindDetectReply,
-	stats.KindCommitSeq, stats.KindCommitSeqReply,
 }
 
 func kindRetriable(k stats.MsgKind) bool {

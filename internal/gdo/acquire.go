@@ -118,7 +118,8 @@ func (d *Directory) Acquire(obj ids.ObjectID, ref ids.TxRef, family ids.FamilyID
 		h.refs = append(h.refs, ref)
 		e.holders = append(e.holders, h)
 		e.copySet[site] = true
-		return d.grantedNow(e, o2pl.Read), nil, nil
+		// Writers queued here now wait on this family too.
+		return d.grantedNow(e, o2pl.Read), d.recheckQueuedLocked(e), nil
 
 	default:
 		// "IF there is a list … for the requesting transaction's family
@@ -132,15 +133,12 @@ func (d *Directory) Acquire(obj ids.ObjectID, ref ids.TxRef, family ids.FamilyID
 		q.reqs = append(q.reqs, QueuedReq{Ref: ref, Mode: mode})
 		d.noteWaitersLocked(e)
 
-		if victim, cycle := d.findDeadlockVictimLocked(family); cycle {
-			if victim == family {
-				d.purgeFamilyLocked(family)
-				return AcquireResult{Status: DeadlockAbort}, nil, nil
-			}
-			ev := d.abortVictimLocked(victim)
-			return AcquireResult{Status: Queued}, ev, nil
+		events, self := d.breakCyclesLocked(family)
+		if self {
+			d.purgeFamilyLocked(family)
+			return AcquireResult{Status: DeadlockAbort}, events, nil
 		}
-		return AcquireResult{Status: Queued}, nil, nil
+		return AcquireResult{Status: Queued}, events, nil
 	}
 }
 
@@ -160,15 +158,12 @@ func (d *Directory) acquireHolding(e *entry, h *familyHold, ref ids.TxRef, age u
 	// Wait for the other reader families to drain.
 	e.upgrades = append(e.upgrades, &upgradeWait{family: h.family, site: site, age: age, ref: ref})
 	d.noteWaitersLocked(e)
-	if victim, cycle := d.findDeadlockVictimLocked(h.family); cycle {
-		if victim == h.family {
-			d.dropUpgradeLocked(e, h.family)
-			return AcquireResult{Status: DeadlockAbort}, nil, nil
-		}
-		ev := d.abortVictimLocked(victim)
-		return AcquireResult{Status: Queued}, ev, nil
+	events, self := d.breakCyclesLocked(h.family)
+	if self {
+		d.dropUpgradeLocked(e, h.family)
+		return AcquireResult{Status: DeadlockAbort}, events, nil
 	}
-	return AcquireResult{Status: Queued}, nil, nil
+	return AcquireResult{Status: Queued}, events, nil
 }
 
 // grantedNow builds a GrantedNow result with a page-map snapshot. Caller

@@ -4,9 +4,9 @@ import "lotec/internal/ids"
 
 // CommitWindowSize is how many of the most recent commit-order assignments
 // a CommitWindow remembers. An assignment is consulted only between a
-// family's AssignCommitSeq and its last committing release (and by a
-// retried request for either), so the window needs to span the families
-// concurrently committing, not the families ever committed.
+// family's first committing release and its last (and by a retried one),
+// so the window needs to span the families concurrently committing, not
+// the families ever committed.
 const CommitWindowSize = 1 << 12
 
 // CommitWindow is the commit-order bookkeeping of a directory: a counter

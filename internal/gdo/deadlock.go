@@ -193,13 +193,62 @@ func (d *Directory) neighborsLocked(f ids.FamilyID) (int, int) {
 	return lo, end
 }
 
+// waitedOnLocked reports whether some other family waits for a lock f
+// holds, i.e. whether the waits-for graph has an edge into f. Caller holds
+// d.mu.
+//
+//lotec:noalloc
+func (d *Directory) waitedOnLocked(f ids.FamilyID) bool {
+	//lotec:unordered — pure existence scan; any hit gives the same answer.
+	for _, e := range d.waitObjs {
+		if e.holder(f) == nil {
+			continue
+		}
+		if len(e.queues) > 0 { // a holder's own requests never queue
+			return true
+		}
+		for _, u := range e.upgrades {
+			if u.family != f {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// breakCyclesLocked is the check every added or re-pointed wait of start
+// goes through: it aborts the victim of each cycle start reaches until
+// there is none — one request can close several at once, one per holder it
+// waits on — and returns the abort events. When start itself is the
+// youngest on a cycle it stops and reports self; the caller withdraws
+// start's waits its own way, which breaks every remaining cycle through
+// start. Either way the graph is acyclic again when the directory call
+// returns. Caller holds d.mu.
+func (d *Directory) breakCyclesLocked(start ids.FamilyID) (events []Event, self bool) {
+	for {
+		victim, cycle := d.findDeadlockVictimLocked(start)
+		if !cycle || victim == start {
+			return events, cycle
+		}
+		events = append(events, d.abortVictimLocked(victim)...)
+	}
+}
+
 // findDeadlockVictimLocked looks for a waits-for cycle reachable from start and,
 // if one exists, returns the youngest waiting family on it. It runs on the
 // scratch graph with an iterative DFS — no per-call maps, slices or
 // closures. Caller holds d.mu.
 //
+// Its only caller is breakCyclesLocked, so the graph is acyclic between
+// directory calls and a cycle can only run through start's own new edges.
+// It then needs an edge back into start; when nobody waits on start — every
+// root's first acquire — there is none and the graph is not built at all.
+//
 //lotec:noalloc
 func (d *Directory) findDeadlockVictimLocked(start ids.FamilyID) (ids.FamilyID, bool) {
+	if !d.waitedOnLocked(start) {
+		return 0, false
+	}
 	d.buildWaitsForLocked()
 	if len(d.wf.edges) == 0 {
 		return 0, false

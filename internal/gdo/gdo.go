@@ -176,7 +176,7 @@ type Directory struct {
 	// allocations (ROADMAP item 4). All guarded by mu.
 	wf       wfScratch       // waits-for detector working state (deadlock.go)
 	entScr   []*entry        // waitEntriesSortedLocked sweep list
-	famScr   []ids.FamilyID  // scheduleLocked deadlock re-check snapshot
+	famScr   []ids.FamilyID  // recheckQueuedLocked deadlock re-check snapshot
 	touchScr []*entry        // Release touched-entry list
 	holdFree []*familyHold   // familyHold freelist (records never escape)
 }
@@ -364,10 +364,9 @@ func (d *Directory) CommitSeq(f ids.FamilyID) (uint64, bool) {
 }
 
 // AssignCommitSeq assigns (or returns the already-assigned) commit-order
-// position for a family. In replicated topologies the sequencer lives on
-// one designated shard and clients ask it for their position explicitly
-// before fanning releases out to the other shards; Release's own
-// skip-if-present check then leaves the assignment untouched.
+// position for a family, as a committing Release does. In replicated
+// topologies the sequencer is the directory of one designated shard, which
+// committing families release to first.
 func (d *Directory) AssignCommitSeq(f ids.FamilyID) uint64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()

@@ -148,17 +148,26 @@ func (d *Directory) scheduleLocked(e *entry) []Event {
 		})
 	}
 
-	// Re-pointing waiters at the new holder can close waits-for cycles that
-	// enqueue-time detection could not see; re-check every family still
-	// queued here. The family IDs are snapshotted (into reused scratch)
-	// because an abort may edit e.queues mid-sweep.
+	return append(events, d.recheckQueuedLocked(e)...)
+}
+
+// recheckQueuedLocked runs deadlock detection for every family queued on e
+// after e gained a holder: pointing its waiters at the new holder can close
+// waits-for cycles that enqueue-time detection could not see. The family
+// IDs are snapshotted (into reused scratch) because an abort may edit
+// e.queues mid-sweep. Caller holds d.mu.
+func (d *Directory) recheckQueuedLocked(e *entry) []Event {
+	var events []Event
 	d.famScr = d.famScr[:0]
 	for _, q := range e.queues {
 		d.famScr = append(d.famScr, q.family)
 	}
 	for _, f := range d.famScr {
-		if victim, cycle := d.findDeadlockVictimLocked(f); cycle {
-			events = append(events, d.abortVictimLocked(victim)...)
+		ev, self := d.breakCyclesLocked(f)
+		events = append(events, ev...)
+		if self {
+			// With its waits gone f is on no cycle any more.
+			events = append(events, d.abortVictimLocked(f)...)
 		}
 	}
 	return events

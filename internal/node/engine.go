@@ -602,21 +602,6 @@ func (e *Engine) commitRoot(ts *txState) error {
 	delete(e.fams, ts.t.Family())
 	e.mu.Unlock()
 
-	// Replicated mode: the commit sequencer is shard 0's primary, and the
-	// per-shard releases below fan out to whichever hosts own the shards.
-	// Ask the sequencer for our position first so the global commit order
-	// is fixed before any shard observes the release (the sequencer shard's
-	// own release then finds the assignment already present and keeps it).
-	if e.cfg.Route != nil {
-		reply, err := e.cfg.Route.Call(0, &wire.CommitSeqReq{Family: ts.t.Family()})
-		if err != nil {
-			return fmt.Errorf("commit seq: %w", siteErr(err))
-		}
-		if er, ok := reply.(*wire.ErrResp); ok {
-			return fmt.Errorf("commit seq: %s", er.Msg)
-		}
-	}
-
 	// Restamp dirty pages to version+1 and clear their dirty flags *before*
 	// the release leaves: the directory assigns exactly +1 per committing
 	// release, and the next holder may be granted — and may fetch from, or
@@ -655,9 +640,6 @@ func (e *Engine) commitRoot(ts *txState) error {
 	return nil
 }
 
-// releaseGlobal sends GlobalLockRelease for the given objects, batched per
-// GDO home partition, and restamps local pages from the returned versions.
-// dirty may be nil (abort path).
 // restampDirty advances each dirty page's local version by one and returns
 // the predicted stamps keyed by page.
 func (e *Engine) restampDirty(objs []ids.ObjectID, dirty map[ids.ObjectID][]ids.PageNum) (map[ids.PageID]uint64, error) {
@@ -678,8 +660,21 @@ func (e *Engine) restampDirty(objs []ids.ObjectID, dirty map[ids.ObjectID][]ids.
 	return predicted, nil
 }
 
+// releaseGlobal sends GlobalLockRelease for the given objects, batched per
+// GDO home partition, and verifies the returned page versions against the
+// site's prediction. dirty may be nil (abort path).
+//
+// The committing release is the commit point. With routed directory shards
+// the global commit order is kept by shard 0's primary, which assigns a
+// family its position when that family's first committing release arrives;
+// so a committing family addresses shard 0 first — with an empty batch when
+// it holds nothing there — and only then the other shards. Any family that
+// conflicts with this one can be granted the contended object only after
+// this family's release of it, which follows the assignment, so the order
+// is conflict-consistent without a separate sequencing round trip.
 func (e *Engine) releaseGlobal(fam *famState, objs []ids.ObjectID, dirty map[ids.ObjectID][]ids.PageNum, commit bool, predicted map[ids.PageID]uint64) error {
-	if len(objs) == 0 {
+	routedCommit := commit && e.cfg.Route != nil
+	if len(objs) == 0 && !routedCommit {
 		return nil
 	}
 	// One batch per (home node, directory shard): shard-addressed releases
@@ -698,9 +693,12 @@ func (e *Engine) releaseGlobal(fam *famState, objs []ids.ObjectID, dirty map[ids
 		}
 		byDest[d] = append(byDest[d], gdo.ObjectRelease{Obj: obj, Dirty: dirty[obj]})
 	}
-	dests := make([]dest, 0, len(byDest))
+	dests := make([]dest, 0, len(byDest)+1)
 	for d := range byDest {
 		dests = append(dests, d)
+	}
+	if seq := (dest{home: ids.NoNode, shard: 0}); routedCommit && byDest[seq] == nil {
+		dests = append(dests, seq) // sorts first: routed batches share one home
 	}
 	sort.Slice(dests, func(i, j int) bool {
 		if dests[i].home != dests[j].home {
@@ -712,7 +710,8 @@ func (e *Engine) releaseGlobal(fam *famState, objs []ids.ObjectID, dirty map[ids
 	family := fam.root.Family()
 	var verifyErr error
 	for _, d := range dests {
-		if e.cfg.Rec != nil {
+		if e.cfg.Rec != nil && len(byDest[d]) > 0 {
+			// The empty sequencing batch releases no lock.
 			e.cfg.Rec.AddGlobalLockOp()
 		}
 		reply, err := e.gdoCall(d.shard, d.home, &wire.ReleaseReq{

@@ -203,7 +203,9 @@ func (s *Store) lookupLocked(pid ids.PageID) (*page, bool) {
 
 // InstallPage installs a page copy received from another site (or created
 // locally), overwriting any prior resident copy. The data is copied. The
-// installed page starts clean.
+// installed page starts clean, with an empty journal. A resident page is
+// overwritten in place: its buffer never leaves s.mu (every reader copies
+// out), so reusing it is indistinguishable from installing a fresh one.
 func (s *Store) InstallPage(pid ids.PageID, data []byte, version uint64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -216,6 +218,11 @@ func (s *Store) InstallPage(pid ids.PageID, data []byte, version uint64) error {
 	}
 	if len(data) != s.pageSize {
 		return fmt.Errorf("pstore: install %v: got %d bytes, page size is %d", pid, len(data), s.pageSize)
+	}
+	if pg, ok := om.pages[pid.Page]; ok {
+		copy(pg.data, data)
+		*pg = page{data: pg.data, version: version}
+		return nil
 	}
 	buf := make([]byte, s.pageSize)
 	copy(buf, data)

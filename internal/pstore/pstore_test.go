@@ -495,3 +495,101 @@ func TestUndoPropertyRandomNestedAbort(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestInstallOverResidentEqualsInstallIntoEmpty: InstallPage reuses a
+// resident page's buffer, and nothing observable may tell that apart from
+// installing into an empty slot — whatever history the resident copy had
+// (committed versions with a sealed journal, uncommitted writes, an
+// aborted write).
+func TestInstallOverResidentEqualsInstallIntoEmpty(t *testing.T) {
+	const pageSize = 64
+	const obj = ids.ObjectID(3)
+	pid := ids.PageID{Object: obj, Page: 0}
+	scratch := make([]byte, pageSize)
+
+	for seed := int64(1); seed <= 50; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		used, fresh := NewStore(pageSize), NewStore(pageSize)
+		mustRegister(t, used, obj, 1)
+		mustRegister(t, fresh, obj, 1)
+
+		// Give the resident copy a random past.
+		version := uint64(1)
+		if err := used.InstallPage(pid, make([]byte, pageSize), version); err != nil {
+			t.Fatal(err)
+		}
+		for step := rng.Intn(6); step > 0; step-- {
+			off := rng.Intn(pageSize)
+			data := make([]byte, 1+rng.Intn(pageSize-off))
+			rng.Read(data)
+			log := NewUndoLog()
+			if err := log.SnapshotBefore(used, obj, []ids.PageNum{0}); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := used.Write(obj, off, data); err != nil {
+				t.Fatal(err)
+			}
+			switch rng.Intn(3) {
+			case 0: // commit: seal the journal
+				version++
+				if err := used.SetPageVersion(pid, version); err != nil {
+					t.Fatal(err)
+				}
+				used.ClearDirty(obj, []ids.PageNum{0})
+			case 1: // abort
+				log.Undo(used)
+			default: // leave it dirty
+			}
+		}
+
+		incoming := make([]byte, pageSize)
+		rng.Read(incoming)
+		newVersion := version + 1 + uint64(rng.Intn(5))
+		for _, s := range []*Store{used, fresh} {
+			if err := s.InstallPage(pid, incoming, newVersion); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want := append([]byte(nil), incoming...)
+		incoming[0] ^= 0xFF // the stores must hold copies
+
+		for name, s := range map[string]*Store{"resident": used, "empty": fresh} {
+			got, v, err := s.PageCopy(pid)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) || v != newVersion {
+				t.Errorf("seed %d, install over %s: page differs from the installed copy (version %d, want %d)", seed, name, v, newVersion)
+			}
+			if d := s.DirtyPages(obj); len(d) != 0 {
+				t.Errorf("seed %d, install over %s: dirty pages %v", seed, name, d)
+			}
+			if j := s.JournalEpochs(pid); len(j) != 0 {
+				t.Errorf("seed %d, install over %s: journal %v survived", seed, name, j)
+			}
+			for base := uint64(0); base <= newVersion; base++ {
+				if _, _, _, ok := s.DeltaSince(pid, base, scratch); ok {
+					t.Errorf("seed %d, install over %s: DeltaSince(%d) answered from a journal the install should have dropped", seed, name, base)
+				}
+			}
+		}
+
+		// And they stay indistinguishable: the next commit journals the same
+		// delta on both.
+		for _, s := range []*Store{used, fresh} {
+			if _, err := s.Write(obj, 5, []byte{1, 2, 3}); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.SetPageVersion(pid, newVersion+1); err != nil {
+				t.Fatal(err)
+			}
+			s.ClearDirty(obj, []ids.PageNum{0})
+		}
+		bufA, bufB := make([]byte, pageSize), make([]byte, pageSize)
+		runsA, tA, nA, okA := used.DeltaSince(pid, newVersion, bufA)
+		runsB, tB, nB, okB := fresh.DeltaSince(pid, newVersion, bufB)
+		if !okA || !okB || tA != tB || nA != nB || !bytes.Equal(bufA[:nA], bufB[:nB]) || len(runsA) != len(runsB) {
+			t.Errorf("seed %d: deltas after the install differ: %v/%d/%v vs %v/%d/%v", seed, runsA, tA, okA, runsB, tB, okB)
+		}
+	}
+}

@@ -23,7 +23,7 @@ import (
 func echoPair(t *testing.T) *TCPNet {
 	t.Helper()
 	a, b := startPair(t)
-	reply := &wire.CommitSeqResp{Seq: 7}
+	reply := &wire.ReleaseResp{}
 	b.SetHandler(func(ids.NodeID, wire.Msg) wire.Msg { return reply })
 	listen(t, a, b)
 	return a
@@ -38,7 +38,7 @@ const tcpCallAllocs = 2
 
 func TestAllocsTCPCall(t *testing.T) {
 	a := echoPair(t)
-	req := &wire.CommitSeqReq{Family: 9}
+	req := &wire.ReleaseReq{Family: 9, Site: 1, Commit: true}
 	call := func() {
 		if _, err := a.Call(2, req); err != nil {
 			t.Fatal(err)
@@ -62,7 +62,7 @@ func liveHeap() uint64 {
 // TestSteadyStateHeapIsConstant is the growth gate: once warm, a deployment
 // holds no memory and no goroutine per committed root. Roots alternate
 // between two nodes on a handful of one-page objects, so every one of them
-// crosses the directory (acquire, commit sequence, release) and most pull
+// crosses the directory (acquire, release) and most pull
 // the page from the other node.
 func TestSteadyStateHeapIsConstant(t *testing.T) {
 	if testing.Short() {

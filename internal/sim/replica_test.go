@@ -9,6 +9,7 @@ import (
 	"lotec/internal/core"
 	"lotec/internal/fault"
 	"lotec/internal/ids"
+	"lotec/internal/stats"
 )
 
 // Replicated control-plane cells: the same safety oracles as the chaos
@@ -288,5 +289,86 @@ func TestReplicatedHandoffPartition(t *testing.T) {
 	}
 	if err := c.VerifyPageMapCoherence(); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestCommittingReleaseRetry loses the first transmissions of the release
+// that is a family's commit point — the request on its way to shard 0's
+// primary, and, for later families, the reply on its way back after the
+// primary has applied it. The retry must commit each family exactly once:
+// the commit sequences of the run are 1..n with no gap or repeat, and the
+// commit order still replays serially (the chaos oracle set).
+func TestCommittingReleaseRetry(t *testing.T) {
+	const drops = 6
+	for _, spread := range []bool{false, true} {
+		spread := spread
+		t.Run(fmt.Sprintf("spread=%v", spread), func(t *testing.T) {
+			w, err := GenerateWorkload(chaosWorkload(3))
+			if err != nil {
+				t.Fatal(err)
+			}
+			plan := &fault.Plan{Seed: 3, Rules: []fault.Rule{
+				{Op: fault.OpDrop, Prob: 1, Kinds: []stats.MsgKind{stats.KindRelease}, MaxHits: drops},
+				{Op: fault.OpDrop, Prob: 1, Kinds: []stats.MsgKind{stats.KindReleaseReply}, MaxHits: drops},
+			}}
+			cfg := replicatedConfig(core.LOTEC, 2, plan)
+			cfg.SpreadShards = spread
+			c := runChaosWorkloadIn(t, 3, w, cfg)
+
+			cnt := c.Recorder().Counters()
+			if cnt.MsgDrops != 2*drops || cnt.CallRetries < 2*drops {
+				t.Errorf("dropped %d frames, %d call retries; want %d drops, each retried", cnt.MsgDrops, cnt.CallRetries, 2*drops)
+			}
+			var seqs []uint64
+			for _, r := range c.ResultsByCommitOrder() {
+				if r.Err == nil {
+					seqs = append(seqs, r.CommitSeq)
+				}
+			}
+			for i, seq := range seqs {
+				if seq != uint64(i+1) {
+					t.Fatalf("commit sequences %v: want 1..%d, one per committed family", seqs, len(seqs))
+				}
+			}
+		})
+	}
+}
+
+// TestEmptyCommitBatchRetry pins the smallest case of the above: a family
+// that holds nothing on shard 0 fixes its place in the commit order with an
+// empty committing release to shard 0's primary, and the very first
+// transmission of it is lost.
+func TestEmptyCommitBatchRetry(t *testing.T) {
+	plan := &fault.Plan{Seed: 1, Rules: []fault.Rule{
+		{Op: fault.OpDrop, Prob: 1, Kinds: []stats.MsgKind{stats.KindRelease}, MaxHits: 1},
+	}}
+	c, account, _ := testbed(t, Config{Nodes: 2, Replicas: 2, DirectoryShards: 4, Faults: plan})
+	var acct ids.ObjectID
+	for c.Directory().ShardOf(acct) == 0 {
+		acct = mustObject(t, c, account.ID, 1)
+	}
+	for i := 0; i < 2; i++ {
+		if err := c.Submit(time.Duration(i)*time.Second, 1, acct, "deposit", i64(1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runAll(t, c)
+
+	for i, r := range c.ResultsByCommitOrder() {
+		if r.CommitSeq != uint64(i+1) {
+			t.Errorf("root %d has commit sequence %d, want %d", i, r.CommitSeq, i+1)
+		}
+	}
+	if cnt := c.Recorder().Counters(); cnt.MsgDrops != 1 || cnt.CallRetries < 1 {
+		t.Errorf("drops = %d, call retries = %d; want the one dropped release retried", cnt.MsgDrops, cnt.CallRetries)
+	}
+	empty := 0
+	for _, rec := range c.Recorder().Trace() {
+		if rec.Kind == stats.KindRelease && rec.Shard == 0 && len(rec.Objs) == 0 {
+			empty++
+		}
+	}
+	if empty < 2 {
+		t.Errorf("%d empty committing releases reached the trace, want one per root", empty)
 	}
 }

@@ -55,7 +55,10 @@ const (
 	KindHandoffReply
 	KindDetect // cross-host deadlock detection (edges push, victim fan-out)
 	KindDetectReply
-	KindCommitSeq // global commit-order assignment at the sequencer
+	// Retired: the committing release is the commit point, so no message
+	// classifies to these two any more. They keep their numbers because
+	// benchmark/ still names them in its control-kind table.
+	KindCommitSeq
 	KindCommitSeqReply
 )
 

@@ -132,10 +132,6 @@ func Classify(m Msg) stats.MsgRecord {
 		rec.Kind = stats.KindDetect
 	case *AbortFamilyResp:
 		rec.Kind = stats.KindDetectReply
-	case *CommitSeqReq:
-		rec.Kind = stats.KindCommitSeq
-	case *CommitSeqResp:
-		rec.Kind = stats.KindCommitSeqReply
 	}
 	return rec
 }

@@ -92,8 +92,8 @@ func fill(v reflect.Value, ctr *int64) {
 // Shard field into the record's shard attribution.
 func TestEveryRegisteredTypeRoundTripsAndClassifies(t *testing.T) {
 	reg := registeredTypes(t)
-	if len(reg) != int(TCommitSeqResp) {
-		t.Fatalf("newMsg constructs %d types; the MsgType enum defines %d", len(reg), int(TCommitSeqResp))
+	if len(reg) != int(TAbortFamilyResp) {
+		t.Fatalf("newMsg constructs %d types; the MsgType enum defines %d", len(reg), int(TAbortFamilyResp))
 	}
 	for tag, proto := range reg {
 		ctr := int64(0)
@@ -207,7 +207,6 @@ func TestIdempotentMessagesCarryRequestID(t *testing.T) {
 		THandoffReq:      true,
 		TWaitEdgeUpdate:  true,
 		TAbortFamilyReq:  true,
-		TCommitSeqReq:    true,
 	}
 	for tag, proto := range reg {
 		im, ok := proto.(Idempotent)

@@ -151,13 +151,32 @@ func FuzzDecode(f *testing.F) {
 		&WaitEdgeResp{Map: wideMap},
 		&AbortFamilyReq{ReqID: 1<<42 + 9, Family: 5, Epoch: 7},
 		&AbortFamilyResp{},
-		&CommitSeqReq{ReqID: 1<<42 + 10, Family: 5, Epoch: 7},
-		&CommitSeqResp{Seq: 42},
 	}
 	for _, m := range replication {
 		buf := Encode(Envelope{ReqID: 13, From: 4, To: 3}, m)
 		f.Add(buf)
 		f.Add(buf[:len(buf)-3]) // truncated mid-body
+	}
+
+	// The commit point of a family that holds nothing on shard 0 is an
+	// empty committing release addressed there, and its empty reply: both
+	// zero-length lists, with and without the trailing epoch section, cut
+	// and corrupted the way the per-type seeds above are.
+	commitPoint := []Msg{
+		&ReleaseReq{ReqID: 1<<42 + 10, Family: 5, Site: 1, Commit: true, Shard: 0, Epoch: 7},
+		&ReleaseReq{Family: 5, Site: 1, Commit: true},
+		&ReleaseResp{},
+	}
+	for _, m := range commitPoint {
+		buf := Encode(Envelope{ReqID: 14, From: 1, To: 3}, m)
+		f.Add(buf)
+		f.Add(buf[:HeaderSize])                          // body stripped
+		f.Add(buf[:HeaderSize+4])                        // cut inside the first body field
+		f.Add(buf[:len(buf)-1])                          // truncated mid-body
+		f.Add(append(append([]byte(nil), buf...), 0xAA)) // trailing garbage
+		short := append([]byte(nil), buf...)
+		short[17] = 0xFF // corrupt bodyLen low byte
+		f.Add(short)
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {

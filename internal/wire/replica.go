@@ -15,8 +15,8 @@ import (
 // a versioned, epoch-stamped object (PlacementMap); any host can reject a
 // stale-epoch request with RouteResp carrying the newer map, which replaces
 // the static placement-mismatch check. Cross-host deadlock detection rides
-// WaitEdgeUpdate/AbortFamilyReq; the global commit order is served by the
-// shard-0 primary via CommitSeqReq.
+// WaitEdgeUpdate/AbortFamilyReq; the global commit order is fixed by the
+// shard-0 primary when a family's committing ReleaseReq reaches it.
 
 // PlacementMap is the versioned shard→owner map distributed to every node.
 // Epoch starts at 1 and bumps on every promotion or handoff; requests
@@ -382,41 +382,6 @@ func (*AbortFamilyResp) Type() MsgType { return TAbortFamilyResp }
 // Size implements Msg.
 func (*AbortFamilyResp) Size() int { return HeaderSize }
 
-// CommitSeqReq asks the global commit sequencer (the shard-0 primary) for
-// Family's position in the commit order. Committing roots call it while
-// still holding every lock, so the assigned order is conflict-consistent;
-// the assignment replicates through shard 0's op log like any other
-// mutation.
-type CommitSeqReq struct {
-	// ReqID is the stable idempotency key (see Idempotent; 0 = unstamped).
-	ReqID  uint64
-	Family ids.FamilyID
-	Epoch  uint64
-}
-
-// Type implements Msg.
-func (*CommitSeqReq) Type() MsgType { return TCommitSeqReq }
-
-// Size implements Msg.
-func (*CommitSeqReq) Size() int { return HeaderSize + 8 + 8 + 8 }
-
-// RequestID implements Idempotent.
-func (m *CommitSeqReq) RequestID() uint64 { return m.ReqID }
-
-// SetRequestID implements Idempotent.
-func (m *CommitSeqReq) SetRequestID(id uint64) { m.ReqID = id }
-
-// CommitSeqResp returns the assigned commit sequence number.
-type CommitSeqResp struct {
-	Seq uint64
-}
-
-// Type implements Msg.
-func (*CommitSeqResp) Type() MsgType { return TCommitSeqResp }
-
-// Size implements Msg.
-func (*CommitSeqResp) Size() int { return HeaderSize + 8 }
-
 // Codec bodies for the replication messages. None of them ride the
 // per-transaction lock fast path, so they are not //lotec:noalloc.
 
@@ -603,18 +568,3 @@ func (m *AbortFamilyReq) decodeBody(r *reader) {
 
 func (*AbortFamilyResp) encodeBody(*writer) {}
 func (*AbortFamilyResp) decodeBody(*reader) {}
-
-func (m *CommitSeqReq) encodeBody(w *writer) {
-	w.u64(m.ReqID)
-	w.u64(uint64(m.Family))
-	w.u64(m.Epoch)
-}
-
-func (m *CommitSeqReq) decodeBody(r *reader) {
-	m.ReqID = r.u64()
-	m.Family = ids.FamilyID(r.u64())
-	m.Epoch = r.u64()
-}
-
-func (m *CommitSeqResp) encodeBody(w *writer) { w.u64(m.Seq) }
-func (m *CommitSeqResp) decodeBody(r *reader) { m.Seq = r.u64() }

@@ -38,11 +38,12 @@ bench:
 # Steady-state allocation gates (testing.AllocsPerRun) over the
 # //lotec:noalloc surfaces: pooled frame get/release, EncodeFrame,
 # ReadFrame, DecodeView, the directory's immediate-grant fast path, and a
-# whole TCPNet.Call round trip on loopback.
+# whole TCPNet.Call round trip on loopback; and the per-root budgets: a flat
+# root in the engine alone, its shadow log, and end to end over loopback.
 # Run without -race: the poison pass and detector instrumentation change
 # the allocation behavior under test.
 bench-allocs:
-	go test -run 'TestAllocs' ./internal/wire/ ./internal/directory/ ./internal/server/
+	go test -run 'TestAllocs' ./internal/wire/ ./internal/directory/ ./internal/server/ ./internal/node/ ./internal/pstore/
 
 # Fast data-plane invariant check: the byte/message trace must be identical
 # at FetchConcurrency 1 and 4, and the modeled gather wall-clock must

@@ -84,6 +84,9 @@ type benchResult struct {
 	// MsgsPerOp is the frames on the wire per committed root (the
 	// tcp/msgs-per-root row only): a count, gated exactly.
 	MsgsPerOp float64 `json:"msgs_per_op,omitempty"`
+	// WritesPerFrame is the write calls per frame sent (the
+	// tcp/writes-per-frame row only): a count, gated under a ceiling.
+	WritesPerFrame float64 `json:"writes_per_frame,omitempty"`
 }
 
 func main() {
@@ -133,6 +136,10 @@ func main() {
 				fmt.Fprintln(os.Stderr, "lotec-bench: smoke:", err)
 				os.Exit(1)
 			}
+		}
+		if err := checkWritesPerFrame(); err != nil {
+			fmt.Fprintln(os.Stderr, "lotec-bench: smoke:", err)
+			os.Exit(1)
 		}
 		if err := smokeAvailability(*baseline); err != nil {
 			fmt.Fprintln(os.Stderr, "lotec-bench: smoke:", err)
@@ -282,6 +289,13 @@ func writeJSON(spec sim.FigureSpec, path string) error {
 	}
 	fmt.Printf("%-32s %10d ops  %6.2f msgs/op\n", msgs.Op, msgs.Ops, msgs.MsgsPerOp)
 	results = append(results, msgs)
+
+	writes, err := writesPerFrameRow()
+	if err != nil {
+		return err
+	}
+	fmt.Printf("%-32s %10d frames  %6.3f writes/frame\n", writes.Op, writes.Ops, writes.WritesPerFrame)
+	results = append(results, writes)
 
 	doc, err := readBenchDoc(path)
 	if err != nil {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"sync"
 
 	"lotec/internal/core"
 	"lotec/internal/ids"
@@ -9,6 +10,7 @@ import (
 	"lotec/internal/schema"
 	"lotec/internal/server"
 	"lotec/internal/stats"
+	"lotec/internal/wire"
 )
 
 // msgsPerRootOp names the ledger row that counts a root's directory round
@@ -96,5 +98,76 @@ func checkMsgsPerRoot(path string) error {
 		return nil
 	}
 	fmt.Printf("smoke: %s has no %s row; skipping\n", path, msgsPerRootOp)
+	return nil
+}
+
+// writesPerFrameOp names the ledger row that counts how many write calls
+// the connection writer spends per frame when callers meet on a connection.
+const writesPerFrameOp = "tcp/writes-per-frame"
+
+// maxWritesPerFrame is the smoke gate on that row. One write per frame, 1.0,
+// is what a writer that combines nothing measures; with eight callers on one
+// connection the requests that meet share a write and so do the replies to
+// requests that arrived together (measured 0.4–0.6 on two cores).
+const maxWritesPerFrame = 0.95
+
+// writesPerFrameRow runs eight concurrent callers over one connection pair —
+// the tcp-call row's echo peer — and divides the writes both endpoints
+// issued by the frames they sent. A count; it carries no timing.
+func writesPerFrameRow() (benchResult, error) {
+	a, b, stop, err := echoPair()
+	if err != nil {
+		return benchResult{}, err
+	}
+	defer stop()
+	const (
+		callers = 8
+		calls   = 5000
+	)
+	if _, err := a.Call(2, &wire.ReleaseReq{Family: 9, Site: 1}); err != nil { // dial once, not eight times
+		return benchResult{}, err
+	}
+	errs := make(chan error, callers)
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			req := &wire.ReleaseReq{Family: 9, Site: 1, Commit: true}
+			for i := 0; i < calls; i++ {
+				if _, err := a.Call(2, req); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	select {
+	case err := <-errs:
+		return benchResult{}, err
+	default:
+	}
+	af, aw := a.WriteCounts()
+	bf, bw := b.WriteCounts()
+	return benchResult{
+		Op:             writesPerFrameOp,
+		Ops:            int(af + bf),
+		WritesPerFrame: float64(aw+bw) / float64(af+bf),
+	}, nil
+}
+
+// checkWritesPerFrame is the smoke gate over that row. The figure depends
+// on how the callers interleave, so it is held under a ceiling, not to the
+// committed value.
+func checkWritesPerFrame() error {
+	got, err := writesPerFrameRow()
+	if err != nil {
+		return err
+	}
+	if got.WritesPerFrame > maxWritesPerFrame {
+		return fmt.Errorf("%s: %.3f writes per frame over %d frames, limit %.2f", writesPerFrameOp, got.WritesPerFrame, got.Ops, maxWritesPerFrame)
+	}
+	fmt.Printf("smoke ok: %s %.3f over %d frames (limit %.2f)\n", writesPerFrameOp, got.WritesPerFrame, got.Ops, maxWritesPerFrame)
 	return nil
 }

@@ -156,25 +156,41 @@ func perfLedger() ([]benchResult, error) {
 	return rows, nil
 }
 
-// tcpCallRow prices one TCPNet.Call round trip: a control-sized request to
-// a peer that answers with a preallocated reply, so the row holds the
-// transport's own cost (call table, frames, two socket hops) and nothing of
-// a handler's.
-func tcpCallRow() (benchResult, error) {
+// echoPair starts two connected endpoints on loopback, nodes 1 and 2; node 2
+// answers every call with one preallocated reply, so what is measured over
+// the pair is the transport's own cost and nothing of a handler's. stop
+// closes both.
+func echoPair() (a, b *server.TCPNet, stop func(), err error) {
 	addrs, err := calibFreeAddrs(2)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	table := map[ids.NodeID]string{1: addrs[0], 2: addrs[1]}
+	a, b = server.NewTCPNet(1, table), server.NewTCPNet(2, table)
+	reply := &wire.ReleaseResp{}
+	b.SetHandler(func(ids.NodeID, wire.Msg) wire.Msg { return reply })
+	stop = func() {
+		_ = a.Close()
+		_ = b.Close()
+	}
+	for _, n := range []*server.TCPNet{a, b} {
+		if err := n.Listen(); err != nil {
+			stop()
+			return nil, nil, nil, err
+		}
+	}
+	return a, b, stop, nil
+}
+
+// tcpCallRow prices one TCPNet.Call round trip: a control-sized request to
+// the echo peer, so the row holds the call table, the frames and two socket
+// hops.
+func tcpCallRow() (benchResult, error) {
+	a, _, stop, err := echoPair()
 	if err != nil {
 		return benchResult{}, err
 	}
-	table := map[ids.NodeID]string{1: addrs[0], 2: addrs[1]}
-	a, b := server.NewTCPNet(1, table), server.NewTCPNet(2, table)
-	reply := &wire.ReleaseResp{}
-	b.SetHandler(func(ids.NodeID, wire.Msg) wire.Msg { return reply })
-	for _, n := range []*server.TCPNet{a, b} {
-		if err := n.Listen(); err != nil {
-			return benchResult{}, err
-		}
-		defer n.Close()
-	}
+	defer stop()
 	req := &wire.ReleaseReq{Family: 9, Site: 1, Commit: true}
 	var callErr error
 	row := benchRow("perf/tcp-call", func(b *testing.B) {

@@ -85,7 +85,7 @@ func (e *Engine) acquireGlobal(ts *txState, obj ids.ObjectID, mode o2pl.Mode) er
 	f := e.env.NewFuture()
 	key := pendKey{obj: obj, tx: ts.t.ID()}
 	e.mu.Lock()
-	e.pending[key] = &pendingReq{fut: f, tx: ts.t, mode: mode}
+	e.pending[key] = pendingReq{fut: f, tx: ts.t, mode: mode}
 	e.mu.Unlock()
 	clearPending := func() {
 		e.mu.Lock()
@@ -325,6 +325,9 @@ func (e *Engine) ensureCurrent(ts *txState, obj ids.ObjectID, pages schema.PageS
 
 // pagesMissingError extracts a PageMissingError if err contains one.
 func pagesMissingError(err error) (*pstore.PageMissingError, bool) {
+	if err == nil {
+		return nil, false // before errors.As, whose target escapes
+	}
 	var pm *pstore.PageMissingError
 	if errors.As(err, &pm) {
 		return pm, true

@@ -206,14 +206,12 @@ func (c *Ctx) WriteAt(attr string, off int, data []byte) error {
 	if err != nil {
 		return err
 	}
-	pageNums := make([]ids.PageNum, len(pages))
-	copy(pageNums, pages)
-	if err := c.ts.undo.SnapshotBefore(c.eng.cfg.Store, c.obj, pageNums); err != nil {
+	if err := c.ts.undo.SnapshotBefore(c.eng.cfg.Store, c.obj, pages); err != nil {
 		if _, missing := pagesMissingError(err); missing {
 			if ferr := c.eng.ensureCurrent(c.ts, c.obj, pages); ferr != nil {
 				return ferr
 			}
-			err = c.ts.undo.SnapshotBefore(c.eng.cfg.Store, c.obj, pageNums)
+			err = c.ts.undo.SnapshotBefore(c.eng.cfg.Store, c.obj, pages)
 		}
 		if err != nil {
 			return fmt.Errorf("shadow %s.%s: %w", c.cls.Name, attr, err)
@@ -222,7 +220,6 @@ func (c *Ctx) WriteAt(attr string, off int, data []byte) error {
 	if _, err := c.eng.cfg.Store.Write(c.obj, abs, data); err != nil {
 		return fmt.Errorf("write %s.%s: %w", c.cls.Name, attr, err)
 	}
-	c.ts.updated[c.obj] = true
 	return nil
 }
 

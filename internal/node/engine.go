@@ -161,9 +161,8 @@ type txState struct {
 	t        *txn.Txn
 	fam      *famState
 	parent   *txState
-	undo     *pstore.UndoLog
+	undo     pstore.UndoLog
 	involved map[ids.ObjectID]bool // objects whose locks this tx holds or retains
-	updated  map[ids.ObjectID]bool // objects this tx (or pre-committed children) wrote
 }
 
 // Engine is one site's protocol runtime. All public methods are safe for
@@ -177,7 +176,7 @@ type Engine struct {
 	mu       sync.Mutex
 	objClass map[ids.ObjectID]ids.ClassID // guarded by mu
 	fams     map[ids.FamilyID]*famState   // guarded by mu
-	pending  map[pendKey]*pendingReq      // guarded by mu
+	pending  map[pendKey]pendingReq       // guarded by mu
 }
 
 // New creates an Engine and installs its message handler on the Env's
@@ -208,7 +207,7 @@ func New(cfg Config) (*Engine, error) {
 		},
 		objClass: make(map[ids.ObjectID]ids.ClassID),
 		fams:     make(map[ids.FamilyID]*famState),
-		pending:  make(map[pendKey]*pendingReq),
+		pending:  make(map[pendKey]pendingReq),
 	}, nil
 }
 
@@ -472,9 +471,7 @@ func (e *Engine) beginTx(parent *txState) (*txState, error) {
 		}
 		ts := &txState{
 			t: t, fam: fam,
-			undo:     pstore.NewUndoLog(),
 			involved: make(map[ids.ObjectID]bool),
-			updated:  make(map[ids.ObjectID]bool),
 		}
 		e.mu.Lock()
 		e.fams[t.Family()] = fam
@@ -490,15 +487,13 @@ func (e *Engine) beginTx(parent *txState) (*txState, error) {
 	}
 	return &txState{
 		t: t, fam: parent.fam, parent: parent,
-		undo:     pstore.NewUndoLog(),
 		involved: make(map[ids.ObjectID]bool),
-		updated:  make(map[ids.ObjectID]bool),
 	}, nil
 }
 
 // preCommit applies rule 3 of §4.1: the parent inherits and retains every
-// lock the transaction holds or retains; the undo log and updated-set merge
-// into the parent so an ancestor abort still rolls everything back.
+// lock the transaction holds or retains; the undo log merges into the
+// parent's so an ancestor abort still rolls everything back.
 func (e *Engine) preCommit(ts *txState) error {
 	e.mu.Lock()
 	var wake []*o2pl.Waiter
@@ -510,12 +505,9 @@ func (e *Engine) preCommit(ts *txState) error {
 		}
 		ts.parent.involved[obj] = true
 	}
-	for obj := range ts.updated {
-		ts.parent.updated[obj] = true
-	}
 	// Still under e.mu: parallel siblings (InvokeAll) may pre-commit into
 	// the same parent concurrently, and UndoLog is not otherwise locked.
-	ts.undo.MergeInto(ts.parent.undo)
+	ts.undo.MergeInto(&ts.parent.undo)
 	e.mu.Unlock()
 
 	err := e.cfg.Manager.PreCommit(ts.t)
@@ -641,9 +633,10 @@ func (e *Engine) commitRoot(ts *txState) error {
 }
 
 // restampDirty advances each dirty page's local version by one and returns
-// the predicted stamps keyed by page.
-func (e *Engine) restampDirty(objs []ids.ObjectID, dirty map[ids.ObjectID][]ids.PageNum) (map[ids.PageID]uint64, error) {
-	predicted := make(map[ids.PageID]uint64)
+// the predicted stamps in release order: objs ascending, each object's dirty
+// pages as listed.
+func (e *Engine) restampDirty(objs []ids.ObjectID, dirty map[ids.ObjectID][]ids.PageNum) ([]gdo.PageStamp, error) {
+	var predicted []gdo.PageStamp
 	for _, obj := range objs {
 		for _, p := range dirty[obj] {
 			pid := ids.PageID{Object: obj, Page: p}
@@ -654,7 +647,7 @@ func (e *Engine) restampDirty(objs []ids.ObjectID, dirty map[ids.ObjectID][]ids.
 			if err := e.cfg.Store.SetPageVersion(pid, v+1); err != nil {
 				return nil, err
 			}
-			predicted[pid] = v + 1
+			predicted = append(predicted, gdo.PageStamp{Obj: obj, Page: p, Version: v + 1})
 		}
 	}
 	return predicted, nil
@@ -672,7 +665,7 @@ func (e *Engine) restampDirty(objs []ids.ObjectID, dirty map[ids.ObjectID][]ids.
 // conflicts with this one can be granted the contended object only after
 // this family's release of it, which follows the assignment, so the order
 // is conflict-consistent without a separate sequencing round trip.
-func (e *Engine) releaseGlobal(fam *famState, objs []ids.ObjectID, dirty map[ids.ObjectID][]ids.PageNum, commit bool, predicted map[ids.PageID]uint64) error {
+func (e *Engine) releaseGlobal(fam *famState, objs []ids.ObjectID, dirty map[ids.ObjectID][]ids.PageNum, commit bool, predicted []gdo.PageStamp) error {
 	routedCommit := commit && e.cfg.Route != nil
 	if len(objs) == 0 && !routedCommit {
 		return nil
@@ -683,34 +676,21 @@ func (e *Engine) releaseGlobal(fam *famState, objs []ids.ObjectID, dirty map[ids
 		home  ids.NodeID
 		shard int32
 	}
-	byDest := make(map[dest][]gdo.ObjectRelease)
-	for _, obj := range objs {
-		d := dest{home: e.cfg.HomeFn(obj), shard: e.shardOf(obj)}
+	destOf := func(obj ids.ObjectID) dest {
 		if e.cfg.Route != nil {
 			// Replicated mode: the shard, not the static home, is the
-			// address — collapse batches per shard.
-			d.home = ids.NoNode
+			// address — batches collapse per shard.
+			return dest{home: ids.NoNode, shard: e.shardOf(obj)}
 		}
-		byDest[d] = append(byDest[d], gdo.ObjectRelease{Obj: obj, Dirty: dirty[obj]})
+		return dest{home: e.cfg.HomeFn(obj), shard: e.shardOf(obj)}
 	}
-	dests := make([]dest, 0, len(byDest)+1)
-	for d := range byDest {
-		dests = append(dests, d)
-	}
-	if seq := (dest{home: ids.NoNode, shard: 0}); routedCommit && byDest[seq] == nil {
-		dests = append(dests, seq) // sorts first: routed batches share one home
-	}
-	sort.Slice(dests, func(i, j int) bool {
-		if dests[i].home != dests[j].home {
-			return dests[i].home < dests[j].home
-		}
-		return dests[i].shard < dests[j].shard
-	})
+	seq := dest{home: ids.NoNode, shard: 0} // where a routed commit goes first
 
 	family := fam.root.Family()
 	var verifyErr error
-	for _, d := range dests {
-		if e.cfg.Rec != nil && len(byDest[d]) > 0 {
+	next := 0 // predicted[next:] is where the next reply's stamps should begin
+	send := func(d dest, rels []gdo.ObjectRelease) error {
+		if e.cfg.Rec != nil && len(rels) > 0 {
 			// The empty sequencing batch releases no lock.
 			e.cfg.Rec.AddGlobalLockOp()
 		}
@@ -719,7 +699,7 @@ func (e *Engine) releaseGlobal(fam *famState, objs []ids.ObjectID, dirty map[ids
 			Site:   e.self,
 			Commit: commit,
 			Shard:  d.shard,
-			Rels:   byDest[d],
+			Rels:   rels,
 		})
 		if err != nil {
 			return fmt.Errorf("global release to %v: %w", d.home, siteErr(err))
@@ -729,16 +709,85 @@ func (e *Engine) releaseGlobal(fam *famState, objs []ids.ObjectID, dirty map[ids
 			return fmt.Errorf("global release to %v: unexpected reply %T", d.home, reply)
 		}
 		for _, st := range resp.Stamps {
-			pid := ids.PageID{Object: st.Obj, Page: st.Page}
-			if want, ok := predicted[pid]; !ok || want != st.Version {
+			var want uint64 // 0: a page the site did not dirty
+			if i, ok := findStamp(predicted, next, st.Obj, st.Page); ok {
+				want, next = predicted[i].Version, i+1
+			}
+			if want != st.Version {
 				// An invariant violation — but keep releasing the remaining
 				// homes so the cluster is not left wedged, then report.
 				verifyErr = errors.Join(verifyErr, fmt.Errorf(
-					"node: GDO stamped %v as v%d, site predicted v%d", pid, st.Version, want))
+					"node: GDO stamped %v as v%d, site predicted v%d", ids.PageID{Object: st.Obj, Page: st.Page}, st.Version, want))
 			}
+		}
+		return nil
+	}
+
+	rels := make([]gdo.ObjectRelease, len(objs))
+	var first dest
+	single := true
+	for i, obj := range objs {
+		rels[i] = gdo.ObjectRelease{Obj: obj, Dirty: dirty[obj]}
+		if d := destOf(obj); i == 0 {
+			first = d
+		} else if d != first {
+			single = false
+		}
+	}
+	if single {
+		// Every release of a one-shard deployment: one batch, nothing to
+		// group or to order.
+		if routedCommit && (len(objs) == 0 || first != seq) {
+			if err := send(seq, nil); err != nil {
+				return err
+			}
+		}
+		if len(objs) > 0 {
+			if err := send(first, rels); err != nil {
+				return err
+			}
+		}
+		return verifyErr
+	}
+
+	byDest := make(map[dest][]gdo.ObjectRelease)
+	for _, rel := range rels {
+		d := destOf(rel.Obj)
+		byDest[d] = append(byDest[d], rel)
+	}
+	dests := make([]dest, 0, len(byDest)+1)
+	for d := range byDest {
+		dests = append(dests, d)
+	}
+	if routedCommit && byDest[seq] == nil {
+		dests = append(dests, seq) // sorts first: routed batches share one home
+	}
+	sort.Slice(dests, func(i, j int) bool {
+		if dests[i].home != dests[j].home {
+			return dests[i].home < dests[j].home
+		}
+		return dests[i].shard < dests[j].shard
+	})
+	for _, d := range dests {
+		if err := send(d, byDest[d]); err != nil {
+			return err
 		}
 	}
 	return verifyErr
+}
+
+// findStamp returns the index in predicted of the stamp for page of obj. It
+// looks from index from onwards first: a reply lists its stamps in release
+// order, as predicted does, so the one sought is normally the first looked
+// at.
+func findStamp(predicted []gdo.PageStamp, from int, obj ids.ObjectID, page ids.PageNum) (int, bool) {
+	for k := range predicted {
+		i := (from + k) % len(predicted)
+		if predicted[i].Obj == obj && predicted[i].Page == page {
+			return i, true
+		}
+	}
+	return 0, false
 }
 
 // pushUpdates implements the RC extension: send every dirty page to every
@@ -823,9 +872,15 @@ func (e *Engine) DebugDump() string {
 // map directly would leak Go's randomized iteration order into the
 // deterministic trace.
 func sortedObjKeys[V any](m map[ids.ObjectID]V) []ids.ObjectID {
+	if len(m) == 0 {
+		return nil
+	}
 	out := make([]ids.ObjectID, 0, len(m))
 	for obj := range m {
 		out = append(out, obj)
+	}
+	if len(out) == 1 {
+		return out
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out

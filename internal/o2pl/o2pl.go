@@ -98,7 +98,7 @@ type Entry struct {
 	globalMode Mode // strongest mode the GDO has granted this family
 
 	holders   map[ids.TxID]hold
-	retainers map[ids.TxID]*txn.Txn // ancestor chain of retaining transactions
+	retainers map[ids.TxID]*txn.Txn // ancestor chain of retaining transactions; nil until the first pre-commit
 	waiters   []*Waiter
 }
 
@@ -110,7 +110,6 @@ func NewEntry(obj ids.ObjectID, family ids.FamilyID, globalMode Mode) *Entry {
 		family:     family,
 		globalMode: globalMode,
 		holders:    make(map[ids.TxID]hold),
-		retainers:  make(map[ids.TxID]*txn.Txn),
 	}
 }
 
@@ -287,6 +286,17 @@ func (e *Entry) GrantEligible() []*Waiter {
 	return granted
 }
 
+// retain records parent (nil for a root's) as retaining the lock.
+func (e *Entry) retain(parent *txn.Txn) {
+	if parent == nil {
+		return
+	}
+	if e.retainers == nil {
+		e.retainers = make(map[ids.TxID]*txn.Txn)
+	}
+	e.retainers[parent.ID()] = parent
+}
+
 // PreCommit applies rule 3 of §4.1 to this entry when tx pre-commits: if tx
 // holds the lock its hold is released to the parent for retaining, and if
 // tx retains the lock the retention likewise passes to the parent ("its
@@ -297,16 +307,12 @@ func (e *Entry) PreCommit(tx *txn.Txn) []*Waiter {
 	changed := false
 	if _, ok := e.holders[tx.ID()]; ok {
 		delete(e.holders, tx.ID())
-		if parent != nil {
-			e.retainers[parent.ID()] = parent
-		}
+		e.retain(parent)
 		changed = true
 	}
 	if _, ok := e.retainers[tx.ID()]; ok {
 		delete(e.retainers, tx.ID())
-		if parent != nil {
-			e.retainers[parent.ID()] = parent
-		}
+		e.retain(parent)
 		changed = true
 	}
 	if !changed {
@@ -370,9 +376,15 @@ func (e *Entry) RetainerRefs() []ids.TxRef {
 // sortedTxIDs returns the map's keys in increasing TxID order, so lock-table
 // scans observe holders and retainers deterministically.
 func sortedTxIDs[V any](m map[ids.TxID]V) []ids.TxID {
+	if len(m) == 0 {
+		return nil
+	}
 	out := make([]ids.TxID, 0, len(m))
 	for id := range m {
 		out = append(out, id)
+	}
+	if len(out) == 1 {
+		return out
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out

@@ -129,11 +129,20 @@ func (s *Store) sealLocked(pg *page, old, now uint64) {
 		pg.hist = nil
 		return
 	}
-	pg.hist = append(pg.hist, epoch{base: old, target: now, runs: pg.pending})
+	s.recordLocked(pg, epoch{base: old, target: now, runs: pg.pending})
 	pg.pending = nil
-	if d := s.journalDepthLocked(); len(pg.hist) > d {
-		pg.hist = append(pg.hist[:0], pg.hist[len(pg.hist)-d:]...)
+}
+
+// recordLocked appends e to the page's sealed ring, evicting the oldest
+// epochs first when the ring is at its depth: appending and trimming
+// afterwards let the slice grow to the next capacity beyond the depth — twice
+// the ring, kept for good by every page that is written often enough to fill
+// it. Caller holds s.mu.
+func (s *Store) recordLocked(pg *page, e epoch) {
+	if d := s.journalDepthLocked(); len(pg.hist) >= d {
+		pg.hist = append(pg.hist[:0], pg.hist[len(pg.hist)-d+1:]...)
 	}
+	pg.hist = append(pg.hist, e)
 }
 
 // checkRuns validates a delta's shape: runs sorted, non-overlapping, each
@@ -183,10 +192,7 @@ func (s *Store) ApplyDelta(pid ids.PageID, base, target uint64, runs []Span, dat
 		done += r.Len
 	}
 	pg.version = target
-	pg.hist = append(pg.hist, epoch{base: base, target: target, runs: intervalSet(runs).clone()})
-	if d := s.journalDepthLocked(); len(pg.hist) > d {
-		pg.hist = append(pg.hist[:0], pg.hist[len(pg.hist)-d:]...)
-	}
+	s.recordLocked(pg, epoch{base: base, target: target, runs: intervalSet(runs).clone()})
 	return nil
 }
 

@@ -268,3 +268,33 @@ func TestApplyDeltaWrongBaseErrs(t *testing.T) {
 		t.Fatalf("failed apply moved the version to %d", v)
 	}
 }
+
+// TestDeltaJournalRingKeepsItsCapacity: a page written for ever holds a ring
+// of the journal depth, not of the next slice capacity beyond it (appending
+// before evicting grew the default ring of 8 to 16, on every hot page).
+func TestDeltaJournalRingKeepsItsCapacity(t *testing.T) {
+	const pageSize = 64
+	pid := ids.PageID{Object: 1}
+	s := NewStore(pageSize)
+	if err := s.Register(1, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.InstallPage(pid, make([]byte, pageSize), 1); err != nil {
+		t.Fatal(err)
+	}
+	for v := uint64(1); v <= 100; v++ {
+		if _, err := s.Write(1, 0, []byte{byte(v)}); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.SetPageVersion(pid, v+1); err != nil {
+			t.Fatal(err)
+		}
+		s.ClearDirty(1, []ids.PageNum{0})
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	pg, _ := s.lookupLocked(pid)
+	if len(pg.hist) != DefaultDeltaJournalDepth || cap(pg.hist) != DefaultDeltaJournalDepth {
+		t.Errorf("ring has len %d cap %d after 100 commits, want %d and %d", len(pg.hist), cap(pg.hist), DefaultDeltaJournalDepth, DefaultDeltaJournalDepth)
+	}
+}

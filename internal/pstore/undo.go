@@ -30,12 +30,12 @@ type undoRec struct {
 // exactly one and transactions are single-threaded.
 type UndoLog struct {
 	recs []undoRec
-	seen map[ids.PageID]bool
+	seen map[ids.PageID]bool // made by the first snapshot: most logs never take one
 }
 
 // NewUndoLog returns an empty log.
 func NewUndoLog() *UndoLog {
-	return &UndoLog{seen: make(map[ids.PageID]bool)}
+	return &UndoLog{}
 }
 
 // Len reports the number of shadow records held.
@@ -62,6 +62,9 @@ func (l *UndoLog) SnapshotBefore(st *Store, obj ids.ObjectID, pages []ids.PageNu
 		}
 		before, dirty, pending := pg.snapshotLocked()
 		l.recs = append(l.recs, undoRec{pid: pid, before: before, dirty: dirty, pending: pending})
+		if l.seen == nil {
+			l.seen = make(map[ids.PageID]bool)
+		}
 		l.seen[pid] = true
 	}
 	return nil
@@ -79,8 +82,7 @@ func (l *UndoLog) Undo(st *Store) {
 			pg.restore(r.before, r.dirty, r.pending)
 		}
 	}
-	l.recs = nil
-	l.seen = make(map[ids.PageID]bool)
+	l.recs, l.seen = nil, nil
 }
 
 // MergeInto appends this log's records to parent (preserving creation order)
@@ -93,18 +95,20 @@ func (l *UndoLog) Undo(st *Store) {
 // last, so correctness never depends on deduplication.
 func (l *UndoLog) MergeInto(parent *UndoLog) {
 	parent.recs = append(parent.recs, l.recs...)
-	for pid := range l.seen {
-		parent.seen[pid] = true
+	if parent.seen == nil {
+		parent.seen = l.seen
+	} else {
+		for pid := range l.seen {
+			parent.seen[pid] = true
+		}
 	}
-	l.recs = nil
-	l.seen = make(map[ids.PageID]bool)
+	l.recs, l.seen = nil, nil
 }
 
 // Discard drops all records (used at root commit, when no rollback can ever
 // be needed again).
 func (l *UndoLog) Discard() {
-	l.recs = nil
-	l.seen = make(map[ids.PageID]bool)
+	l.recs, l.seen = nil, nil
 }
 
 // Pages returns the distinct pages recorded in the log, in record order of

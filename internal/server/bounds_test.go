@@ -50,6 +50,32 @@ func TestAllocsTCPCall(t *testing.T) {
 	}
 }
 
+// rootCommitAllocs is what one flat root allocates, process-wide, in a
+// deployment of a directory and one node over loopback: a one-page
+// read-modify-write ("deposit") run at the owner of its object, so the root
+// is an acquire and a committing release. The parent commit measured 60.
+// What is left is the root's own state (transaction, family and lock entry
+// with their maps), the four messages with their slices on both sides, the
+// shadow page and journal of the write, and the method body.
+const rootCommitAllocs = 44
+
+func TestAllocsRootCommit(t *testing.T) {
+	_, _, nodes := startDeployment(t, 1, core.LOTEC)
+	createObject(t, nodes, 1, 1)
+	arg := i64(1)
+	root := func() {
+		if _, err := nodes[0].Run(1, "deposit", arg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 100; i++ {
+		root() // dial, fill the pools
+	}
+	if n := testing.AllocsPerRun(2000, root); n > rootCommitAllocs {
+		t.Errorf("a flat root allocates %.2f, want ≤ %d", n, rootCommitAllocs)
+	}
+}
+
 // liveHeap is the heap in use after a full collection.
 func liveHeap() uint64 {
 	runtime.GC()

@@ -60,13 +60,13 @@ func (c *Client) Run(obj ids.ObjectID, method string, arg []byte) ([]byte, error
 		return nil, err
 	}
 	// The pooled frame carries the length prefix in its headroom, so the
-	// request goes out in one write with no prepend copy.
+	// request needs no prepend copy; concurrent Runs may share a write.
 	frame := wire.EncodeFrame(wire.Envelope{
 		ReqID: id,
 		From:  ids.NodeID(ClientNodeBase),
 		To:    c.node,
 	}, &wire.RunReq{Obj: obj, Method: method, Arg: arg})
-	err = c.conn.writeFrame(frame)
+	err = c.conn.w.writeFrame(frame)
 	wire.ReleaseFrame(frame)
 	if err != nil {
 		c.conn.calls.cancel(id, slot)

@@ -34,12 +34,6 @@ const callTimeout = 30 * time.Second
 // instead of consuming the whole call budget.
 const dialTimeout = 5 * time.Second
 
-// writeTimeout bounds each frame write, so a stalled peer (full socket
-// buffers, half-open connection) cannot hang a transaction forever — the
-// write fails, the connection is torn down and the call surfaces a
-// retryable error.
-const writeTimeout = 10 * time.Second
-
 // tcpRetryDefaults is the wall-clock retry policy installed by
 // InstallFaults when fields are left zero.
 var tcpRetryDefaults = transport.RetryPolicy{
@@ -67,7 +61,8 @@ type TCPNet struct {
 
 	mu       sync.Mutex
 	listener net.Listener            // guarded by mu
-	conns    map[ids.NodeID]*tcpConn // guarded by mu
+	conns    map[ids.NodeID]*tcpConn // guarded by mu; the connection calls to a peer use
+	serving  map[*tcpConn]struct{}   // guarded by mu; every connection with a read loop, dialed or accepted
 	closed   bool                    // guarded by mu
 
 	reqID atomic.Uint64
@@ -91,17 +86,19 @@ var _ transport.Env = (*TCPNet)(nil)
 // where 4 KiB measured none (EXPERIMENTS.md).
 const readBufSize = 4 << 10
 
-// tcpConn is one established connection: a write lock, the buffered reader
-// its read loop owns, and the table of calls awaiting replies on it.
+// tcpConn is one established connection: its combining writer, the buffered
+// reader its read loop owns, and the table of calls awaiting replies on it.
 type tcpConn struct {
 	c     net.Conn
-	wm    sync.Mutex
+	w     connWriter
 	r     *bufio.Reader // read loop only
 	calls callTable
 }
 
 func newTCPConn(c net.Conn) *tcpConn {
-	return &tcpConn{c: c, r: bufio.NewReaderSize(c, readBufSize)}
+	tc := &tcpConn{c: c, r: bufio.NewReaderSize(c, readBufSize)}
+	tc.w.init(c, tc.shut)
+	return tc
 }
 
 // NewTCPNet creates the endpoint for node self. addrs maps every node ID in
@@ -112,11 +109,12 @@ func NewTCPNet(self ids.NodeID, addrs map[ids.NodeID]string) *TCPNet {
 		cp[k] = v
 	}
 	return &TCPNet{
-		self:  self,
-		addrs: cp,
-		start: time.Now(),
-		async: make(map[wire.MsgType]AsyncHandler),
-		conns: make(map[ids.NodeID]*tcpConn),
+		self:    self,
+		addrs:   cp,
+		start:   time.Now(),
+		async:   make(map[wire.MsgType]AsyncHandler),
+		conns:   make(map[ids.NodeID]*tcpConn),
+		serving: make(map[*tcpConn]struct{}),
 	}
 }
 
@@ -174,23 +172,38 @@ func (n *TCPNet) Addr() string {
 	return n.listener.Addr().String()
 }
 
-// Close shuts the endpoint down; calls awaiting replies fail with
-// transport.ErrClosed.
+// Close shuts the endpoint down: the listener and every connection, dialed
+// or accepted, so that no read loop outlives it. Calls awaiting replies fail
+// with transport.ErrClosed.
 func (n *TCPNet) Close() error {
 	n.mu.Lock()
 	n.closed = true
 	l := n.listener
-	conns := n.conns
+	serving := n.serving
 	n.conns = map[ids.NodeID]*tcpConn{}
+	n.serving = map[*tcpConn]struct{}{}
 	n.mu.Unlock()
 	if l != nil {
 		_ = l.Close()
 	}
-	for _, c := range conns {
+	for c := range serving {
 		c.calls.fail(transport.ErrClosed)
 		_ = c.c.Close()
 	}
 	return nil
+}
+
+// WriteCounts reports, over the endpoint's live connections, the frames it
+// has sent and the write calls they took: frames that met on a busy
+// connection, and the replies to a pipelined batch, share a write.
+func (n *TCPNet) WriteCounts() (frames, writes uint64) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	for c := range n.serving {
+		f, w := c.w.counts()
+		frames, writes = frames+f, writes+w
+	}
+	return frames, writes
 }
 
 func (n *TCPNet) acceptLoop(l net.Listener) {
@@ -199,8 +212,22 @@ func (n *TCPNet) acceptLoop(l net.Listener) {
 		if err != nil {
 			return
 		}
-		go n.readLoop(newTCPConn(c), ids.NoNode)
+		n.serve(newTCPConn(c))
 	}
+}
+
+// serve starts an accepted connection's read loop, unless Close got there
+// first: a connection accepted while the listener was closing is closed too.
+func (n *TCPNet) serve(c *tcpConn) {
+	n.mu.Lock()
+	if n.closed {
+		n.mu.Unlock()
+		_ = c.c.Close()
+		return
+	}
+	n.serving[c] = struct{}{}
+	n.mu.Unlock()
+	go n.readLoop(c, ids.NoNode)
 }
 
 // conn returns (dialing if needed) the connection to a peer.
@@ -236,52 +263,32 @@ func (n *TCPNet) conn(to ids.NodeID) (*tcpConn, error) {
 		return existing, nil
 	}
 	n.conns[to] = c
+	n.serving[c] = struct{}{}
 	n.mu.Unlock()
 	go n.readLoop(c, to)
 	return c, nil
 }
 
-// writeFrame sends one transport-ready frame (length prefix already written
-// into frame[:wire.FrameHeadroom], as wire.EncodeFrame builds it) in a
-// single write. Each write carries a deadline: a peer that has stopped
-// draining its socket makes the write fail instead of blocking the caller
-// (and everyone queued on the write lock) indefinitely.
-func (c *tcpConn) writeFrame(frame []byte) error {
-	c.wm.Lock()
-	defer c.wm.Unlock()
-	if err := c.c.SetWriteDeadline(time.Now().Add(writeTimeout)); err != nil {
-		return err
-	}
-	_, err := c.c.Write(frame)
-	return err
-}
-
-// writeMsg frames and sends a bare encoded message (no headroom) with a
-// scatter-gather writev: length prefix and body go out in one syscall
-// without copying the body into a prefixed buffer. This is the path for
-// buffers whose ownership is shared (fault-injected sends may hold them in
-// delayed/duplicated goroutines), so they cannot come from the frame pool.
-func (c *tcpConn) writeMsg(buf []byte) error {
-	c.wm.Lock()
-	defer c.wm.Unlock()
-	if err := c.c.SetWriteDeadline(time.Now().Add(writeTimeout)); err != nil {
-		return err
-	}
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(buf)))
-	bufs := net.Buffers{hdr[:], buf}
-	_, err := bufs.WriteTo(c.c)
-	return err
-}
-
 // readFrames decodes inbound frames until the connection fails and returns
 // the read error: replies complete the calls awaiting them, every other
 // message goes to onRequest (nil drops them).
+//
+// While another complete frame is already in the read buffer the connection
+// is corked: whatever onRequest sends in answer waits for the answers to the
+// frames behind it, and the replies to a pipelined batch of requests leave
+// in one write. The cork comes off after the last buffered frame, before the
+// loop can block in a read; a partial frame in the buffer corks nothing.
 func (c *tcpConn) readFrames(onRequest func(wire.Envelope, wire.Msg)) error {
+	corked := false
 	for {
 		buf, err := wire.ReadFrame(c.r)
 		if err != nil {
 			return err
+		}
+		more := c.frameBuffered()
+		if more && !corked {
+			c.w.cork()
+			corked = true
 		}
 		// Decode in place: payload fields alias the pooled frame, which is
 		// released at the bottom of the loop. Messages that outlive this
@@ -297,7 +304,22 @@ func (c *tcpConn) readFrames(onRequest func(wire.Envelope, wire.Msg)) error {
 			onRequest(env, m)
 		}
 		wire.ReleaseFrame(buf)
+		if corked && !more {
+			c.w.uncork()
+			corked = false
+		}
 	}
+}
+
+// frameBuffered reports whether the read buffer already holds a whole
+// further frame, length prefix and body.
+func (c *tcpConn) frameBuffered() bool {
+	n := c.r.Buffered()
+	if n < wire.FrameHeadroom {
+		return false
+	}
+	head, _ := c.r.Peek(wire.FrameHeadroom) // buffered, so it cannot fail
+	return n-wire.FrameHeadroom >= int(binary.LittleEndian.Uint32(head))
 }
 
 // shut ends a connection whose read loop stopped on cause. Nothing more
@@ -334,13 +356,12 @@ func (n *TCPNet) readLoop(c *tcpConn, peer ids.NodeID) {
 	})
 	// Out of the pool first, so a caller woken by the failure re-dials
 	// instead of finding this connection again.
-	if peer != ids.NoNode {
-		n.mu.Lock()
-		if n.conns[peer] == c {
-			delete(n.conns, peer)
-		}
-		n.mu.Unlock()
+	n.mu.Lock()
+	if peer != ids.NoNode && n.conns[peer] == c {
+		delete(n.conns, peer)
 	}
+	delete(n.serving, c)
+	n.mu.Unlock()
 	c.shut(err)
 }
 
@@ -391,19 +412,22 @@ func (n *TCPNet) Sleep(d time.Duration) { time.Sleep(d) }
 
 // NewFuture implements transport.Env.
 func (n *TCPNet) NewFuture() transport.Future {
-	return &chanFuture{ch: make(chan futVal, 1)}
+	f := &waitFuture{}
+	f.done.Add(1)
+	return f
 }
 
 // transmit writes one frame through the fault injector (when installed):
 // the frame may be dropped, delayed, or duplicated per the plan.
 //
-// With no injector — the steady state — the message is encoded into a
-// pooled frame (prefix and body contiguous, one write) that returns to the
-// pool as soon as the write completes. An active injector switches to an
-// unpooled buffer sent via scatter-gather writev: delayed and duplicated
-// sends hold the buffer in goroutines with unbounded lifetimes, so it must
-// be GC-owned — chaos pays for its own allocations, the clean path never
-// does.
+// The message is encoded into a pooled frame (prefix and body contiguous)
+// that returns to the pool as soon as the connection's writer has taken it.
+// Under an active injector the frame is never returned: delayed and
+// duplicated sends hold it in goroutines with unbounded lifetimes, so it is
+// left to the garbage collector (wire's ownership rules allow exactly that)
+// — chaos pays for its own allocations, the clean path never does. Every
+// send, faulted or not, goes through the connection's one writer, so a
+// delayed or duplicated frame lands between others, never inside one.
 func (n *TCPNet) transmit(c *tcpConn, to ids.NodeID, env wire.Envelope, m wire.Msg) error {
 	if n.rec != nil {
 		// Every frame that leaves this process — request or reply — is
@@ -416,11 +440,10 @@ func (n *TCPNet) transmit(c *tcpConn, to ids.NodeID, env wire.Envelope, m wire.M
 	}
 	if n.inj == nil {
 		frame := wire.EncodeFrame(env, m)
-		err := c.writeFrame(frame)
+		err := c.w.writeFrame(frame)
 		wire.ReleaseFrame(frame)
 		return err
 	}
-	buf := wire.Encode(env, m)
 	d := n.inj.Judge(n.Now(), n.self, to, m)
 	if d.Drop {
 		if n.rec != nil {
@@ -428,6 +451,7 @@ func (n *TCPNet) transmit(c *tcpConn, to ids.NodeID, env wire.Envelope, m wire.M
 		}
 		return nil
 	}
+	frame := wire.EncodeFrame(env, m) // not released: the sends below may outlive this call
 	if d.Delay > 0 {
 		if n.rec != nil {
 			n.rec.AddMsgDelay()
@@ -435,16 +459,16 @@ func (n *TCPNet) transmit(c *tcpConn, to ids.NodeID, env wire.Envelope, m wire.M
 		delay := d.Delay
 		go func() {
 			time.Sleep(delay)
-			_ = c.writeMsg(buf)
+			_ = c.w.writeFrame(frame)
 		}()
-	} else if err := c.writeMsg(buf); err != nil {
+	} else if err := c.w.writeFrame(frame); err != nil {
 		return err
 	}
 	for i := 0; i < d.Duplicates; i++ {
 		if n.rec != nil {
 			n.rec.AddMsgDup()
 		}
-		go func() { _ = c.writeMsg(buf) }()
+		go func() { _ = c.w.writeFrame(frame) }()
 	}
 	return nil
 }
@@ -579,27 +603,28 @@ func (n *TCPNet) dropConn(to ids.NodeID, c *tcpConn) {
 	_ = c.c.Close()
 }
 
-// futVal carries a completion.
-type futVal struct {
-	v   any
-	err error
-}
-
-// chanFuture is the blocking Future for real deployments.
-type chanFuture struct {
-	once sync.Once
-	ch   chan futVal
+// waitFuture is the blocking Future for real deployments: one allocation,
+// no channel. The first Complete wins the flag, stores the outcome and
+// opens the gate Wait blocks on.
+type waitFuture struct {
+	completed atomic.Bool
+	done      sync.WaitGroup // holds one count until the future completes
+	v         any
+	err       error
 }
 
 // Complete implements transport.Future.
-func (f *chanFuture) Complete(v any, err error) {
-	f.once.Do(func() { f.ch <- futVal{v: v, err: err} })
+func (f *waitFuture) Complete(v any, err error) {
+	if f.completed.CompareAndSwap(false, true) {
+		f.v, f.err = v, err
+		f.done.Done()
+	}
 }
 
 // Wait implements transport.Future.
-func (f *chanFuture) Wait() (any, error) {
-	r := <-f.ch
-	return r.v, r.err
+func (f *waitFuture) Wait() (any, error) {
+	f.done.Wait()
+	return f.v, f.err
 }
 
 // ErrNoReply reports a connection lost during an RPC. The error a call

@@ -1,6 +1,6 @@
 # Tier-1 gate: everything must build, vet clean, lint clean, and pass
 # under the race detector before a change lands.
-.PHONY: check build vet lint lint-fixtures test test-benchmark bench bench-allocs bench-smoke calibrate-smoke chaos
+.PHONY: check build vet lint lint-fixtures test test-benchmark bench bench-allocs bench-smoke calibrate-smoke chaos retain
 
 check: build vet lint lint-fixtures test test-benchmark bench-allocs bench-smoke calibrate-smoke chaos
 
@@ -39,7 +39,8 @@ bench:
 # //lotec:noalloc surfaces: pooled frame get/release, EncodeFrame,
 # ReadFrame, DecodeView, the directory's immediate-grant fast path, and a
 # whole TCPNet.Call round trip on loopback; and the per-root budgets: a flat
-# root in the engine alone, its shadow log, and end to end over loopback.
+# root — a repeat one, on a grant retained at its site, and a first one — in
+# the engine alone, its shadow log, and end to end over loopback.
 # Run without -race: the poison pass and detector instrumentation change
 # the allocation behavior under test.
 bench-allocs:
@@ -61,9 +62,20 @@ bench-smoke:
 calibrate-smoke:
 	go run ./cmd/lotec-bench -calibrate -workload zipf-hot -json /tmp/lotec-calibration.json
 
-# Chaos harness, full matrix: 40 seeds × 7 fault plans × 3 protocols under
-# the race detector, plus the zero-fault trace-equivalence gate. A failing
-# cell reproduces with: go test ./internal/sim -run TestChaos -chaos-seed=<n>
+# Chaos harness, full matrix: 40 seeds × 7 fault plans × 3 protocols, each
+# cell as the paper has it and again with site-retained grants on
+# (sim.Config.RetainGrants), under the race detector, plus the zero-fault
+# trace-equivalence gate. A failing cell reproduces with:
+# go test ./internal/sim -run TestChaos -chaos-seed=<n>
 # (package path first: custom test-binary flags must follow it).
 chaos:
 	go test -race -run 'TestChaos|TestZeroFaultPlanTraceEquivalence' ./internal/sim/ -chaos-full
+
+# Site-retained grants on their own (all of it is also part of test and
+# chaos): the directory's keep/recall/adopt walk, the engine's recall and
+# adopt races, the TCP frame counts of a first and a repeat root, and the
+# simulator's RetainGrants legs — serial-replay oracle, replicated workload,
+# primary kill.
+retain:
+	go test -race -run 'Retention|Retain|Recall|Adopt|TestMessagesPerRoot' ./internal/gdo/ ./internal/directory/ ./internal/node/ ./internal/server/
+	go test -race -run 'TestWorkloadSerialEquivalence|TestReplicatedWorkload|TestReplicatedPrimaryKill' ./internal/sim/

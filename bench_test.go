@@ -326,10 +326,10 @@ func BenchmarkMicro_PageStoreWriteUndo(b *testing.B) {
 // BenchmarkMicro_WireRoundTrip measures encoding+decoding a page-bearing
 // message.
 func BenchmarkMicro_WireRoundTrip(b *testing.B) {
-	m := &wire.FetchResp{Obj: 1, Pages: []wire.PagePayload{
+	m := &wire.MultiFetchResp{Objs: []wire.ObjPayload{{Obj: 1, Pages: []wire.PagePayload{
 		{Page: 0, Version: 3, Data: make([]byte, 4096)},
 		{Page: 1, Version: 3, Data: make([]byte, 4096)},
-	}}
+	}}}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		buf := wire.Encode(wire.Envelope{ReqID: uint64(i), From: 1, To: 2}, m)

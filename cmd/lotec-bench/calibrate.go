@@ -108,14 +108,14 @@ func protocolMsgs(rec *stats.Recorder) int64 {
 }
 
 // calibPredict runs the spec on the simulator with a dedicated directory
-// node — the same topology the TCP deployment uses — and collects per-class
-// KPIs on the virtual clock.
+// node that retains grants at sites — the topology and the directory the
+// TCP deployment uses — and collects per-class KPIs on the virtual clock.
 func calibPredict(spec *workload.Spec) (*calibRun, error) {
 	w, err := workload.Compile(spec)
 	if err != nil {
 		return nil, err
 	}
-	c, _, err := sim.WrapWorkload(w).Execute(sim.Config{Protocol: core.LOTEC, DedicatedDirectory: true})
+	c, _, err := sim.WrapWorkload(w).Execute(sim.Config{Protocol: core.LOTEC, DedicatedDirectory: true, RetainGrants: true})
 	if err != nil {
 		return nil, fmt.Errorf("predicted (sim) run: %w", err)
 	}

@@ -82,7 +82,8 @@ type benchResult struct {
 	HandoffBytes      uint64  `json:"handoff_bytes,omitempty"`
 	HandoffNs         int64   `json:"handoff_ns,omitempty"`
 	// MsgsPerOp is the frames on the wire per committed root (the
-	// tcp/msgs-per-root row only): a count, gated exactly.
+	// tcp/msgs-per-root and tcp/msgs-per-repeat-root rows only): a count,
+	// gated exactly.
 	MsgsPerOp float64 `json:"msgs_per_op,omitempty"`
 	// WritesPerFrame is the write calls per frame sent (the
 	// tcp/writes-per-frame row only): a count, gated under a ceiling.
@@ -283,12 +284,14 @@ func writeJSON(spec sim.FigureSpec, path string) error {
 	}
 	results = append(results, perf...)
 
-	msgs, err := msgsPerRootRow()
+	msgs, err := msgsPerRootRows()
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%-32s %10d ops  %6.2f msgs/op\n", msgs.Op, msgs.Ops, msgs.MsgsPerOp)
-	results = append(results, msgs)
+	for _, row := range msgs {
+		fmt.Printf("%-32s %10d ops  %6.3f msgs/op\n", row.Op, row.Ops, row.MsgsPerOp)
+	}
+	results = append(results, msgs...)
 
 	writes, err := writesPerFrameRow()
 	if err != nil {

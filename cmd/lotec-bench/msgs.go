@@ -13,91 +13,107 @@ import (
 	"lotec/internal/wire"
 )
 
-// msgsPerRootOp names the ledger row that counts a root's directory round
-// trips on the TCP runtime.
-const msgsPerRootOp = "tcp/msgs-per-root"
+// The two ledger rows that count a root's frames on the TCP runtime.
+const (
+	msgsPerRootOp       = "tcp/msgs-per-root"
+	msgsPerRepeatRootOp = "tcp/msgs-per-repeat-root"
+)
 
-// msgsPerRootRow commits flat roots at the owner of their object on the
-// default TCP topology (one GDO, one shard) and counts the frames each one
-// puts on the wire. No page moves, so the count is the directory protocol
-// alone: an acquire pair and a release pair — the committing release is the
-// commit point — make 4. The row is a count; it carries no timing.
-func msgsPerRootRow() (benchResult, error) {
+// msgsPerRootRows commits flat roots at the owner of their object on the
+// default TCP topology (one GDO, one shard) and counts the frames they put
+// on the wire. No page moves, so the count is the directory protocol alone.
+// A first root is an acquire pair and a release pair — the committing
+// release is the commit point — 4 frames; the last release of a run of
+// gdo.KeepStreak leaves the lock at the site, and a repeat root is its
+// release pair, 2. The first row is the first thousand roots on a fresh
+// object (gdo.KeepStreak = 5 first roots, then repeats: 2.010), the second
+// the thousand after it. Both are counts;
+// they carry no timing.
+func msgsPerRootRows() ([]benchResult, error) {
 	addrs, err := calibFreeAddrs(2)
 	if err != nil {
-		return benchResult{}, err
+		return nil, err
 	}
 	topo := server.Topology{NodeAddrs: addrs[:1], GDOAddr: addrs[1]}
 	rec := stats.NewRecorder()
 	gdo := server.NewGDOServer(topo)
 	gdo.SetRecorder(rec)
 	if err := gdo.Start(); err != nil {
-		return benchResult{}, fmt.Errorf("start GDO: %w", err)
+		return nil, fmt.Errorf("start GDO: %w", err)
 	}
 	defer gdo.Close()
 	n, err := server.NewNodeServer(server.NodeConfig{Topology: topo, Self: 1, Protocol: core.LOTEC, Rec: rec})
 	if err != nil {
-		return benchResult{}, err
+		return nil, err
 	}
 	cls, err := schema.NewClassBuilder(1, "Counter").
 		Attr("n", 8).
 		Method(schema.MethodSpec{Name: "bump", Writes: []string{"n"}}).
 		Build()
 	if err != nil {
-		return benchResult{}, err
+		return nil, err
 	}
 	if err := n.AddClass(cls); err != nil {
-		return benchResult{}, err
+		return nil, err
 	}
 	if err := n.OnMethod(cls, "bump", func(ctx *node.Ctx) error { return ctx.Write("n", make([]byte, 8)) }); err != nil {
-		return benchResult{}, err
+		return nil, err
 	}
 	if err := n.Start(); err != nil {
-		return benchResult{}, fmt.Errorf("start node: %w", err)
+		return nil, fmt.Errorf("start node: %w", err)
 	}
 	defer n.Close()
 	const obj = ids.ObjectID(1)
 	if err := n.CreateObject(obj, cls.ID, 1); err != nil {
-		return benchResult{}, err
+		return nil, err
 	}
 
 	const roots = 1000
-	before := rec.MsgCount()
-	for i := 0; i < roots; i++ {
-		if _, err := n.Run(obj, "bump", nil); err != nil {
-			return benchResult{}, fmt.Errorf("root %d: %w", i, err)
+	var rows []benchResult
+	for _, op := range []string{msgsPerRootOp, msgsPerRepeatRootOp} {
+		before := rec.MsgCount()
+		for i := 0; i < roots; i++ {
+			if _, err := n.Run(obj, "bump", nil); err != nil {
+				return nil, fmt.Errorf("%s: root %d: %w", op, i, err)
+			}
 		}
+		rows = append(rows, benchResult{Op: op, Ops: roots, MsgsPerOp: float64(rec.MsgCount()-before) / roots})
 	}
-	return benchResult{
-		Op:        msgsPerRootOp,
-		Ops:       roots,
-		MsgsPerOp: float64(rec.MsgCount()-before) / roots,
-	}, nil
+	return rows, nil
 }
 
-// checkMsgsPerRoot is the smoke gate over that row: the frame count is a
-// property of the protocol, not of the machine, so it must equal the
+// checkMsgsPerRoot is the smoke gate over those rows: a frame count is a
+// property of the protocol, not of the machine, so each must equal the
 // committed one exactly.
 func checkMsgsPerRoot(path string) error {
 	doc, err := readBenchDoc(path)
 	if err != nil {
 		return err
 	}
+	committed := map[string]float64{}
 	for _, base := range doc.Results {
-		if base.Op != msgsPerRootOp {
-			continue
+		if base.Op == msgsPerRootOp || base.Op == msgsPerRepeatRootOp {
+			committed[base.Op] = base.MsgsPerOp
 		}
-		got, err := msgsPerRootRow()
-		if err != nil {
-			return err
-		}
-		if got.MsgsPerOp != base.MsgsPerOp {
-			return fmt.Errorf("%s: a flat root at its owner sends %v frames, committed %v", msgsPerRootOp, got.MsgsPerOp, base.MsgsPerOp)
-		}
-		fmt.Printf("smoke ok: %s %v frames (committed %v)\n", msgsPerRootOp, got.MsgsPerOp, base.MsgsPerOp)
+	}
+	if len(committed) == 0 {
+		fmt.Printf("smoke: %s has no %s row; skipping\n", path, msgsPerRootOp)
 		return nil
 	}
-	fmt.Printf("smoke: %s has no %s row; skipping\n", path, msgsPerRootOp)
+	rows, err := msgsPerRootRows()
+	if err != nil {
+		return err
+	}
+	for _, got := range rows {
+		want, ok := committed[got.Op]
+		if !ok {
+			return fmt.Errorf("%s: no committed row in %s; regenerate it (make bench)", got.Op, path)
+		}
+		if got.MsgsPerOp != want {
+			return fmt.Errorf("%s: flat roots at their owner send %v frames each, committed %v", got.Op, got.MsgsPerOp, want)
+		}
+		fmt.Printf("smoke ok: %s %v frames (committed %v)\n", got.Op, got.MsgsPerOp, want)
+	}
 	return nil
 }
 

@@ -24,16 +24,16 @@ import (
 // perfMsg builds the representative data-plane message the codec and frame
 // rows price: a one-page fetch reply, the most common payload-carrying
 // frame on a LOTEC wire.
-func perfMsg() (wire.Envelope, *wire.FetchResp) {
+func perfMsg() (wire.Envelope, *wire.MultiFetchResp) {
 	page := make([]byte, 256)
 	for i := range page {
 		page[i] = byte(i)
 	}
 	env := wire.Envelope{ReqID: 42, From: 1, To: 2}
-	return env, &wire.FetchResp{
+	return env, &wire.MultiFetchResp{Objs: []wire.ObjPayload{{
 		Obj:   ids.ObjectID(7),
 		Pages: []wire.PagePayload{{Page: 3, Version: 9, Data: page}},
-	}
+	}}}
 }
 
 // benchRow runs one Go benchmark function and flattens its result into a

@@ -149,11 +149,11 @@ func (h *Host) victimIntoLocked(rep *replica, op *repOp, extras map[int]*repOp, 
 	return extras
 }
 
-// sweepLocked repeatedly searches the host-local union graph after a
-// release and aborts the youngest family of each cycle until acyclic
-// (grant re-pointing can close cycles no single shard sees).
-func (h *Host) sweepLocked(rep *replica, op *repOp) map[int]*repOp {
-	var extras map[int]*repOp
+// sweepIntoLocked repeatedly searches the host-local union graph after a
+// release or an adoption and aborts the youngest family of each cycle until
+// acyclic (re-pointing waiters at a new holder can close cycles no single
+// shard sees). The decisions extend extras, which may be nil.
+func (h *Host) sweepIntoLocked(rep *replica, op *repOp, extras map[int]*repOp) map[int]*repOp {
 	for {
 		if !h.crossPossibleLocked() {
 			return extras

@@ -58,7 +58,9 @@ type Service interface {
 	CommitSeq(f ids.FamilyID) (uint64, bool)
 	LastWriter(obj ids.ObjectID) (ids.NodeID, error)
 	Acquire(obj ids.ObjectID, ref ids.TxRef, family ids.FamilyID, age uint64, site ids.NodeID, mode o2pl.Mode) (gdo.AcquireResult, []gdo.Event, error)
+	Adopt(obj ids.ObjectID, ref ids.TxRef, family ids.FamilyID, age uint64, site ids.NodeID, mode o2pl.Mode) (gdo.AcquireResult, []gdo.Event, error)
 	Release(family ids.FamilyID, site ids.NodeID, commit bool, rels []gdo.ObjectRelease) ([]gdo.Event, []gdo.PageStamp, error)
+	ReleaseKeep(family ids.FamilyID, site ids.NodeID, commit, keep bool, rels []gdo.ObjectRelease) ([]gdo.Event, []gdo.PageStamp, []ids.ObjectID, error)
 	CancelRequest(obj ids.ObjectID, family ids.FamilyID) (bool, error)
 	DebugDump() string
 }
@@ -133,7 +135,8 @@ type Sharded struct {
 }
 
 // NewSharded returns an empty sharded directory with the given number of
-// partitions for a cluster of nodes sites.
+// partitions for a cluster of nodes sites. Site-retained grants are off, as
+// in the paper; SetRetainGrants turns them on.
 func NewSharded(shards, nodes int) *Sharded {
 	p := NewPlacement(shards, nodes)
 	s := &Sharded{
@@ -144,6 +147,14 @@ func NewSharded(shards, nodes int) *Sharded {
 		s.shards[i] = gdo.New(p.Nodes)
 	}
 	return s
+}
+
+// SetRetainGrants turns site-retained grants (gdo/retain.go) on or off in
+// every partition. Call it before the directory serves traffic.
+func (s *Sharded) SetRetainGrants(on bool) {
+	for _, sh := range s.shards {
+		sh.SetRetainGrants(on)
+	}
 }
 
 // The accessors below sit on every acquire/release route; none may
@@ -271,6 +282,26 @@ func (s *Sharded) CancelRequest(obj ids.ObjectID, family ids.FamilyID) (bool, er
 func (s *Sharded) Acquire(obj ids.ObjectID, ref ids.TxRef, family ids.FamilyID, age uint64, site ids.NodeID, mode o2pl.Mode) (gdo.AcquireResult, []gdo.Event, error) {
 	shard := s.place.ShardOf(obj)
 	res, events, err := s.shards[shard].Acquire(obj, ref, family, age, site, mode)
+	return s.afterAcquire(shard, family, res, events, err)
+}
+
+// Adopt routes gdo.Directory.Adopt to obj's shard. Renaming a site hold to
+// a family that waits on another shard can close an inter-shard cycle
+// whether or not this request parks, so the union graph is swept as after a
+// release.
+func (s *Sharded) Adopt(obj ids.ObjectID, ref ids.TxRef, family ids.FamilyID, age uint64, site ids.NodeID, mode o2pl.Mode) (gdo.AcquireResult, []gdo.Event, error) {
+	shard := s.place.ShardOf(obj)
+	res, events, err := s.shards[shard].Adopt(obj, ref, family, age, site, mode)
+	res, events, err = s.afterAcquire(shard, family, res, events, err)
+	if err == nil && len(s.shards) > 1 && res.Status != gdo.NotAdopted {
+		events = append(events, s.sweep()...)
+	}
+	return res, events, err
+}
+
+// afterAcquire finishes a shard's acquire for the router: it stamps the
+// events and, when the request parked, looks for a cycle across shards.
+func (s *Sharded) afterAcquire(shard int, family ids.FamilyID, res gdo.AcquireResult, events []gdo.Event, err error) (gdo.AcquireResult, []gdo.Event, error) {
 	if err != nil {
 		return res, nil, err
 	}
@@ -303,28 +334,36 @@ func (s *Sharded) Acquire(obj ids.ObjectID, ref ids.TxRef, family ids.FamilyID, 
 // cannot see, so with multiple shards the router sweeps the union waits-for
 // graph until it is acyclic.
 func (s *Sharded) Release(family ids.FamilyID, site ids.NodeID, commit bool, rels []gdo.ObjectRelease) ([]gdo.Event, []gdo.PageStamp, error) {
+	events, stamps, _, err := s.ReleaseKeep(family, site, commit, false, rels)
+	return events, stamps, err
+}
+
+// ReleaseKeep is Release in the form gdo.Directory.ReleaseKeep has: with
+// keep set the partitions may leave released locks at the releasing site,
+// and kept lists them.
+func (s *Sharded) ReleaseKeep(family ids.FamilyID, site ids.NodeID, commit, keep bool, rels []gdo.ObjectRelease) ([]gdo.Event, []gdo.PageStamp, []ids.ObjectID, error) {
 	if commit {
 		s.AssignCommitSeq(family)
 	}
 	if len(rels) == 0 {
-		return nil, nil, nil
+		return nil, nil, nil, nil
 	}
 	if len(s.shards) == 1 {
-		events, stamps, err := s.shards[0].Release(family, site, false, rels)
-		return stamp(0, events), stamps, err
+		events, stamps, kept, err := s.shards[0].ReleaseKeep(family, site, false, keep, rels)
+		return stamp(0, events), stamps, kept, err
 	}
 
 	// Fast path: batches addressed to a single partition (the node engine
 	// already sends one ReleaseReq per (home, shard)) skip the grouping
 	// allocation.
 	if sh, ok := singleShardOf(s.place, rels); ok {
-		events, stamps, err := s.shards[sh].Release(family, site, false, rels)
+		events, stamps, kept, err := s.shards[sh].ReleaseKeep(family, site, false, keep, rels)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
 		events = stamp(sh, events)
 		events = append(events, s.sweep()...)
-		return events, stamps, nil
+		return events, stamps, kept, nil
 	}
 
 	byShard := make(map[int][]gdo.ObjectRelease)
@@ -334,20 +373,22 @@ func (s *Sharded) Release(family ids.FamilyID, site ids.NodeID, commit bool, rel
 	}
 	var events []gdo.Event
 	var stamps []gdo.PageStamp
+	var kept []ids.ObjectID
 	for sh := 0; sh < len(s.shards); sh++ {
 		part, ok := byShard[sh]
 		if !ok {
 			continue
 		}
-		ev, st, err := s.shards[sh].Release(family, site, false, part)
+		ev, st, k, err := s.shards[sh].ReleaseKeep(family, site, false, keep, part)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
 		events = append(events, stamp(sh, ev)...)
 		stamps = append(stamps, st...)
+		kept = append(kept, k...)
 	}
 	events = append(events, s.sweep()...)
-	return events, stamps, nil
+	return events, stamps, kept, nil
 }
 
 // singleShardOf reports whether every release in the batch homes to one

@@ -60,6 +60,10 @@ type HostConfig struct {
 	Map wire.PlacementMap
 	// Rec receives failover/handoff/epoch-reject samples. May be nil.
 	Rec *stats.Recorder
+	// RetainGrants turns site-retained grants on in every replica this
+	// host starts with (a handed-off shard brings its own setting in its
+	// snapshot). Every host of a deployment must agree.
+	RetainGrants bool
 }
 
 // Host is one node of the replicated control plane. All state is guarded
@@ -155,12 +159,12 @@ func NewHost(cfg HostConfig) *Host {
 		peers: make(map[ids.NodeID]peerSummary),
 	}
 	for s := 0; s < h.cur.NumShards(); s++ {
-		switch h.self {
-		case h.cur.Primary[s]:
-			h.reps[s] = &replica{shard: s, dir: gdo.New(h.place.Nodes), primary: true}
-		case h.cur.Backup[s]:
-			h.reps[s] = &replica{shard: s, dir: gdo.New(h.place.Nodes)}
+		if h.self != h.cur.Primary[s] && h.self != h.cur.Backup[s] {
+			continue
 		}
+		dir := gdo.New(h.place.Nodes)
+		dir.SetRetainGrants(cfg.RetainGrants)
+		h.reps[s] = &replica{shard: s, dir: dir, primary: h.self == h.cur.Primary[s]}
 	}
 	return h
 }
@@ -274,27 +278,7 @@ func (a *acts) run() {
 // exactly as the in-engine GDO host does (Alg 4.4 notifications).
 func (h *Host) routeEvents(events []gdo.Event) {
 	for _, ev := range events {
-		switch ev.Kind {
-		case gdo.EventGrant:
-			_ = h.env.Send(ev.Site, &wire.Grant{
-				Obj:        ev.Obj,
-				Family:     ev.Family,
-				Mode:       ev.Mode,
-				Upgrade:    ev.Upgrade,
-				NumPages:   int32(ev.NumPages),
-				LastWriter: ev.LastWriter,
-				Shard:      ev.Shard,
-				Reqs:       ev.Reqs,
-				PageMap:    ev.PageMap,
-			})
-		case gdo.EventDeadlockAbort:
-			_ = h.env.Send(ev.Site, &wire.Abort{
-				Obj:    ev.Obj,
-				Family: ev.Family,
-				Shard:  ev.Shard,
-				Reqs:   ev.Reqs,
-			})
-		}
+		_ = h.env.Send(ev.Site, EventMsg(ev))
 	}
 }
 
@@ -422,36 +406,33 @@ func (h *Host) applyLocked(rep *replica, from ids.NodeID, m wire.Msg) (*repOp, m
 	var extras map[int]*repOp
 	switch t := m.(type) {
 	case *wire.AcquireReq:
-		res, events, err := rep.dir.Acquire(t.Obj, t.Ref, t.Family, t.Age, t.Site, t.Mode)
+		resp, events, err := ServeAcquire(rep.dir, t)
 		if err != nil {
 			return nil, nil, &wire.ErrResp{Msg: err.Error()}
 		}
 		op.events = stamp(rep.shard, events)
-		if res.Status == gdo.Queued {
+		if resp.Status == gdo.Queued {
 			if victim, found := h.findVictimLocked(t.Family); found {
 				extras = h.applyVictimLocked(rep, op, victim, victim == t.Family)
 				if victim == t.Family {
-					res = gdo.AcquireResult{Status: gdo.DeadlockAbort}
+					resp = &wire.AcquireResp{Obj: t.Obj, Status: gdo.DeadlockAbort, Shard: t.Shard}
 				}
 			}
 		}
-		op.reply = &wire.AcquireResp{
-			Obj:        t.Obj,
-			Status:     res.Status,
-			Mode:       res.Mode,
-			NumPages:   int32(res.NumPages),
-			LastWriter: res.LastWriter,
-			Shard:      t.Shard,
-			PageMap:    res.PageMap,
+		if t.Adopt && resp.Status != gdo.NotAdopted {
+			// The renamed holder may wait on another shard: sweep as after
+			// a release (see Sharded.Adopt).
+			extras = h.sweepIntoLocked(rep, op, extras)
 		}
+		op.reply = resp
 	case *wire.ReleaseReq:
-		events, stamps, err := rep.dir.Release(t.Family, t.Site, t.Commit, t.Rels)
+		resp, events, err := ServeRelease(rep.dir, t)
 		if err != nil {
 			return nil, nil, &wire.ErrResp{Msg: err.Error()}
 		}
 		op.events = stamp(rep.shard, events)
-		extras = h.sweepLocked(rep, op)
-		op.reply = &wire.ReleaseResp{Shard: t.Shard, Stamps: stamps}
+		extras = h.sweepIntoLocked(rep, op, nil)
+		op.reply = resp
 	case *wire.RegisterReq:
 		if err := rep.dir.Register(t.Obj, int(t.NumPages), t.Owner); err != nil {
 			return nil, nil, &wire.ErrResp{Msg: err.Error()}
@@ -628,10 +609,10 @@ func (h *Host) replicateLocked(a *acts, t *wire.ReplicateReq) wire.Msg {
 func (h *Host) applyBackupOp(rep *replica, m wire.Msg) []gdo.Event {
 	switch t := m.(type) {
 	case *wire.AcquireReq:
-		_, events, _ := rep.dir.Acquire(t.Obj, t.Ref, t.Family, t.Age, t.Site, t.Mode)
+		_, events, _ := ServeAcquire(rep.dir, t)
 		return stamp(rep.shard, events)
 	case *wire.ReleaseReq:
-		events, _, _ := rep.dir.Release(t.Family, t.Site, t.Commit, t.Rels)
+		_, events, _ := ServeRelease(rep.dir, t)
 		return stamp(rep.shard, events)
 	case *wire.RegisterReq:
 		_ = rep.dir.Register(t.Obj, int(t.NumPages), t.Owner)
@@ -671,7 +652,17 @@ func (h *Host) promoteLocked(a *acts, t *wire.PromoteReq) wire.Msg {
 			continue
 		}
 		rep.primary = true
-		a.events(rep.lastEvents)
+		// The dead primary may also have queued a request behind a site
+		// hold without its recall ever leaving. Every site hold with
+		// waiters is recalled again — once: the last op's own recall is
+		// among them.
+		var replay []gdo.Event
+		for _, ev := range rep.lastEvents {
+			if ev.Kind != gdo.EventRecall {
+				replay = append(replay, ev)
+			}
+		}
+		a.events(append(replay, stamp(s, rep.dir.PendingRecalls())...))
 		rep.lastEvents = nil
 	}
 	if h.rec != nil {

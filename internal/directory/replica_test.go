@@ -31,6 +31,13 @@ type repBed struct {
 
 func newRepBed(t *testing.T, nHosts, shards int, m wire.PlacementMap) *repBed {
 	t.Helper()
+	return newRepBedRetaining(t, nHosts, shards, m, false)
+}
+
+// newRepBedRetaining is newRepBed with the hosts' site-retained grants on
+// or off.
+func newRepBedRetaining(t *testing.T, nHosts, shards int, m wire.PlacementMap, retain bool) *repBed {
+	t.Helper()
 	rec := stats.NewRecorder()
 	net := transport.NewSimNet(1+nHosts, netmodel.Ethernet100.WithSoftwareCost(10*time.Microsecond), rec)
 	b := &repBed{
@@ -42,7 +49,7 @@ func newRepBed(t *testing.T, nHosts, shards int, m wire.PlacementMap) *repBed {
 	}
 	for i := 0; i < nHosts; i++ {
 		id := ids.NodeID(2 + i)
-		h := NewHost(HostConfig{Env: net.Env(id), Place: b.place, Map: m, Rec: rec})
+		h := NewHost(HostConfig{Env: net.Env(id), Place: b.place, Map: m, Rec: rec, RetainGrants: retain})
 		b.hosts[id] = h
 		net.SetAsyncHandler(id, h.Handler())
 	}

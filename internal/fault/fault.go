@@ -86,8 +86,8 @@ type Crash struct {
 
 // Partition is a one-way link cut: retriable RPC traffic (lock, release,
 // fetch, push requests and replies) From → To is dropped during
-// [After, Before). Grant and Abort notifications are exempt — they are
-// sent exactly once and the protocol has no recovery path for losing
+// [After, Before). Grant, Abort and Recall notifications are exempt — they
+// are sent exactly once and the protocol has no recovery path for losing
 // them (see DESIGN.md "Failure model").
 type Partition struct {
 	From, To      ids.NodeID
@@ -134,8 +134,8 @@ func NewInjector(plan Plan) *Injector {
 }
 
 // RetriableKinds are the message kinds the engine can safely lose and
-// retry: idempotent request/reply RPC legs. Grant and Abort are excluded
-// — they are one-shot Sends with no retry path.
+// retry: idempotent request/reply RPC legs. Grant, Abort and Recall are
+// excluded — they are one-shot Sends with no retry path.
 var RetriableKinds = []stats.MsgKind{
 	stats.KindLockReq, stats.KindLockReply,
 	stats.KindRelease, stats.KindReleaseReply,

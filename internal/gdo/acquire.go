@@ -22,6 +22,10 @@ const (
 	// closes a waits-for cycle and this family was chosen as victim. The
 	// requesting root transaction must abort and may retry.
 	DeadlockAbort
+	// NotAdopted: an Adopt found neither a site hold of the requesting site
+	// nor a hold of the family itself (the grant was handed back or
+	// released meanwhile); nothing changed.
+	NotAdopted
 )
 
 // String implements fmt.Stringer.
@@ -33,6 +37,8 @@ func (s AcquireStatus) String() string {
 		return "queued"
 	case DeadlockAbort:
 		return "deadlock-abort"
+	case NotAdopted:
+		return "not-adopted"
 	default:
 		return fmt.Sprintf("acquire-status(%d)", int(s))
 	}
@@ -59,6 +65,9 @@ const (
 	// EventDeadlockAbort tells a site that its family's queued request(s)
 	// were cancelled as a deadlock victim.
 	EventDeadlockAbort
+	// EventRecall tells a site that a request is queued behind the site
+	// hold (Family) it retains on Obj.
+	EventRecall
 )
 
 // Event is a deferred directory decision that the engine must deliver to
@@ -66,7 +75,7 @@ const (
 type Event struct {
 	Kind       EventKind
 	Obj        ids.ObjectID
-	Family     ids.FamilyID
+	Family     ids.FamilyID // EventRecall: the site hold's family ID
 	Site       ids.NodeID
 	Mode       o2pl.Mode   // EventGrant: granted global mode
 	Reqs       []QueuedReq // the requests granted or aborted
@@ -107,6 +116,7 @@ func (d *Directory) Acquire(obj ids.ObjectID, ref ids.TxRef, family ids.FamilyID
 		h.refs = append(h.refs, ref)
 		e.holders = append(e.holders, h)
 		e.copySet[site] = true
+		d.noteGrantLocked(e, site)
 		return d.grantedNow(e, mode), nil, nil
 
 	case e.state() == HeldRead && mode == o2pl.Read && len(e.upgrades) == 0:
@@ -118,6 +128,7 @@ func (d *Directory) Acquire(obj ids.ObjectID, ref ids.TxRef, family ids.FamilyID
 		h.refs = append(h.refs, ref)
 		e.holders = append(e.holders, h)
 		e.copySet[site] = true
+		d.noteGrantLocked(e, site)
 		// Writers queued here now wait on this family too.
 		return d.grantedNow(e, o2pl.Read), d.recheckQueuedLocked(e), nil
 
@@ -138,7 +149,7 @@ func (d *Directory) Acquire(obj ids.ObjectID, ref ids.TxRef, family ids.FamilyID
 			d.purgeFamilyLocked(family)
 			return AcquireResult{Status: DeadlockAbort}, events, nil
 		}
-		return AcquireResult{Status: Queued}, events, nil
+		return AcquireResult{Status: Queued}, d.recallLocked(e, events), nil
 	}
 }
 
@@ -163,7 +174,7 @@ func (d *Directory) acquireHolding(e *entry, h *familyHold, ref ids.TxRef, age u
 		d.dropUpgradeLocked(e, h.family)
 		return AcquireResult{Status: DeadlockAbort}, events, nil
 	}
-	return AcquireResult{Status: Queued}, events, nil
+	return AcquireResult{Status: Queued}, d.recallLocked(e, events), nil
 }
 
 // grantedNow builds a GrantedNow result with a page-map snapshot. Caller

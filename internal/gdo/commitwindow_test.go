@@ -3,6 +3,7 @@ package gdo
 import (
 	"bytes"
 	"errors"
+	"math/rand"
 	"testing"
 
 	"lotec/internal/ids"
@@ -26,8 +27,14 @@ func TestCommitWindowIsBounded(t *testing.T) {
 	for f := ids.FamilyID(1); f <= commits; f++ {
 		commitOnce(t, d, 1, f)
 	}
-	if got := len(d.commits.order); got != CommitWindowSize {
-		t.Errorf("window indexes %d families after %d commits, want %d", got, commits, CommitWindowSize)
+	indexed := 0
+	for _, slot := range d.commits.slots {
+		if slot.seq != 0 {
+			indexed++
+		}
+	}
+	if indexed != CommitWindowSize {
+		t.Errorf("window indexes %d families after %d commits, want %d", indexed, commits, CommitWindowSize)
 	}
 	if got := d.commits.Len(); got != CommitWindowSize {
 		t.Errorf("ring holds %d entries, want %d", got, CommitWindowSize)
@@ -49,6 +56,53 @@ func TestCommitWindowIsBounded(t *testing.T) {
 	}
 	if seq := d.AssignCommitSeq(commits + 1); seq != commits+1 {
 		t.Errorf("next assignment = %d, want %d", seq, commits+1)
+	}
+}
+
+// TestCommitWindowMatchesReference drives the window's index — open
+// addressing with backward-shift deletion — against the obvious model, a
+// map plus FIFO eviction, over ID patterns that cluster in the table: the
+// consecutive IDs of one node, the interleaved ranges of several, and
+// repeats of families still in the window.
+func TestCommitWindowMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var w CommitWindow
+	model := map[ids.FamilyID]uint64{}
+	var order []ids.FamilyID
+	next := [4]uint64{}
+	for step := 0; step < 6*CommitWindowSize; step++ {
+		var f ids.FamilyID
+		switch {
+		case len(order) > 0 && rng.Intn(8) == 0:
+			f = order[len(order)-1-rng.Intn(min(len(order), 2*CommitWindowSize))] // a recent one, maybe evicted
+		default:
+			n := rng.Intn(len(next))
+			next[n]++
+			f = ids.FamilyID(uint64(n+1)<<40 + next[n])
+		}
+		want, ok := model[f]
+		if !ok {
+			want = uint64(len(order)) + 1
+			model[f] = want
+			order = append(order, f)
+			if len(order) > CommitWindowSize {
+				delete(model, order[len(order)-1-CommitWindowSize])
+			}
+		}
+		if got := w.Assign(f); got != want {
+			t.Fatalf("step %d: Assign(%v) = %d, want %d", step, f, got, want)
+		}
+		if step%512 == 0 {
+			for _, g := range order[max(0, len(order)-2*CommitWindowSize):] {
+				seq, ok := w.Seq(g)
+				if wantSeq, wantOK := model[g]; ok != wantOK || seq != wantSeq {
+					t.Fatalf("step %d: Seq(%v) = %d, %v; want %d, %v", step, g, seq, ok, wantSeq, wantOK)
+				}
+			}
+		}
+	}
+	if len(model) != CommitWindowSize || w.Len() != CommitWindowSize {
+		t.Fatalf("model holds %d, window %d", len(model), w.Len())
 	}
 }
 

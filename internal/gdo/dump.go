@@ -9,7 +9,8 @@ import (
 )
 
 // DebugDump renders the directory's lock state for diagnostics: every
-// non-free entry with its holders, queues and pending upgrades.
+// non-free entry, in object order, with its holders (site holds named as
+// such), queues and pending upgrades.
 func (d *Directory) DebugDump() string {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -26,6 +27,10 @@ func (d *Directory) DebugDump() string {
 		}
 		fmt.Fprintf(&b, "%v state=%v", e.obj, e.state())
 		for _, h := range e.holders {
+			if ids.IsSiteFamily(h.family) {
+				fmt.Fprintf(&b, " sitehold{site=%v mode=%v}", h.site, h.mode)
+				continue
+			}
 			fmt.Fprintf(&b, " holder{fam=%v site=%v mode=%v refs=%d}", h.family, h.site, h.mode, len(h.refs))
 		}
 		for _, q := range e.queues {

@@ -21,7 +21,13 @@ import (
 var ErrBadSnapshot = errors.New("gdo: bad snapshot")
 
 // exportVersion is bumped whenever the snapshot layout changes.
-const exportVersion = 2
+// exportVersionRetain is the layout of a directory with retention on: every
+// entry also carries its grant streak, which decides the next keep. A
+// directory with retention off writes exportVersion, unchanged.
+const (
+	exportVersion       = 2
+	exportVersionRetain = 3
+)
 
 // exportMagic guards against feeding arbitrary bytes to Import.
 const exportMagic = 0x4c474458 // "LGDX"
@@ -101,7 +107,11 @@ func (d *Directory) Export() []byte {
 
 	w := &snapWriter{buf: make([]byte, 0, 64+64*len(d.entries))}
 	w.u32(exportMagic)
-	w.u8(exportVersion)
+	if d.retain {
+		w.u8(exportVersionRetain)
+	} else {
+		w.u8(exportVersion)
+	}
 	w.u32(uint32(d.nodes))
 
 	// The commit-order window, oldest assignment first; Import checks the
@@ -124,6 +134,10 @@ func (d *Directory) Export() []byte {
 		w.u64(uint64(e.obj))
 		w.u32(uint32(e.numPages))
 		w.u32(uint32(e.lastWriter))
+		if d.retain {
+			w.u32(uint32(e.streakSite))
+			w.u8(e.streak)
+		}
 
 		w.u32(uint32(len(e.holders)))
 		for _, h := range e.holders {
@@ -183,11 +197,13 @@ func Import(data []byte) (*Directory, error) {
 	if r.u32() != exportMagic {
 		return nil, fmt.Errorf("%w: bad magic", ErrBadSnapshot)
 	}
-	if v := r.u8(); v != exportVersion {
-		return nil, fmt.Errorf("%w: unsupported version %d", ErrBadSnapshot, v)
+	version := r.u8()
+	if version != exportVersion && version != exportVersionRetain {
+		return nil, fmt.Errorf("%w: unsupported version %d", ErrBadSnapshot, version)
 	}
 	nodes := int(r.u32())
 	d := New(nodes)
+	d.retain = version == exportVersionRetain
 
 	seq := r.u64()
 	fams := make([]ids.FamilyID, r.count(16))
@@ -210,6 +226,9 @@ func Import(data []byte) (*Directory, error) {
 		}
 		if r.err == nil && (e.numPages < 0 || e.numPages > len(data)) {
 			r.fail()
+		}
+		if d.retain {
+			e.streakSite, e.streak = ids.NodeID(r.u32()), r.u8()
 		}
 
 		for j, hn := 0, r.count(17); j < hn; j++ {

@@ -114,6 +114,11 @@ type entry struct {
 	// up-to-date copy, making it the single gather source the paper
 	// describes.
 	lastWriter ids.NodeID
+	// streakSite is the site of the most recent fresh grant and streak how
+	// many running it has had, saturating at KeepStreak; a hand-back of the
+	// site hold resets it. Only counted with retention on (retain.go).
+	streakSite ids.NodeID
+	streak     uint8
 }
 
 // state derives the LockState from the holder list.
@@ -160,6 +165,7 @@ type Directory struct {
 	mu      sync.Mutex
 	entries map[ids.ObjectID]*entry // guarded by mu
 	nodes   int                     // cluster size, for HomeNode; immutable
+	retain  bool                    // guarded by mu; site-retained grants on (retain.go)
 
 	// waitObjs indexes the entries that currently have queued requests or
 	// pending upgrades, so waits-for graph construction touches only
@@ -174,11 +180,11 @@ type Directory struct {
 	// crossover, so their working sets are kept on the Directory and
 	// recycled: at steady state the grant/release path performs no
 	// allocations (ROADMAP item 4). All guarded by mu.
-	wf       wfScratch       // waits-for detector working state (deadlock.go)
-	entScr   []*entry        // waitEntriesSortedLocked sweep list
-	famScr   []ids.FamilyID  // recheckQueuedLocked deadlock re-check snapshot
-	touchScr []*entry        // Release touched-entry list
-	holdFree []*familyHold   // familyHold freelist (records never escape)
+	wf       wfScratch      // waits-for detector working state (deadlock.go)
+	entScr   []*entry       // waitEntriesSortedLocked sweep list
+	famScr   []ids.FamilyID // recheckQueuedLocked deadlock re-check snapshot
+	touchScr []*entry       // Release touched-entry list
+	holdFree []*familyHold  // familyHold freelist (records never escape)
 }
 
 // New returns an empty directory for a cluster of n nodes (n ≥ 1; used only
@@ -223,8 +229,8 @@ func (d *Directory) newHoldLocked(f ids.FamilyID, site ids.NodeID, mode o2pl.Mod
 	return &familyHold{family: f, site: site, mode: mode} //lotec:alloc-ok — pool miss; removeHolderLocked recycles the record
 }
 
-// removeHolderLocked unlinks family f's hold from e and recycles the record
-// onto the freelist. Holds never leave the package (events carry queue
+// removeHolderLocked unlinks the hold recorded under f from e and recycles
+// the record onto the freelist. Holds never leave the package (events carry queue
 // requests, not holder refs), so the next grant may safely reuse the struct.
 // Caller holds d.mu.
 //

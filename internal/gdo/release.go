@@ -33,32 +33,51 @@ type PageStamp struct {
 // The returned events carry deferred grants (and any deadlock aborts that
 // surface as waiters are re-pointed at new holders); stamps carry the new
 // page versions for the releasing site.
+//
+// Release never leaves a lock at the releasing site: its caller has no way
+// to tell the site. ReleaseKeep is the form that can.
 func (d *Directory) Release(family ids.FamilyID, site ids.NodeID, commit bool, rels []ObjectRelease) ([]Event, []PageStamp, error) {
+	events, stamps, _, err := d.ReleaseKeep(family, site, commit, false, rels)
+	return events, stamps, err
+}
+
+// ReleaseKeep is Release for a caller that reports the outcome to the
+// releasing site. With keep set — the release is a committing one — and
+// retention on, an object this release would leave free stays locked under
+// the site's own family ID when the object's last grants all went to that
+// site (see retain.go); kept lists those objects. commit alone only fixes
+// the family's place in this directory's commit order: a router that keeps
+// the order itself passes commit false and keep true.
+func (d *Directory) ReleaseKeep(family ids.FamilyID, site ids.NodeID, commit, keep bool, rels []ObjectRelease) (events []Event, stamps []PageStamp, kept []ids.ObjectID, err error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if commit {
 		d.commits.Assign(family)
 	}
 
-	var stamps []PageStamp
 	d.touchScr = d.touchScr[:0]
 	for _, rel := range rels {
 		e, ok := d.entries[rel.Obj]
 		if !ok {
-			return nil, nil, fmt.Errorf("%w: %v", ErrUnknownObject, rel.Obj)
+			return nil, nil, nil, fmt.Errorf("%w: %v", ErrUnknownObject, rel.Obj)
 		}
 		h := e.holder(family)
 		if h == nil {
-			return nil, nil, fmt.Errorf("%w: %v releasing %v", ErrNotHolder, family, rel.Obj)
+			// A family that ran on the grant its site retains releases the
+			// site hold.
+			h = e.holder(ids.SiteFamily(site))
+		}
+		if h == nil {
+			return nil, nil, nil, fmt.Errorf("%w: %v releasing %v", ErrNotHolder, family, rel.Obj)
 		}
 		// "Record the NodeIdentifier of the updating site in the GDO for
 		// each updated page."
 		for _, p := range rel.Dirty {
 			if int(p) < 0 || int(p) >= e.numPages {
-				return nil, nil, fmt.Errorf("%w: dirty page %v/p%d out of range", ErrBadRelease, rel.Obj, p)
+				return nil, nil, nil, fmt.Errorf("%w: dirty page %v/p%d out of range", ErrBadRelease, rel.Obj, p)
 			}
 			if h.mode != o2pl.Write {
-				return nil, nil, fmt.Errorf("%w: %v dirtied %v under a read lock", ErrBadRelease, family, rel.Obj)
+				return nil, nil, nil, fmt.Errorf("%w: %v dirtied %v under a read lock", ErrBadRelease, family, rel.Obj)
 			}
 			loc := &e.pageMap[p]
 			loc.Node = site
@@ -68,7 +87,15 @@ func (d *Directory) Release(family ids.FamilyID, site ids.NodeID, commit bool, r
 		if len(rel.Dirty) > 0 {
 			e.lastWriter = site
 		}
-		d.removeHolderLocked(e, family)
+		if keep && d.keepLocked(e, h) {
+			h.family, h.refs = ids.SiteFamily(site), h.refs[:0]
+			kept = append(kept, rel.Obj)
+			continue
+		}
+		if ids.IsSiteFamily(family) {
+			e.streak = 0 // the site handed an idle grant back
+		}
+		d.removeHolderLocked(e, h.family)
 		d.touchScr = append(d.touchScr, e)
 	}
 
@@ -76,11 +103,10 @@ func (d *Directory) Release(family ids.FamilyID, site ids.NodeID, commit bool, r
 	// pending upgrades it left anywhere (none exist on clean paths).
 	d.purgeFamilyLocked(family)
 
-	var events []Event
 	for _, e := range d.touchScr {
 		events = append(events, d.scheduleLocked(e)...)
 	}
-	return events, stamps, nil
+	return events, stamps, kept, nil
 }
 
 // scheduleLocked hands the lock of e to the next eligible party and returns
@@ -135,6 +161,7 @@ func (d *Directory) scheduleLocked(e *entry) []Event {
 		}
 		e.holders = append(e.holders, h)
 		e.copySet[q.site] = true
+		d.noteGrantLocked(e, q.site)
 		events = append(events, Event{
 			Kind:       EventGrant,
 			Obj:        e.obj,
@@ -151,16 +178,20 @@ func (d *Directory) scheduleLocked(e *entry) []Event {
 	return append(events, d.recheckQueuedLocked(e)...)
 }
 
-// recheckQueuedLocked runs deadlock detection for every family queued on e
-// after e gained a holder: pointing its waiters at the new holder can close
-// waits-for cycles that enqueue-time detection could not see. The family
-// IDs are snapshotted (into reused scratch) because an abort may edit
-// e.queues mid-sweep. Caller holds d.mu.
+// recheckQueuedLocked runs deadlock detection for every family waiting on e
+// after e gained a holder or had one renamed: pointing its waiters at the
+// new holder can close waits-for cycles that enqueue-time detection could
+// not see. (Upgraders only matter to a rename: a fresh holder is granted
+// only when none is pending.) The family IDs are snapshotted (into reused
+// scratch) because an abort may edit e.queues mid-sweep. Caller holds d.mu.
 func (d *Directory) recheckQueuedLocked(e *entry) []Event {
 	var events []Event
 	d.famScr = d.famScr[:0]
 	for _, q := range e.queues {
 		d.famScr = append(d.famScr, q.family)
+	}
+	for _, u := range e.upgrades {
+		d.famScr = append(d.famScr, u.family)
 	}
 	for _, f := range d.famScr {
 		ev, self := d.breakCyclesLocked(f)

@@ -62,12 +62,31 @@ func (t TxID) String() string {
 	if t == NoTx {
 		return "tx(-)"
 	}
+	if IsSiteFamily(t) {
+		return fmt.Sprintf("site(%d)", uint32(t))
+	}
 	return fmt.Sprintf("tx(%d)", uint64(t))
 }
 
 // FamilyID identifies a transaction family: the TxID of the root transaction.
 // All descendants of one root share its FamilyID (§3.1 of the paper).
 type FamilyID = TxID
+
+// siteFamilyBit marks the reserved family IDs. Transaction IDs count up
+// from a per-node base far below it (TxIDGenerator.Seed).
+const siteFamilyBit = 1 << 63
+
+// SiteFamily returns the reserved family ID under which the directory holds
+// a lock for site n itself, between the roots that run there, rather than
+// for one of its transaction families.
+//
+//lotec:noalloc
+func SiteFamily(n NodeID) FamilyID { return FamilyID(siteFamilyBit | uint64(uint32(n))) }
+
+// IsSiteFamily reports whether f is a SiteFamily ID.
+//
+//lotec:noalloc
+func IsSiteFamily(f FamilyID) bool { return f&siteFamilyBit != 0 }
 
 // TxRef is the ⟨transaction id, node id⟩ pair stored in GDO holder and
 // non-holder lists (Figure 1 of the paper).

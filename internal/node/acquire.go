@@ -15,8 +15,9 @@ import (
 )
 
 // acquire implements Algorithm 4.1 (LocalLockAcquisition) for transaction
-// ts on obj: satisfied from the family's cached entry when possible,
-// forwarded to the GDO otherwise. On return the transaction holds the lock.
+// ts on obj: satisfied from the family's cached entry when possible, from a
+// grant the directory left at this site when one is idle, forwarded to the
+// GDO otherwise. On return the transaction holds the lock.
 func (e *Engine) acquire(ts *txState, obj ids.ObjectID, mode o2pl.Mode) error {
 	e.mu.Lock()
 	if ts.fam.doomed != nil {
@@ -24,6 +25,9 @@ func (e *Engine) acquire(ts *txState, obj ids.ObjectID, mode o2pl.Mode) error {
 		return ts.fam.doomed
 	}
 	entry := ts.fam.entries[obj]
+	if entry == nil {
+		entry = e.takeRetainedLocked(ts.fam, obj)
+	}
 	if entry == nil {
 		// "IF the object is not cached at this site THEN forward request to
 		// GlobalLockAcquisition."
@@ -63,7 +67,8 @@ func (e *Engine) acquire(ts *txState, obj ids.ObjectID, mode o2pl.Mode) error {
 		}
 		return nil
 	case o2pl.NeedGlobal:
-		// Read→write upgrade: the family's global mode is too weak.
+		// Read→write upgrade: the family's global mode is too weak (so is a
+		// retained grant's it has just taken: acquireGlobal adopts it).
 		e.mu.Unlock()
 		return e.acquireGlobal(ts, obj, mode)
 	default:
@@ -75,7 +80,8 @@ func (e *Engine) acquire(ts *txState, obj ids.ObjectID, mode o2pl.Mode) error {
 // acquireGlobal performs the GlobalLockAcquisition exchange (Alg 4.2): RPC
 // to the object's GDO home partition, parking on a future if queued. It
 // also covers upgrades (the entry exists but at Read while Write is
-// needed).
+// needed); a family running on a grant retained at this site asks as the
+// adopter of that grant.
 func (e *Engine) acquireGlobal(ts *txState, obj ids.ObjectID, mode o2pl.Mode) error {
 	if e.cfg.Rec != nil {
 		e.cfg.Rec.AddGlobalLockOp()
@@ -86,6 +92,8 @@ func (e *Engine) acquireGlobal(ts *txState, obj ids.ObjectID, mode o2pl.Mode) er
 	key := pendKey{obj: obj, tx: ts.t.ID()}
 	e.mu.Lock()
 	e.pending[key] = pendingReq{fut: f, tx: ts.t, mode: mode}
+	age := ts.fam.age
+	adopt, adopted := e.adoptingLocked(ts.fam, obj)
 	e.mu.Unlock()
 	clearPending := func() {
 		e.mu.Lock()
@@ -93,9 +101,6 @@ func (e *Engine) acquireGlobal(ts *txState, obj ids.ObjectID, mode o2pl.Mode) er
 		e.mu.Unlock()
 	}
 
-	e.mu.Lock()
-	age := ts.fam.age
-	e.mu.Unlock()
 	if age == 0 {
 		age = uint64(ts.t.Family())
 	}
@@ -106,8 +111,12 @@ func (e *Engine) acquireGlobal(ts *txState, obj ids.ObjectID, mode o2pl.Mode) er
 		Age:    age,
 		Site:   e.self,
 		Mode:   mode,
+		Adopt:  adopt,
 		Shard:  e.shardOf(obj),
 	})
+	if adopted != nil {
+		adopted.Complete(nil, nil)
+	}
 	if err != nil {
 		clearPending()
 		return fmt.Errorf("global acquire of %v: %w", obj, siteErr(err))

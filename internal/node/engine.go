@@ -174,9 +174,10 @@ type Engine struct {
 	xfer *xfer.Engine // the Alg 4.5 data plane
 
 	mu       sync.Mutex
-	objClass map[ids.ObjectID]ids.ClassID // guarded by mu
-	fams     map[ids.FamilyID]*famState   // guarded by mu
-	pending  map[pendKey]pendingReq       // guarded by mu
+	objClass map[ids.ObjectID]ids.ClassID    // guarded by mu
+	fams     map[ids.FamilyID]*famState      // guarded by mu
+	pending  map[pendKey]pendingReq          // guarded by mu
+	retained map[ids.ObjectID]*retainedGrant // guarded by mu; grants the directory left here (retain.go)
 }
 
 // New creates an Engine and installs its message handler on the Env's
@@ -208,6 +209,7 @@ func New(cfg Config) (*Engine, error) {
 		objClass: make(map[ids.ObjectID]ids.ClassID),
 		fams:     make(map[ids.FamilyID]*famState),
 		pending:  make(map[pendKey]pendingReq),
+		retained: make(map[ids.ObjectID]*retainedGrant),
 	}, nil
 }
 
@@ -428,13 +430,16 @@ func (e *Engine) invokeInner(parent *txState, obj ids.ObjectID, method string, a
 		e.abortTx(ts)
 		return nil, fam, e.decorate(ts, err)
 	}
-	if doomed := e.doomOf(ts); doomed != nil {
-		e.abortTx(ts)
-		return nil, fam, doomed
-	}
 
+	// Both ends look at the family's doom in the critical section they open
+	// anyway: a condemned family aborts instead.
 	if ts.t.IsRoot() {
-		if err := e.commitRoot(ts); err != nil {
+		doomed, err := e.commitRoot(ts)
+		if doomed != nil {
+			e.abortTx(ts)
+			return nil, fam, doomed
+		}
+		if err != nil {
 			return nil, fam, err
 		}
 	} else if err := e.preCommit(ts); err != nil {
@@ -493,9 +498,14 @@ func (e *Engine) beginTx(parent *txState) (*txState, error) {
 
 // preCommit applies rule 3 of §4.1: the parent inherits and retains every
 // lock the transaction holds or retains; the undo log merges into the
-// parent's so an ancestor abort still rolls everything back.
+// parent's so an ancestor abort still rolls everything back. A transaction
+// of a condemned family does not pre-commit: the doom is returned instead.
 func (e *Engine) preCommit(ts *txState) error {
 	e.mu.Lock()
+	if doomed := ts.fam.doomed; doomed != nil {
+		e.mu.Unlock()
+		return doomed
+	}
 	var wake []*o2pl.Waiter
 	// Sorted: PreCommit's grant hand-offs schedule wake-ups whose order is
 	// part of the deterministic trace.
@@ -566,6 +576,7 @@ func (e *Engine) abortTx(ts *txState) {
 		}
 		delete(e.fams, ts.t.Family())
 	}
+	adopts := e.releasingLocked(fam, releaseGlobal)
 	e.mu.Unlock()
 
 	_ = e.cfg.Manager.Abort(ts.t)
@@ -574,6 +585,7 @@ func (e *Engine) abortTx(ts *txState) {
 	// Alg 4.3: "ELSE /* not retained by an ancestor */ Forward request to
 	// GlobalLockRelease /* no dirty page info */".
 	sort.Slice(releaseGlobal, func(i, j int) bool { return releaseGlobal[i] < releaseGlobal[j] })
+	waitAll(adopts)
 	// Abort is best-effort, like Manager.Abort above: the local state is
 	// already torn down, and a lost release is recovered by GDO timeout.
 	_ = e.releaseGlobal(fam, releaseGlobal, nil, false, nil)
@@ -583,15 +595,23 @@ func (e *Engine) abortTx(ts *txState) {
 // family holds or retains, piggybacking the dirty-page info, then restamp
 // local copies with the directory-assigned versions. Under RC, dirty pages
 // are pushed to all caching sites first.
-func (e *Engine) commitRoot(ts *txState) error {
+//
+// A family condemned by the time its root gets here has not committed:
+// doomed reports the cause, nothing has been done, and the caller aborts.
+func (e *Engine) commitRoot(ts *txState) (doomed, err error) {
 	e.mu.Lock()
-	objs := sortedObjKeys(ts.fam.entries)
+	fam := ts.fam
+	if fam.doomed != nil {
+		e.mu.Unlock()
+		return fam.doomed, nil
+	}
+	objs := sortedObjKeys(fam.entries)
 	dirty := make(map[ids.ObjectID][]ids.PageNum, len(objs))
 	for _, obj := range objs {
 		dirty[obj] = e.cfg.Store.DirtyPages(obj)
 	}
-	fam := ts.fam
 	delete(e.fams, ts.t.Family())
+	adopts := e.releasingLocked(fam, objs)
 	e.mu.Unlock()
 
 	// Restamp dirty pages to version+1 and clear their dirty flags *before*
@@ -602,7 +622,7 @@ func (e *Engine) commitRoot(ts *txState) error {
 	// against this prediction below.
 	predicted, err := e.restampDirty(objs, dirty)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	for _, obj := range objs {
 		e.cfg.Store.ClearDirty(obj, dirty[obj])
@@ -616,20 +636,21 @@ func (e *Engine) commitRoot(ts *txState) error {
 	}
 	if len(pushObjs) > 0 {
 		if err := e.pushUpdates(pushObjs, dirty); err != nil {
-			return fmt.Errorf("rc push: %w", err)
+			return nil, fmt.Errorf("rc push: %w", err)
 		}
 	}
+	waitAll(adopts)
 	if err := e.releaseGlobal(fam, objs, dirty, true, predicted); err != nil {
-		return err
+		return nil, err
 	}
 	ts.undo.Discard()
 	if err := e.cfg.Manager.CommitRoot(ts.t); err != nil {
-		return err
+		return nil, err
 	}
 	if e.cfg.Rec != nil {
 		e.cfg.Rec.AddCommit()
 	}
-	return nil
+	return nil, nil
 }
 
 // restampDirty advances each dirty page's local version by one and returns
@@ -665,10 +686,21 @@ func (e *Engine) restampDirty(objs []ids.ObjectID, dirty map[ids.ObjectID][]ids.
 // conflicts with this one can be granted the contended object only after
 // this family's release of it, which follows the assignment, so the order
 // is conflict-consistent without a separate sequencing round trip.
+//
+// Whatever the replies say the directory left with this site is settled
+// into e.retained before returning (retain.go).
 func (e *Engine) releaseGlobal(fam *famState, objs []ids.ObjectID, dirty map[ids.ObjectID][]ids.PageNum, commit bool, predicted []gdo.PageStamp) error {
+	kept, err := e.sendReleases(fam, objs, dirty, commit, predicted)
+	e.settleRelease(fam, objs, predicted, kept)
+	return err
+}
+
+// sendReleases is the messaging of releaseGlobal; kept collects what the
+// replies name as left with this site.
+func (e *Engine) sendReleases(fam *famState, objs []ids.ObjectID, dirty map[ids.ObjectID][]ids.PageNum, commit bool, predicted []gdo.PageStamp) (kept []ids.ObjectID, _ error) {
 	routedCommit := commit && e.cfg.Route != nil
 	if len(objs) == 0 && !routedCommit {
-		return nil
+		return nil, nil
 	}
 	// One batch per (home node, directory shard): shard-addressed releases
 	// let the GDO host hand each batch straight to the owning partition.
@@ -708,6 +740,11 @@ func (e *Engine) releaseGlobal(fam *famState, objs []ids.ObjectID, dirty map[ids
 		if !ok {
 			return fmt.Errorf("global release to %v: unexpected reply %T", d.home, reply)
 		}
+		if kept == nil {
+			kept = resp.Kept
+		} else {
+			kept = append(kept, resp.Kept...)
+		}
 		for _, st := range resp.Stamps {
 			var want uint64 // 0: a page the site did not dirty
 			if i, ok := findStamp(predicted, next, st.Obj, st.Page); ok {
@@ -739,15 +776,15 @@ func (e *Engine) releaseGlobal(fam *famState, objs []ids.ObjectID, dirty map[ids
 		// group or to order.
 		if routedCommit && (len(objs) == 0 || first != seq) {
 			if err := send(seq, nil); err != nil {
-				return err
+				return kept, err
 			}
 		}
 		if len(objs) > 0 {
 			if err := send(first, rels); err != nil {
-				return err
+				return kept, err
 			}
 		}
-		return verifyErr
+		return kept, verifyErr
 	}
 
 	byDest := make(map[dest][]gdo.ObjectRelease)
@@ -770,10 +807,10 @@ func (e *Engine) releaseGlobal(fam *famState, objs []ids.ObjectID, dirty map[ids
 	})
 	for _, d := range dests {
 		if err := send(d, byDest[d]); err != nil {
-			return err
+			return kept, err
 		}
 	}
-	return verifyErr
+	return kept, verifyErr
 }
 
 // findStamp returns the index in predicted of the stamp for page of obj. It
@@ -830,9 +867,9 @@ func completeAll(ws []*o2pl.Waiter, err error) {
 	}
 }
 
-// DebugDump renders this engine's family, entry and pending-request state
-// for diagnostics, in sorted order so dumps from identical states are
-// byte-identical (diffable across runs).
+// DebugDump renders this engine's family, entry, pending-request and
+// retained-grant state for diagnostics, in sorted order so dumps from
+// identical states are byte-identical (diffable across runs).
 func (e *Engine) DebugDump() string {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -864,6 +901,15 @@ func (e *Engine) DebugDump() string {
 	})
 	for _, key := range keys {
 		add("node %v pending{obj=%v tx=%v}\n", e.self, key.obj, key.tx)
+	}
+	for _, obj := range sortedObjKeys(e.retained) {
+		rg := e.retained[obj]
+		user := ids.FamilyID(0)
+		if rg.user != nil {
+			user = rg.user.root.Family()
+		}
+		add("node %v retained{%v mode=%v user=%v releasing=%v recalled=%v adopting=%v}\n",
+			e.self, obj, rg.mode, user, rg.releasing, rg.recalled, rg.adopt != nil)
 	}
 	return string(b)
 }

@@ -1,6 +1,7 @@
 package node
 
 import (
+	"lotec/internal/directory"
 	"lotec/internal/gdo"
 	"lotec/internal/ids"
 	"lotec/internal/o2pl"
@@ -19,10 +20,9 @@ func (e *Engine) Handle(from ids.NodeID, m wire.Msg) wire.Msg {
 	case *wire.Abort:
 		e.handleAbort(t)
 		return nil
-	case *wire.FetchReq:
-		return e.handleFetch(t)
-	case *wire.PushReq:
-		return e.handlePush(t)
+	case *wire.Recall:
+		e.handleRecall(t)
+		return nil
 	case *wire.MultiFetchReq:
 		return xfer.ServeFetch(e.cfg.Store, e.cfg.Rec, t)
 	case *wire.MultiPushReq:
@@ -50,19 +50,7 @@ func (e *Engine) handleGrant(g *wire.Grant) {
 		// The family is gone (aborted while queued): hand the lock straight
 		// back so no one waits on a ghost holder.
 		e.mu.Unlock()
-		rel := &wire.ReleaseReq{
-			Family: g.Family,
-			Site:   e.self,
-			Shard:  g.Shard,
-			Rels:   []gdo.ObjectRelease{{Obj: g.Obj}},
-		}
-		if e.cfg.Route != nil {
-			// Handlers must not block; the routed hand-back needs its own
-			// proc for the adopt-and-retry loop.
-			e.env.Go(func() { _, _ = e.cfg.Route.Call(int(g.Shard), rel) })
-		} else {
-			_ = e.env.Send(e.cfg.HomeFn(g.Obj), rel)
-		}
+		e.handBack(g.Family, g.Obj, g.Shard)
 		return
 	}
 	entry := fam.entries[g.Obj]
@@ -116,64 +104,30 @@ func (e *Engine) handleAbort(a *wire.Abort) {
 	}
 }
 
-// handleFetch serves legacy single-object Alg 4.5 gather requests (older
-// peers over TCP) through the same xfer serving path as the batched form.
-func (e *Engine) handleFetch(req *wire.FetchReq) wire.Msg {
-	reply := xfer.ServeFetch(e.cfg.Store, e.cfg.Rec, &wire.MultiFetchReq{
-		Demand: req.Demand,
-		Objs:   []wire.ObjPages{{Obj: req.Obj, Pages: req.Pages}},
-	})
-	resp, ok := reply.(*wire.MultiFetchResp)
-	if !ok {
-		return reply // ErrResp
-	}
-	out := &wire.FetchResp{Obj: req.Obj}
-	if len(resp.Objs) == 1 {
-		out.Pages = resp.Objs[0].Pages
-	}
-	return out
-}
-
-// handlePush installs legacy single-object RC pushes through the batched
-// apply path.
-func (e *Engine) handlePush(req *wire.PushReq) wire.Msg {
-	return xfer.ApplyPush(e.cfg.Store, e.cfg.Rec, &wire.MultiPushReq{
-		Objs: []wire.ObjPayload{{Obj: req.Obj, Pages: req.Pages}},
-	})
-}
-
 // GDO-serving handlers (active when cfg.Dir is set).
 
 func (e *Engine) handleGDOAcquire(req *wire.AcquireReq) wire.Msg {
 	if e.cfg.Dir == nil {
 		return &wire.ErrResp{Msg: "node: not a GDO host"}
 	}
-	res, events, err := e.cfg.Dir.Acquire(req.Obj, req.Ref, req.Family, req.Age, req.Site, req.Mode)
+	resp, events, err := directory.ServeAcquire(e.cfg.Dir, req)
 	if err != nil {
 		return &wire.ErrResp{Msg: err.Error()}
 	}
 	e.routeEvents(events)
-	return &wire.AcquireResp{
-		Obj:        req.Obj,
-		Status:     res.Status,
-		Mode:       res.Mode,
-		NumPages:   int32(res.NumPages),
-		Shard:      req.Shard,
-		PageMap:    res.PageMap,
-		LastWriter: res.LastWriter,
-	}
+	return resp
 }
 
 func (e *Engine) handleGDORelease(req *wire.ReleaseReq) wire.Msg {
 	if e.cfg.Dir == nil {
 		return &wire.ErrResp{Msg: "node: not a GDO host"}
 	}
-	events, stamps, err := e.cfg.Dir.Release(req.Family, req.Site, req.Commit, req.Rels)
+	resp, events, err := directory.ServeRelease(e.cfg.Dir, req)
 	if err != nil {
 		return &wire.ErrResp{Msg: err.Error()}
 	}
 	e.routeEvents(events)
-	return &wire.ReleaseResp{Shard: req.Shard, Stamps: stamps}
+	return resp
 }
 
 func (e *Engine) handleGDOCopySet(req *wire.CopySetReq) wire.Msg {
@@ -203,29 +157,9 @@ func (e *Engine) handleGDORegister(req *wire.RegisterReq) wire.Msg {
 
 // routeEvents ships deferred directory decisions to the affected sites:
 // "Send the list pointed to by HolderPtr and the page map to the new
-// holder's site" (Alg 4.4), plus deadlock-abort notifications.
+// holder's site" (Alg 4.4), plus deadlock-abort notifications and recalls.
 func (e *Engine) routeEvents(events []gdo.Event) {
 	for _, ev := range events {
-		switch ev.Kind {
-		case gdo.EventGrant:
-			_ = e.env.Send(ev.Site, &wire.Grant{
-				Obj:        ev.Obj,
-				Family:     ev.Family,
-				Mode:       ev.Mode,
-				Upgrade:    ev.Upgrade,
-				NumPages:   int32(ev.NumPages),
-				LastWriter: ev.LastWriter,
-				Shard:      ev.Shard,
-				Reqs:       ev.Reqs,
-				PageMap:    ev.PageMap,
-			})
-		case gdo.EventDeadlockAbort:
-			_ = e.env.Send(ev.Site, &wire.Abort{
-				Obj:    ev.Obj,
-				Family: ev.Family,
-				Shard:  ev.Shard,
-				Reqs:   ev.Reqs,
-			})
-		}
+		_ = e.env.Send(ev.Site, directory.EventMsg(ev))
 	}
 }

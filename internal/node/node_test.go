@@ -249,14 +249,15 @@ func TestHandleFetchMissingPage(t *testing.T) {
 	cls := r.addClass(t)
 	r.createObject(t, 1, cls.ID, 1)
 	// Node 2 has no resident pages: fetching from it must error.
-	reply := r.engines[2].Handle(1, &wire.FetchReq{Obj: 1, Pages: []ids.PageNum{0}})
+	fetch := &wire.MultiFetchReq{Objs: []wire.ObjPages{{Obj: 1, Pages: []ids.PageNum{0}}}}
+	reply := r.engines[2].Handle(1, fetch)
 	if _, ok := reply.(*wire.ErrResp); !ok {
 		t.Errorf("reply = %T, want ErrResp", reply)
 	}
 	// Fetching resident pages from the owner succeeds.
-	reply = r.engines[1].Handle(2, &wire.FetchReq{Obj: 1, Pages: []ids.PageNum{0}})
-	fr, ok := reply.(*wire.FetchResp)
-	if !ok || len(fr.Pages) != 1 || fr.Pages[0].Version != 1 {
+	reply = r.engines[1].Handle(2, fetch)
+	fr, ok := reply.(*wire.MultiFetchResp)
+	if !ok || len(fr.Objs) != 1 || len(fr.Objs[0].Pages) != 1 || fr.Objs[0].Pages[0].Version != 1 {
 		t.Errorf("reply = %+v", reply)
 	}
 }
@@ -269,7 +270,10 @@ func TestHandlePushVersionRules(t *testing.T) {
 	newData := bytes.Repeat([]byte{7}, 64)
 
 	// Older or equal versions are ignored.
-	reply := eng.Handle(2, &wire.PushReq{Obj: 1, Pages: []wire.PagePayload{{Page: 0, Version: 1, Data: newData}}})
+	push := func(version uint64) *wire.MultiPushReq {
+		return &wire.MultiPushReq{Objs: []wire.ObjPayload{{Obj: 1, Pages: []wire.PagePayload{{Page: 0, Version: version, Data: newData}}}}}
+	}
+	reply := eng.Handle(2, push(1))
 	if _, ok := reply.(*wire.PushResp); !ok {
 		t.Fatalf("reply = %T", reply)
 	}
@@ -278,7 +282,7 @@ func TestHandlePushVersionRules(t *testing.T) {
 		t.Error("equal-version push should be ignored")
 	}
 	// Newer versions install.
-	reply = eng.Handle(2, &wire.PushReq{Obj: 1, Pages: []wire.PagePayload{{Page: 0, Version: 5, Data: newData}}})
+	reply = eng.Handle(2, push(5))
 	if _, ok := reply.(*wire.PushResp); !ok {
 		t.Fatalf("reply = %T", reply)
 	}

@@ -29,6 +29,9 @@ type threadNet struct {
 	wg       sync.WaitGroup
 	crashed  map[ids.NodeID]bool
 	buffered []bufferedSend
+	// tap, when set before traffic starts, sees every message on the
+	// goroutine about to deliver it and may hold it there.
+	tap func(from, to ids.NodeID, m wire.Msg)
 }
 
 type bufferedSend struct {
@@ -118,6 +121,9 @@ func (e *threadEnv) Call(to ids.NodeID, m wire.Msg) (wire.Msg, error) {
 	if h == nil {
 		return nil, transport.ErrNoHandler
 	}
+	if e.net.tap != nil {
+		e.net.tap(e.self, to, m)
+	}
 	return h(e.self, m), nil
 }
 
@@ -132,6 +138,9 @@ func (e *threadEnv) Send(to ids.NodeID, m wire.Msg) error {
 	e.net.wg.Add(1)
 	go func() {
 		defer e.net.wg.Done()
+		if e.net.tap != nil {
+			e.net.tap(e.self, to, m)
+		}
 		h(e.self, m)
 	}()
 	return nil
@@ -174,14 +183,24 @@ func (f *chanFuture) Wait() (any, error) {
 // homed at node 1.
 func newThreadCluster(t *testing.T, net *threadNet, nodes int) map[ids.NodeID]*node.Engine {
 	t.Helper()
-	const obj = ids.ObjectID(1)
-	dir := gdo.New(nodes)
+	engines, _ := newThreadClusterOn(t, net, gdo.New(nodes), nodes, 1, nil)
+	return engines
+}
+
+// newThreadClusterOn is newThreadCluster over a directory of the caller's
+// making, with counter objects 1..objects homed at node 1. Besides set and
+// get the class has "then", which increments the counter like set and then
+// invokes set on the object its one-byte argument names; before that it
+// calls hook (when non-nil) with the Ctx.
+func newThreadClusterOn(t *testing.T, net *threadNet, dir *gdo.Directory, nodes, objects int, hook func(*node.Ctx)) (map[ids.NodeID]*node.Engine, *schema.Class) {
+	t.Helper()
 	schemas := schema.NewRegistry(64)
 	methods := node.NewMethodTable()
 	cls, err := schema.NewClassBuilder(1, "C").
 		Attr("a", 8).
 		Method(schema.MethodSpec{Name: "set", Writes: []string{"a"}}).
 		Method(schema.MethodSpec{Name: "get", Reads: []string{"a"}}).
+		Method(schema.MethodSpec{Name: "then", Writes: []string{"a"}}).
 		Build()
 	if err != nil {
 		t.Fatal(err)
@@ -208,6 +227,22 @@ func newThreadCluster(t *testing.T, net *threadNet, nodes int) map[ids.NodeID]*n
 	}); err != nil {
 		t.Fatal(err)
 	}
+	if err := methods.Register(cls, "then", func(ctx *node.Ctx) error {
+		b, err := ctx.ReadAt("a", 0, 1)
+		if err != nil {
+			return err
+		}
+		if err := ctx.Write("a", []byte{b[0] + 1, 0, 0, 0, 0, 0, 0, 0}); err != nil {
+			return err
+		}
+		if hook != nil {
+			hook(ctx)
+		}
+		_, err = ctx.Invoke(ids.ObjectID(ctx.Arg()[0]), "set", nil)
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
 	engines := make(map[ids.NodeID]*node.Engine)
 	for i := 1; i <= nodes; i++ {
 		id := ids.NodeID(i)
@@ -227,15 +262,17 @@ func newThreadCluster(t *testing.T, net *threadNet, nodes int) map[ids.NodeID]*n
 		engines[id] = eng
 		net.setHandler(id, eng.Handle)
 	}
-	if err := dir.Register(obj, 1, 1); err != nil {
-		t.Fatal(err)
-	}
-	for _, eng := range engines {
-		if err := eng.RegisterObject(obj, cls.ID, 1); err != nil {
+	for obj := ids.ObjectID(1); int(obj) <= objects; obj++ {
+		if err := dir.Register(obj, 1, 1); err != nil {
 			t.Fatal(err)
 		}
+		for _, eng := range engines {
+			if err := eng.RegisterObject(obj, cls.ID, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	return engines
+	return engines, cls
 }
 
 // TestConcurrentGrantAndAcquireStress hammers one object from several

@@ -78,6 +78,9 @@ type GDOServer struct {
 // have the retry layer enabled, and a retransmitted acquire/release must
 // observe the first execution's reply, not run twice. With no retries in
 // play the cache is a pure pass-through (request IDs stay zero).
+//
+// The directory retains grants at sites (gdo/retain.go): over real sockets
+// the acquire round trip a repeat root skips is most of its cost.
 func NewGDOServer(topo Topology) *GDOServer {
 	p := topo.Placement()
 	s := &GDOServer{
@@ -85,6 +88,7 @@ func NewGDOServer(topo Topology) *GDOServer {
 		dir:  directory.NewSharded(p.Shards, p.Nodes),
 		cur:  topo.InitialMap(),
 	}
+	s.dir.SetRetainGrants(true)
 	s.net = NewTCPNet(topo.GDONode(), topo.addrMap())
 	s.net.SetHandler(fault.NewDedup().Wrap(s.handle))
 	return s
@@ -128,28 +132,19 @@ func (s *GDOServer) redirect(epoch uint64, obj ids.ObjectID, shard int32) wire.M
 
 func (s *GDOServer) staleEpoch(epoch uint64) bool { return epoch != 0 && epoch != s.cur.Epoch }
 
-// handle serves the directory protocol. The event routing mirrors
-// node.Engine.routeEvents.
+// handle serves the directory protocol.
 func (s *GDOServer) handle(from ids.NodeID, m wire.Msg) wire.Msg {
 	switch req := m.(type) {
 	case *wire.AcquireReq:
 		if rr := s.redirect(req.Epoch, req.Obj, req.Shard); rr != nil {
 			return rr
 		}
-		res, events, err := s.dir.Acquire(req.Obj, req.Ref, req.Family, req.Age, req.Site, req.Mode)
+		resp, events, err := directory.ServeAcquire(s.dir, req)
 		if err != nil {
 			return &wire.ErrResp{Msg: err.Error()}
 		}
 		s.route(events)
-		return &wire.AcquireResp{
-			Obj:        req.Obj,
-			Status:     res.Status,
-			Mode:       res.Mode,
-			NumPages:   int32(res.NumPages),
-			LastWriter: res.LastWriter,
-			Shard:      req.Shard,
-			PageMap:    res.PageMap,
-		}
+		return resp
 	case *wire.ReleaseReq:
 		// The epoch is checked for the batch, not only per object: an empty
 		// committing batch — the commit point of a family that holds
@@ -162,12 +157,12 @@ func (s *GDOServer) handle(from ids.NodeID, m wire.Msg) wire.Msg {
 				return rr
 			}
 		}
-		events, stamps, err := s.dir.Release(req.Family, req.Site, req.Commit, req.Rels)
+		resp, events, err := directory.ServeRelease(s.dir, req)
 		if err != nil {
 			return &wire.ErrResp{Msg: err.Error()}
 		}
 		s.route(events)
-		return &wire.ReleaseResp{Shard: req.Shard, Stamps: stamps}
+		return resp
 	case *wire.CopySetReq:
 		sets := make([]wire.CopySet, 0, len(req.Objs))
 		for _, obj := range req.Objs {
@@ -191,27 +186,7 @@ func (s *GDOServer) handle(from ids.NodeID, m wire.Msg) wire.Msg {
 
 func (s *GDOServer) route(events []gdo.Event) {
 	for _, ev := range events {
-		switch ev.Kind {
-		case gdo.EventGrant:
-			_ = s.net.Send(ev.Site, &wire.Grant{
-				Obj:        ev.Obj,
-				Family:     ev.Family,
-				Mode:       ev.Mode,
-				Upgrade:    ev.Upgrade,
-				NumPages:   int32(ev.NumPages),
-				LastWriter: ev.LastWriter,
-				Shard:      ev.Shard,
-				Reqs:       ev.Reqs,
-				PageMap:    ev.PageMap,
-			})
-		case gdo.EventDeadlockAbort:
-			_ = s.net.Send(ev.Site, &wire.Abort{
-				Obj:    ev.Obj,
-				Family: ev.Family,
-				Shard:  ev.Shard,
-				Reqs:   ev.Reqs,
-			})
-		}
+		_ = s.net.Send(ev.Site, directory.EventMsg(ev))
 	}
 }
 

@@ -5,12 +5,16 @@ import (
 	"flag"
 	"fmt"
 	"reflect"
+	"regexp"
+	"sort"
+	"strings"
 	"testing"
 	"time"
 
 	"lotec/internal/core"
 	"lotec/internal/fault"
 	"lotec/internal/ids"
+	"lotec/internal/stats"
 	"lotec/internal/workload"
 )
 
@@ -166,15 +170,92 @@ func runChaosWorkloadIn(t *testing.T, seed uint64, w *Workload, clusterCfg Confi
 	if err := c.VerifyPageMapCoherence(); err != nil {
 		t.Errorf("page map incoherent: %v\n%s", err, chaosRepro(seed))
 	}
-	if dump := c.DirectoryDump(); dump != "" {
-		t.Errorf("directory lock tables not drained:\n%s\n%s", dump, chaosRepro(seed))
+	// With retention on a drained cluster still has its idle site holds,
+	// each known to exactly the site the directory names.
+	dirDump := c.DirectoryDump()
+	var held, retained []string
+	if clusterCfg.RetainGrants {
+		dirDump, held = withoutIdleRetention(dirDump, 0)
+	}
+	if dirDump != "" {
+		t.Errorf("directory lock tables not drained:\n%s\n%s", dirDump, chaosRepro(seed))
 	}
 	for n := 1; n <= w.Cfg.Nodes; n++ {
-		if dump := c.Engine(ids.NodeID(n)).DebugDump(); dump != "" {
+		dump := c.Engine(ids.NodeID(n)).DebugDump()
+		if clusterCfg.RetainGrants {
+			var here []string
+			dump, here = withoutIdleRetention(dump, n)
+			retained = append(retained, here...)
+		}
+		if dump != "" {
 			t.Errorf("node %d engine state not drained:\n%s\n%s", n, dump, chaosRepro(seed))
 		}
 	}
+	sort.Strings(held)
+	sort.Strings(retained)
+	if !reflect.DeepEqual(held, retained) {
+		t.Errorf("directory's site holds %v, sites retain %v\n%s", held, retained, chaosRepro(seed))
+	}
 	return c
+}
+
+// Idle retention in the two dumps: a directory entry whose only holder is a
+// site hold, and an engine's retained grant no family is using. A site may
+// also be left with the mark of a recall that came after the grant it was
+// for had gone (a delayed message does that); it holds no grant.
+var (
+	idleSiteHold = regexp.MustCompile(`^(O\d+) state=\S+ sitehold\{site=node\((\d+)\) mode=(\w)\}$`)
+	idleRetained = regexp.MustCompile(`^node node\((\d+)\) retained\{(O\d+) mode=(\w) user=tx\(-\) releasing=false recalled=false adopting=false\}$`)
+	lateRecall   = regexp.MustCompile(`^node node\(\d+\) retained\{O\d+ mode=mode\(0\) user=tx\(-\) releasing=false recalled=true adopting=false\}$`)
+)
+
+// withoutIdleRetention strips the lines of idle retention (and the shard
+// headers left with nothing under them) from a directory dump (node 0) or
+// an engine's, and returns them as "object@site/mode" keys.
+func withoutIdleRetention(dump string, node int) (rest string, keys []string) {
+	var kept []string
+	for _, line := range strings.Split(strings.TrimRight(dump, "\n"), "\n") {
+		if m := idleSiteHold.FindStringSubmatch(line); m != nil && node == 0 {
+			keys = append(keys, fmt.Sprintf("%s@%s/%s", m[1], m[2], m[3]))
+		} else if m := idleRetained.FindStringSubmatch(line); m != nil && m[1] == fmt.Sprint(node) {
+			keys = append(keys, fmt.Sprintf("%s@%s/%s", m[2], m[1], m[3]))
+		} else if line != "" && !lateRecall.MatchString(line) {
+			kept = append(kept, line)
+		}
+	}
+	for i := 0; i < len(kept); i++ {
+		last := i == len(kept)-1
+		if strings.HasPrefix(kept[i], "shard ") && (last || strings.HasPrefix(kept[i+1], "shard ")) {
+			kept = append(kept[:i], kept[i+1:]...)
+			i--
+		}
+	}
+	if len(kept) == 0 {
+		return "", keys
+	}
+	return strings.Join(kept, "\n") + "\n", keys
+}
+
+// retainWorkload is chaosWorkload shaped so that retention has something to
+// retain: twice the roots, three in four of them run at the owner of their
+// object (runs of grants to one site, so the directory keeps), the fourth
+// wherever the generator put it (so it recalls). Children still go
+// anywhere, which is what makes a family running on a retained grant wait
+// elsewhere — the adopt path.
+func retainWorkload(t *testing.T, seed int64) *Workload {
+	t.Helper()
+	cfg := chaosWorkload(seed)
+	cfg.Transactions = 40
+	w, err := GenerateWorkload(cfg)
+	if err != nil {
+		t.Fatalf("generate: %v", err)
+	}
+	for i := range w.Roots {
+		if i%4 != 3 {
+			w.Roots[i].Node = w.Objects[w.Roots[i].Call.ObjIndex].Owner
+		}
+	}
+	return w
 }
 
 func TestChaos(t *testing.T) {
@@ -195,6 +276,7 @@ func TestChaos(t *testing.T) {
 	}
 
 	runs := 0
+	var recalls, retained int
 	for _, seed := range seeds {
 		seed := seed
 		for _, planName := range chaosPlans {
@@ -205,8 +287,22 @@ func TestChaos(t *testing.T) {
 				t.Run(fmt.Sprintf("seed=%d/%s/%s", seed, planName, proto.Name()), func(t *testing.T) {
 					runChaosOne(t, seed, planName, proto)
 				})
+				// The same cell with site-retained grants on.
+				t.Run(fmt.Sprintf("seed=%d/%s/%s/retain", seed, planName, proto.Name()), func(t *testing.T) {
+					plan, err := fault.Parse(planName, seed)
+					if err != nil {
+						t.Fatalf("preset %q: %v", planName, err)
+					}
+					c := runChaosWorkloadIn(t, seed, retainWorkload(t, int64(seed)),
+						Config{Protocol: proto, Faults: plan, MaxRetries: 100, RetainGrants: true})
+					r, k := retentionSeen(c)
+					recalls, retained = recalls+r, retained+k
+				})
 			}
 		}
+	}
+	if recalls == 0 || retained == 0 {
+		t.Errorf("retain legs saw %d recalls and ended with %d retained grants: they never exercised retention", recalls, retained)
 	}
 	// The smoke matrix is the acceptance bar: the default sweep must stay
 	// at or above 200 runs. (Replay and -short modes are exempt — they
@@ -214,6 +310,21 @@ func TestChaos(t *testing.T) {
 	if *chaosSeed < 0 && !testing.Short() && runs < 200 {
 		t.Fatalf("chaos smoke matrix shrank to %d runs; keep it >= 200", runs)
 	}
+}
+
+// retentionSeen counts the recalls a finished cluster's trace holds and the
+// grants its sites still retain.
+func retentionSeen(c *Cluster) (recalls, retained int) {
+	for _, m := range c.Recorder().Trace() {
+		if m.Kind == stats.KindRecall {
+			recalls++
+		}
+	}
+	for n := 1; n <= c.Nodes(); n++ {
+		_, keys := withoutIdleRetention(c.Engine(ids.NodeID(n)).DebugDump(), n)
+		retained += len(keys)
+	}
+	return recalls, retained
 }
 
 // chaosZipfSpec is the skewed chaos cell: a Zipf-rate, Zipf-object client

@@ -95,6 +95,12 @@ type Config struct {
 	// host nodes (each host backs up its ring predecessor's shards)
 	// instead of the default all-primaries-on-host-1 layout.
 	SpreadShards bool
+	// RetainGrants turns on site-retained grants in the directory
+	// (gdo/retain.go): a committing release leaves the lock with a site
+	// that keeps using the object, and the site's next roots skip the
+	// acquire round trip. Default false — the paper has no such mechanism,
+	// and its figures must not move; the TCP directory server has it on.
+	RetainGrants bool
 }
 
 // withDefaults fills unset fields.
@@ -184,6 +190,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		engines: make(map[ids.NodeID]*node.Engine, cfg.Nodes),
 		stores:  make(map[ids.NodeID]*pstore.Store, cfg.Nodes),
 	}
+	c.dir.SetRetainGrants(cfg.RetainGrants)
 	// With a dedicated directory the GDO lives on an extra simulated node
 	// (like the TCP deployment's standalone GDO process), so the network
 	// has one env beyond the data sites and every directory op is a real
@@ -226,6 +233,8 @@ func NewCluster(cfg Config) (*Cluster, error) {
 			Place: c.place,
 			Map:   c.initialMap,
 			Rec:   c.rec,
+
+			RetainGrants: cfg.RetainGrants,
 		})
 		c.hosts[id] = h
 		c.net.SetAsyncHandler(id, h.Handler())

@@ -101,7 +101,46 @@ func TestReplicatedWorkload(t *testing.T) {
 					cfg.SpreadShards = spread
 					runChaosWorkloadIn(t, seed, w, cfg)
 				})
+				// Site holds, keeps, recalls and adopts through the op log
+				// and both replicas.
+				t.Run(fmt.Sprintf("seed=%d/%s/spread=%v/retain", seed, planName, spread), func(t *testing.T) {
+					plan, err := fault.Parse(planName, seed)
+					if err != nil {
+						t.Fatalf("preset %q: %v", planName, err)
+					}
+					cfg := replicatedConfig(core.LOTEC, 2, plan)
+					cfg.SpreadShards, cfg.RetainGrants = spread, true
+					c := runChaosWorkloadIn(t, seed, retainWorkload(t, int64(seed)), cfg)
+					if planName == "none" {
+						// (Under a fault plan a primary may have declared its
+						// backup down and gone on alone.)
+						assertBackupsAgree(t, c)
+					}
+				})
 			}
+		}
+	}
+}
+
+// assertBackupsAgree: every live backup's directory exports the same bytes
+// as its primary's — site holds and grant streaks included, or a promotion
+// would disagree with the sites about what they retain.
+func assertBackupsAgree(t *testing.T, c *Cluster) {
+	t.Helper()
+	m := c.CurrentMap()
+	for s := 0; s < m.NumShards(); s++ {
+		if m.Backup[s] == ids.NoNode {
+			continue
+		}
+		primary, _, pok := c.Host(m.Primary[s]).ReplicaDir(s)
+		backup, _, bok := c.Host(m.Backup[s]).ReplicaDir(s)
+		if !pok || !bok {
+			t.Errorf("shard %d: a replica is missing (primary %v, backup %v)", s, pok, bok)
+			continue
+		}
+		if !bytes.Equal(primary.Export(), backup.Export()) {
+			t.Errorf("shard %d: backup's directory differs from the primary's:\n%s---\n%s",
+				s, primary.DebugDump(), backup.DebugDump())
 		}
 	}
 }
@@ -117,12 +156,21 @@ func TestReplicatedPrimaryKill(t *testing.T) {
 		seeds = []uint64{1}
 	}
 	for _, seed := range seeds {
-		for _, spread := range []bool{false, true} {
-			seed, spread := seed, spread
-			t.Run(fmt.Sprintf("seed=%d/spread=%v", seed, spread), func(t *testing.T) {
+		for _, leg := range []struct{ spread, retain bool }{{false, false}, {true, false}, {false, true}, {true, true}} {
+			seed, spread, retain := seed, leg.spread, leg.retain
+			name := fmt.Sprintf("seed=%d/spread=%v", seed, spread)
+			if retain {
+				name += "/retain"
+			}
+			t.Run(name, func(t *testing.T) {
 				w, err := GenerateWorkload(chaosWorkload(int64(seed)))
 				if err != nil {
 					t.Fatalf("generate: %v", err)
+				}
+				if retain {
+					// The promoted backup must know every site hold the dead
+					// primary acknowledged, and recall for its waiters.
+					w = retainWorkload(t, int64(seed))
 				}
 				// Host 5 is the first control-plane host (4 data nodes);
 				// with spread=false it is primary of every shard, spread=true
@@ -132,7 +180,7 @@ func TestReplicatedPrimaryKill(t *testing.T) {
 					t.Fatal(err)
 				}
 				cfg := replicatedConfig(core.LOTEC, 2, plan)
-				cfg.SpreadShards = spread
+				cfg.SpreadShards, cfg.RetainGrants = spread, retain
 				c := runChaosWorkloadIn(t, seed, w, cfg)
 
 				if got := c.CurrentMap().Epoch; got < 2 {

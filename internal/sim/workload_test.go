@@ -110,13 +110,30 @@ func TestWorkloadDeterministicTraceSameProtocol(t *testing.T) {
 // commit order on a fresh single-threaded cluster and compare every
 // object's final bytes.
 func TestWorkloadSerialEquivalence(t *testing.T) {
+	// The replay itself never retains: it is the reference.
+	t.Run("paper", func(t *testing.T) { serialEquivalence(t, false) })
+	t.Run("retain", func(t *testing.T) { serialEquivalence(t, true) })
+}
+
+func serialEquivalence(t *testing.T, retain bool) {
 	w, err := GenerateWorkload(smallWorkload(21))
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, objs, err := w.Execute(Config{Protocol: core.LOTEC})
+	if retain {
+		// Roots mostly at the owner of their object: grants to retain.
+		for i := range w.Roots {
+			if i%4 != 3 {
+				w.Roots[i].Node = w.Objects[w.Roots[i].Call.ObjIndex].Owner
+			}
+		}
+	}
+	c, objs, err := w.Execute(Config{Protocol: core.LOTEC, RetainGrants: retain})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if recalls, retained := retentionSeen(c); retain && (recalls == 0 || retained == 0) {
+		t.Fatalf("%d recalls, %d grants retained at the end: the run never exercised retention", recalls, retained)
 	}
 	for _, r := range c.Results() {
 		if r.Err != nil {

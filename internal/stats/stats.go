@@ -29,9 +29,9 @@ const (
 	KindGrant                        // deferred grant GDO → site
 	KindRelease                      // global release → GDO (dirty info piggybacked)
 	KindReleaseReply
-	KindFetchReq  // page fetch request (Alg 4.5 gather)
-	KindPageData  // page payload reply
-	KindPush      // RC eager update push
+	KindFetchReq  // retired with the single-object fetch; the number stays
+	KindPageData  // retired with the single-object fetch reply; the number stays
+	KindPush      // retired with the single-object RC push; the number stays
 	KindPushReply // RC push acknowledgement
 	KindAbort     // deadlock-abort notification
 	KindRegister  // object registration → GDO (server mode)
@@ -60,6 +60,7 @@ const (
 	// benchmark/ still names them in its control-kind table.
 	KindCommitSeq
 	KindCommitSeqReply
+	KindRecall // directory → site: hand a site-retained grant back
 )
 
 // String implements fmt.Stringer.
@@ -125,6 +126,8 @@ func (k MsgKind) String() string {
 		return "commit-seq"
 	case KindCommitSeqReply:
 		return "commit-seq-reply"
+	case KindRecall:
+		return "recall"
 	default:
 		return "other"
 	}

@@ -14,15 +14,15 @@ import (
 // poisons frames and the runtime's instrumentation shifts allocation
 // behavior.
 
-func allocFixture() (Envelope, *FetchResp) {
+func allocFixture() (Envelope, *MultiFetchResp) {
 	page := make([]byte, 256)
 	for i := range page {
 		page[i] = byte(i)
 	}
-	return Envelope{ReqID: 42, From: 1, To: 2}, &FetchResp{
+	return Envelope{ReqID: 42, From: 1, To: 2}, &MultiFetchResp{Objs: []ObjPayload{{
 		Obj:   ids.ObjectID(7),
 		Pages: []PagePayload{{Page: 3, Version: 9, Data: page}},
-	}
+	}}}
 }
 
 func TestAllocsFramePool(t *testing.T) {
@@ -69,9 +69,10 @@ func TestAllocsReadFrame(t *testing.T) {
 	}
 }
 
-// TestAllocsDecodeView pins the per-message decode cost at exactly its two
-// inherent escapes — the message struct and its payload-header slice. Page
-// bytes alias the frame and must not contribute.
+// TestAllocsDecodeView pins the per-message decode cost at exactly its three
+// inherent escapes — the message struct, its per-object list and that
+// object's payload-header slice. Page bytes alias the frame and must not
+// contribute.
 func TestAllocsDecodeView(t *testing.T) {
 	if framePoison {
 		t.Skip("race build: poison pass changes the steady state under test")
@@ -82,7 +83,7 @@ func TestAllocsDecodeView(t *testing.T) {
 		if _, _, err := DecodeView(encoded); err != nil {
 			t.Fatal(err)
 		}
-	}); n > 2 {
-		t.Errorf("DecodeView allocates %.2f/op, want ≤ 2 (message struct + payload headers)", n)
+	}); n > 3 {
+		t.Errorf("DecodeView allocates %.2f/op, want ≤ 3 (message struct + object list + payload headers)", n)
 	}
 }

@@ -44,18 +44,8 @@ func Classify(m Msg) stats.MsgRecord {
 		rec.Kind, rec.Obj, rec.Shard = stats.KindGrant, t.Obj, int(t.Shard)
 	case *Abort:
 		rec.Kind, rec.Obj, rec.Shard = stats.KindAbort, t.Obj, int(t.Shard)
-	case *FetchReq:
-		rec.Kind, rec.Obj = stats.KindFetchReq, t.Obj
-	case *FetchResp:
-		rec.Kind, rec.Obj = stats.KindPageData, t.Obj
-		for _, pg := range t.Pages {
-			rec.Payload += len(pg.Data)
-		}
-	case *PushReq:
-		rec.Kind, rec.Obj = stats.KindPush, t.Obj
-		for _, pg := range t.Pages {
-			rec.Payload += len(pg.Data)
-		}
+	case *Recall:
+		rec.Kind, rec.Obj, rec.Shard = stats.KindRecall, t.Obj, int(t.Shard)
 	case *PushResp:
 		rec.Kind = stats.KindPushReply
 	case *CopySetReq:

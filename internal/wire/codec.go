@@ -281,6 +281,10 @@ func decode(buf []byte, view bool) (Envelope, Msg, error) {
 	return env, m, nil
 }
 
+// adoptFlag is AcquireReq.Adopt's bit in the mode byte; lock modes are 1
+// and 2.
+const adoptFlag = 0x80
+
 // Body encoders/decoders. Each pair must mirror the other exactly; the test
 // suite round-trips every type and cross-checks Size.
 
@@ -296,7 +300,11 @@ func (m *AcquireReq) encodeBody(w *writer) {
 	w.u64(uint64(m.Family))
 	w.u64(m.Age)
 	w.i32(int32(m.Site))
-	w.u8(uint8(m.Mode))
+	mode := uint8(m.Mode)
+	if m.Adopt {
+		mode |= adoptFlag
+	}
+	w.u8(mode)
 	w.i32(m.Shard)
 	if m.Epoch != 0 {
 		w.u64(m.Epoch)
@@ -311,7 +319,8 @@ func (m *AcquireReq) decodeBody(r *reader) {
 	m.Family = ids.FamilyID(r.u64())
 	m.Age = r.u64()
 	m.Site = ids.NodeID(r.i32())
-	m.Mode = o2pl.Mode(r.u8())
+	mode := r.u8()
+	m.Mode, m.Adopt = o2pl.Mode(mode&^adoptFlag), mode&adoptFlag != 0
 	m.Shard = r.i32()
 	// Trailing optional epoch section: present iff body bytes remain.
 	if r.err == nil && r.off < len(r.buf) {
@@ -398,6 +407,12 @@ func (m *ReleaseResp) encodeBody(w *writer) {
 		w.i32(int32(s.Page))
 		w.u64(s.Version)
 	}
+	if len(m.Kept) > 0 {
+		w.u32(uint32(len(m.Kept)))
+		for _, o := range m.Kept {
+			w.i64(int64(o))
+		}
+	}
 }
 
 //lotec:noalloc
@@ -410,6 +425,16 @@ func (m *ReleaseResp) decodeBody(r *reader) {
 			Page:    ids.PageNum(r.i32()),
 			Version: r.u64(),
 		})
+	}
+	// Trailing optional kept section: present iff body bytes remain.
+	if r.err == nil && r.off < len(r.buf) {
+		n = r.count()
+		if n == 0 && r.err == nil {
+			r.err = fmt.Errorf("wire: empty kept section") //lotec:alloc-ok — malformed frame poisons the reader
+		}
+		for i := 0; i < n && r.err == nil; i++ {
+			m.Kept = append(m.Kept, ids.ObjectID(r.i64()))
+		}
 	}
 }
 
@@ -473,26 +498,18 @@ func (m *Abort) decodeBody(r *reader) {
 	}
 }
 
-func (m *FetchReq) encodeBody(w *writer) {
+//lotec:noalloc
+func (m *Recall) encodeBody(w *writer) {
 	w.i64(int64(m.Obj))
-	w.boolean(m.Demand)
-	w.u32(uint32(len(m.Pages)))
-	for _, p := range m.Pages {
-		w.i32(int32(p))
-	}
+	w.u64(uint64(m.Family))
+	w.i32(m.Shard)
 }
 
-func (m *FetchReq) decodeBody(r *reader) {
+//lotec:noalloc
+func (m *Recall) decodeBody(r *reader) {
 	m.Obj = ids.ObjectID(r.i64())
-	m.Demand = r.boolean()
-	n := r.count()
-	for i := 0; i < n && r.err == nil; i++ {
-		m.Pages = append(m.Pages, ids.PageNum(r.i32()))
-	}
-}
-
-func encodePages(w *writer, pages []PagePayload) {
-	encodePagesFlagged(w, pages, false)
+	m.Family = ids.FamilyID(r.u64())
+	m.Shard = r.i32()
 }
 
 // encodePagesFlagged writes the page list, optionally raising the
@@ -508,14 +525,6 @@ func encodePagesFlagged(w *writer, pages []PagePayload, flag bool) {
 		w.u64(p.Version)
 		w.bytes(p.Data)
 	}
-}
-
-func decodePages(r *reader) []PagePayload {
-	out, flag := decodePagesFlagged(r)
-	if flag && r.err == nil {
-		r.err = fmt.Errorf("wire: delta flag on a non-batched page list")
-	}
-	return out
 }
 
 func decodePagesFlagged(r *reader) ([]PagePayload, bool) {
@@ -573,26 +582,6 @@ func decodeDelta(r *reader) DeltaPage {
 		r.err = fmt.Errorf("wire: delta runs cover %d bytes, payload has %d", sum, len(d.Data))
 	}
 	return d
-}
-
-func (m *FetchResp) encodeBody(w *writer) {
-	w.i64(int64(m.Obj))
-	encodePages(w, m.Pages)
-}
-
-func (m *FetchResp) decodeBody(r *reader) {
-	m.Obj = ids.ObjectID(r.i64())
-	m.Pages = decodePages(r)
-}
-
-func (m *PushReq) encodeBody(w *writer) {
-	w.i64(int64(m.Obj))
-	encodePages(w, m.Pages)
-}
-
-func (m *PushReq) decodeBody(r *reader) {
-	m.Obj = ids.ObjectID(r.i64())
-	m.Pages = decodePages(r)
 }
 
 func (*PushResp) encodeBody(*writer) {}

@@ -92,8 +92,14 @@ func fill(v reflect.Value, ctr *int64) {
 // Shard field into the record's shard attribution.
 func TestEveryRegisteredTypeRoundTripsAndClassifies(t *testing.T) {
 	reg := registeredTypes(t)
-	if len(reg) != int(TAbortFamilyResp) {
-		t.Fatalf("newMsg constructs %d types; the MsgType enum defines %d", len(reg), int(TAbortFamilyResp))
+	// TRecall is the enum's last tag; tags 7–9 are retired holes.
+	if want := int(TRecall) - 3; len(reg) != want {
+		t.Fatalf("newMsg constructs %d types; the MsgType enum defines %d", len(reg), want)
+	}
+	for tag := MsgType(7); tag <= 9; tag++ {
+		if _, live := reg[tag]; live {
+			t.Errorf("retired tag %d decodes to a message again", tag)
+		}
 	}
 	for tag, proto := range reg {
 		ctr := int64(0)

@@ -156,10 +156,6 @@ func EncodeFrame(env Envelope, m Msg) []byte {
 // types carry no []byte payloads are untouched. Idempotent.
 func Retain(m Msg) {
 	switch t := m.(type) {
-	case *FetchResp:
-		retainPages(t.Pages)
-	case *PushReq:
-		retainPages(t.Pages)
 	case *MultiFetchResp:
 		retainObjPayloads(t.Objs)
 	case *MultiPushReq:

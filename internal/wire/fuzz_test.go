@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"lotec/internal/gdo"
 	"lotec/internal/ids"
 )
 
@@ -177,6 +178,23 @@ func FuzzDecode(f *testing.F) {
 		short := append([]byte(nil), buf...)
 		short[17] = 0xFF // corrupt bodyLen low byte
 		f.Add(short)
+	}
+
+	// Site-retained grants: an adopting acquire (the flag shares the mode
+	// byte), a release reply with and without the trailing kept section, and
+	// the recall itself.
+	retention := []Msg{
+		&AcquireReq{Obj: 9, Family: 4, Site: 3, Mode: 2, Adopt: true},
+		&AcquireReq{ReqID: 1<<42 + 11, Obj: 9, Family: 4, Site: 3, Mode: 1, Adopt: true, Epoch: 7},
+		&ReleaseResp{Shard: 1, Kept: []ids.ObjectID{9}},
+		&ReleaseResp{Stamps: []gdo.PageStamp{{Obj: 9, Page: 0, Version: 3}}, Kept: []ids.ObjectID{9, 12}},
+		&Recall{Obj: 9, Family: ids.SiteFamily(3), Shard: 1},
+	}
+	for _, m := range retention {
+		buf := Encode(Envelope{ReqID: 15, From: 3, To: 1}, m)
+		f.Add(buf)
+		f.Add(buf[:len(buf)-1])                          // truncated mid-body
+		f.Add(append(append([]byte(nil), buf...), 0, 0)) // trailing garbage
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {

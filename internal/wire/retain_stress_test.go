@@ -28,22 +28,22 @@ func TestViewRetainUnderFrameReuse(t *testing.T) {
 			payload := bytes.Repeat([]byte{tag}, 128)
 			env := Envelope{ReqID: uint64(tag), From: 1, To: 2}
 			for i := 0; i < iters; i++ {
-				msg := &FetchResp{
+				msg := &MultiFetchResp{Objs: []ObjPayload{{
 					Obj:   ids.ObjectID(tag),
 					Pages: []PagePayload{{Page: 1, Version: uint64(i), Data: payload}},
-				}
+				}}}
 				frame := EncodeFrame(env, msg)
 				_, m, err := DecodeView(frame[FrameHeadroom:])
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				resp := m.(*FetchResp)
+				resp := m.(*MultiFetchResp)
 				Retain(resp)
 				ReleaseFrame(frame)
 				// The frame is back in the shared pool; another goroutine may
 				// already be scribbling over it. The retained copy must hold.
-				if got := resp.Pages[0].Data; !bytes.Equal(got, payload) {
+				if got := resp.Objs[0].Pages[0].Data; !bytes.Equal(got, payload) {
 					t.Errorf("worker %d iter %d: retained payload corrupted after frame release", tag, i)
 					return
 				}

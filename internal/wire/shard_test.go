@@ -73,7 +73,7 @@ func TestShardClassify(t *testing.T) {
 		}
 	}
 	for _, m := range []Msg{
-		&FetchReq{Obj: 1}, &FetchResp{Obj: 1}, &PushReq{Obj: 1}, &PushResp{},
+		&MultiFetchReq{}, &MultiFetchResp{}, &MultiPushReq{}, &PushResp{},
 		&RunReq{Obj: 1}, &ErrResp{Msg: "x"},
 	} {
 		if rec := Classify(m); rec.Shard != stats.NoShard {

@@ -28,9 +28,9 @@ const (
 	TReleaseResp
 	TGrant
 	TAbort
-	TFetchReq
-	TFetchResp
-	TPushReq
+	_ // 7–9 were the single-object FetchReq, FetchResp and PushReq, retired
+	_ // for their Multi* forms; the numbers are not reused so that a frame
+	_ // from an old peer fails to decode instead of decoding as something else
 	TPushResp
 	TCopySetReq
 	TCopySetResp
@@ -57,6 +57,7 @@ const (
 	TWaitEdgeResp
 	TAbortFamilyReq
 	TAbortFamilyResp
+	TRecall
 )
 
 // HeaderSize is the envelope size: type(1) + reqID(8) + from(4) + to(4) +
@@ -148,6 +149,11 @@ type AcquireReq struct {
 	Age  uint64
 	Site ids.NodeID
 	Mode o2pl.Mode
+	// Adopt asks the directory to first rename the site hold Site retains
+	// on Obj (see Recall) to Family, so that the request is one by a family
+	// that already holds the lock. Encoded in a spare bit of the mode
+	// byte: requests without it stay byte-identical.
+	Adopt bool
 	// Shard addresses the directory partition owning Obj (0 under a
 	// single-partition directory). The requester computes it from the
 	// deployment's shared placement; the directory host dispatches on it
@@ -245,13 +251,25 @@ type ReleaseResp struct {
 	// Shard echoes the request's partition (stats attribution).
 	Shard  int32
 	Stamps []gdo.PageStamp
+	// Kept names the released objects whose lock the directory left with
+	// the releasing site as a site hold: the site may grant them to its
+	// next roots itself until a Recall. A trailing section present only
+	// when non-empty, so a reply that keeps nothing is byte-identical to
+	// the format without it.
+	Kept []ids.ObjectID
 }
 
 // Type implements Msg.
 func (*ReleaseResp) Type() MsgType { return TReleaseResp }
 
 // Size implements Msg.
-func (m *ReleaseResp) Size() int { return HeaderSize + 4 + 4 + sizeStamp*len(m.Stamps) }
+func (m *ReleaseResp) Size() int {
+	n := HeaderSize + 4 + 4 + sizeStamp*len(m.Stamps)
+	if len(m.Kept) > 0 {
+		n += 4 + 8*len(m.Kept)
+	}
+	return n
+}
 
 // Grant delivers a deferred lock grant to the new holder family's site:
 // the family's request list plus the page map (Alg 4.4's "Send the list
@@ -295,59 +313,26 @@ func (*Abort) Type() MsgType { return TAbort }
 // Size implements Msg.
 func (m *Abort) Size() int { return HeaderSize + 8 + 8 + 4 + 4 + sizeQueuedReq*len(m.Reqs) }
 
-// FetchReq asks a site for specific pages of one object (Alg 4.5 gather;
-// Demand marks a post-misprediction demand fetch).
-type FetchReq struct {
+// Recall tells a site that a request conflicting with the site hold it
+// retains on Obj is queued at the directory. One-way and sent once, like
+// Grant and Abort: the site hands the grant back with a non-committing
+// ReleaseReq under Family (the site's reserved family ID) when it is idle,
+// or adopts it for the local family using it.
+type Recall struct {
 	Obj    ids.ObjectID
-	Demand bool
-	Pages  []ids.PageNum
+	Family ids.FamilyID
+	// Shard is the directory partition holding the queue.
+	Shard int32
 }
 
 // Type implements Msg.
-func (*FetchReq) Type() MsgType { return TFetchReq }
+func (*Recall) Type() MsgType { return TRecall }
 
 // Size implements Msg.
-func (m *FetchReq) Size() int { return HeaderSize + 8 + 1 + 4 + 4*len(m.Pages) }
+func (*Recall) Size() int { return HeaderSize + 8 + 8 + 4 }
 
-// FetchResp returns the requested page payloads.
-type FetchResp struct {
-	Obj   ids.ObjectID
-	Pages []PagePayload
-}
-
-// Type implements Msg.
-func (*FetchResp) Type() MsgType { return TFetchResp }
-
-// Size implements Msg.
-func (m *FetchResp) Size() int {
-	n := HeaderSize + 8 + 4
-	for _, p := range m.Pages {
-		n += p.size()
-	}
-	return n
-}
-
-// PushReq eagerly pushes updated pages to a caching site (the Release
-// Consistency extension of §6).
-type PushReq struct {
-	Obj   ids.ObjectID
-	Pages []PagePayload
-}
-
-// Type implements Msg.
-func (*PushReq) Type() MsgType { return TPushReq }
-
-// Size implements Msg.
-func (m *PushReq) Size() int {
-	n := HeaderSize + 8 + 4
-	for _, p := range m.Pages {
-		n += p.size()
-	}
-	return n
-}
-
-// PushResp acknowledges a PushReq (pushes must land before the lock is
-// released).
+// PushResp acknowledges a MultiPushReq (pushes must land before the lock
+// is released).
 type PushResp struct{}
 
 // Type implements Msg.
@@ -602,12 +587,6 @@ func newMsg(t MsgType) (Msg, error) {
 		return &Grant{}, nil
 	case TAbort:
 		return &Abort{}, nil
-	case TFetchReq:
-		return &FetchReq{}, nil
-	case TFetchResp:
-		return &FetchResp{}, nil
-	case TPushReq:
-		return &PushReq{}, nil
 	case TPushResp:
 		return &PushResp{}, nil
 	case TCopySetReq:
@@ -660,6 +639,8 @@ func newMsg(t MsgType) (Msg, error) {
 		return &AbortFamilyReq{}, nil
 	case TAbortFamilyResp:
 		return &AbortFamilyResp{}, nil
+	case TRecall:
+		return &Recall{}, nil
 	default:
 		return nil, fmt.Errorf("%w: %d", ErrUnknownType, t)
 	}

@@ -24,6 +24,7 @@ func samples() []Msg {
 			{Obj: 1, Dirty: []ids.PageNum{0, 2}}, {Obj: 2}}},
 		&ReleaseReq{},
 		&ReleaseResp{Stamps: []gdo.PageStamp{{Obj: 1, Page: 2, Version: 5}}},
+		&ReleaseResp{Stamps: []gdo.PageStamp{{Obj: 1, Page: 2, Version: 5}}, Kept: []ids.ObjectID{1, 9}},
 		&ReleaseResp{},
 		&Grant{Obj: 4, Family: 8, Mode: o2pl.Write, Upgrade: true, NumPages: 5, LastWriter: 3,
 			Reqs:    []gdo.QueuedReq{{Ref: ids.TxRef{Tx: 11, Node: 3}, Mode: o2pl.Read}},
@@ -31,14 +32,8 @@ func samples() []Msg {
 		&Grant{},
 		&Abort{Obj: 4, Family: 8, Reqs: []gdo.QueuedReq{{Ref: ids.TxRef{Tx: 11, Node: 3}, Mode: o2pl.Write}}},
 		&Abort{},
-		&FetchReq{Obj: 2, Demand: true, Pages: []ids.PageNum{1, 3, 5}},
-		&FetchReq{},
-		&FetchResp{Obj: 2, Pages: []PagePayload{
-			{Page: 1, Version: 7, Data: []byte{1, 2, 3}},
-			{Page: 3, Version: 8, Data: []byte{9}}}},
-		&FetchResp{},
-		&PushReq{Obj: 2, Pages: []PagePayload{{Page: 0, Version: 1, Data: []byte{5, 5}}}},
-		&PushReq{},
+		&Recall{Obj: 4, Family: ids.SiteFamily(3), Shard: 1},
+		&Recall{},
 		&PushResp{},
 		&CopySetReq{Objs: []ids.ObjectID{12, 15}},
 		&CopySetReq{},
@@ -137,20 +132,21 @@ func TestHeaderSizeConstant(t *testing.T) {
 	}
 }
 
-// Property: random FetchResp messages round-trip and Size always matches.
+// Property: random fetch replies round-trip and Size always matches.
 func TestRoundTripPropertyFetchResp(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 200; i++ {
-		m := &FetchResp{Obj: ids.ObjectID(rng.Int63n(1000))}
+		o := ObjPayload{Obj: ids.ObjectID(rng.Int63n(1000))}
 		for j := rng.Intn(6); j > 0; j-- {
 			data := make([]byte, rng.Intn(64)+1)
 			rng.Read(data)
-			m.Pages = append(m.Pages, PagePayload{
+			o.Pages = append(o.Pages, PagePayload{
 				Page:    ids.PageNum(rng.Intn(32)),
 				Version: rng.Uint64(),
 				Data:    data,
 			})
 		}
+		m := &MultiFetchResp{Objs: []ObjPayload{o}}
 		buf := Encode(Envelope{ReqID: uint64(i)}, m)
 		if len(buf) != m.Size() {
 			t.Fatalf("iteration %d: size %d vs %d", i, len(buf), m.Size())

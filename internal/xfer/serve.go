@@ -14,7 +14,7 @@ import (
 // rests on pstore.InstallPage copying its input: once a page is installed
 // (or a message encoded, on the TCP path) the buffer carries no live data
 // and may be reused. Buffers that escape to a peer that never releases
-// them (legacy FetchResp consumers, the TCP decode path) are simply lost
+// them (the TCP decode path) are simply lost
 // to the GC — a missed reuse, never a correctness issue. Each DeltaPage
 // owns one staging buffer (its Data slice), never a sub-slice of a shared
 // one: ReleasePage returns buf[:cap], so two releases of overlapping

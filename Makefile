@@ -40,7 +40,8 @@ bench:
 # ReadFrame, DecodeView, the directory's immediate-grant fast path, and a
 # whole TCPNet.Call round trip on loopback; and the per-root budgets: a flat
 # root — a repeat one, on a grant retained at its site, and a first one — in
-# the engine alone, its shadow log, and end to end over loopback.
+# the engine alone, a root over two directory shards, its shadow log, and end
+# to end over loopback.
 # Run without -race: the poison pass and detector instrumentation change
 # the allocation behavior under test.
 bench-allocs:

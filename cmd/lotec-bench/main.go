@@ -5,8 +5,9 @@
 // messages win or lose.
 //
 // With -json, it additionally benchmarks the directory itself — concurrent
-// acquire/release throughput at 1, 2, 4 and 8 lock shards — and writes
-// machine-readable results to BENCH_results.json.
+// acquire/release throughput at 1, 2, 4 and 8 lock shards — counts the lines
+// of Go in the module, and writes machine-readable results to
+// BENCH_results.json. Run it from the module root.
 package main
 
 import (
@@ -88,6 +89,10 @@ type benchResult struct {
 	// WritesPerFrame is the write calls per frame sent (the
 	// tcp/writes-per-frame row only): a count, gated under a ceiling.
 	WritesPerFrame float64 `json:"writes_per_frame,omitempty"`
+	// Package and Lines are a loc/ row's package directory (or "total")
+	// and lines of Go; Ops is then its number of files.
+	Package string `json:"package,omitempty"`
+	Lines   int    `json:"lines,omitempty"`
 }
 
 func main() {
@@ -299,6 +304,12 @@ func writeJSON(spec sim.FigureSpec, path string) error {
 	}
 	fmt.Printf("%-32s %10d frames  %6.3f writes/frame\n", writes.Op, writes.Ops, writes.WritesPerFrame)
 	results = append(results, writes)
+
+	loc, err := locRows(".")
+	if err != nil {
+		return err
+	}
+	results = append(results, loc...)
 
 	doc, err := readBenchDoc(path)
 	if err != nil {

@@ -9,22 +9,24 @@
 // preserves the gdo.Directory-shaped API so the node engine, the
 // simulation, and the TCP deployment switch over without protocol changes.
 //
-// Three concerns span shards and live in the router:
+// Two concerns span shards and live in the router:
 //
 //   - Placement: deterministic object→shard assignment (ShardOf), kept
 //     consistent with the cost model's object→home-node assignment
 //     (HomeNode) so the simulation charges global lock traffic to the same
 //     partition the deployment would consult.
-//   - Commit order: strict nested O2PL serializes committed families in
-//     release-arrival order; with the lock state split, the router assigns
-//     the global sequence numbers (one short critical section per
-//     committing release — never on the acquire path).
 //   - Inter-family deadlock detection across shards: each shard detects
 //     cycles among its own waiters exactly as before, and additionally
 //     exports a waits-for edge summary (gdo.WaitEdges); the router unions
 //     the summaries and searches the combined graph, so a cycle whose
 //     edges straddle shards is still found and the youngest family on it
 //     is still the victim. See detect.go.
+//
+// There is no commit order to keep across shards: strict nested O2PL holds
+// every lock of a family until its root commits, so the serialization order
+// is already in the page versions each shard stamps (package history reads
+// it back). A family's committing releases to different shards are
+// independent.
 //
 // With one shard the router degenerates to pure delegation: no extra
 // locking, no cross-shard passes, byte-identical behaviour to the single
@@ -35,7 +37,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"lotec/internal/gdo"
 	"lotec/internal/ids"
@@ -55,12 +56,11 @@ type Service interface {
 	ReadCount(obj ids.ObjectID) (int, error)
 	PageMap(obj ids.ObjectID) ([]gdo.PageLoc, error)
 	CopySet(obj ids.ObjectID) ([]ids.NodeID, error)
-	CommitSeq(f ids.FamilyID) (uint64, bool)
 	LastWriter(obj ids.ObjectID) (ids.NodeID, error)
 	Acquire(obj ids.ObjectID, ref ids.TxRef, family ids.FamilyID, age uint64, site ids.NodeID, mode o2pl.Mode) (gdo.AcquireResult, []gdo.Event, error)
 	Adopt(obj ids.ObjectID, ref ids.TxRef, family ids.FamilyID, age uint64, site ids.NodeID, mode o2pl.Mode) (gdo.AcquireResult, []gdo.Event, error)
 	Release(family ids.FamilyID, site ids.NodeID, commit bool, rels []gdo.ObjectRelease) ([]gdo.Event, []gdo.PageStamp, error)
-	ReleaseKeep(family ids.FamilyID, site ids.NodeID, commit, keep bool, rels []gdo.ObjectRelease) ([]gdo.Event, []gdo.PageStamp, []ids.ObjectID, error)
+	ReleaseKeep(family ids.FamilyID, site ids.NodeID, keep bool, rels []gdo.ObjectRelease) ([]gdo.Event, []gdo.PageStamp, []ids.ObjectID, error)
 	CancelRequest(obj ids.ObjectID, family ids.FamilyID) (bool, error)
 	DebugDump() string
 }
@@ -121,17 +121,11 @@ func (p Placement) HomeNode(obj ids.ObjectID) ids.NodeID {
 
 // Sharded is the partitioned Global Directory of Objects: a router over
 // Placement.Shards independent gdo.Directory partitions. Acquires and
-// releases on objects of different shards never contend on a shared mutex;
-// the only router-level critical section is global commit-order assignment
-// on committing releases. It is safe for concurrent use.
+// releases on objects of different shards never contend on a shared mutex:
+// the router has none. It is safe for concurrent use.
 type Sharded struct {
 	place  Placement
 	shards []*gdo.Directory
-
-	// Commit-order bookkeeping (see package doc); the acquire path never
-	// takes mu.
-	mu      sync.Mutex
-	commits gdo.CommitWindow // guarded by mu
 }
 
 // NewSharded returns an empty sharded directory with the given number of
@@ -248,25 +242,10 @@ func (s *Sharded) LastWriter(obj ids.ObjectID) (ids.NodeID, error) {
 	return s.shardFor(obj).LastWriter(obj)
 }
 
-// CommitSeq returns the family's position in the *global* commit order (1
-// is first), assigned by the router when the family's first committing
-// release arrived. With the lock state partitioned, shard-local sequence
-// numbers would not be comparable across shards; the router's single
-// counter restores the total order strict O2PL promises.
-func (s *Sharded) CommitSeq(f ids.FamilyID) (uint64, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.commits.Seq(f)
-}
-
-// AssignCommitSeq fixes the family's position in the global commit order
-// and returns it (skip-if-present: re-assignment is a no-op). Release calls
-// it for every committing batch, so the family's first one decides.
-func (s *Sharded) AssignCommitSeq(f ids.FamilyID) uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.commits.Assign(f)
-}
+// AssignCommitSeq keeps no state and returns 0; nothing in the program calls
+// it. It stays only for the repo benchmark's directory.commit_seq_ns probe,
+// and ROADMAP item 3(a) deletes the two together.
+func (s *Sharded) AssignCommitSeq(ids.FamilyID) uint64 { return 0 }
 
 // CancelRequest withdraws family's queued requests and pending upgrades on
 // obj.
@@ -324,88 +303,43 @@ func (s *Sharded) afterAcquire(shard int, family ids.FamilyID, res gdo.AcquireRe
 }
 
 // Release routes Algorithm 4.4: the batch is split by shard and each shard
-// releases, restamps and re-schedules its own objects. A family's first
-// committing release is its commit point: the router assigns the global
-// commit sequence here, once, and hands the shards a plain release — the
-// partitions of a Sharded keep no commit window of their own. An empty
-// committing batch (a routed family that holds nothing on shard 0, see
-// node.Engine.releaseGlobal) does only that. After the per-shard releases,
+// releases, restamps and re-schedules its own objects; commit changes
+// nothing, as for gdo.Directory.Release. After the per-shard releases,
 // re-pointed waiters may close inter-shard cycles the shard-local re-checks
 // cannot see, so with multiple shards the router sweeps the union waits-for
 // graph until it is acyclic.
 func (s *Sharded) Release(family ids.FamilyID, site ids.NodeID, commit bool, rels []gdo.ObjectRelease) ([]gdo.Event, []gdo.PageStamp, error) {
-	events, stamps, _, err := s.ReleaseKeep(family, site, commit, false, rels)
+	events, stamps, _, err := s.ReleaseKeep(family, site, false, rels)
 	return events, stamps, err
 }
 
 // ReleaseKeep is Release in the form gdo.Directory.ReleaseKeep has: with
 // keep set the partitions may leave released locks at the releasing site,
-// and kept lists them.
-func (s *Sharded) ReleaseKeep(family ids.FamilyID, site ids.NodeID, commit, keep bool, rels []gdo.ObjectRelease) ([]gdo.Event, []gdo.PageStamp, []ids.ObjectID, error) {
-	if commit {
-		s.AssignCommitSeq(family)
-	}
-	if len(rels) == 0 {
-		return nil, nil, nil, nil
-	}
-	if len(s.shards) == 1 {
-		events, stamps, kept, err := s.shards[0].ReleaseKeep(family, site, false, keep, rels)
-		return stamp(0, events), stamps, kept, err
-	}
-
-	// Fast path: batches addressed to a single partition (the node engine
-	// already sends one ReleaseReq per (home, shard)) skip the grouping
-	// allocation.
-	if sh, ok := singleShardOf(s.place, rels); ok {
-		events, stamps, kept, err := s.shards[sh].ReleaseKeep(family, site, false, keep, rels)
+// and kept lists them. The node engine sends one batch per shard; a batch
+// naming several is released run by run of consecutive objects on one
+// shard. A committing family's runs are independent releases: each shard
+// stamps its own pages, and none has to come first.
+func (s *Sharded) ReleaseKeep(family ids.FamilyID, site ids.NodeID, keep bool, rels []gdo.ObjectRelease) (events []gdo.Event, stamps []gdo.PageStamp, kept []ids.ObjectID, err error) {
+	for first := true; len(rels) > 0; first = false {
+		sh, n := s.place.ShardOf(rels[0].Obj), 1
+		for n < len(rels) && s.place.ShardOf(rels[n].Obj) == sh {
+			n++
+		}
+		ev, st, k, err := s.shards[sh].ReleaseKeep(family, site, keep, rels[:n])
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		events = stamp(sh, events)
+		if first {
+			events, stamps, kept = stamp(sh, ev), st, k
+		} else {
+			events, stamps, kept = append(events, stamp(sh, ev)...), append(stamps, st...), append(kept, k...)
+		}
+		rels = rels[n:]
+	}
+	if len(s.shards) > 1 {
 		events = append(events, s.sweep()...)
-		return events, stamps, kept, nil
 	}
-
-	byShard := make(map[int][]gdo.ObjectRelease)
-	for _, rel := range rels {
-		sh := s.place.ShardOf(rel.Obj)
-		byShard[sh] = append(byShard[sh], rel)
-	}
-	var events []gdo.Event
-	var stamps []gdo.PageStamp
-	var kept []ids.ObjectID
-	for sh := 0; sh < len(s.shards); sh++ {
-		part, ok := byShard[sh]
-		if !ok {
-			continue
-		}
-		ev, st, k, err := s.shards[sh].ReleaseKeep(family, site, false, keep, part)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		events = append(events, stamp(sh, ev)...)
-		stamps = append(stamps, st...)
-		kept = append(kept, k...)
-	}
-	events = append(events, s.sweep()...)
 	return events, stamps, kept, nil
-}
-
-// singleShardOf reports whether every release in the batch homes to one
-// partition, and which.
-//
-//lotec:noalloc
-func singleShardOf(p Placement, rels []gdo.ObjectRelease) (int, bool) {
-	if len(rels) == 0 {
-		return 0, false
-	}
-	sh := p.ShardOf(rels[0].Obj)
-	for _, rel := range rels[1:] {
-		if p.ShardOf(rel.Obj) != sh {
-			return 0, false
-		}
-	}
-	return sh, true
 }
 
 // DebugDump renders every shard's lock state.

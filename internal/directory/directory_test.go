@@ -75,9 +75,9 @@ func TestSingleShardDelegation(t *testing.T) {
 			return []any{ev, st, err}
 		},
 		func(s Service) []any {
-			seq, ok := s.CommitSeq(10)
 			st, err := s.State(1)
-			return []any{seq, ok, st, err}
+			pm, pmErr := s.PageMap(1)
+			return []any{st, err, pm, pmErr}
 		},
 	}
 	var outs [2][][]any
@@ -194,9 +194,10 @@ func TestCrossShardDeadlockSelfVictim(t *testing.T) {
 	}
 }
 
-// TestRouterCommitOrder: per-shard release batches of one committing family
-// must consume exactly one global sequence number, and distinct families
-// must be ordered by release arrival.
+// TestRouterCommitOrder: the router keeps no commit order; the page
+// versions are the order. One committing family's per-shard batches each
+// advance their own pages by exactly one, and a later family's release of a
+// shared object stamps the version after it.
 func TestRouterCommitOrder(t *testing.T) {
 	s := NewSharded(2, 2)
 	for _, o := range []ids.ObjectID{2, 3} {
@@ -211,90 +212,25 @@ func TestRouterCommitOrder(t *testing.T) {
 			t.Fatalf("acquire %v by %v: %+v %v", obj, f, res, err)
 		}
 	}
+	var stamps []gdo.PageStamp
 	release := func(f ids.FamilyID, objs ...ids.ObjectID) {
 		t.Helper()
 		for _, o := range objs { // one batch per shard, like the engine
-			if _, _, err := s.Release(f, 1, true, []gdo.ObjectRelease{{Obj: o}}); err != nil {
+			_, st, err := s.Release(f, 1, true, []gdo.ObjectRelease{{Obj: o, Dirty: []ids.PageNum{0}}})
+			if err != nil {
 				t.Fatal(err)
 			}
+			stamps = append(stamps, st...)
 		}
 	}
 	acquire(2, 10)
 	acquire(3, 10)
-	release(10, 2, 3)
+	release(10, 3, 2) // either batch may go first
 	acquire(2, 20)
 	release(20, 2)
 
-	if seq, ok := s.CommitSeq(10); !ok || seq != 1 {
-		t.Errorf("fam 10 commit seq = %d, %v, want 1 (split release must not double-count)", seq, ok)
-	}
-	if seq, ok := s.CommitSeq(20); !ok || seq != 2 {
-		t.Errorf("fam 20 commit seq = %d, %v, want 2", seq, ok)
-	}
-	if _, ok := s.CommitSeq(99); ok {
-		t.Error("unknown family has a commit seq")
-	}
-}
-
-// TestShardedCommitOrderIsBounded: the router's commit-order bookkeeping is
-// a window over the most recent assignments, not a record of every family
-// that ever committed.
-func TestShardedCommitOrderIsBounded(t *testing.T) {
-	s := NewSharded(2, 1)
-	const commits = 3 * gdo.CommitWindowSize
-	for f := ids.FamilyID(1); f <= commits; f++ {
-		if seq := s.AssignCommitSeq(f); seq != uint64(f) {
-			t.Fatalf("family %v assigned %d", f, seq)
-		}
-	}
-	if got := s.commits.Len(); got != gdo.CommitWindowSize {
-		t.Errorf("window holds %d assignments after %d commits, want %d", got, commits, gdo.CommitWindowSize)
-	}
-	if seq := s.AssignCommitSeq(commits); seq != commits {
-		t.Errorf("re-assignment inside the window gave %d, want %d", seq, commits)
-	}
-	if _, ok := s.CommitSeq(1); ok {
-		t.Error("first family still remembered")
-	}
-}
-
-// TestShardsOfAShardedHoldNoWindow: the order is kept once, in the router.
-// A committing release assigns there and reaches the partitions as a plain
-// release; an empty committing batch assigns and touches no partition.
-func TestShardsOfAShardedHoldNoWindow(t *testing.T) {
-	s := NewSharded(2, 1)
-	for _, o := range []ids.ObjectID{2, 3} {
-		if err := s.Register(o, 1, 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, o := range []ids.ObjectID{2, 3} {
-		if _, _, err := s.Acquire(o, ids.TxRef{Tx: 10, Node: 1}, 10, 10, 1, o2pl.Write); err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := s.Release(10, 1, true, []gdo.ObjectRelease{{Obj: o, Dirty: []ids.PageNum{0}}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ev, stamps, err := s.Release(20, 1, true, nil)
-	if err != nil || len(ev) != 0 || len(stamps) != 0 {
-		t.Fatalf("empty committing release = %v, %v, %v", ev, stamps, err)
-	}
-	if _, _, err := s.Release(30, 1, false, nil); err != nil {
-		t.Fatal(err)
-	}
-
-	for f, want := range map[ids.FamilyID]uint64{10: 1, 20: 2} {
-		if seq, ok := s.CommitSeq(f); !ok || seq != want {
-			t.Errorf("router: family %v has sequence %d, %v; want %d", f, seq, ok, want)
-		}
-		for i := 0; i < s.NumShards(); i++ {
-			if seq, ok := s.Shard(i).CommitSeq(f); ok {
-				t.Errorf("shard %d keeps its own sequence %d for family %v", i, seq, f)
-			}
-		}
-	}
-	if seq, ok := s.CommitSeq(30); ok {
-		t.Errorf("an empty abort release was given sequence %d", seq)
+	want := []gdo.PageStamp{{Obj: 3, Page: 0, Version: 2}, {Obj: 2, Page: 0, Version: 2}, {Obj: 2, Page: 0, Version: 3}}
+	if !reflect.DeepEqual(stamps, want) {
+		t.Errorf("stamps = %+v, want %+v", stamps, want)
 	}
 }

@@ -1,7 +1,6 @@
 package directory
 
 import (
-	"bytes"
 	"math"
 	"testing"
 	"time"
@@ -381,90 +380,5 @@ func TestHandoffPreservesReleasedState(t *testing.T) {
 	hs := b.rec.Handoffs()
 	if len(hs) != 1 || hs[0].Bytes == 0 {
 		t.Errorf("recorded handoffs = %+v, want one sample with bytes", hs)
-	}
-}
-
-// TestBackupReplaysCommitWindow: commit-order eviction is a function of the
-// assignment sequence alone, so a backup that replays the primary's op-log
-// holds the primary's window byte for byte — also once the window has
-// wrapped and both have evicted.
-func TestBackupReplaysCommitWindow(t *testing.T) {
-	m := InitialMap(1, 1, []ids.NodeID{2, 3}, false)
-	b := newRepBed(t, 2, 1, m)
-	obj := ids.ObjectID(1)
-	b.register(t, obj, 1)
-
-	const commits = gdo.CommitWindowSize + gdo.CommitWindowSize/4
-	b.client(t, func(env transport.Env, rt *RouteTable) {
-		for f := ids.FamilyID(1); f <= commits; f++ {
-			acquire(t, rt, b.place, obj, f, o2pl.Write)
-			release(t, rt, b.place, obj, f, []ids.PageNum{0})
-		}
-	})
-
-	pd, ok := b.hosts[2].PrimaryDir(0)
-	if !ok {
-		t.Fatal("host 2 lost shard 0 primaryship in a fault-free run")
-	}
-	bd, _, ok := b.hosts[3].ReplicaDir(0)
-	if !ok {
-		t.Fatal("host 3 has no replica of shard 0")
-	}
-	if seq, ok := pd.CommitSeq(commits); !ok || seq != commits {
-		t.Fatalf("primary: last family has sequence %d, %v; want %d", seq, ok, commits)
-	}
-	if _, ok := pd.CommitSeq(1); ok {
-		t.Error("primary still remembers the first family: the window did not wrap")
-	}
-	if !bytes.Equal(pd.Export(), bd.Export()) {
-		t.Error("backup's snapshot differs from the primary's after replaying its op-log")
-	}
-}
-
-// TestEmptyCommittingReleaseReplicates: a family that holds nothing on
-// shard 0 commits by sending shard 0's primary an empty committing release.
-// It passes the front door like any release, assigns the family's place in
-// the order, and rides the op-log, so the backup that would take over as
-// sequencer holds the same window.
-func TestEmptyCommittingReleaseReplicates(t *testing.T) {
-	m := InitialMap(2, 1, []ids.NodeID{2, 3}, false)
-	b := newRepBed(t, 2, 2, m)
-	obj := ids.ObjectID(1) // shard 1
-	b.register(t, obj, 1)
-
-	const commits = 5
-	b.client(t, func(env transport.Env, rt *RouteTable) {
-		for f := ids.FamilyID(1); f <= commits; f++ {
-			acquire(t, rt, b.place, obj, f, o2pl.Write)
-			for try := 0; try < 2; try++ { // the second is a retransmission in all but request ID
-				reply, err := rt.Call(0, &wire.ReleaseReq{Family: f, Site: 1, Commit: true, Shard: 0})
-				if err != nil {
-					t.Fatalf("empty release: %v", err)
-				}
-				if rr, ok := reply.(*wire.ReleaseResp); !ok || len(rr.Stamps) != 0 {
-					t.Fatalf("empty release: reply %+v", reply)
-				}
-			}
-			release(t, rt, b.place, obj, f, []ids.PageNum{0})
-		}
-	})
-
-	pd, ok := b.hosts[2].PrimaryDir(0)
-	if !ok {
-		t.Fatal("host 2 lost shard 0 primaryship in a fault-free run")
-	}
-	bd, _, ok := b.hosts[3].ReplicaDir(0)
-	if !ok {
-		t.Fatal("host 3 has no replica of shard 0")
-	}
-	for f := ids.FamilyID(1); f <= commits; f++ {
-		for name, d := range map[string]*gdo.Directory{"primary": pd, "backup": bd} {
-			if seq, ok := d.CommitSeq(f); !ok || seq != uint64(f) {
-				t.Errorf("%s of shard 0: family %v has sequence %d, %v; want %d", name, f, seq, ok, f)
-			}
-		}
-	}
-	if !bytes.Equal(pd.Export(), bd.Export()) {
-		t.Error("backup's snapshot of the sequencer shard differs from the primary's")
 	}
 }

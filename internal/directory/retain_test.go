@@ -21,7 +21,7 @@ func commitAt(t *testing.T, s *Sharded, obj ids.ObjectID, f ids.FamilyID, site i
 	if res, _, err := s.Acquire(obj, ids.TxRef{Tx: f, Node: site}, f, uint64(f), site, o2pl.Write); err != nil || res.Status != gdo.GrantedNow {
 		t.Fatalf("acquire of %v by %v: %v, %v", obj, f, res.Status, err)
 	}
-	_, _, kept, err := s.ReleaseKeep(f, site, true, true, []gdo.ObjectRelease{{Obj: obj, Dirty: []ids.PageNum{0}}})
+	_, _, kept, err := s.ReleaseKeep(f, site, true, []gdo.ObjectRelease{{Obj: obj, Dirty: []ids.PageNum{0}}})
 	if err != nil {
 		t.Fatalf("release of %v by %v: %v", obj, f, err)
 	}
@@ -64,12 +64,6 @@ func TestShardedCrossShardDeadlockThroughAdopt(t *testing.T) {
 		if want := f == gdo.KeepStreak; (len(kept) == 1) != want {
 			t.Fatalf("release %d kept %v", f, kept)
 		}
-	}
-	if _, ok := s.Shard(0).CommitSeq(gdo.KeepStreak); ok {
-		t.Error("a partition of the router assigned a commit sequence")
-	}
-	if seq, ok := s.CommitSeq(gdo.KeepStreak); !ok || seq != gdo.KeepStreak {
-		t.Errorf("router: family %d has sequence %d, %v", gdo.KeepStreak, seq, ok)
 	}
 
 	const F, G = ids.FamilyID(10), ids.FamilyID(11) // F runs on the retained grant: no acquire

@@ -36,7 +36,7 @@ func ServeAcquire(svc Service, req *wire.AcquireReq) (*wire.AcquireResp, []gdo.E
 // committing release may leave locks at the releasing site; the reply names
 // them.
 func ServeRelease(svc Service, req *wire.ReleaseReq) (*wire.ReleaseResp, []gdo.Event, error) {
-	events, stamps, kept, err := svc.ReleaseKeep(req.Family, req.Site, req.Commit, req.Commit, req.Rels)
+	events, stamps, kept, err := svc.ReleaseKeep(req.Family, req.Site, req.Commit, req.Rels)
 	if err != nil {
 		return nil, nil, err
 	}

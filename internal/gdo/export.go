@@ -11,22 +11,23 @@ import (
 )
 
 // State export/import. A replicated or relocating directory shard must hand
-// its full lock state — holders, queues, upgrades, page maps, copy sets and
-// commit bookkeeping — to another process as bytes. The encoding is
-// deterministic (maps are serialized in sorted order) so two replicas that
-// applied the same op sequence export byte-identical snapshots; the chaos
-// harness and the handoff state machine both rely on that.
+// its full lock state — holders, queues, upgrades, page maps and copy sets —
+// to another process as bytes. The encoding is deterministic (maps are
+// serialized in sorted order) so two replicas that applied the same op
+// sequence export byte-identical snapshots; the chaos harness and the
+// handoff state machine both rely on that.
 
 // ErrBadSnapshot reports a malformed or truncated exported snapshot.
 var ErrBadSnapshot = errors.New("gdo: bad snapshot")
 
-// exportVersion is bumped whenever the snapshot layout changes.
-// exportVersionRetain is the layout of a directory with retention on: every
-// entry also carries its grant streak, which decides the next keep. A
-// directory with retention off writes exportVersion, unchanged.
+// exportVersion is bumped whenever the snapshot layout changes; 2 and 3
+// carried a commit-order window, which no directory keeps any more. A
+// directory with retention on sets exportRetainBit in the version byte, and
+// every entry then also carries its grant streak, which decides the next
+// keep.
 const (
-	exportVersion       = 2
-	exportVersionRetain = 3
+	exportVersion   = 4
+	exportRetainBit = 1
 )
 
 // exportMagic guards against feeding arbitrary bytes to Import.
@@ -108,20 +109,11 @@ func (d *Directory) Export() []byte {
 	w := &snapWriter{buf: make([]byte, 0, 64+64*len(d.entries))}
 	w.u32(exportMagic)
 	if d.retain {
-		w.u8(exportVersionRetain)
+		w.u8(exportVersion | exportRetainBit)
 	} else {
 		w.u8(exportVersion)
 	}
 	w.u32(uint32(d.nodes))
-
-	// The commit-order window, oldest assignment first; Import checks the
-	// sequence numbers against that order.
-	w.u64(d.commits.seq)
-	w.u32(uint32(d.commits.Len()))
-	for s := d.commits.oldest(); s <= d.commits.seq; s++ {
-		w.u64(uint64(d.commits.family(s)))
-		w.u64(s)
-	}
 
 	objs := make([]ids.ObjectID, 0, len(d.entries))
 	for o := range d.entries {
@@ -198,24 +190,12 @@ func Import(data []byte) (*Directory, error) {
 		return nil, fmt.Errorf("%w: bad magic", ErrBadSnapshot)
 	}
 	version := r.u8()
-	if version != exportVersion && version != exportVersionRetain {
+	if version&^exportRetainBit != exportVersion {
 		return nil, fmt.Errorf("%w: unsupported version %d", ErrBadSnapshot, version)
 	}
 	nodes := int(r.u32())
 	d := New(nodes)
-	d.retain = version == exportVersionRetain
-
-	seq := r.u64()
-	fams := make([]ids.FamilyID, r.count(16))
-	for i := range fams {
-		fams[i] = ids.FamilyID(r.u64())
-		if s := r.u64(); r.err == nil && s != seq-uint64(len(fams))+1+uint64(i) {
-			return nil, fmt.Errorf("%w: commit window entry %d has sequence %d", ErrBadSnapshot, i, s)
-		}
-	}
-	if r.err == nil && !d.commits.restore(seq, fams) {
-		return nil, fmt.Errorf("%w: %d entries are not the commit window at sequence %d", ErrBadSnapshot, len(fams), seq)
-	}
+	d.retain = version&exportRetainBit != 0
 
 	for i, n := 0, r.count(16); i < n; i++ {
 		e := &entry{

@@ -172,10 +172,6 @@ type Directory struct {
 	// objects someone is actually waiting on (the common case is none).
 	waitObjs map[ids.ObjectID]*entry // guarded by mu
 
-	// Commit-order bookkeeping: strict O2PL serializes committed families
-	// in the order their (first) committing release reaches the directory.
-	commits CommitWindow // guarded by mu
-
 	// Reused hot-path scratch. Acquire and Release run on every protocol
 	// crossover, so their working sets are kept on the Directory and
 	// recycled: at steady state the grant/release path performs no
@@ -355,28 +351,6 @@ func (d *Directory) CopySet(obj ids.ObjectID) ([]ids.NodeID, error) {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out, nil
-}
-
-// CommitSeq returns the family's position in the global commit order (1 is
-// first), recorded when its first committing release was processed. Strict
-// nested O2PL holds every lock until root commit, so this order linearizes
-// all transaction conflicts — it is the serialization order tests replay.
-// Only the last CommitWindowSize assignments are remembered: ask while the
-// family is committing or just after, as the simulator does.
-func (d *Directory) CommitSeq(f ids.FamilyID) (uint64, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.commits.Seq(f)
-}
-
-// AssignCommitSeq assigns (or returns the already-assigned) commit-order
-// position for a family, as a committing Release does. In replicated
-// topologies the sequencer is the directory of one designated shard, which
-// committing families release to first.
-func (d *Directory) AssignCommitSeq(f ids.FamilyID) uint64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.commits.Assign(f)
 }
 
 // LastWriter returns the site of obj's most recent committing update.

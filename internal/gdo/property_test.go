@@ -359,7 +359,7 @@ func (w *retainWalk) abort(f ids.FamilyID) bool {
 	if len(rels) == 0 {
 		return true
 	}
-	evs, _, kept, err := w.d.ReleaseKeep(f, siteOf(f), false, false, rels)
+	evs, _, kept, err := w.d.ReleaseKeep(f, siteOf(f), false, rels)
 	if err != nil || len(kept) > 0 {
 		w.t.Logf("abort release of %v: kept %v, err %v", f, kept, err)
 		return false
@@ -392,7 +392,7 @@ func (w *retainWalk) apply(events []Event) bool {
 			case k.user == 0:
 				w.handBacks++
 				delete(w.kept, ev.Obj)
-				evs, _, _, err := w.d.ReleaseKeep(ev.Family, ev.Site, false, false, []ObjectRelease{{Obj: ev.Obj}})
+				evs, _, _, err := w.d.ReleaseKeep(ev.Family, ev.Site, false, []ObjectRelease{{Obj: ev.Obj}})
 				if err != nil {
 					w.t.Logf("hand-back of %v: %v", ev.Obj, err)
 					return false
@@ -495,7 +495,7 @@ func (w *retainWalk) commit(f ids.FamilyID) bool {
 		}
 		rels = append(rels, rel)
 	}
-	evs, _, kept, err := w.d.ReleaseKeep(f, site, true, true, rels)
+	evs, _, kept, err := w.d.ReleaseKeep(f, site, true, rels)
 	if err != nil {
 		w.t.Logf("commit of %v: %v", f, err)
 		return false

@@ -34,10 +34,11 @@ type PageStamp struct {
 // surface as waiters are re-pointed at new holders); stamps carry the new
 // page versions for the releasing site.
 //
-// Release never leaves a lock at the releasing site: its caller has no way
-// to tell the site. ReleaseKeep is the form that can.
+// commit changes nothing: the commit order is in the page versions. Release
+// never leaves a lock at the releasing site: its caller has no way to tell
+// the site. ReleaseKeep is the form that can.
 func (d *Directory) Release(family ids.FamilyID, site ids.NodeID, commit bool, rels []ObjectRelease) ([]Event, []PageStamp, error) {
-	events, stamps, _, err := d.ReleaseKeep(family, site, commit, false, rels)
+	events, stamps, _, err := d.ReleaseKeep(family, site, false, rels)
 	return events, stamps, err
 }
 
@@ -45,15 +46,10 @@ func (d *Directory) Release(family ids.FamilyID, site ids.NodeID, commit bool, r
 // releasing site. With keep set — the release is a committing one — and
 // retention on, an object this release would leave free stays locked under
 // the site's own family ID when the object's last grants all went to that
-// site (see retain.go); kept lists those objects. commit alone only fixes
-// the family's place in this directory's commit order: a router that keeps
-// the order itself passes commit false and keep true.
-func (d *Directory) ReleaseKeep(family ids.FamilyID, site ids.NodeID, commit, keep bool, rels []ObjectRelease) (events []Event, stamps []PageStamp, kept []ids.ObjectID, err error) {
+// site (see retain.go); kept lists those objects.
+func (d *Directory) ReleaseKeep(family ids.FamilyID, site ids.NodeID, keep bool, rels []ObjectRelease) (events []Event, stamps []PageStamp, kept []ids.ObjectID, err error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if commit {
-		d.commits.Assign(family)
-	}
 
 	d.touchScr = d.touchScr[:0]
 	for _, rel := range rels {

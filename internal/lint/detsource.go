@@ -22,6 +22,7 @@ var detRootPackages = map[string]bool{
 	// The replicated directory (hosts, handoff, routing) replays inside the
 	// simulator: its promotions and epoch adoptions are part of the trace.
 	"directory": true,
+	"history":   true, // the serial replay's order
 }
 
 // DetSource is the whole-program nondeterminism-taint analyzer. It marks a

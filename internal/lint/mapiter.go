@@ -19,6 +19,7 @@ var deterministicPackages = map[string]bool{
 	"stats":     true,
 	"xfer":      true,
 	"workload":  true,
+	"history":   true, // the serial replay's order
 }
 
 // MapIter flags `for range` over a map in determinism-critical packages

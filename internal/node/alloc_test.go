@@ -5,6 +5,7 @@ package node_test
 import (
 	"testing"
 
+	"lotec/internal/directory"
 	"lotec/internal/gdo"
 )
 
@@ -54,5 +55,29 @@ func TestAllocsFlatRoot(t *testing.T) {
 				t.Errorf("a flat %s allocates %.2f in the engine, want ≤ %v", tc.name, n, tc.budget)
 			}
 		})
+	}
+}
+
+// twoShardRootAllocs is the budget of a root whose two objects sit on two
+// directory shards: object 1 writes itself and invokes set on object 2, and
+// its commit sends one release batch to each shard. The batches are runs of
+// the releases sorted by destination; grouping them in a map cost 79.
+const twoShardRootAllocs = 74
+
+func TestAllocsTwoShardRoot(t *testing.T) {
+	net := newThreadNet()
+	dir := directory.NewSharded(2, 1)
+	engines, _ := newThreadClusterOn(t, net, dir, 1, 2, nil)
+	if dir.ShardOf(1) == dir.ShardOf(2) {
+		t.Fatal("objects 1 and 2 share a shard")
+	}
+	root := func() {
+		if _, _, err := engines[1].Run(1, "then", []byte{2}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	root()
+	if n := testing.AllocsPerRun(1000, root); n > twoShardRootAllocs {
+		t.Errorf("a two-shard root allocates %.2f in the engine, want ≤ %v", n, twoShardRootAllocs)
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"lotec/internal/core"
 	"lotec/internal/directory"
+	"lotec/internal/history"
 	"lotec/internal/ids"
 	"lotec/internal/netmodel"
 	"lotec/internal/node"
@@ -35,6 +36,7 @@ type routedRig struct {
 	dir      *directory.Sharded
 	cls      *schema.Class
 	releases []sentRelease
+	history  []history.Record
 }
 
 func newRoutedRig(t *testing.T) *routedRig {
@@ -97,6 +99,7 @@ func newRoutedRig(t *testing.T) *routedRig {
 		HomeFn:   func(ids.ObjectID) ids.NodeID { return 2 },
 		ShardFn:  r.dir.ShardOf,
 		Route:    directory.NewRouteTable(env, nil, directory.InitialMap(shards, 1, []ids.NodeID{2}, false)),
+		History:  func(rec history.Record) { r.history = append(r.history, rec) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -138,10 +141,11 @@ func (r *routedRig) createObject(t *testing.T, obj ids.ObjectID) {
 	}
 }
 
-// root runs one root transaction and returns the releases it sent.
+// root runs one root transaction and returns the releases it sent; the
+// history the engine recorded for it is left in r.history.
 func (r *routedRig) root(t *testing.T, obj ids.ObjectID, method string, arg []byte) ([]sentRelease, ids.FamilyID, error) {
 	t.Helper()
-	r.releases = nil
+	r.releases, r.history = nil, nil
 	var fam ids.FamilyID
 	var runErr error
 	r.net.Env(1).Go(func() { _, fam, runErr = r.eng.Run(obj, method, arg) })
@@ -151,12 +155,13 @@ func (r *routedRig) root(t *testing.T, obj ids.ObjectID, method string, arg []by
 	return r.releases, fam, runErr
 }
 
-// TestRoutedCommitAddressesShardZeroFirst: with routed directory shards the
-// committing release is the commit point and shard 0's primary keeps the
-// order, so every committing family releases to shard 0 first — an empty
-// batch exactly when it holds nothing there. An abort fixes no order and
-// sends no such batch.
-func TestRoutedCommitAddressesShardZeroFirst(t *testing.T) {
+// TestRoutedCommitReleasesOnlyHeldShards: with routed directory shards a
+// committing family sends one release batch to each shard it holds objects
+// on, in shard order, and to no other — no shard keeps a commit order that
+// would want a batch of its own. The family's history record names every
+// object it held, the versions it was granted and the ones it wrote. An
+// abort releases the same way, uncommitted, and leaves no record.
+func TestRoutedCommitReleasesOnlyHeldShards(t *testing.T) {
 	r := newRoutedRig(t)
 	for _, obj := range []ids.ObjectID{3, 4, 5, 7} { // shards 3, 0, 1, 3
 		r.createObject(t, obj)
@@ -167,12 +172,15 @@ func TestRoutedCommitAddressesShardZeroFirst(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := []sentRelease{{Shard: 0, Commit: true}, {Shard: 3, Commit: true, Objs: []ids.ObjectID{3}}}
+		want := []sentRelease{{Shard: 3, Commit: true, Objs: []ids.ObjectID{3}}}
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("releases = %+v, want %+v", got, want)
 		}
-		if seq, ok := r.dir.CommitSeq(fam); !ok || seq != 1 {
-			t.Errorf("commit sequence = %d, %v; want 1", seq, ok)
+		wantRec := []history.Record{{Family: uint64(fam), Holds: []history.Hold{
+			{Obj: 3, Mode: history.Write, Seen: []uint64{1}, Wrote: []history.Stamp{{Page: 0, Version: 2}}},
+		}}}
+		if !reflect.DeepEqual(r.history, wantRec) {
+			t.Errorf("history = %+v, want %+v", r.history, wantRec)
 		}
 	})
 	t.Run("holds on shard 0 and others", func(t *testing.T) {
@@ -188,12 +196,16 @@ func TestRoutedCommitAddressesShardZeroFirst(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("releases = %+v, want %+v", got, want)
 		}
-		if seq, ok := r.dir.CommitSeq(fam); !ok || seq != 2 {
-			t.Errorf("commit sequence = %d, %v; want 2", seq, ok)
+		wrote := func(obj int64) history.Hold {
+			return history.Hold{Obj: obj, Mode: history.Write, Seen: []uint64{1}, Wrote: []history.Stamp{{Page: 0, Version: 2}}}
+		}
+		wantRec := []history.Record{{Family: uint64(fam), Holds: []history.Hold{wrote(4), wrote(5), wrote(7)}}}
+		if !reflect.DeepEqual(r.history, wantRec) {
+			t.Errorf("history = %+v, want %+v", r.history, wantRec)
 		}
 	})
 	t.Run("abort", func(t *testing.T) {
-		got, fam, err := r.root(t, 3, "fail", nil)
+		got, _, err := r.root(t, 3, "fail", nil)
 		if err == nil {
 			t.Fatal("failing body committed")
 		}
@@ -201,8 +213,8 @@ func TestRoutedCommitAddressesShardZeroFirst(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("releases = %+v, want %+v", got, want)
 		}
-		if seq, ok := r.dir.CommitSeq(fam); ok {
-			t.Errorf("aborted family has commit sequence %d", seq)
+		if len(r.history) != 0 {
+			t.Errorf("an aborted family left history %+v", r.history)
 		}
 	})
 }

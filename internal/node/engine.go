@@ -11,8 +11,10 @@
 package node
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -20,6 +22,7 @@ import (
 	"lotec/internal/core"
 	"lotec/internal/directory"
 	"lotec/internal/gdo"
+	"lotec/internal/history"
 	"lotec/internal/ids"
 	"lotec/internal/o2pl"
 	"lotec/internal/pstore"
@@ -124,6 +127,10 @@ type Config struct {
 	// retains per page (how far back a delta can reach before falling back
 	// to a full page). <= 0 means pstore.DefaultDeltaJournalDepth.
 	DeltaJournalDepth int
+	// History, when non-nil, is handed the record of every family whose
+	// root commits here, for package history to order. The simulator sets
+	// it; a deployment leaves it nil and pays nothing.
+	History func(history.Record)
 }
 
 // pendKey identifies one transaction's outstanding global request.
@@ -588,7 +595,7 @@ func (e *Engine) abortTx(ts *txState) {
 	waitAll(adopts)
 	// Abort is best-effort, like Manager.Abort above: the local state is
 	// already torn down, and a lost release is recovered by GDO timeout.
-	_ = e.releaseGlobal(fam, releaseGlobal, nil, false, nil)
+	_, _ = e.releaseGlobal(fam, releaseGlobal, nil, false, nil)
 }
 
 // commitRoot applies rule 5 of §4.1 / Alg 4.4: release every lock the
@@ -609,6 +616,10 @@ func (e *Engine) commitRoot(ts *txState) (doomed, err error) {
 	dirty := make(map[ids.ObjectID][]ids.PageNum, len(objs))
 	for _, obj := range objs {
 		dirty[obj] = e.cfg.Store.DirtyPages(obj)
+	}
+	var rec history.Record
+	if e.cfg.History != nil {
+		rec = e.grantedLocked(fam, objs) // before a retained grant's page map moves on
 	}
 	delete(e.fams, ts.t.Family())
 	adopts := e.releasingLocked(fam, objs)
@@ -640,7 +651,8 @@ func (e *Engine) commitRoot(ts *txState) (doomed, err error) {
 		}
 	}
 	waitAll(adopts)
-	if err := e.releaseGlobal(fam, objs, dirty, true, predicted); err != nil {
+	stamps, err := e.releaseGlobal(fam, objs, dirty, true, predicted)
+	if err != nil {
 		return nil, err
 	}
 	ts.undo.Discard()
@@ -650,7 +662,29 @@ func (e *Engine) commitRoot(ts *txState) (doomed, err error) {
 	if e.cfg.Rec != nil {
 		e.cfg.Rec.AddCommit()
 	}
+	if e.cfg.History != nil {
+		for _, st := range stamps {
+			h := &rec.Holds[sort.Search(len(objs), func(i int) bool { return objs[i] >= st.Obj })]
+			h.Wrote = append(h.Wrote, history.Stamp{Page: int32(st.Page), Version: st.Version})
+		}
+		e.cfg.History(rec)
+	}
 	return nil, nil
+}
+
+// grantedLocked starts fam's history record: the mode it holds each of objs
+// in (o2pl and history number the modes alike) and the page versions it was
+// granted. Caller holds e.mu.
+func (e *Engine) grantedLocked(fam *famState, objs []ids.ObjectID) history.Record {
+	rec := history.Record{Family: uint64(fam.root.Family()), Holds: make([]history.Hold, len(objs))}
+	for i, obj := range objs {
+		pm := fam.meta[obj].pageMap
+		rec.Holds[i] = history.Hold{Obj: int64(obj), Mode: history.Mode(fam.entries[obj].GlobalMode()), Seen: make([]uint64, len(pm))}
+		for p, loc := range pm {
+			rec.Holds[i].Seen[p] = loc.Version
+		}
+	}
+	return rec
 }
 
 // restampDirty advances each dirty page's local version by one and returns
@@ -676,54 +710,44 @@ func (e *Engine) restampDirty(objs []ids.ObjectID, dirty map[ids.ObjectID][]ids.
 
 // releaseGlobal sends GlobalLockRelease for the given objects, batched per
 // GDO home partition, and verifies the returned page versions against the
-// site's prediction. dirty may be nil (abort path).
+// site's prediction. dirty may be nil (abort path). With cfg.History set it
+// returns the stamps the replies carried.
 //
-// The committing release is the commit point. With routed directory shards
-// the global commit order is kept by shard 0's primary, which assigns a
-// family its position when that family's first committing release arrives;
-// so a committing family addresses shard 0 first — with an empty batch when
-// it holds nothing there — and only then the other shards. Any family that
-// conflicts with this one can be granted the contended object only after
-// this family's release of it, which follows the assignment, so the order
-// is conflict-consistent without a separate sequencing round trip.
+// The committing release is the commit point: it carries the page stamps
+// and the keeps. Its batches are independent; none has to be first, because
+// no directory keeps a commit order — the page versions are the order.
 //
 // Whatever the replies say the directory left with this site is settled
 // into e.retained before returning (retain.go).
-func (e *Engine) releaseGlobal(fam *famState, objs []ids.ObjectID, dirty map[ids.ObjectID][]ids.PageNum, commit bool, predicted []gdo.PageStamp) error {
-	kept, err := e.sendReleases(fam, objs, dirty, commit, predicted)
+func (e *Engine) releaseGlobal(fam *famState, objs []ids.ObjectID, dirty map[ids.ObjectID][]ids.PageNum, commit bool, predicted []gdo.PageStamp) ([]gdo.PageStamp, error) {
+	kept, stamps, err := e.sendReleases(fam, objs, dirty, commit, predicted)
 	e.settleRelease(fam, objs, predicted, kept)
-	return err
+	return stamps, err
 }
 
 // sendReleases is the messaging of releaseGlobal; kept collects what the
 // replies name as left with this site.
-func (e *Engine) sendReleases(fam *famState, objs []ids.ObjectID, dirty map[ids.ObjectID][]ids.PageNum, commit bool, predicted []gdo.PageStamp) (kept []ids.ObjectID, _ error) {
-	routedCommit := commit && e.cfg.Route != nil
-	if len(objs) == 0 && !routedCommit {
-		return nil, nil
+func (e *Engine) sendReleases(fam *famState, objs []ids.ObjectID, dirty map[ids.ObjectID][]ids.PageNum, commit bool, predicted []gdo.PageStamp) (kept []ids.ObjectID, stamps []gdo.PageStamp, _ error) {
+	if len(objs) == 0 {
+		return nil, nil, nil
 	}
-	// One batch per (home node, directory shard): shard-addressed releases
-	// let the GDO host hand each batch straight to the owning partition.
+	// One batch per (home node, directory shard), so the GDO host hands each
+	// straight to the owning partition; routed, the shard alone addresses it.
 	type dest struct {
 		home  ids.NodeID
 		shard int32
 	}
 	destOf := func(obj ids.ObjectID) dest {
 		if e.cfg.Route != nil {
-			// Replicated mode: the shard, not the static home, is the
-			// address — batches collapse per shard.
-			return dest{home: ids.NoNode, shard: e.shardOf(obj)}
+			return dest{ids.NoNode, e.shardOf(obj)}
 		}
-		return dest{home: e.cfg.HomeFn(obj), shard: e.shardOf(obj)}
+		return dest{e.cfg.HomeFn(obj), e.shardOf(obj)}
 	}
-	seq := dest{home: ids.NoNode, shard: 0} // where a routed commit goes first
-
 	family := fam.root.Family()
 	var verifyErr error
 	next := 0 // predicted[next:] is where the next reply's stamps should begin
 	send := func(d dest, rels []gdo.ObjectRelease) error {
-		if e.cfg.Rec != nil && len(rels) > 0 {
-			// The empty sequencing batch releases no lock.
+		if e.cfg.Rec != nil {
 			e.cfg.Rec.AddGlobalLockOp()
 		}
 		reply, err := e.gdoCall(d.shard, d.home, &wire.ReleaseReq{
@@ -745,6 +769,9 @@ func (e *Engine) sendReleases(fam *famState, objs []ids.ObjectID, dirty map[ids.
 		} else {
 			kept = append(kept, resp.Kept...)
 		}
+		if e.cfg.History != nil {
+			stamps = append(stamps, resp.Stamps...)
+		}
 		for _, st := range resp.Stamps {
 			var want uint64 // 0: a page the site did not dirty
 			if i, ok := findStamp(predicted, next, st.Obj, st.Page); ok {
@@ -760,57 +787,29 @@ func (e *Engine) sendReleases(fam *famState, objs []ids.ObjectID, dirty map[ids.
 		return nil
 	}
 
+	// Sorted by destination, the batches are contiguous runs; the sort is
+	// stable, so each batch keeps object order, and it is a single pass over
+	// the releases of a one-destination root.
 	rels := make([]gdo.ObjectRelease, len(objs))
-	var first dest
-	single := true
 	for i, obj := range objs {
 		rels[i] = gdo.ObjectRelease{Obj: obj, Dirty: dirty[obj]}
-		if d := destOf(obj); i == 0 {
-			first = d
-		} else if d != first {
-			single = false
-		}
 	}
-	if single {
-		// Every release of a one-shard deployment: one batch, nothing to
-		// group or to order.
-		if routedCommit && (len(objs) == 0 || first != seq) {
-			if err := send(seq, nil); err != nil {
-				return kept, err
-			}
-		}
-		if len(objs) > 0 {
-			if err := send(first, rels); err != nil {
-				return kept, err
-			}
-		}
-		return kept, verifyErr
-	}
-
-	byDest := make(map[dest][]gdo.ObjectRelease)
-	for _, rel := range rels {
-		d := destOf(rel.Obj)
-		byDest[d] = append(byDest[d], rel)
-	}
-	dests := make([]dest, 0, len(byDest)+1)
-	for d := range byDest {
-		dests = append(dests, d)
-	}
-	if routedCommit && byDest[seq] == nil {
-		dests = append(dests, seq) // sorts first: routed batches share one home
-	}
-	sort.Slice(dests, func(i, j int) bool {
-		if dests[i].home != dests[j].home {
-			return dests[i].home < dests[j].home
-		}
-		return dests[i].shard < dests[j].shard
+	slices.SortStableFunc(rels, func(a, b gdo.ObjectRelease) int {
+		da, db := destOf(a.Obj), destOf(b.Obj)
+		return cmp.Or(cmp.Compare(da.home, db.home), cmp.Compare(da.shard, db.shard))
 	})
-	for _, d := range dests {
-		if err := send(d, byDest[d]); err != nil {
-			return kept, err
+	for start := 0; start < len(rels); {
+		d := destOf(rels[start].Obj)
+		end := start + 1
+		for end < len(rels) && destOf(rels[end].Obj) == d {
+			end++
 		}
+		if err := send(d, rels[start:end]); err != nil {
+			return kept, stamps, err
+		}
+		start = end
 	}
-	return kept, verifyErr
+	return kept, stamps, verifyErr
 }
 
 // findStamp returns the index in predicted of the stamp for page of obj. It

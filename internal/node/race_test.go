@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"lotec/internal/core"
+	"lotec/internal/directory"
 	"lotec/internal/gdo"
 	"lotec/internal/ids"
 	"lotec/internal/node"
@@ -187,12 +188,20 @@ func newThreadCluster(t *testing.T, net *threadNet, nodes int) map[ids.NodeID]*n
 	return engines
 }
 
+// threadDir is a directory a thread cluster's engines can share: a
+// gdo.Directory, or a directory.Sharded, whose placement the engines then
+// address releases by.
+type threadDir interface {
+	directory.Service
+	HomeNode(ids.ObjectID) ids.NodeID
+}
+
 // newThreadClusterOn is newThreadCluster over a directory of the caller's
 // making, with counter objects 1..objects homed at node 1. Besides set and
 // get the class has "then", which increments the counter like set and then
 // invokes set on the object its one-byte argument names; before that it
 // calls hook (when non-nil) with the Ctx.
-func newThreadClusterOn(t *testing.T, net *threadNet, dir *gdo.Directory, nodes, objects int, hook func(*node.Ctx)) (map[ids.NodeID]*node.Engine, *schema.Class) {
+func newThreadClusterOn(t *testing.T, net *threadNet, dir threadDir, nodes, objects int, hook func(*node.Ctx)) (map[ids.NodeID]*node.Engine, *schema.Class) {
 	t.Helper()
 	schemas := schema.NewRegistry(64)
 	methods := node.NewMethodTable()
@@ -243,6 +252,10 @@ func newThreadClusterOn(t *testing.T, net *threadNet, dir *gdo.Directory, nodes,
 	}); err != nil {
 		t.Fatal(err)
 	}
+	var shardFn func(ids.ObjectID) int
+	if s, ok := dir.(*directory.Sharded); ok {
+		shardFn = s.ShardOf
+	}
 	engines := make(map[ids.NodeID]*node.Engine)
 	for i := 1; i <= nodes; i++ {
 		id := ids.NodeID(i)
@@ -254,6 +267,7 @@ func newThreadClusterOn(t *testing.T, net *threadNet, dir *gdo.Directory, nodes,
 			Manager:  txn.NewManagerAt(uint64(id) << 40),
 			Protocol: core.LOTEC,
 			HomeFn:   dir.HomeNode,
+			ShardFn:  shardFn,
 			Dir:      dir,
 		})
 		if err != nil {

@@ -124,13 +124,11 @@ func (s *GDOServer) Directory() *directory.Sharded { return s.dir }
 // corrective RouteResp. Epoch 0 (an unstamped legacy client) is accepted:
 // only a client that claims a view can claim a stale one.
 func (s *GDOServer) redirect(epoch uint64, obj ids.ObjectID, shard int32) wire.Msg {
-	if s.staleEpoch(epoch) || int(shard) != s.dir.ShardOf(obj) {
+	if (epoch != 0 && epoch != s.cur.Epoch) || int(shard) != s.dir.ShardOf(obj) {
 		return &wire.RouteResp{Map: s.cur.Clone()}
 	}
 	return nil
 }
-
-func (s *GDOServer) staleEpoch(epoch uint64) bool { return epoch != 0 && epoch != s.cur.Epoch }
 
 // handle serves the directory protocol.
 func (s *GDOServer) handle(from ids.NodeID, m wire.Msg) wire.Msg {
@@ -146,12 +144,6 @@ func (s *GDOServer) handle(from ids.NodeID, m wire.Msg) wire.Msg {
 		s.route(events)
 		return resp
 	case *wire.ReleaseReq:
-		// The epoch is checked for the batch, not only per object: an empty
-		// committing batch — the commit point of a family that holds
-		// nothing on shard 0 — names no object to check the address of.
-		if s.staleEpoch(req.Epoch) {
-			return &wire.RouteResp{Map: s.cur.Clone()}
-		}
 		for _, rel := range req.Rels {
 			if rr := s.redirect(req.Epoch, rel.Obj, req.Shard); rr != nil {
 				return rr

@@ -59,6 +59,17 @@ func chaosWorkload(seed int64) WorkloadConfig {
 	}
 }
 
+// serialOrder is Cluster.SerialOrder for a test: the committed roots in the
+// serialization order the history checker reads from the page versions.
+func serialOrder(t *testing.T, c *Cluster) []*Result {
+	t.Helper()
+	out, err := c.SerialOrder()
+	if err != nil {
+		t.Fatalf("history: %v", err)
+	}
+	return out
+}
+
 func chaosRepro(seed uint64) string {
 	return fmt.Sprintf("repro: go test ./internal/sim -run TestChaos -chaos-seed=%d", seed)
 }
@@ -71,9 +82,10 @@ func chaosRepro(seed uint64) string {
 //  2. every submitted root reports a result, and each outcome matches the
 //     injected-abort oracle — the fault plans are all recoverable, so
 //     network faults must never surface as transaction failures,
-//  3. committed state equals a fault-free serial replay in commit order
-//     (no lost or duplicated committed update; shadow-page undo restored
-//     pre-state on every abort),
+//  3. the recorded history is conflict serializable, and committed state
+//     equals a fault-free serial replay in its order (no lost or duplicated
+//     committed update; shadow-page undo restored pre-state on every
+//     abort),
 //  4. the page map is coherent at every site, and
 //  5. the directory lock tables and every engine's family table drained
 //     to empty.
@@ -128,8 +140,9 @@ func runChaosWorkloadIn(t *testing.T, seed uint64, w *Workload, clusterCfg Confi
 		}
 	}
 
-	// Serial replay of the commit order on a fault-free cluster must
-	// reproduce the committed state byte-for-byte.
+	// Serial replay, in the order the history checker reads from the page
+	// versions, on a fault-free cluster must reproduce the committed state
+	// byte-for-byte.
 	s, err := NewCluster(Config{Protocol: proto, Nodes: w.Cfg.Nodes, PageSize: w.Cfg.PageSize})
 	if err != nil {
 		t.Fatalf("replay cluster: %v", err)
@@ -138,11 +151,12 @@ func runChaosWorkloadIn(t *testing.T, seed uint64, w *Workload, clusterCfg Confi
 	if err != nil {
 		t.Fatalf("replay install: %v", err)
 	}
+	order, err := c.SerialOrder()
+	if err != nil {
+		t.Fatalf("history: %v\n%s", err, chaosRepro(seed))
+	}
 	var at time.Duration
-	for _, r := range c.ResultsByCommitOrder() {
-		if r.Err != nil {
-			continue // aborted roots left no effects to replay
-		}
+	for _, r := range order { // aborted roots left no effects to replay
 		call := w.Roots[r.Tag.(int)].Call
 		at += 50 * time.Millisecond
 		if err := s.Submit(at, r.Node, sObjs[call.ObjIndex], call.Method, encodeCall(sObjs, call)); err != nil {

@@ -14,6 +14,7 @@ import (
 	"lotec/internal/directory"
 	"lotec/internal/fault"
 	"lotec/internal/gdo"
+	"lotec/internal/history"
 	"lotec/internal/ids"
 	"lotec/internal/netmodel"
 	"lotec/internal/node"
@@ -151,6 +152,7 @@ type Cluster struct {
 	initialMap wire.PlacementMap
 
 	results  []*Result
+	history  []history.Record
 	reshards []*ReshardOutcome
 }
 
@@ -164,9 +166,6 @@ type Result struct {
 	// Family is the committed root transaction's family (the last attempt
 	// if retried).
 	Family ids.FamilyID
-	// CommitSeq is the family's position in the GDO's global commit order
-	// (0 if the root never committed).
-	CommitSeq uint64
 	// Tag is the caller-supplied identity from SubmitTagged.
 	Tag any
 	// At is the submitted arrival time; Done is the virtual time the root
@@ -276,6 +275,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 			Strict:            cfg.Strict,
 			DeltaOff:          cfg.DeltaOff,
 			DeltaJournalDepth: cfg.DeltaJournalDepth,
+			History:           func(rec history.Record) { c.history = append(c.history, rec) },
 		})
 		if err != nil {
 			return nil, fmt.Errorf("node %v: %w", id, err)
@@ -370,10 +370,9 @@ func (c *Cluster) SubmitTagged(at time.Duration, nodeID ids.NodeID, obj ids.Obje
 			env.Sleep(at)
 		}
 		out, fam, err := eng.Run(obj, method, arg)
-		seq := c.commitSeqOf(fam)
 		c.results = append(c.results, &Result{
 			Node: nodeID, Obj: obj, Method: method, Out: out, Err: err,
-			Family: fam, CommitSeq: seq, Tag: tag,
+			Family: fam, Tag: tag,
 			At: at, Done: env.Now(),
 		})
 	})
@@ -386,12 +385,31 @@ func (c *Cluster) Run() error { return c.net.Run() }
 // Results returns the root-transaction outcomes in completion order.
 func (c *Cluster) Results() []*Result { return c.results }
 
-// ResultsByCommitOrder returns the outcomes sorted by the GDO's global
-// commit sequence — the serialization order strict O2PL guarantees.
-func (c *Cluster) ResultsByCommitOrder() []*Result {
-	out := append([]*Result(nil), c.results...)
-	sort.Slice(out, func(i, j int) bool { return out[i].CommitSeq < out[j].CommitSeq })
-	return out
+// SerialOrder returns the committed roots in a serialization order of the
+// run: the one history.Order derives from the page versions each family was
+// granted and wrote. It fails when the history is not conflict serializable,
+// or when the committed roots and the recorded families disagree.
+func (c *Cluster) SerialOrder() ([]*Result, error) {
+	order, err := history.Order(c.history)
+	if err != nil {
+		return nil, err
+	}
+	committed := make(map[ids.FamilyID]*Result, len(order))
+	for _, r := range c.results {
+		if r.Err == nil {
+			committed[r.Family] = r
+		}
+	}
+	out := make([]*Result, 0, len(order))
+	for _, f := range order {
+		if r := committed[ids.FamilyID(f)]; r != nil {
+			out = append(out, r)
+		}
+	}
+	if len(out) != len(order) || len(out) != len(committed) {
+		return nil, fmt.Errorf("sim: %d roots committed, %d families recorded, %d of them both", len(committed), len(order), len(out))
+	}
+	return out, nil
 }
 
 // FailedResults returns the outcomes whose Err is non-nil.
@@ -407,22 +425,6 @@ func (c *Cluster) FailedResults() []*Result {
 
 // Now returns the cluster's virtual time.
 func (c *Cluster) Now() time.Duration { return c.net.Now() }
-
-// commitSeqOf resolves a family's global commit sequence: from the Sharded
-// router in legacy mode, from shard 0's current primary (the replicated
-// sequencer) otherwise.
-func (c *Cluster) commitSeqOf(fam ids.FamilyID) uint64 {
-	if len(c.hosts) == 0 {
-		seq, _ := c.dir.CommitSeq(fam)
-		return seq
-	}
-	d := c.primaryDirOf(0)
-	if d == nil {
-		return 0
-	}
-	seq, _ := d.CommitSeq(fam)
-	return seq
-}
 
 // primaryHostOf finds the host currently serving shard as primary: the one
 // whose own map names it, at the highest epoch (a deposed or crashed

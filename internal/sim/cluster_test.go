@@ -604,7 +604,7 @@ func TestByteOrderingAcrossProtocols(t *testing.T) {
 }
 
 // TestSerialEquivalence is invariant 1: the committed concurrent history
-// matches a serial replay in commit order.
+// matches a serial replay of the same transactions.
 func TestSerialEquivalence(t *testing.T) {
 	build := func() (*Cluster, ids.ObjectID, ids.ObjectID, []ids.ObjectID) {
 		c, account, job := testbed(t, Config{Nodes: 3})

@@ -70,10 +70,11 @@ func TestDeltaTraceConcurrencyEquivalence(t *testing.T) {
 	}
 }
 
-// assertSerialReplayEquivalent replays the run's committed roots in commit
-// order on a fresh fault-free cluster and asserts byte-identical object
-// state — the same oracle the chaos harness uses. Any delta mis-apply
-// (stale base, double patch, lost run) shows up as a byte mismatch here.
+// assertSerialReplayEquivalent replays the run's committed roots in the
+// history checker's order on a fresh fault-free cluster and asserts
+// byte-identical object state — the same oracle the chaos harness uses. Any
+// delta mis-apply (stale base, double patch, lost run) shows up as a byte
+// mismatch here.
 func assertSerialReplayEquivalent(t *testing.T, w *Workload, c *Cluster, objs []ids.ObjectID, cfg Config) {
 	t.Helper()
 	s, err := NewCluster(Config{Protocol: cfg.Protocol, Nodes: w.Cfg.Nodes, PageSize: w.Cfg.PageSize})
@@ -85,10 +86,7 @@ func assertSerialReplayEquivalent(t *testing.T, w *Workload, c *Cluster, objs []
 		t.Fatalf("replay install: %v", err)
 	}
 	var at time.Duration
-	for _, r := range c.ResultsByCommitOrder() {
-		if r.Err != nil {
-			continue
-		}
+	for _, r := range serialOrder(t, c) {
 		call := w.Roots[r.Tag.(int)].Call
 		at += 50 * time.Millisecond
 		if err := s.Submit(at, r.Node, sObjs[call.ObjIndex], call.Method, encodeCall(sObjs, call)); err != nil {
@@ -118,10 +116,11 @@ func assertSerialReplayEquivalent(t *testing.T, w *Workload, c *Cluster, objs []
 // transfers, which shifts the modeled timing and hence which serializable
 // commit order wins under contention — so the oracle is not on-state ==
 // off-state but that each run's committed state equals its own fault-free
-// serial replay in commit order. On top of that: the off run must report
-// zero delta activity, the commit/failure outcomes (oracle-driven) must
-// agree, and for the delta-ineligible baseline (COTEC) the two runs must be
-// byte-for-byte identical — DeltaOff touches nothing COTEC does.
+// serial replay in its serialization order. On top of that: the off run
+// must report zero delta activity, the commit/failure outcomes
+// (oracle-driven) must agree, and for the delta-ineligible baseline (COTEC)
+// the two runs must be byte-for-byte identical — DeltaOff touches nothing
+// COTEC does.
 func TestDeltaOnOffStateEquivalence(t *testing.T) {
 	for _, proto := range core.AllWithRC() {
 		proto := proto

@@ -41,8 +41,8 @@ func sumShards(per map[int]stats.ObjStats) stats.ObjStats {
 }
 
 // TestShardedRunEquivalence: partitioning the directory must not change what
-// the cluster computes or what it costs — same results, same commit order,
-// same message totals, same per-object attribution, byte for byte.
+// the cluster computes or what it costs — same results, same serialization
+// order, same message totals, same per-object attribution, byte for byte.
 func TestShardedRunEquivalence(t *testing.T) {
 	one := executeShards(t, core.LOTEC, 1)
 	four := executeShards(t, core.LOTEC, 4)
@@ -54,9 +54,17 @@ func TestShardedRunEquivalence(t *testing.T) {
 	for i := range r1 {
 		a, b := r1[i], r4[i]
 		if a.Node != b.Node || a.Obj != b.Obj || a.Method != b.Method ||
-			!bytes.Equal(a.Out, b.Out) || (a.Err == nil) != (b.Err == nil) ||
-			a.CommitSeq != b.CommitSeq {
+			!bytes.Equal(a.Out, b.Out) || (a.Err == nil) != (b.Err == nil) || a.Family != b.Family {
 			t.Errorf("result %d diverges:\n 1 shard %+v\n4 shards %+v", i, a, b)
+		}
+	}
+	o1, o4 := serialOrder(t, one), serialOrder(t, four)
+	if len(o1) == 0 || len(o1) != len(o4) {
+		t.Fatalf("%d and %d committed roots in the serial orders", len(o1), len(o4))
+	}
+	for i := range o1 {
+		if o1[i].Family != o4[i].Family {
+			t.Fatalf("serial order diverges at %d: family %v at 1 shard, %v at 4", i, o1[i].Family, o4[i].Family)
 		}
 	}
 

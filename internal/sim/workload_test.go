@@ -2,10 +2,12 @@ package sim
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 	"time"
 
 	"lotec/internal/core"
+	"lotec/internal/history"
 )
 
 func smallWorkload(seed int64) WorkloadConfig {
@@ -106,9 +108,9 @@ func TestWorkloadDeterministicTraceSameProtocol(t *testing.T) {
 	}
 }
 
-// Serializability (invariant 1): replay the committed roots serially in
-// commit order on a fresh single-threaded cluster and compare every
-// object's final bytes.
+// Serializability (invariant 1): replay the committed roots serially, in the
+// order the history checker reads from the page versions, on a fresh
+// single-threaded cluster and compare every object's final bytes.
 func TestWorkloadSerialEquivalence(t *testing.T) {
 	// The replay itself never retains: it is the reference.
 	t.Run("paper", func(t *testing.T) { serialEquivalence(t, false) })
@@ -152,7 +154,7 @@ func serialEquivalence(t *testing.T, retain bool) {
 		t.Fatal(err)
 	}
 	var at time.Duration
-	for _, r := range c.ResultsByCommitOrder() {
+	for _, r := range serialOrder(t, c) {
 		idx, ok := r.Tag.(int)
 		if !ok {
 			t.Fatalf("result missing root tag: %+v", r)
@@ -183,6 +185,73 @@ func serialEquivalence(t *testing.T, retain bool) {
 		if !bytes.Equal(concurrent, serial) {
 			t.Errorf("object %v: concurrent state differs from serial replay", o)
 		}
+	}
+}
+
+// TestSerialOrderCatchesPlantedHistory plants, in the history of a real
+// run, what a directory that granted a conflicting lock early would have
+// recorded — a later writer granted the version before its predecessor's
+// write, so both write the same version — and the loss of a committed
+// family's record. SerialOrder must refuse both.
+func TestSerialOrderCatchesPlantedHistory(t *testing.T) {
+	w, err := GenerateWorkload(smallWorkload(11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, _, err := w.Execute(Config{Protocol: core.LOTEC})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.SerialOrder(); err != nil {
+		t.Fatalf("the run's own history: %v", err)
+	}
+	clean := c.history
+	clone := func() []history.Record {
+		out := make([]history.Record, len(clean))
+		for i, r := range clean {
+			out[i] = history.Record{Family: r.Family}
+			for _, h := range r.Holds {
+				h.Seen = append([]uint64(nil), h.Seen...)
+				h.Wrote = append([]history.Stamp(nil), h.Wrote...)
+				out[i].Holds = append(out[i].Holds, h)
+			}
+		}
+		return out
+	}
+
+	// Early grant: find a page version v+1 > 2 and have its writer claim it
+	// was granted v-1 and wrote v.
+	early := clone()
+	planted := false
+	for i := range early {
+		for j := range early[i].Holds {
+			h := &early[i].Holds[j]
+			if len(h.Wrote) > 0 && h.Wrote[0].Version > history.FirstVersion+1 && !planted {
+				h.Seen[h.Wrote[0].Page]--
+				h.Wrote[0].Version--
+				planted = true
+			}
+		}
+	}
+	if !planted {
+		t.Fatal("no page was written twice in the run: nothing to plant on")
+	}
+	c.history = early
+	if _, err := c.SerialOrder(); err == nil || !strings.Contains(err.Error(), "written twice") {
+		t.Errorf("an early conflicting grant: SerialOrder error %v, want a version written twice", err)
+	}
+
+	// A lost record: the first family that wrote anything.
+	lost := clone()
+	for i, r := range lost {
+		if len(r.Holds) > 0 && len(r.Holds[0].Wrote) > 0 {
+			lost = append(lost[:i], lost[i+1:]...)
+			break
+		}
+	}
+	c.history = lost
+	if _, err := c.SerialOrder(); err == nil {
+		t.Error("a committed family's record went missing, and SerialOrder accepted the rest")
 	}
 }
 

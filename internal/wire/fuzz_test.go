@@ -159,10 +159,10 @@ func FuzzDecode(f *testing.F) {
 		f.Add(buf[:len(buf)-3]) // truncated mid-body
 	}
 
-	// The commit point of a family that holds nothing on shard 0 is an
-	// empty committing release addressed there, and its empty reply: both
-	// zero-length lists, with and without the trailing epoch section, cut
-	// and corrupted the way the per-type seeds above are.
+	// An empty committing release and its empty reply: both zero-length
+	// lists, with and without the trailing epoch section, cut and corrupted
+	// the way the per-type seeds above are. No engine sends one any more,
+	// but the decoder must still take it apart safely.
 	commitPoint := []Msg{
 		&ReleaseReq{ReqID: 1<<42 + 10, Family: 5, Site: 1, Commit: true, Shard: 0, Epoch: 7},
 		&ReleaseReq{Family: 5, Site: 1, Commit: true},

@@ -15,8 +15,8 @@ import (
 // a versioned, epoch-stamped object (PlacementMap); any host can reject a
 // stale-epoch request with RouteResp carrying the newer map, which replaces
 // the static placement-mismatch check. Cross-host deadlock detection rides
-// WaitEdgeUpdate/AbortFamilyReq; the global commit order is fixed by the
-// shard-0 primary when a family's committing ReleaseReq reaches it.
+// WaitEdgeUpdate/AbortFamilyReq. No host keeps a commit order: the page
+// versions committing ReleaseReqs stamp are the serialization order.
 
 // PlacementMap is the versioned shard→owner map distributed to every node.
 // Epoch starts at 1 and bumps on every promotion or handoff; requests

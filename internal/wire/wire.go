@@ -216,8 +216,8 @@ type ReleaseReq struct {
 	ReqID  uint64
 	Family ids.FamilyID
 	Site   ids.NodeID
-	// Commit distinguishes a root-commit release (dirty info meaningful,
-	// counts toward the global commit order) from an abort release.
+	// Commit distinguishes a root-commit release (dirty pages stamped,
+	// locks possibly kept at the site) from an abort release.
 	Commit bool
 	// Shard addresses the directory partition owning every object in
 	// Rels; releasing sites batch one ReleaseReq per (home, shard).

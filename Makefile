@@ -37,11 +37,12 @@ bench:
 
 # Steady-state allocation gates (testing.AllocsPerRun) over the
 # //lotec:noalloc surfaces: pooled frame get/release, EncodeFrame,
-# ReadFrame, DecodeView, the directory's immediate-grant fast path, and a
-# whole TCPNet.Call round trip on loopback; and the per-root budgets: a flat
-# root — a repeat one, on a grant retained at its site, and a first one — in
-# the engine alone, a root over two directory shards, its shadow log, and end
-# to end over loopback.
+# ReadFrame, DecodeView, the page pool, the directory's immediate-grant fast
+# path, and a whole TCPNet.Call round trip on loopback; and the per-root
+# budgets: a flat root — a repeat one, on a grant retained at its site, and a
+# first one — in the engine alone, a root over two directory shards, its
+# shadow log (no page-sized buffer), end to end over loopback, and the bytes
+# of a root that pulls and rewrites a whole page (under one page).
 # Run without -race: the poison pass and detector instrumentation change
 # the allocation behavior under test.
 bench-allocs:

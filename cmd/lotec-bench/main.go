@@ -64,6 +64,9 @@ type benchResult struct {
 	// entries only; the delta path must stay allocation-lean — payload
 	// buffers are pooled).
 	AllocsPerOp float64 `json:"allocs_per_op,omitempty"`
+	// AllocBytesPerOp is heap bytes allocated per committed root (the
+	// tcp/alloc-bytes-per-data-root row only, next to its AllocsPerOp).
+	AllocBytesPerOp float64 `json:"alloc_bytes_per_op,omitempty"`
 	// Transfer-pipeline breakdown (simulated runs only): total transfers
 	// and the summed per-stage wall clock on the cluster's virtual clock.
 	// Gather is the only stage whose time responds to FetchConcurrency.
@@ -139,6 +142,10 @@ func main() {
 				os.Exit(1)
 			}
 			if err := checkMsgsPerRoot(*baseline); err != nil {
+				fmt.Fprintln(os.Stderr, "lotec-bench: smoke:", err)
+				os.Exit(1)
+			}
+			if err := checkDataRoot(*baseline); err != nil {
 				fmt.Fprintln(os.Stderr, "lotec-bench: smoke:", err)
 				os.Exit(1)
 			}
@@ -304,6 +311,13 @@ func writeJSON(spec sim.FigureSpec, path string) error {
 	}
 	fmt.Printf("%-32s %10d frames  %6.3f writes/frame\n", writes.Op, writes.Ops, writes.WritesPerFrame)
 	results = append(results, writes)
+
+	dataRoot, err := dataRootRow()
+	if err != nil {
+		return err
+	}
+	fmt.Printf("%-32s %10d ops  %6.0f B/op  %6.2f allocs/op\n", dataRoot.Op, dataRoot.Ops, dataRoot.AllocBytesPerOp, dataRoot.AllocsPerOp)
+	results = append(results, dataRoot)
 
 	loc, err := locRows(".")
 	if err != nil {

@@ -22,6 +22,9 @@ import (
 //   - string↔[]byte/[]rune conversions and string concatenation;
 //   - interface boxing: passing, returning or assigning a concrete
 //     non-pointer-shaped value where an interface is expected;
+//   - an escaping local: passing, returning or assigning &v of a function's
+//     local v where an interface is expected (`pool.Put(&b)` moves b to the
+//     heap on every call);
 //   - defer inside a loop;
 //   - calls to module functions not themselves marked //lotec:noalloc,
 //     calls to standard-library packages outside a small allowlist (sync,
@@ -497,6 +500,10 @@ func (c *allocCheck) boxCheck(e ast.Expr, target types.Type, what string) {
 	if _, isTP := target.(*types.TypeParam); isTP {
 		return
 	}
+	if v := c.addressedLocal(e); v != nil {
+		c.flag(e.Pos(), "%s takes the address of local %s, which escapes to the heap through %s", what, v.Name(), typeShort(target))
+		return
+	}
 	src := c.p.Info.TypeOf(e)
 	if src == nil || types.IsInterface(src) || pointerShaped(src) {
 		return
@@ -505,6 +512,26 @@ func (c *allocCheck) boxCheck(e ast.Expr, target types.Type, what string) {
 		return
 	}
 	c.flag(e.Pos(), "%s boxes %s into %s", what, typeShort(src), typeShort(target))
+}
+
+// addressedLocal returns the variable v when e is &v and v is local to a
+// function (parameters included). A pointer fits an interface word without
+// boxing, but the compiler cannot see where an interface value goes, so v
+// itself moves to the heap: `pool.Put(&b)` allocates b on every call.
+func (c *allocCheck) addressedLocal(e ast.Expr) *types.Var {
+	u, ok := ast.Unparen(e).(*ast.UnaryExpr)
+	if !ok || u.Op != token.AND {
+		return nil
+	}
+	id, ok := ast.Unparen(u.X).(*ast.Ident)
+	if !ok {
+		return nil
+	}
+	v, ok := c.p.Info.Uses[id].(*types.Var)
+	if !ok || v.IsField() || v.Parent() == nil || v.Pkg() == nil || v.Parent() == v.Pkg().Scope() {
+		return nil
+	}
+	return v
 }
 
 // pointerShaped reports whether values of t fit an interface word without

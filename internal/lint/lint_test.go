@@ -218,7 +218,7 @@ func TestLockOrderNegative(t *testing.T) {
 
 func TestHotAllocPositive(t *testing.T) {
 	fs := runOn(t, HotAlloc, "./testdata/hotalloc_pos")
-	wantFindings(t, fs, 8,
+	wantFindings(t, fs, 9,
 		"make allocates",
 		"self-assignment grows a fresh slice",
 		"function literal allocates a closure",
@@ -227,6 +227,7 @@ func TestHotAllocPositive(t *testing.T) {
 		"&hot.Buf{} allocates",
 		"calls hot.unannotated, which is not marked //lotec:noalloc",
 		"boxes int into any",
+		"takes the address of local b, which escapes to the heap through any",
 	)
 }
 
@@ -290,8 +291,9 @@ func TestRepoIsClean(t *testing.T) {
 	}
 }
 
-// TestRepoHasNoallocSurface pins the enforcement surface: the wire codec
-// and the directory fast path must keep their //lotec:noalloc annotations.
+// TestRepoHasNoallocSurface pins the enforcement surface: the wire codec,
+// the page pool and the directory fast path must keep their
+// //lotec:noalloc annotations.
 func TestRepoHasNoallocSurface(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads several module packages")
@@ -300,7 +302,7 @@ func TestRepoHasNoallocSurface(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewLoader: %v", err)
 	}
-	pkgs, err := l.Load("lotec/internal/wire", "lotec/internal/gdo", "lotec/internal/directory")
+	pkgs, err := l.Load("lotec/internal/wire", "lotec/internal/gdo", "lotec/internal/directory", "lotec/internal/pstore")
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
@@ -324,6 +326,8 @@ func TestRepoHasNoallocSurface(t *testing.T) {
 	for _, fn := range []string{
 		"wire.GetFrame",
 		"wire.ReleaseFrame",
+		"pstore.GetPage",
+		"pstore.ReleasePage",
 		"gdo.newHoldLocked",
 		"gdo.removeHolderLocked",
 		"gdo.buildWaitsForLocked",

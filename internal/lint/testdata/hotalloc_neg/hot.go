@@ -85,6 +85,30 @@ func Get(pool *sync.Pool, size int) []byte {
 	return make([]byte, size) //lotec:alloc-ok — pool miss hands out a fresh buffer
 }
 
+// boxes recycles the *[]byte boxes Put stores buffers in.
+var boxes, bufs sync.Pool
+
+// Put pools a buffer in a recycled box: the box is a pointer already, so
+// nothing escapes.
+//
+//lotec:noalloc
+func Put(buf []byte) {
+	bp := boxes.Get().(*[]byte)
+	*bp = buf[:cap(buf)]
+	bufs.Put(bp)
+}
+
+// shared is a package-level variable: its address is static.
+var shared W
+
+// PutShared hands the pool a package variable's address, which allocates
+// nothing.
+//
+//lotec:noalloc
+func PutShared() {
+	bufs.Put(&shared)
+}
+
 var errShort = errors.New("short")
 
 // Check returns a preallocated sentinel on failure.

@@ -428,10 +428,10 @@ func (s *Store) Objects() []ids.ObjectID {
 	return out
 }
 
-// snapshotLocked returns a copy of the page's bytes, dirty flag, and open
-// journal epoch for undo. Caller holds s.mu.
+// snapshotLocked returns a copy of the page's bytes in a pool page, its
+// dirty flag, and its open journal epoch for undo. Caller holds s.mu.
 func (pg *page) snapshotLocked() ([]byte, bool, intervalSet) {
-	buf := make([]byte, len(pg.data))
+	buf := GetPage(len(pg.data))
 	copy(buf, pg.data)
 	return buf, pg.dirty, pg.pending.clone()
 }

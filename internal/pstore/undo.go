@@ -8,7 +8,8 @@ import (
 
 // undoRec is one shadow-page record: the bytes, dirty flag, and open
 // dirty-range journal epoch of a page as they were immediately before the
-// owning transaction's first write to it.
+// owning transaction's first write to it. before is a pool page that the
+// log owns until Undo or Discard gives it back.
 type undoRec struct {
 	pid     ids.PageID
 	before  []byte
@@ -70,9 +71,10 @@ func (l *UndoLog) SnapshotBefore(st *Store, obj ids.ObjectID, pages []ids.PageNu
 	return nil
 }
 
-// Undo restores every recorded page, newest record first, and empties the
-// log. Pages that are no longer resident are skipped (they cannot have been
-// observed by anyone, since the lock is still held).
+// Undo restores every recorded page, newest record first, gives the shadow
+// pages back to the page pool and empties the log. Pages that are no longer
+// resident are skipped (they cannot have been observed by anyone, since the
+// lock is still held).
 func (l *UndoLog) Undo(st *Store) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -81,14 +83,16 @@ func (l *UndoLog) Undo(st *Store) {
 		if pg, ok := st.lookupLocked(r.pid); ok {
 			pg.restore(r.before, r.dirty, r.pending)
 		}
+		ReleasePage(r.before)
 	}
 	l.recs, l.seen = nil, nil
 }
 
 // MergeInto appends this log's records to parent (preserving creation order)
-// and empties this log. Called when a sub-transaction pre-commits, so that
-// an ancestor abort also undoes the pre-committed child (§3.2 lock
-// inheritance has the matching undo-inheritance here).
+// and empties this log; the parent takes over their shadow pages. Called
+// when a sub-transaction pre-commits, so that an ancestor abort also undoes
+// the pre-committed child (§3.2 lock inheritance has the matching
+// undo-inheritance here).
 //
 // Records for pages the parent has already snapshotted are kept anyway:
 // reverse-order replay guarantees the parent's older snapshot is applied
@@ -105,9 +109,12 @@ func (l *UndoLog) MergeInto(parent *UndoLog) {
 	l.recs, l.seen = nil, nil
 }
 
-// Discard drops all records (used at root commit, when no rollback can ever
-// be needed again).
+// Discard drops all records and gives their shadow pages back to the page
+// pool (used at root commit, when no rollback can ever be needed again).
 func (l *UndoLog) Discard() {
+	for _, r := range l.recs {
+		ReleasePage(r.before)
+	}
 	l.recs, l.seen = nil, nil
 }
 

@@ -11,6 +11,7 @@ import (
 	"lotec/internal/core"
 	"lotec/internal/gdo"
 	"lotec/internal/ids"
+	"lotec/internal/pstore"
 	"lotec/internal/wire"
 )
 
@@ -96,6 +97,42 @@ func TestAllocsRootCommit(t *testing.T) {
 				t.Errorf("a %s allocates %.2f, want ≤ %v", tc.name, n, tc.budget)
 			}
 		})
+	}
+}
+
+// dataRootBytes is the most a data root may allocate, process-wide: under
+// one page. The root runs at node 2 and rewrites the whole 4 KiB page node 1
+// wrote last, so the page crosses the wire and is shadowed; its messages,
+// lock state, page map and the journal of its write take ~3.3 KiB in ~66
+// allocations. Before the page pool it was ~11.5 KiB: the shadow copy and
+// the fetched page copied out of its frame were a fresh 4 KiB each (the
+// page node 1 staged to serve was the second of them, recycled).
+const dataRootBytes = pstore.DefaultPageSize
+
+func TestAllocsBytesPerDataRoot(t *testing.T) {
+	nodes := startPageDeployment(t, nil)
+	page := make([]byte, pstore.DefaultPageSize)
+	var bytes, allocs uint64
+	var before, after runtime.MemStats
+	const roots = 500
+	for i := 0; i < 50+roots; i++ {
+		if _, err := nodes[0].Run(sheetObj, "fill", page); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&before)
+		if _, err := nodes[1].Run(sheetObj, "fill", page); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if i >= 50 { // the first ones dial, fill the pools and grow the maps
+			bytes += after.TotalAlloc - before.TotalAlloc
+			allocs += after.Mallocs - before.Mallocs
+		}
+	}
+	perRoot := float64(bytes) / roots
+	t.Logf("a data root allocates %.0f B in %.1f allocations", perRoot, float64(allocs)/roots)
+	if perRoot >= dataRootBytes {
+		t.Errorf("a data root allocates %.0f B, want under %d: a page buffer on the data path is not pooled", perRoot, dataRootBytes)
 	}
 }
 

@@ -20,6 +20,7 @@ import (
 	"lotec/internal/stats"
 	"lotec/internal/transport"
 	"lotec/internal/wire"
+	"lotec/internal/xfer"
 )
 
 // replyBit marks an envelope's ReqID as a reply to the peer's request with
@@ -393,6 +394,14 @@ func (n *TCPNet) dispatch(c *tcpConn, env wire.Envelope, m wire.Msg) {
 		From:  n.self,
 		To:    env.From,
 	}, reply)
+	// The reply is encoded: the pages a fetch reply staged go back to the
+	// page pool — unless the request carried a body request ID, for which
+	// fault.Dedup keeps the reply to replay to a retry, buffers and all.
+	if resp, ok := reply.(*wire.MultiFetchResp); ok {
+		if idem, ok := m.(wire.Idempotent); !ok || idem.RequestID() == 0 {
+			xfer.ReleaseServed(resp)
+		}
+	}
 }
 
 // clientIDBase marks synthetic client identities (see package client).

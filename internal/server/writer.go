@@ -4,6 +4,8 @@ import (
 	"net"
 	"sync"
 	"time"
+
+	"lotec/internal/wire"
 )
 
 // writeTimeout bounds how long a write may stall, so a peer that has stopped
@@ -24,8 +26,8 @@ const (
 	// pending buffer for another goroutine to write. Control messages are
 	// under it, page-carrying replies far over: those are never copied,
 	// which is also what keeps the pending buffer from growing to their
-	// size.
-	smallFrame = 512
+	// size. It is the boundary of wire's frame size classes.
+	smallFrame = wire.SmallFrame
 	// pendingCap bounds the bytes queued behind the goroutine that is
 	// writing: the per-connection send queue. A sender that would exceed
 	// it waits for the socket instead.

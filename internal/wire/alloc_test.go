@@ -36,6 +36,35 @@ func TestAllocsFramePool(t *testing.T) {
 	}
 }
 
+// TestFrameSizeClasses: a control frame never takes a bulk buffer — not
+// from GetFrame, not from ReadFrame, which reads the length prefix into a
+// small one — and a buffer goes back to the class of its capacity.
+func TestFrameSizeClasses(t *testing.T) {
+	for i := 0; i < 100; i++ {
+		ReleaseFrame(GetFrame(64 << 10))
+		if buf := GetFrame(100); cap(buf) != SmallFrame {
+			t.Fatalf("GetFrame(100) after a bulk release has capacity %d, want %d", cap(buf), SmallFrame)
+		}
+		if buf := GetFrame(SmallFrame + 1); cap(buf) <= SmallFrame {
+			t.Fatalf("GetFrame(%d) has capacity %d", SmallFrame+1, cap(buf))
+		}
+	}
+	env := Envelope{ReqID: 1, From: 1, To: 2}
+	for _, m := range []Msg{&ReleaseResp{}, &MultiFetchResp{Objs: []ObjPayload{{Obj: 7, Pages: []PagePayload{{Page: 1, Version: 2, Data: make([]byte, 4096)}}}}}} {
+		frame := EncodeFrame(env, m)
+		stream := append([]byte(nil), frame...)
+		ReleaseFrame(frame)
+		buf, err := ReadFrame(bytes.NewReader(stream))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if small := len(stream) <= SmallFrame; small != (cap(buf) <= SmallFrame) {
+			t.Errorf("%T: a %d-byte frame was read into a buffer of capacity %d", m, len(stream), cap(buf))
+		}
+		ReleaseFrame(buf)
+	}
+}
+
 func TestAllocsEncodeFrame(t *testing.T) {
 	if framePoison {
 		t.Skip("race build: poison pass changes the steady state under test")

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"sync"
+
+	"lotec/internal/pstore"
 )
 
 // Data-plane buffer pooling: pooled encode/read frames with transport
@@ -34,44 +36,50 @@ import (
 // length prefix, so framing a message needs no second buffer and no copy.
 const FrameHeadroom = 4
 
-// framePool recycles frame buffers across messages. Buffers grow to the
-// largest message seen and stay that size; page-carrying frames therefore
-// converge on page-sized capacity, which is exactly the steady state the
-// transfer paths want.
-var framePool = sync.Pool{
-	New: func() any {
-		buf := make([]byte, 0, 512)
-		return &buf
-	},
-}
+// SmallFrame is the boundary of the two frame size classes: a frame of at
+// most SmallFrame bytes, length prefix included — every control message —
+// is a small frame, anything larger (a page-carrying one) a bulk frame. It
+// is also the largest frame a TCP connection's writer copies into its queue.
+const SmallFrame = 512
 
-// headerPool recycles the *[]byte boxes that carry frames through
-// framePool. Putting &local into a sync.Pool heap-allocates a fresh slice
-// header per release; cycling the boxes between the two pools (GetFrame
-// frees a box, ReleaseFrame reuses it) keeps the steady state at zero
-// allocations.
-var headerPool = sync.Pool{
-	New: func() any { return new([]byte) },
-}
+// Frame buffers are pooled in two size classes, so a control frame never
+// takes a bulk buffer, and the bulk buffers a run once needed are not kept
+// alive under the control frames that follow. Small buffers are made with
+// SmallFrame capacity; bulk ones grow to the largest bulk frame seen. A
+// buffer returns to the class its capacity belongs to.
+var smallFrames, bulkFrames = sync.Pool{New: newBox}, sync.Pool{New: newBox}
 
-// GetFrame returns a pooled buffer of length n. The contents are
-// unspecified; callers overwrite every byte they frame.
+// headerPool recycles the *[]byte boxes that carry frames through the two
+// class pools. Putting &local into a sync.Pool heap-allocates a fresh slice
+// header per release; cycling the boxes between the pools (GetFrame frees a
+// box, ReleaseFrame reuses it) keeps the steady state at zero allocations.
+var headerPool = sync.Pool{New: newBox}
+
+func newBox() any { return new([]byte) }
+
+// GetFrame returns a pooled buffer of length n from n's size class. The
+// contents are unspecified; callers overwrite every byte they frame.
 //
 //lotec:noalloc
 func GetFrame(n int) []byte {
-	bp := framePool.Get().(*[]byte)
+	pool := &bulkFrames
+	if n <= SmallFrame {
+		pool = &smallFrames
+	}
+	bp := pool.Get().(*[]byte)
 	buf := *bp
 	*bp = nil
 	headerPool.Put(bp)
 	if cap(buf) < n {
-		return make([]byte, n) //lotec:alloc-ok — pool miss or growth; the bigger buffer joins the pool on release
+		return make([]byte, n, max(n, SmallFrame)) //lotec:alloc-ok — pool miss or growth; the buffer joins its class on release
 	}
 	return buf[:n]
 }
 
 // ReleaseFrame returns a buffer obtained from GetFrame or EncodeFrame to
-// the pool. Safe to call with buffers from other sources; never call it
-// with a sub-slice of a pooled frame (see the ownership rules above).
+// the pool of its capacity's class. Safe to call with buffers from other
+// sources; never call it with a sub-slice of a pooled frame (see the
+// ownership rules above).
 //
 //lotec:noalloc
 func ReleaseFrame(buf []byte) {
@@ -84,7 +92,11 @@ func ReleaseFrame(buf []byte) {
 	}
 	bp := headerPool.Get().(*[]byte)
 	*bp = b
-	framePool.Put(bp)
+	if cap(b) <= SmallFrame {
+		smallFrames.Put(bp)
+	} else {
+		bulkFrames.Put(bp)
+	}
 }
 
 // MaxFrame bounds a single wire frame; a larger announced length is treated
@@ -96,9 +108,10 @@ const MaxFrame = 64 << 20
 // must be handed back with ReleaseFrame once every message decoded from it
 // is dead or retained.
 func ReadFrame(r io.Reader) ([]byte, error) {
-	// The length prefix is read into the pooled buffer itself: a stack
-	// array would escape through the io.Reader interface call and cost an
-	// allocation per frame.
+	// The length prefix is read into a small pooled buffer, which keeps a
+	// control frame's body too: a stack array would escape through the
+	// io.Reader interface call and cost an allocation per frame. Only a bulk
+	// frame trades it for a buffer of the bulk class.
 	buf := GetFrame(FrameHeadroom)
 	if _, err := io.ReadFull(r, buf); err != nil {
 		ReleaseFrame(buf)
@@ -153,11 +166,25 @@ func EncodeFrame(env Envelope, m Msg) []byte {
 
 // Retain deep-copies every frame-aliasing field of m in place, so a message
 // produced by DecodeView survives the release of its frame. Messages whose
-// types carry no []byte payloads are untouched. Idempotent.
+// types carry no []byte payloads are untouched.
+//
+// The page and delta payloads of a MultiFetchResp are copied into pool
+// pages (pstore.GetPage): the requester installs them and gives them back
+// (xfer's apply stage). Everything else is copied into fresh memory.
+// Retaining a message twice copies twice; the first copies are then left to
+// the garbage collector.
 func Retain(m Msg) {
 	switch t := m.(type) {
 	case *MultiFetchResp:
-		retainObjPayloads(t.Objs)
+		for i := range t.Objs {
+			op := &t.Objs[i]
+			for j := range op.Pages {
+				op.Pages[j].Data = poolCopy(op.Pages[j].Data)
+			}
+			for j := range op.Deltas {
+				op.Deltas[j].Data = poolCopy(op.Deltas[j].Data)
+			}
+		}
 	case *MultiPushReq:
 		retainObjPayloads(t.Objs)
 	case *RunReq:
@@ -193,4 +220,14 @@ func cloneBytes(b []byte) []byte {
 		return nil
 	}
 	return append([]byte(nil), b...)
+}
+
+// poolCopy copies b into a pool page, preserving nil.
+func poolCopy(b []byte) []byte {
+	if b == nil {
+		return nil
+	}
+	buf := pstore.GetPage(len(b))
+	copy(buf, b)
+	return buf
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"lotec/internal/ids"
+	"lotec/internal/pstore"
 )
 
 // TestViewRetainUnderFrameReuse is the buffer-lifetime gauntlet for the
@@ -43,10 +44,12 @@ func TestViewRetainUnderFrameReuse(t *testing.T) {
 				ReleaseFrame(frame)
 				// The frame is back in the shared pool; another goroutine may
 				// already be scribbling over it. The retained copy must hold.
-				if got := resp.Objs[0].Pages[0].Data; !bytes.Equal(got, payload) {
+				got := resp.Objs[0].Pages[0].Data
+				if !bytes.Equal(got, payload) {
 					t.Errorf("worker %d iter %d: retained payload corrupted after frame release", tag, i)
 					return
 				}
+				pstore.ReleasePage(got) // as the apply stage does once the page is installed
 			}
 		}(byte(w + 1))
 	}
@@ -71,5 +74,40 @@ func TestReleasedFramePoisonedInRaceBuilds(t *testing.T) {
 		if b != 0xDB {
 			t.Fatalf("byte %d is %#x after release, want poison 0xDB", i, b)
 		}
+	}
+}
+
+// TestRetainCopiesFetchedPagesIntoPoolPages: Retain copies the page and
+// delta payloads of a fetch reply into page-pool buffers — page capacity
+// even for a short delta, so the requester's release pools a whole page and
+// a short buffer never displaces one.
+func TestRetainCopiesFetchedPagesIntoPoolPages(t *testing.T) {
+	page := bytes.Repeat([]byte{0x5A}, pstore.DefaultPageSize)
+	delta := bytes.Repeat([]byte{0xA5}, 64)
+	msg := &MultiFetchResp{Objs: []ObjPayload{{
+		Obj:    7,
+		Pages:  []PagePayload{{Page: 0, Version: 3, Data: page}},
+		Deltas: []DeltaPage{{Page: 1, Base: 1, Version: 3, Runs: []Span{{Off: 8, Len: 64}}, Data: delta}},
+	}}}
+	frame := EncodeFrame(Envelope{ReqID: 1, From: 1, To: 2}, msg)
+	_, m, err := DecodeView(frame[FrameHeadroom:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	Retain(m)
+	ReleaseFrame(frame)
+	op := m.(*MultiFetchResp).Objs[0]
+	for _, got := range []struct {
+		name string
+		data []byte
+		want []byte
+	}{{"page", op.Pages[0].Data, page}, {"delta", op.Deltas[0].Data, delta}} {
+		if !bytes.Equal(got.data, got.want) {
+			t.Errorf("retained %s payload differs from the one sent", got.name)
+		}
+		if cap(got.data) != pstore.DefaultPageSize {
+			t.Errorf("retained %s payload has capacity %d, want a pool page (%d)", got.name, cap(got.data), pstore.DefaultPageSize)
+		}
+		pstore.ReleasePage(got.data)
 	}
 }

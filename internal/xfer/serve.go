@@ -2,7 +2,6 @@ package xfer
 
 import (
 	"errors"
-	"sync"
 
 	"lotec/internal/ids"
 	"lotec/internal/pstore"
@@ -10,43 +9,33 @@ import (
 	"lotec/internal/wire"
 )
 
-// pagePool recycles page-sized staging buffers across transfers. Safety
-// rests on pstore.InstallPage copying its input: once a page is installed
-// (or a message encoded, on the TCP path) the buffer carries no live data
-// and may be reused. Buffers that escape to a peer that never releases
-// them (the TCP decode path) are simply lost
-// to the GC — a missed reuse, never a correctness issue. Each DeltaPage
-// owns one staging buffer (its Data slice), never a sub-slice of a shared
-// one: ReleasePage returns buf[:cap], so two releases of overlapping
-// slices would corrupt the pool.
-var pagePool = sync.Pool{
-	New: func() any {
-		buf := make([]byte, pstore.DefaultPageSize)
-		return &buf
-	},
-}
+// Staged pages come from pstore's page pool. Safety rests on
+// pstore.InstallPage copying its input: once a page is installed (or a
+// message encoded, on the TCP path) the buffer carries no live data and may
+// be given back. Who gives back what (DESIGN.md §9 has the table): the
+// requester's apply stage releases the pages of a fetch reply — on the
+// simulator the very buffers ServeFetch staged, over TCP the pool pages
+// wire.Retain copied them into — and the serving TCPNet releases the staged
+// buffers once the reply is written, unless fault.Dedup keeps the reply for
+// replay. Each DeltaPage owns one staging buffer (its Data slice), never a
+// sub-slice of a shared one: ReleasePage pools buf[:cap], so two releases of
+// overlapping slices would corrupt the pool.
 
-// GetPage returns a staging buffer of exactly size bytes.
+// ReleasePage gives a staged buffer back to the page pool; it is
+// pstore.ReleasePage, named here for callers of ServeFetch outside the
+// runtime (benchmark/probes.go).
 //
 //lotec:noalloc
-func GetPage(size int) []byte {
-	bp := pagePool.Get().(*[]byte)
-	if cap(*bp) < size {
-		return make([]byte, size) //lotec:alloc-ok — pool buffers are page-sized; an oversized request pays for itself
-	}
-	return (*bp)[:size]
-}
+func ReleasePage(buf []byte) { pstore.ReleasePage(buf) }
 
-// ReleasePage returns a staging buffer to the pool. Safe to call with
-// buffers that did not come from GetPage.
+// ReleaseServed gives back every staged buffer of a reply ServeFetch built,
+// once nothing reads it any more.
 //
 //lotec:noalloc
-func ReleasePage(buf []byte) {
-	if cap(buf) == 0 {
-		return
+func ReleaseServed(resp *wire.MultiFetchResp) {
+	for _, op := range resp.Objs {
+		releasePayloads(op)
 	}
-	b := buf[:cap(buf)]
-	pagePool.Put(&b)
 }
 
 // toWireSpans converts journal spans to their wire form.
@@ -74,14 +63,13 @@ func toStoreSpans(runs []wire.Span) []pstore.Span {
 // encoded delta is smaller than the full payload; everything else — cold
 // caches, evicted journals, broken chains, deltas that would not pay —
 // falls back to the full page, so the reply is correct for any requester
-// state. The requester's apply stage releases the staged buffers.
+// state. The staged buffers are pool pages; whoever reads the reply last
+// gives them back (see ReleaseServed).
 func ServeFetch(store *pstore.Store, rec *stats.Recorder, req *wire.MultiFetchReq) wire.Msg {
 	fullSize := wire.PagePayload{Data: make([]byte, 0)}.EncodedSize() + store.PageSize()
 	resp := &wire.MultiFetchResp{Objs: make([]wire.ObjPayload, 0, len(req.Objs))}
 	abort := func(out wire.ObjPayload, msg string) wire.Msg {
-		for _, served := range resp.Objs {
-			releasePayloads(served)
-		}
+		ReleaseServed(resp)
 		releasePayloads(out)
 		return &wire.ErrResp{Msg: msg}
 	}
@@ -93,7 +81,7 @@ func ServeFetch(store *pstore.Store, rec *stats.Recorder, req *wire.MultiFetchRe
 			if i < len(op.Bases) {
 				base = op.Bases[i]
 			}
-			buf := GetPage(store.PageSize())
+			buf := pstore.GetPage(store.PageSize())
 			if base > 0 {
 				if runs, target, n, ok := store.DeltaSince(pid, base, buf); ok {
 					dp := wire.DeltaPage{Page: p, Base: base, Version: target, Runs: toWireSpans(runs), Data: buf[:n]}
@@ -112,7 +100,7 @@ func ServeFetch(store *pstore.Store, rec *stats.Recorder, req *wire.MultiFetchRe
 			}
 			ver, err := store.PageCopyInto(pid, buf)
 			if err != nil {
-				ReleasePage(buf)
+				pstore.ReleasePage(buf)
 				return abort(out, err.Error())
 			}
 			if rec != nil {
@@ -125,15 +113,15 @@ func ServeFetch(store *pstore.Store, rec *stats.Recorder, req *wire.MultiFetchRe
 	return resp
 }
 
-// releasePayloads hands staged buffers back on an aborted serve.
+// releasePayloads hands one object's staged buffers back.
 //
 //lotec:noalloc
 func releasePayloads(op wire.ObjPayload) {
 	for _, pg := range op.Pages {
-		ReleasePage(pg.Data)
+		pstore.ReleasePage(pg.Data)
 	}
 	for _, dp := range op.Deltas {
-		ReleasePage(dp.Data)
+		pstore.ReleasePage(dp.Data)
 	}
 }
 

@@ -9,7 +9,7 @@
 // objects* by peer site into one MultiFetchReq/MultiPushReq per site; the
 // gather stage issues the per-site calls with bounded concurrency through
 // transport.CallGroup; the apply stage installs the received pages. Staged
-// page buffers come from a sync.Pool and per-stage accounting lands in
+// page buffers come from pstore's page pool and per-stage accounting lands in
 // stats.TransferSample records.
 //
 // Concurrency is a wall-clock optimization only: the byte and message
@@ -251,13 +251,13 @@ func (e *Engine) applyFetch(calls []transport.GroupCall, results []transport.Gro
 				bytes += len(pg.Data)
 				pid := ids.PageID{Object: op.Obj, Page: pg.Page}
 				if v, ok := e.Store.PageVersion(pid); ok && v >= pg.Version {
-					ReleasePage(pg.Data)
+					pstore.ReleasePage(pg.Data)
 					continue
 				}
 				if err := e.Store.InstallPage(pid, pg.Data, pg.Version); err != nil {
 					return 0, 0, 0, 0, fmt.Errorf("install %v: %w", pid, err)
 				}
-				ReleasePage(pg.Data)
+				pstore.ReleasePage(pg.Data)
 			}
 			for _, dp := range op.Deltas {
 				pages++
@@ -266,11 +266,11 @@ func (e *Engine) applyFetch(calls []transport.GroupCall, results []transport.Gro
 				deltaBytes += len(dp.Data)
 				pid := ids.PageID{Object: op.Obj, Page: dp.Page}
 				if v, ok := e.Store.PageVersion(pid); ok && v >= dp.Version {
-					ReleasePage(dp.Data)
+					pstore.ReleasePage(dp.Data)
 					continue
 				}
 				applyErr := e.Store.ApplyDelta(pid, dp.Base, dp.Version, toStoreSpans(dp.Runs), dp.Data)
-				ReleasePage(dp.Data)
+				pstore.ReleasePage(dp.Data)
 				if applyErr == nil {
 					continue
 				}
@@ -300,13 +300,13 @@ func (e *Engine) applyFetch(calls []transport.GroupCall, results []transport.Gro
 				bytes += len(pg.Data)
 				rpid := ids.PageID{Object: op.Obj, Page: pg.Page}
 				if v, ok := e.Store.PageVersion(rpid); ok && v >= pg.Version {
-					ReleasePage(pg.Data)
+					pstore.ReleasePage(pg.Data)
 					continue
 				}
 				if err := e.Store.InstallPage(rpid, pg.Data, pg.Version); err != nil {
 					return 0, 0, 0, 0, fmt.Errorf("install %v: %w", rpid, err)
 				}
-				ReleasePage(pg.Data)
+				pstore.ReleasePage(pg.Data)
 			}
 		}
 	}
@@ -344,7 +344,7 @@ func (e *Engine) Push(objs []ids.ObjectID, dirty map[ids.ObjectID][]ids.PageNum,
 	var staged [][]byte
 	defer func() {
 		for _, buf := range staged {
-			ReleasePage(buf)
+			pstore.ReleasePage(buf)
 		}
 	}()
 	delta = delta && !e.DeltaOff
@@ -354,7 +354,7 @@ func (e *Engine) Push(objs []ids.ObjectID, dirty map[ids.ObjectID][]ids.PageNum,
 	for _, obj := range withPages {
 		for _, p := range dirty[obj] {
 			pid := ids.PageID{Object: obj, Page: p}
-			buf := GetPage(e.Store.PageSize())
+			buf := pstore.GetPage(e.Store.PageSize())
 			if delta {
 				// restampDirty sealed this commit's dirty ranges as the
 				// newest epoch (version-1 → version) just before this push.
@@ -379,7 +379,7 @@ func (e *Engine) Push(objs []ids.ObjectID, dirty map[ids.ObjectID][]ids.PageNum,
 			// will assign at the release that follows.
 			ver, err := e.Store.PageCopyInto(pid, buf)
 			if err != nil {
-				ReleasePage(buf)
+				pstore.ReleasePage(buf)
 				return err
 			}
 			if delta && e.Rec != nil {

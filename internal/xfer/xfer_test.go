@@ -345,14 +345,15 @@ func TestApplyPushSkipsStale(t *testing.T) {
 	}
 }
 
-// TestPagePool checks the staging-buffer pool contract.
+// TestPagePool checks the staging-buffer contract: staged pages come from
+// pstore's pool and go back through ReleasePage.
 func TestPagePool(t *testing.T) {
-	buf := GetPage(pageSize)
+	buf := pstore.GetPage(pageSize)
 	if len(buf) != pageSize {
 		t.Fatalf("GetPage(%d) len %d", pageSize, len(buf))
 	}
 	ReleasePage(buf)
-	big := GetPage(pstore.DefaultPageSize * 2)
+	big := pstore.GetPage(pstore.DefaultPageSize * 2)
 	if len(big) != pstore.DefaultPageSize*2 {
 		t.Fatalf("oversized GetPage len %d", len(big))
 	}

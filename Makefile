@@ -57,7 +57,8 @@ bench-smoke:
 	go run ./cmd/lotec-bench -figure 3 -smoke
 
 # Observe-predict-calibrate gate: the zipf-hot spec runs on the simulator
-# (dedicated-directory topology) and on a real in-process TCP cluster;
+# (one dedicated directory host, sim.Config.Replicas 1) and on a real
+# in-process TCP cluster;
 # commit/abort counts must match exactly and traffic volume must agree
 # within tolerance. Writes the predicted-vs-measured table into a scratch
 # file so the committed BENCH_results.json is not touched by CI.
@@ -75,9 +76,10 @@ chaos:
 
 # Site-retained grants on their own (all of it is also part of test and
 # chaos): the directory's keep/recall/adopt walk, the engine's recall and
-# adopt races, the TCP frame counts of a first and a repeat root, and the
+# adopt races, the TCP frame counts of a first and a repeat root, the same
+# trace from the simulator's dedicated host and from TCP, and the
 # simulator's RetainGrants legs — serial-replay oracle, replicated workload,
 # primary kill.
 retain:
-	go test -race -run 'Retention|Retain|Recall|Adopt|TestMessagesPerRoot' ./internal/gdo/ ./internal/directory/ ./internal/node/ ./internal/server/
+	go test -race -run 'Retention|Retain|Recall|Adopt|TestMessagesPerRoot|TestSimulatorAndTCPSendTheSameTrace' ./internal/gdo/ ./internal/directory/ ./internal/node/ ./internal/server/
 	go test -race -run 'TestWorkloadSerialEquivalence|TestReplicatedWorkload|TestReplicatedPrimaryKill' ./internal/sim/

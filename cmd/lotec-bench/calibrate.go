@@ -1,7 +1,8 @@
 // The calibrate loop (-calibrate): run the identical compiled workload
 // twice — once on the deterministic simulator in the TCP-shaped topology
-// (the GDO on its own node, every directory op a wire round trip), once on
-// a real in-process TCP deployment — and compare what the model predicted
+// (sim.Config.Replicas 1: the directory host on its own node, every
+// directory op a wire round trip), once on a real in-process TCP
+// deployment — and compare what the model predicted
 // against what the wire measured, per client class and globally. The
 // predicted-vs-measured table lands in BENCH_results.json under
 // "calibration", and an accuracy gate fails the run when the model drifts:
@@ -107,15 +108,15 @@ func protocolMsgs(rec *stats.Recorder) int64 {
 	return n
 }
 
-// calibPredict runs the spec on the simulator with a dedicated directory
-// node that retains grants at sites — the topology and the directory the
-// TCP deployment uses — and collects per-class KPIs on the virtual clock.
+// calibPredict runs the spec on the simulator with one dedicated directory
+// host that retains grants at sites — the topology and the directory the
+// TCP deployment runs — and collects per-class KPIs on the virtual clock.
 func calibPredict(spec *workload.Spec) (*calibRun, error) {
 	w, err := workload.Compile(spec)
 	if err != nil {
 		return nil, err
 	}
-	c, _, err := sim.WrapWorkload(w).Execute(sim.Config{Protocol: core.LOTEC, DedicatedDirectory: true, RetainGrants: true})
+	c, _, err := sim.WrapWorkload(w).Execute(sim.Config{Protocol: core.LOTEC, Replicas: 1, RetainGrants: true})
 	if err != nil {
 		return nil, fmt.Errorf("predicted (sim) run: %w", err)
 	}

@@ -34,7 +34,7 @@ func main() {
 	delta := flag.String("delta", "on", "sub-page delta transfers: on (default) or off (pre-delta wire traffic, byte-identical)")
 	faultPlan := flag.String("fault-plan", "", `network fault plan for -figure and -workload runs: a preset (drop, delay, dup, reorder, partition, crash, chaos) or clause list like "drop(p=0.1);delay(p=0.2,d=1ms)"`)
 	faultSeed := flag.Uint64("fault-seed", 1, "seed driving the fault plan's random draws")
-	replicas := flag.Int("replicas", 0, "with -workload: run the replicated directory control plane on this many dedicated host nodes (0 = legacy single GDO; replicated runs use 4 shards spread across the hosts)")
+	replicas := flag.Int("replicas", 0, "with -workload: run the replicated directory control plane on this many dedicated host nodes (0 = the directory co-located with the sites; replicated runs use 4 shards spread across the hosts)")
 	reshard := flag.String("reshard", "", `with -workload and -replicas ≥ 2: hand a shard to another host mid-run, "shard=S,target=NODE,at=DUR" (e.g. "shard=0,target=6,at=2ms")`)
 	availability := flag.Bool("availability", false, "run the control-plane availability sweep (primary kill and reshard-under-load at 1, 2 and 3 replicas) and print the table")
 	flag.Parse()

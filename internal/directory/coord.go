@@ -1,9 +1,10 @@
 // Deadlock detection for the replicated control plane, in two tiers.
 //
-// Tier 1 — host-local union: a host serving several primary shards mirrors
-// the in-process Sharded router exactly. When an acquire parks or a
-// release re-points grants, it unions its own shards' waits-for summaries
-// and aborts the youngest family on any cycle reachable from the trigger.
+// Tier 1 — host-local union: a host serving several primary shards runs
+// the in-process Sharded router's detection (detect.go) over them. When an
+// acquire parks or a release re-points grants, it unions its own shards'
+// waits-for summaries and aborts the youngest family on any cycle reachable
+// from the trigger.
 // Decisions are replicated: the triggering shard's purge/abort rides the
 // client op's log entry, sibling shards get decision-only entries.
 //
@@ -26,6 +27,7 @@ import (
 	"sort"
 	"time"
 
+	"lotec/internal/gdo"
 	"lotec/internal/ids"
 	"lotec/internal/wire"
 )
@@ -50,68 +52,25 @@ func mutableLocked(rep *replica) bool {
 	return rep.handoff == nil || !rep.handoff.shipped
 }
 
-// crossPossibleLocked is the local-tier precheck: a cross-shard cycle
-// needs waiting families in at least two of this host's primary shards.
-func (h *Host) crossPossibleLocked() bool {
-	withWaiters := 0
-	h.forEachPrimaryLocked(func(_ int, rep *replica) {
-		if rep.dir.HasWaiters() {
-			withWaiters++
+// primaryDirsLocked appends the directories of this host's primary replicas
+// to dst in shard order: the list the host-local tier searches (detect.go).
+// Callers pass a small stack array, so the search allocates nothing when no
+// shard has waiters.
+func (h *Host) primaryDirsLocked(dst []*gdo.Directory) []*gdo.Directory {
+	for s := 0; s < h.cur.NumShards(); s++ {
+		if rep := h.reps[s]; rep != nil && rep.primary {
+			dst = append(dst, rep.dir)
 		}
-	})
-	return withWaiters >= 2
-}
-
-// unionWaitsLocked aggregates this host's primary shards' waits-for
-// summaries (deterministically ordered).
-func (h *Host) unionWaitsLocked() (map[ids.FamilyID][]ids.FamilyID, map[ids.FamilyID]uint64) {
-	adj := make(map[ids.FamilyID][]ids.FamilyID)
-	ages := make(map[ids.FamilyID]uint64)
-	h.forEachPrimaryLocked(func(_ int, rep *replica) {
-		edges, shardAges := rep.dir.WaitEdges()
-		for _, e := range edges {
-			adj[e.From] = append(adj[e.From], e.To)
-		}
-		for f, age := range shardAges {
-			ages[f] = age
-		}
-	})
-	sortAdj(adj)
-	return adj, ages
-}
-
-func sortAdj(adj map[ids.FamilyID][]ids.FamilyID) {
-	//lotec:unordered — per-key in-place sort; no cross-key state.
-	for f := range adj {
-		tos := adj[f]
-		sort.Slice(tos, func(i, j int) bool { return tos[i] < tos[j] })
 	}
+	return dst
 }
 
-// findVictimLocked searches the host-local union graph for a cycle
-// reachable from start (the parking family) and returns the youngest
-// waiting family on it.
-func (h *Host) findVictimLocked(start ids.FamilyID) (ids.FamilyID, bool) {
-	if !h.crossPossibleLocked() {
-		return 0, false
-	}
-	adj, ages := h.unionWaitsLocked()
-	cycle := findCycleFrom(adj, start)
-	if len(cycle) == 0 {
-		return 0, false
-	}
-	return youngest(cycle, ages), true
-}
-
-// applyVictimLocked executes one deadlock decision across this host's
-// primary shards. The trigger shard's share of the decision is folded
-// into the client op's log entry; every other shard gets (or extends) a
-// decision-only entry in extras. self selects the silent-purge path (the
-// synchronous DeadlockAbort reply is the victim's notification).
-func (h *Host) applyVictimLocked(rep *replica, op *repOp, victim ids.FamilyID, self bool) map[int]*repOp {
-	return h.victimIntoLocked(rep, op, nil, victim, self)
-}
-
+// victimIntoLocked executes one deadlock decision across this host's
+// primary shards. The trigger shard's share of the decision is folded into
+// the client op's log entry; every other shard gets (or extends) a
+// decision-only entry in extras, which may be nil. self selects the
+// silent-purge path (the synchronous DeadlockAbort reply is the victim's
+// notification).
 func (h *Host) victimIntoLocked(rep *replica, op *repOp, extras map[int]*repOp, victim ids.FamilyID, self bool) map[int]*repOp {
 	extend := func(s int) *repOp {
 		if extras == nil {
@@ -154,33 +113,11 @@ func (h *Host) victimIntoLocked(rep *replica, op *repOp, extras map[int]*repOp, 
 // acyclic (re-pointing waiters at a new holder can close cycles no single
 // shard sees). The decisions extend extras, which may be nil.
 func (h *Host) sweepIntoLocked(rep *replica, op *repOp, extras map[int]*repOp) map[int]*repOp {
-	for {
-		if !h.crossPossibleLocked() {
-			return extras
-		}
-		adj, ages := h.unionWaitsLocked()
-		cycle := firstCycle(adj)
-		if len(cycle) == 0 {
-			return extras
-		}
-		extras = h.victimIntoLocked(rep, op, extras, youngest(cycle, ages), false)
-	}
-}
-
-// firstCycle scans the adjacency in deterministic start order and returns
-// the first cycle found.
-func firstCycle(adj map[ids.FamilyID][]ids.FamilyID) []ids.FamilyID {
-	starts := make([]ids.FamilyID, 0, len(adj))
-	for f := range adj {
-		starts = append(starts, f)
-	}
-	sort.Slice(starts, func(i, j int) bool { return starts[i] < starts[j] })
-	for _, f := range starts {
-		if cycle := findCycleFrom(adj, f); len(cycle) > 0 {
-			return cycle
-		}
-	}
-	return nil
+	var buf [8]*gdo.Directory
+	sweep(h.primaryDirsLocked(buf[:0]), func(victim ids.FamilyID) {
+		extras = h.victimIntoLocked(rep, op, extras, victim, false)
+	})
+	return extras
 }
 
 // coordinatorLocked returns the cross-host detection coordinator: the
@@ -321,11 +258,11 @@ func (h *Host) edgeSender() {
 
 // adopt is adoptLocked callable from proc context.
 func (h *Host) adopt(m wire.PlacementMap) {
-	a := &acts{h: h}
+	var a acts
 	h.mu.Lock()
-	h.adoptLocked(a, m)
+	h.adoptLocked(&a, m)
 	h.mu.Unlock()
-	a.run()
+	a.run(h)
 }
 
 // waitEdgesLocked is the coordinator's ingest: store the freshest summary
@@ -346,8 +283,9 @@ func (h *Host) waitEdgesLocked(a *acts, from ids.NodeID, t *wire.WaitEdgeUpdate)
 // live edges and every stored peer summary, aborting the youngest family
 // per cycle until the combined graph is acyclic.
 func (h *Host) detectLocked(a *acts) {
+	var buf [8]*gdo.Directory
 	for {
-		adj, ages := h.unionWaitsLocked()
+		adj, ages := unionWaits(h.primaryDirsLocked(buf[:0]))
 		peerIDs := make([]ids.NodeID, 0, len(h.peers))
 		for id := range h.peers {
 			peerIDs = append(peerIDs, id)

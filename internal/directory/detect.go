@@ -16,11 +16,15 @@
 // tie-break, wound-wait stable ages, so a repeatedly victimized root
 // eventually becomes oldest and cannot starve.
 //
-// Under real concurrency (TCP deployment, stress tests) the union is a
-// sequence of per-shard snapshots, not one atomic cut, so the search can
-// observe a phantom cycle assembled from edges that never coexisted. A
-// phantom victim is safe — the family aborts and retries, exactly like a
-// real victim — and the stable-age policy still guarantees progress.
+// The router (Sharded, over all its shards) and the replicated host (Host,
+// over the shards it serves as primary) run the same detection below, over
+// a list of directories in shard order.
+//
+// Under real concurrency (stress tests) the union is a sequence of
+// per-shard snapshots, not one atomic cut, so the search can observe a
+// phantom cycle assembled from edges that never coexisted. A phantom victim
+// is safe — the family aborts and retries, exactly like a real victim — and
+// the stable-age policy still guarantees progress.
 
 package directory
 
@@ -31,14 +35,14 @@ import (
 	"lotec/internal/ids"
 )
 
-// unionWaits aggregates every shard's waits-for edge summary into one
+// unionWaits aggregates the directories' waits-for edge summaries into one
 // adjacency map (deterministically ordered) plus the waiting families'
 // ages.
-func (s *Sharded) unionWaits() (map[ids.FamilyID][]ids.FamilyID, map[ids.FamilyID]uint64) {
+func unionWaits(dirs []*gdo.Directory) (map[ids.FamilyID][]ids.FamilyID, map[ids.FamilyID]uint64) {
 	adj := make(map[ids.FamilyID][]ids.FamilyID)
 	ages := make(map[ids.FamilyID]uint64)
-	for _, sh := range s.shards {
-		edges, shardAges := sh.WaitEdges()
+	for _, d := range dirs {
+		edges, shardAges := d.WaitEdges()
 		for _, e := range edges {
 			adj[e.From] = append(adj[e.From], e.To)
 		}
@@ -46,12 +50,16 @@ func (s *Sharded) unionWaits() (map[ids.FamilyID][]ids.FamilyID, map[ids.FamilyI
 			ages[f] = age
 		}
 	}
+	sortAdj(adj)
+	return adj, ages
+}
+
+func sortAdj(adj map[ids.FamilyID][]ids.FamilyID) {
 	//lotec:unordered — per-key in-place sort; no cross-key state.
 	for f := range adj {
 		tos := adj[f]
 		sort.Slice(tos, func(i, j int) bool { return tos[i] < tos[j] })
 	}
-	return adj, ages
 }
 
 // findCycleFrom runs the same colored DFS the shard-local detector uses,
@@ -97,6 +105,22 @@ func findCycleFrom(adj map[ids.FamilyID][]ids.FamilyID, start ids.FamilyID) []id
 	return cycle
 }
 
+// firstCycle scans the adjacency in deterministic start order and returns
+// the first cycle found.
+func firstCycle(adj map[ids.FamilyID][]ids.FamilyID) []ids.FamilyID {
+	starts := make([]ids.FamilyID, 0, len(adj))
+	for f := range adj {
+		starts = append(starts, f)
+	}
+	sort.Slice(starts, func(i, j int) bool { return starts[i] < starts[j] })
+	for _, f := range starts {
+		if cycle := findCycleFrom(adj, f); len(cycle) > 0 {
+			return cycle
+		}
+	}
+	return nil
+}
+
 // youngest picks the victim from a cycle: largest age, FamilyID tie-break —
 // identical to the shard-local policy.
 func youngest(cycle []ids.FamilyID, ages map[ids.FamilyID]uint64) ids.FamilyID {
@@ -114,11 +138,14 @@ func youngest(cycle []ids.FamilyID, ages map[ids.FamilyID]uint64) ids.FamilyID {
 // pass: a cycle whose edges straddle shards requires waiting families in at
 // least two shards. Intra-shard cycles are the shards' own business — their
 // local detectors already handle them — so when fewer than two shards have
-// waiters there is nothing for the router to find.
-func (s *Sharded) crossShardPossible() bool {
+// waiters there is nothing to find.
+func crossShardPossible(dirs []*gdo.Directory) bool {
+	if len(dirs) < 2 {
+		return false
+	}
 	withWaiters := 0
-	for _, sh := range s.shards {
-		if sh.HasWaiters() {
+	for _, d := range dirs {
+		if d.HasWaiters() {
 			if withWaiters++; withWaiters == 2 {
 				return true
 			}
@@ -129,16 +156,32 @@ func (s *Sharded) crossShardPossible() bool {
 
 // findVictimFrom searches the union waits-for graph for a cycle reachable
 // from start and returns the youngest waiting family on it.
-func (s *Sharded) findVictimFrom(start ids.FamilyID) (ids.FamilyID, bool) {
-	if !s.crossShardPossible() {
+func findVictimFrom(dirs []*gdo.Directory, start ids.FamilyID) (ids.FamilyID, bool) {
+	if !crossShardPossible(dirs) {
 		return 0, false
 	}
-	adj, ages := s.unionWaits()
+	adj, ages := unionWaits(dirs)
 	cycle := findCycleFrom(adj, start)
 	if len(cycle) == 0 {
 		return 0, false
 	}
 	return youngest(cycle, ages), true
+}
+
+// sweep repeatedly searches the union graph and hands the youngest family
+// of each cycle to abort until the graph is acyclic. It runs after releases
+// and adoptions, where grant re-pointing can close cycles no single shard
+// sees; it is bounded because every abort removes at least one waiting
+// family.
+func sweep(dirs []*gdo.Directory, abort func(victim ids.FamilyID)) {
+	for crossShardPossible(dirs) {
+		adj, ages := unionWaits(dirs)
+		cycle := firstCycle(adj)
+		if len(cycle) == 0 {
+			return
+		}
+		abort(youngest(cycle, ages))
+	}
 }
 
 // abortVictim cancels the victim's waits on every shard and collects the
@@ -152,31 +195,12 @@ func (s *Sharded) abortVictim(victim ids.FamilyID) []gdo.Event {
 	return events
 }
 
-// sweep repeatedly searches the union graph and aborts the youngest family
-// of each cycle until the graph is acyclic. Used after releases, where
-// grant re-pointing can close cycles no single shard sees; bounded because
-// every iteration removes at least one waiting family.
+// sweep aborts the youngest family of each cross-shard cycle until the
+// router's union graph is acyclic, and returns the abort events.
 func (s *Sharded) sweep() []gdo.Event {
 	var events []gdo.Event
-	for {
-		if !s.crossShardPossible() {
-			return events
-		}
-		adj, ages := s.unionWaits()
-		starts := make([]ids.FamilyID, 0, len(adj))
-		for f := range adj {
-			starts = append(starts, f)
-		}
-		sort.Slice(starts, func(i, j int) bool { return starts[i] < starts[j] })
-		var cycle []ids.FamilyID
-		for _, f := range starts {
-			if cycle = findCycleFrom(adj, f); len(cycle) > 0 {
-				break
-			}
-		}
-		if len(cycle) == 0 {
-			return events
-		}
-		events = append(events, s.abortVictim(youngest(cycle, ages))...)
-	}
+	sweep(s.shards, func(victim ids.FamilyID) {
+		events = append(events, s.abortVictim(victim)...)
+	})
+	return events
 }

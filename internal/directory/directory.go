@@ -286,7 +286,7 @@ func (s *Sharded) afterAcquire(shard int, family ids.FamilyID, res gdo.AcquireRe
 	}
 	events = stamp(shard, events)
 	if len(s.shards) > 1 && res.Status == gdo.Queued {
-		if victim, cycle := s.findVictimFrom(family); cycle {
+		if victim, cycle := findVictimFrom(s.shards, family); cycle {
 			if victim == family {
 				// Mirror the single directory's self-victim path: drop the
 				// family's parked requests everywhere, silently — the

@@ -94,12 +94,11 @@ func (h *Host) maybeShipLocked(a *acts, rep *replica) {
 // redirecting parked ops), on refusal adopt the winner's map, on
 // unreachable target cancel through the witness.
 func (h *Host) onHandoffShipped(shard int, resp wire.Msg, err error) {
-	a := &acts{h: h}
+	var a acts
 	h.mu.Lock()
 	rep := h.reps[shard]
 	if rep == nil || rep.handoff == nil {
 		h.mu.Unlock()
-		a.run()
 		return
 	}
 	ho := rep.handoff
@@ -118,22 +117,22 @@ func (h *Host) onHandoffShipped(shard int, resp wire.Msg, err error) {
 		if h.rec != nil {
 			h.rec.AddHandoff(stats.HandoffSample{Shard: shard, Bytes: ho.stateBytes, Latency: latency})
 		}
-		h.adoptLocked(a, hr.Map)
+		h.adoptLocked(&a, hr.Map)
 	case err == nil && isHR:
 		// Target refused (lost an epoch race, or a newer map exists).
 		rep.handoff = nil
-		h.adoptLocked(a, hr.Map)
+		h.adoptLocked(&a, hr.Map)
 		if h.reps[shard] == rep && rep.primary {
-			h.unsealLocked(a, rep)
+			h.unsealLocked(&a, rep)
 		}
 		a.reply(ho.done, &wire.HandoffStartResp{OK: false, Map: h.cur.Clone()})
 	default:
 		// Target unreachable (or answered garbage): cancel through the
 		// witness so activation-vs-cancel is serialized by one actor.
-		h.cancelHandoffLocked(a, rep)
+		h.cancelHandoffLocked(&a, rep)
 	}
 	h.mu.Unlock()
-	a.run()
+	a.run(h)
 }
 
 // cancelHandoffLocked proposes a cancel map (epoch+1, ownership
@@ -164,30 +163,29 @@ func (h *Host) cancelHandoffLocked(a *acts, rep *replica) {
 // epoch); refused means the target's activation won (adopt its map, which
 // deposes us and redirects everything).
 func (h *Host) onHandoffCanceled(shard int, resp wire.Msg, err error) {
-	a := &acts{h: h}
+	var a acts
 	h.mu.Lock()
 	rep := h.reps[shard]
 	if rep == nil || rep.handoff == nil {
 		h.mu.Unlock()
-		a.run()
 		return
 	}
 	ho := rep.handoff
 	rep.handoff = nil
 	if ec, ok := resp.(*wire.EpochChangeResp); err == nil && ok {
-		h.adoptLocked(a, ec.Map)
+		h.adoptLocked(&a, ec.Map)
 	}
 	// Witness unreachable too: both the target and the witness are out of
 	// reach — outside the single-failure budget. Unseal at the current
 	// epoch so local shards stay live; a surviving ratified map, if any,
 	// reaches us through the normal RouteResp/ReplicateResp channels.
 	if h.reps[shard] == rep && rep.primary {
-		h.unsealLocked(a, rep)
-		h.markEdgesDirtyLocked(a)
+		h.unsealLocked(&a, rep)
+		h.markEdgesDirtyLocked(&a)
 	}
 	a.reply(ho.done, &wire.HandoffStartResp{OK: false, Map: h.cur.Clone()})
 	h.mu.Unlock()
-	a.run()
+	a.run(h)
 }
 
 // unsealLocked reopens a sealed shard and replays its parked operations
@@ -243,7 +241,7 @@ func (h *Host) handoffRecvLocked(a *acts, t *wire.HandoffReq, reply func(wire.Ms
 // onHandoffRatified activates the imported shard if the witness accepted
 // the proposed map, and refuses the transfer otherwise.
 func (h *Host) onHandoffRatified(t *wire.HandoffReq, dir *gdo.Directory, resp wire.Msg, err error, reply func(wire.Msg)) {
-	a := &acts{h: h}
+	var a acts
 	h.mu.Lock()
 	ec, ok := resp.(*wire.EpochChangeResp)
 	switch {
@@ -251,17 +249,17 @@ func (h *Host) onHandoffRatified(t *wire.HandoffReq, dir *gdo.Directory, resp wi
 		a.reply(reply, &wire.HandoffResp{OK: false, Map: h.cur.Clone()})
 	case !ec.OK:
 		// Lost the proposal race (e.g. to the old primary's cancel).
-		h.adoptLocked(a, ec.Map)
+		h.adoptLocked(&a, ec.Map)
 		a.reply(reply, &wire.HandoffResp{OK: false, Map: h.cur.Clone()})
 	default:
-		if h.activateLocked(a, int(t.Shard), t, dir) {
+		if h.activateLocked(&a, int(t.Shard), t, dir) {
 			a.reply(reply, &wire.HandoffResp{OK: true, Map: h.cur.Clone()})
 		} else {
 			a.reply(reply, &wire.HandoffResp{OK: false, Map: h.cur.Clone()})
 		}
 	}
 	h.mu.Unlock()
-	a.run()
+	a.run(h)
 }
 
 // activateLocked installs the transferred shard as a live primary replica

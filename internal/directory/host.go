@@ -20,7 +20,10 @@
 // backup gets a byte-identical answer), and any host-level deadlock
 // decisions (purges/aborts) the op triggered on that shard. Decisions
 // touching a host's *other* shards ride those shards' own logs as
-// decision-only entries.
+// decision-only entries. A shard with no live backup keeps no log: an op
+// with nothing queued ahead of it is answered, and its events routed, in
+// place, and nothing is encoded. That is every shard of a deployment with
+// one host — the TCP directory server (server.GDOServer) is such a host.
 //
 // Ownership rule (the whole consistency argument): a host processes a
 // client operation if and only if the stamped epoch equals its own map's
@@ -117,12 +120,16 @@ type replica struct {
 	lastEvents []gdo.Event
 }
 
-// repOp is one entry of a shard's op log.
+// repOp is one client operation or deadlock decision of a shard, and the
+// entry it becomes in the shard's op log.
 type repOp struct {
-	seq        uint64
-	client     ids.NodeID
-	opBytes    []byte // encoded client op; nil for decision-only entries
-	reply      wire.Msg
+	seq    uint64
+	client ids.NodeID
+	msg    wire.Msg // the client op; nil for decision-only entries
+	reply  wire.Msg
+	// opBytes and replyBytes are msg and reply encoded for the backup,
+	// when the op joins the log.
+	opBytes    []byte
 	replyBytes []byte
 	events     []gdo.Event
 	purges     []ids.FamilyID
@@ -244,33 +251,64 @@ func (h *Host) DebugDump() string {
 // acts collects side effects produced under h.mu — replies, event fan-out,
 // outbound RPC procs — and runs them after unlock, preserving order. This
 // keeps the handler non-blocking and non-reentrant as the transport
-// contract requires.
+// contract requires. It lives on its caller's stack: an op's few actions
+// fit in buf, and only a longer list spills into more.
 type acts struct {
-	h   *Host
-	fns []func()
+	n    int
+	buf  [4]act
+	more []act
+}
+
+// act is one side effect: a reply (cb with m), an event fan-out (evs) or a
+// proc to start (fn).
+type act struct {
+	cb  func(wire.Msg)
+	m   wire.Msg
+	evs []gdo.Event
+	fn  func()
+}
+
+func (a *acts) add(x act) {
+	if a.n < len(a.buf) {
+		a.buf[a.n] = x
+		a.n++
+		return
+	}
+	a.more = append(a.more, x)
 }
 
 func (a *acts) reply(cb func(wire.Msg), m wire.Msg) {
-	if cb == nil {
-		return
+	if cb != nil {
+		a.add(act{cb: cb, m: m})
 	}
-	a.fns = append(a.fns, func() { cb(m) })
 }
 
 func (a *acts) events(evs []gdo.Event) {
-	if len(evs) == 0 {
-		return
+	if len(evs) > 0 {
+		a.add(act{evs: evs})
 	}
-	a.fns = append(a.fns, func() { a.h.routeEvents(evs) })
 }
 
-func (a *acts) proc(fn func()) {
-	a.fns = append(a.fns, func() { a.h.env.Go(fn) })
+func (a *acts) proc(fn func()) { a.add(act{fn: fn}) }
+
+// run performs the actions in order. Call it after h.mu is released.
+func (a *acts) run(h *Host) {
+	for i := 0; i < a.n; i++ {
+		a.buf[i].do(h)
+	}
+	for i := range a.more {
+		a.more[i].do(h)
+	}
 }
 
-func (a *acts) run() {
-	for _, fn := range a.fns {
-		fn()
+func (x *act) do(h *Host) {
+	switch {
+	case x.cb != nil:
+		x.cb(x.m)
+	case x.evs != nil:
+		h.routeEvents(x.evs)
+	default:
+		h.env.Go(x.fn)
 	}
 }
 
@@ -284,38 +322,59 @@ func (h *Host) routeEvents(events []gdo.Event) {
 
 // handle is the raw (pre-dedup) dispatcher.
 func (h *Host) handle(from ids.NodeID, m wire.Msg, reply func(wire.Msg)) {
-	a := &acts{h: h}
+	var a acts
 	h.mu.Lock()
 	switch t := m.(type) {
-	case *wire.AcquireReq:
-		h.clientOpLocked(a, from, int(t.Shard), t.Epoch, m, reply)
-	case *wire.ReleaseReq:
-		h.clientOpLocked(a, from, int(t.Shard), t.Epoch, m, reply)
-	case *wire.RegisterReq:
-		// Registration is epoch-free (setup traffic); route by ownership.
-		h.clientOpLocked(a, from, h.place.ShardOf(t.Obj), h.cur.Epoch, m, reply)
+	case *wire.AcquireReq, *wire.ReleaseReq, *wire.RegisterReq:
+		shard, epoch := h.addressLocked(m)
+		h.clientOpLocked(&a, from, shard, epoch, m, reply)
 	case *wire.CopySetReq:
 		a.reply(reply, h.copySetLocked(t))
 	case *wire.ReplicateReq:
-		a.reply(reply, h.replicateLocked(a, t))
+		a.reply(reply, h.replicateLocked(&a, t))
 	case *wire.PromoteReq:
-		a.reply(reply, h.promoteLocked(a, t))
+		a.reply(reply, h.promoteLocked(&a, t))
 	case *wire.EpochChangeReq:
-		a.reply(reply, h.epochChangeLocked(a, t))
+		a.reply(reply, h.epochChangeLocked(&a, t))
 	case *wire.HandoffStartReq:
-		h.handoffStartLocked(a, t, reply)
+		h.handoffStartLocked(&a, t, reply)
 	case *wire.HandoffReq:
-		h.handoffRecvLocked(a, t, reply)
+		h.handoffRecvLocked(&a, t, reply)
 	case *wire.WaitEdgeUpdate:
-		a.reply(reply, h.waitEdgesLocked(a, from, t))
+		a.reply(reply, h.waitEdgesLocked(&a, from, t))
 	case *wire.AbortFamilyReq:
-		h.abortFamilyLocked(a, t.Family)
+		h.abortFamilyLocked(&a, t.Family)
 		a.reply(reply, &wire.AbortFamilyResp{})
 	default:
 		a.reply(reply, &wire.ErrResp{Msg: fmt.Sprintf("directory: host cannot serve %T", m)})
 	}
 	h.mu.Unlock()
-	a.run()
+	a.run(h)
+}
+
+// addressLocked returns the shard and epoch a client operation (acquire,
+// release or registration) is addressed to. A request naming an object of
+// another shard than the one it claims is addressed to no shard (-1), so the
+// ownership rule answers it with a RouteResp before it touches a replica.
+// Registration is epoch-free setup traffic, routed by ownership.
+func (h *Host) addressLocked(m wire.Msg) (shard int, epoch uint64) {
+	switch t := m.(type) {
+	case *wire.AcquireReq:
+		if h.place.ShardOf(t.Obj) != int(t.Shard) {
+			return -1, t.Epoch
+		}
+		return int(t.Shard), t.Epoch
+	case *wire.ReleaseReq:
+		for _, rel := range t.Rels {
+			if h.place.ShardOf(rel.Obj) != int(t.Shard) {
+				return -1, t.Epoch
+			}
+		}
+		return int(t.Shard), t.Epoch
+	case *wire.RegisterReq:
+		return h.place.ShardOf(t.Obj), h.cur.Epoch
+	}
+	return -1, h.cur.Epoch
 }
 
 // ownerLocked applies the ownership rule: this host processes (shard,
@@ -358,30 +417,24 @@ func (h *Host) clientOpLocked(a *acts, from ids.NodeID, shard int, epoch uint64,
 // client re-aims — parked work is replayed or redirected, never dropped.
 func (h *Host) replayParkedLocked(a *acts, ops []parkedOp) {
 	for _, p := range ops {
-		switch t := p.m.(type) {
-		case *wire.AcquireReq:
-			h.clientOpLocked(a, p.from, int(t.Shard), t.Epoch, p.m, p.reply)
-		case *wire.ReleaseReq:
-			h.clientOpLocked(a, p.from, int(t.Shard), t.Epoch, p.m, p.reply)
-		case *wire.RegisterReq:
-			h.clientOpLocked(a, p.from, h.place.ShardOf(t.Obj), h.cur.Epoch, p.m, p.reply)
-		default:
-			a.reply(p.reply, &wire.ErrResp{Msg: "directory: unparkable op"})
-		}
+		shard, epoch := h.addressLocked(p.m)
+		h.clientOpLocked(a, p.from, shard, epoch, p.m, p.reply)
 	}
 }
 
 // applyEnqueueLocked applies a client op to the primary's directory,
-// derives host-level deadlock decisions, and appends the op (plus any
-// decision-only entries for sibling shards) to the shard logs.
+// derives host-level deadlock decisions, and completes the op or appends it
+// (plus any decision-only entries for sibling shards) to the shard logs.
+// The op is built on the stack: only an op that joins a log is copied to
+// the heap.
 func (h *Host) applyEnqueueLocked(a *acts, rep *replica, from ids.NodeID, m wire.Msg, reply func(wire.Msg)) {
-	op, extras, errResp := h.applyLocked(rep, from, m)
+	op := repOp{client: from, msg: m, done: reply}
+	extras, errResp := h.applyLocked(rep, &op)
 	if errResp != nil {
 		a.reply(reply, errResp)
 		return
 	}
-	op.done = reply
-	h.enqueueLocked(a, rep, op)
+	h.enqueueLocked(a, rep, &op)
 	for s := 0; s < h.cur.NumShards(); s++ {
 		if extra, ok := extras[s]; ok {
 			h.enqueueLocked(a, h.reps[s], extra)
@@ -390,30 +443,52 @@ func (h *Host) applyEnqueueLocked(a *acts, rep *replica, from ids.NodeID, m wire
 	h.markEdgesDirtyLocked(a)
 }
 
-// enqueueLocked assigns the op its log position and pumps the pipeline.
+// enqueueLocked assigns the op its log position. With no live backup and
+// nothing queued ahead of it there is nothing to replicate and nothing to
+// wait for, so the op completes in place and no log entry is kept.
+// Otherwise a copy of it joins the shard's log, encoded for the backup, and
+// the pipeline is pumped.
 func (h *Host) enqueueLocked(a *acts, rep *replica, op *repOp) {
 	rep.seq++
 	op.seq = rep.seq
-	rep.queue = append(rep.queue, op)
+	if rep.primary && !rep.inflight && len(rep.queue) == 0 && !h.backedLocked(rep) {
+		h.completeLocked(a, op)
+		h.maybeShipLocked(a, rep)
+		return
+	}
+	entry := *op
+	if entry.msg != nil {
+		entry.opBytes = wire.Encode(wire.Envelope{From: entry.client, To: h.self}, entry.msg)
+		entry.replyBytes = wire.Encode(wire.Envelope{From: h.self, To: entry.client}, entry.reply)
+	}
+	rep.queue = append(rep.queue, &entry)
 	h.pumpLocked(a, rep)
 }
 
-// applyLocked executes one client op against rep's directory and returns
-// the log entry, plus decision-only entries for any *other* primary shards
-// a host-level deadlock decision touched (keyed by shard).
-func (h *Host) applyLocked(rep *replica, from ids.NodeID, m wire.Msg) (*repOp, map[int]*repOp, wire.Msg) {
-	op := &repOp{client: from}
+// backedLocked reports whether a primary shard has a live backup to
+// replicate to.
+func (h *Host) backedLocked(rep *replica) bool {
+	backup := h.cur.Backup[rep.shard]
+	return backup != ids.NoNode && backup != h.self && !rep.backupDown
+}
+
+// applyLocked executes op's client message against rep's directory. It
+// fills in the reply, the events and the trigger shard's share of any
+// host-level deadlock decision, and returns decision-only entries for the
+// *other* primary shards such a decision touched (keyed by shard).
+func (h *Host) applyLocked(rep *replica, op *repOp) (map[int]*repOp, wire.Msg) {
 	var extras map[int]*repOp
-	switch t := m.(type) {
+	switch t := op.msg.(type) {
 	case *wire.AcquireReq:
 		resp, events, err := ServeAcquire(rep.dir, t)
 		if err != nil {
-			return nil, nil, &wire.ErrResp{Msg: err.Error()}
+			return nil, &wire.ErrResp{Msg: err.Error()}
 		}
 		op.events = stamp(rep.shard, events)
 		if resp.Status == gdo.Queued {
-			if victim, found := h.findVictimLocked(t.Family); found {
-				extras = h.applyVictimLocked(rep, op, victim, victim == t.Family)
+			var buf [8]*gdo.Directory
+			if victim, found := findVictimFrom(h.primaryDirsLocked(buf[:0]), t.Family); found {
+				extras = h.victimIntoLocked(rep, op, nil, victim, victim == t.Family)
 				if victim == t.Family {
 					resp = &wire.AcquireResp{Obj: t.Obj, Status: gdo.DeadlockAbort, Shard: t.Shard}
 				}
@@ -428,22 +503,20 @@ func (h *Host) applyLocked(rep *replica, from ids.NodeID, m wire.Msg) (*repOp, m
 	case *wire.ReleaseReq:
 		resp, events, err := ServeRelease(rep.dir, t)
 		if err != nil {
-			return nil, nil, &wire.ErrResp{Msg: err.Error()}
+			return nil, &wire.ErrResp{Msg: err.Error()}
 		}
 		op.events = stamp(rep.shard, events)
 		extras = h.sweepIntoLocked(rep, op, nil)
 		op.reply = resp
 	case *wire.RegisterReq:
 		if err := rep.dir.Register(t.Obj, int(t.NumPages), t.Owner); err != nil {
-			return nil, nil, &wire.ErrResp{Msg: err.Error()}
+			return nil, &wire.ErrResp{Msg: err.Error()}
 		}
 		op.reply = &wire.RegisterResp{}
 	default:
-		return nil, nil, &wire.ErrResp{Msg: fmt.Sprintf("directory: %T is not a shard op", m)}
+		return nil, &wire.ErrResp{Msg: fmt.Sprintf("directory: %T is not a shard op", op.msg)}
 	}
-	op.opBytes = wire.Encode(wire.Envelope{From: from, To: h.self}, m)
-	op.replyBytes = wire.Encode(wire.Envelope{From: h.self, To: from}, op.reply)
-	return op, extras, nil
+	return extras, nil
 }
 
 // copySetLocked serves the read-only batched copy-set lookup across this
@@ -473,12 +546,12 @@ func (h *Host) pumpLocked(a *acts, rep *replica) {
 	}
 	for len(rep.queue) > 0 {
 		op := rep.queue[0]
-		backup := h.cur.Backup[rep.shard]
-		if backup == ids.NoNode || backup == h.self || rep.backupDown {
+		if !h.backedLocked(rep) {
 			rep.queue = rep.queue[1:]
 			h.completeLocked(a, op)
 			continue
 		}
+		backup := h.cur.Backup[rep.shard]
 		rep.inflight = true
 		h.reqCtr++
 		req := &wire.ReplicateReq{
@@ -512,12 +585,11 @@ func (h *Host) completeLocked(a *acts, op *repOp) {
 
 // onReplicated is the continuation of one ReplicateReq.
 func (h *Host) onReplicated(shard int, op *repOp, resp wire.Msg, err error) {
-	a := &acts{h: h}
+	var a acts
 	h.mu.Lock()
 	rep := h.reps[shard]
 	if rep == nil || !rep.primary || !rep.inflight {
 		h.mu.Unlock()
-		a.run()
 		return
 	}
 	rep.inflight = false
@@ -530,21 +602,21 @@ func (h *Host) onReplicated(shard int, op *repOp, resp wire.Msg, err error) {
 	case !rr.OK:
 		// The backup owns a newer view: adopt it. If it deposes us the
 		// adoption reconciliation redirects every queued and parked op.
-		h.adoptLocked(a, rr.Map)
+		h.adoptLocked(&a, rr.Map)
 		if h.reps[shard] != rep || !rep.primary {
 			h.mu.Unlock()
-			a.run()
+			a.run(h)
 			return
 		}
 		// Still primary under the newer epoch (an unrelated shard moved):
 		// the pump below resends with the new stamp.
 	default:
 		rep.queue = rep.queue[1:]
-		h.completeLocked(a, op)
+		h.completeLocked(&a, op)
 	}
-	h.pumpLocked(a, rep)
+	h.pumpLocked(&a, rep)
 	h.mu.Unlock()
-	a.run()
+	a.run(h)
 }
 
 // replicateLocked applies one log entry at the backup. The backup runs

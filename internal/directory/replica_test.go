@@ -2,6 +2,7 @@ package directory
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -319,6 +320,49 @@ func TestEpochMonotonicNearRollover(t *testing.T) {
 		}
 		release(t, rt, b.place, obj, 30, nil)
 	})
+}
+
+// TestHostChecksOutsideInput: a request whose shard disagrees with the
+// placement of an object it names — the acquired object, or any object of a
+// release — is redirected before it touches a replica, and a message the
+// host does not serve is answered with an error, not dropped.
+func TestHostChecksOutsideInput(t *testing.T) {
+	m := InitialMap(2, 1, []ids.NodeID{2}, false)
+	b := newRepBed(t, 1, 2, m)
+	const onShard0, onShard1 = ids.ObjectID(10), ids.ObjectID(11)
+	b.register(t, onShard0, 1)
+	b.register(t, onShard1, 1)
+
+	b.client(t, func(env transport.Env, rt *RouteTable) {
+		misaddressed := []wire.Msg{
+			&wire.AcquireReq{
+				Obj: onShard1, Ref: ids.TxRef{Tx: 1, Node: 1}, Family: 1, Age: 1,
+				Site: 1, Mode: o2pl.Write, Shard: 0, Epoch: m.Epoch,
+			},
+			&wire.ReleaseReq{
+				Family: 1, Site: 1, Shard: 0, Epoch: m.Epoch,
+				Rels: []gdo.ObjectRelease{{Obj: onShard0}, {Obj: onShard1}},
+			},
+		}
+		for _, req := range misaddressed {
+			if reply, err := env.Call(2, req); err != nil {
+				t.Errorf("%T to the wrong shard: %v", req, err)
+			} else if _, ok := reply.(*wire.RouteResp); !ok {
+				t.Errorf("%T to the wrong shard answered %T, want RouteResp", req, reply)
+			}
+		}
+		if _, err := env.Call(2, &wire.MultiFetchReq{}); err == nil || !strings.Contains(err.Error(), "cannot serve") {
+			t.Errorf("a message the host does not serve: %v, want its error reply", err)
+		}
+	})
+	for shard := 0; shard < 2; shard++ {
+		dir, _ := b.hosts[2].PrimaryDir(shard)
+		for _, obj := range dir.Objects() {
+			if st, err := dir.State(obj); err != nil || st != gdo.Free {
+				t.Errorf("shard %d: %v is %v (%v) after misaddressed requests, want free", shard, obj, st, err)
+			}
+		}
+	}
 }
 
 // TestHandoffPreservesReleasedState commits a write, hands the shard off

@@ -45,7 +45,7 @@ func TestAllocsPagePool(t *testing.T) {
 // TestAllocsUndoLog gates the shadow log's share of a transaction: a log
 // that snapshots nothing — every read-only [sub-]transaction's — costs
 // nothing, its zero value included, and a one-page write costs the record
-// slice and the seen-set, none of them again at Discard. The shadow copy
+// slice, not again at Discard. The shadow copy
 // comes from the page pool and goes back at Discard, so at steady state the
 // log allocates no page-sized buffer.
 func TestAllocsUndoLog(t *testing.T) {
@@ -70,8 +70,8 @@ func TestAllocsUndoLog(t *testing.T) {
 		}
 		l.Discard()
 	}
-	if n := testing.AllocsPerRun(1000, shadow); n > 3 {
-		t.Errorf("a one-page shadow log allocates %.2f, want ≤ 3", n)
+	if n := testing.AllocsPerRun(1000, shadow); n > 1 {
+		t.Errorf("a one-page shadow log allocates %.2f, want ≤ 1", n)
 	}
 	if b := bytesPerRun(1000, shadow); b >= DefaultPageSize {
 		t.Errorf("a one-page shadow log allocates %.0f B, want under a page (%d B): the shadow page is not pooled", b, DefaultPageSize)

@@ -31,7 +31,6 @@ type undoRec struct {
 // exactly one and transactions are single-threaded.
 type UndoLog struct {
 	recs []undoRec
-	seen map[ids.PageID]bool // made by the first snapshot: most logs never take one
 }
 
 // NewUndoLog returns an empty log.
@@ -54,7 +53,7 @@ func (l *UndoLog) SnapshotBefore(st *Store, obj ids.ObjectID, pages []ids.PageNu
 	}
 	for _, p := range pages {
 		pid := ids.PageID{Object: obj, Page: p}
-		if l.seen[pid] {
+		if l.has(pid) {
 			continue
 		}
 		pg, ok := om.pages[p]
@@ -63,12 +62,19 @@ func (l *UndoLog) SnapshotBefore(st *Store, obj ids.ObjectID, pages []ids.PageNu
 		}
 		before, dirty, pending := pg.snapshotLocked()
 		l.recs = append(l.recs, undoRec{pid: pid, before: before, dirty: dirty, pending: pending})
-		if l.seen == nil {
-			l.seen = make(map[ids.PageID]bool)
-		}
-		l.seen[pid] = true
 	}
 	return nil
+}
+
+// has reports whether the log holds a record of pid. A log holds the pages
+// one transaction tree wrote, so a scan costs less than keeping a set.
+func (l *UndoLog) has(pid ids.PageID) bool {
+	for i := range l.recs {
+		if l.recs[i].pid == pid {
+			return true
+		}
+	}
+	return false
 }
 
 // Undo restores every recorded page, newest record first, gives the shadow
@@ -85,7 +91,7 @@ func (l *UndoLog) Undo(st *Store) {
 		}
 		ReleasePage(r.before)
 	}
-	l.recs, l.seen = nil, nil
+	l.recs = nil
 }
 
 // MergeInto appends this log's records to parent (preserving creation order)
@@ -99,14 +105,7 @@ func (l *UndoLog) Undo(st *Store) {
 // last, so correctness never depends on deduplication.
 func (l *UndoLog) MergeInto(parent *UndoLog) {
 	parent.recs = append(parent.recs, l.recs...)
-	if parent.seen == nil {
-		parent.seen = l.seen
-	} else {
-		for pid := range l.seen {
-			parent.seen[pid] = true
-		}
-	}
-	l.recs, l.seen = nil, nil
+	l.recs = nil
 }
 
 // Discard drops all records and gives their shadow pages back to the page
@@ -115,14 +114,14 @@ func (l *UndoLog) Discard() {
 	for _, r := range l.recs {
 		ReleasePage(r.before)
 	}
-	l.recs, l.seen = nil, nil
+	l.recs = nil
 }
 
 // Pages returns the distinct pages recorded in the log, in record order of
 // first appearance. Useful for tests and diagnostics.
 func (l *UndoLog) Pages() []ids.PageID {
-	out := make([]ids.PageID, 0, len(l.seen))
-	emitted := make(map[ids.PageID]bool, len(l.seen))
+	out := make([]ids.PageID, 0, len(l.recs))
+	emitted := make(map[ids.PageID]bool, len(l.recs))
 	for _, r := range l.recs {
 		if !emitted[r.pid] {
 			emitted[r.pid] = true

@@ -81,8 +81,7 @@ func TestAllocsRootCommit(t *testing.T) {
 		{"first root", false, firstRootAllocs},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			_, g, nodes := startDeployment(t, 1, core.LOTEC)
-			g.Directory().SetRetainGrants(tc.retain)
+			_, _, nodes := deploy(t, deployment{nodes: 1, protocol: core.LOTEC, retain: tc.retain})
 			createObject(t, nodes, 1, 1)
 			arg := i64(1)
 			root := func() {

@@ -55,27 +55,7 @@ func TestMessagesPerRoot(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			rec := stats.NewRecorder()
-			addrs := freeAddrs(t, 3)
-			topo := Topology{NodeAddrs: addrs[:2], GDOAddr: addrs[2], DirectoryShards: tc.shards}
-			g := NewGDOServer(topo)
-			g.SetRecorder(rec)
-			if err := g.Start(); err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { _ = g.Close() })
-			var nodes []*NodeServer
-			for self := ids.NodeID(1); self <= 2; self++ {
-				ns, err := NewNodeServer(NodeConfig{Topology: topo, Self: self, Protocol: core.LOTEC, PageSize: 256, Rec: rec})
-				if err != nil {
-					t.Fatal(err)
-				}
-				registerBodies(t, ns, accountClass(t))
-				if err := ns.Start(); err != nil {
-					t.Fatal(err)
-				}
-				t.Cleanup(func() { _ = ns.Close() })
-				nodes = append(nodes, ns)
-			}
+			_, _, nodes := deploy(t, deployment{nodes: 2, protocol: core.LOTEC, shards: tc.shards, retain: true, rec: rec})
 			createObject(t, nodes, tc.obj, 1)
 
 			// framesOf runs one root and returns what it put on the wire.

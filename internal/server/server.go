@@ -6,7 +6,6 @@ import (
 	"lotec/internal/core"
 	"lotec/internal/directory"
 	"lotec/internal/fault"
-	"lotec/internal/gdo"
 	"lotec/internal/ids"
 	"lotec/internal/node"
 	"lotec/internal/pstore"
@@ -61,36 +60,42 @@ func (t Topology) addrMap() map[ids.NodeID]string {
 	return m
 }
 
-// GDOServer hosts the global directory of objects for a TCP deployment.
+// GDOServer hosts the global directory of objects for a TCP deployment: one
+// replicated directory host (directory.Host) that is the primary of every
+// shard, with no backup. It runs the code the simulator's dedicated
+// topology (sim.Config.Replicas) runs: requests stamped with a stale epoch
+// or addressed to the wrong shard are answered with a RouteResp, so a
+// client with a stale view re-aims rather than aborts.
 type GDOServer struct {
-	topo Topology
 	net  *TCPNet
-	dir  *directory.Sharded
-	// cur is the authoritative epoch-stamped placement map. Requests
-	// stamped with a different epoch (or addressed to the wrong shard) are
-	// answered with a RouteResp carrying this map instead of an error, so
-	// a client with a stale view re-aims rather than aborts.
-	cur wire.PlacementMap
+	host *directory.Host
 }
 
-// NewGDOServer creates (without starting) a directory server. The handler
-// always runs behind an idempotency cache: any node of the deployment may
+// NewGDOServer creates (without starting) a directory server. The host
+// answers through its idempotency cache: any node of the deployment may
 // have the retry layer enabled, and a retransmitted acquire/release must
 // observe the first execution's reply, not run twice. With no retries in
 // play the cache is a pure pass-through (request IDs stay zero).
 //
 // The directory retains grants at sites (gdo/retain.go): over real sockets
 // the acquire round trip a repeat root skips is most of its cost.
-func NewGDOServer(topo Topology) *GDOServer {
-	p := topo.Placement()
-	s := &GDOServer{
-		topo: topo,
-		dir:  directory.NewSharded(p.Shards, p.Nodes),
-		cur:  topo.InitialMap(),
+func NewGDOServer(topo Topology) *GDOServer { return newGDOServer(topo, true) }
+
+// newGDOServer is NewGDOServer with site-retained grants on or off.
+func newGDOServer(topo Topology, retain bool) *GDOServer {
+	s := &GDOServer{net: NewTCPNet(topo.GDONode(), topo.addrMap())}
+	s.host = directory.NewHost(directory.HostConfig{
+		Env:          s.net,
+		Place:        topo.Placement(),
+		Map:          topo.InitialMap(),
+		RetainGrants: retain,
+	})
+	// Every message type goes to the host, which answers one it does not
+	// serve with an ErrResp: a type with no handler would never be answered.
+	serve := s.host.Handler()
+	for t := range 256 {
+		s.net.SetAsyncHandler(wire.MsgType(t), serve)
 	}
-	s.dir.SetRetainGrants(true)
-	s.net = NewTCPNet(topo.GDONode(), topo.addrMap())
-	s.net.SetHandler(fault.NewDedup().Wrap(s.handle))
 	return s
 }
 
@@ -115,72 +120,6 @@ func (s *GDOServer) Close() error { return s.net.Close() }
 
 // Addr returns the bound address.
 func (s *GDOServer) Addr() string { return s.net.Addr() }
-
-// Directory exposes the directory (diagnostics).
-func (s *GDOServer) Directory() *directory.Sharded { return s.dir }
-
-// redirect reports whether a request's placement view is stale — a
-// mismatched epoch stamp or a wrong shard address — and if so builds the
-// corrective RouteResp. Epoch 0 (an unstamped legacy client) is accepted:
-// only a client that claims a view can claim a stale one.
-func (s *GDOServer) redirect(epoch uint64, obj ids.ObjectID, shard int32) wire.Msg {
-	if (epoch != 0 && epoch != s.cur.Epoch) || int(shard) != s.dir.ShardOf(obj) {
-		return &wire.RouteResp{Map: s.cur.Clone()}
-	}
-	return nil
-}
-
-// handle serves the directory protocol.
-func (s *GDOServer) handle(from ids.NodeID, m wire.Msg) wire.Msg {
-	switch req := m.(type) {
-	case *wire.AcquireReq:
-		if rr := s.redirect(req.Epoch, req.Obj, req.Shard); rr != nil {
-			return rr
-		}
-		resp, events, err := directory.ServeAcquire(s.dir, req)
-		if err != nil {
-			return &wire.ErrResp{Msg: err.Error()}
-		}
-		s.route(events)
-		return resp
-	case *wire.ReleaseReq:
-		for _, rel := range req.Rels {
-			if rr := s.redirect(req.Epoch, rel.Obj, req.Shard); rr != nil {
-				return rr
-			}
-		}
-		resp, events, err := directory.ServeRelease(s.dir, req)
-		if err != nil {
-			return &wire.ErrResp{Msg: err.Error()}
-		}
-		s.route(events)
-		return resp
-	case *wire.CopySetReq:
-		sets := make([]wire.CopySet, 0, len(req.Objs))
-		for _, obj := range req.Objs {
-			sites, err := s.dir.CopySet(obj)
-			if err != nil {
-				return &wire.ErrResp{Msg: err.Error()}
-			}
-			sets = append(sets, wire.CopySet{Obj: obj, Sites: sites})
-		}
-		return &wire.CopySetResp{Sets: sets}
-	case *wire.RegisterReq:
-		err := s.dir.Register(req.Obj, int(req.NumPages), req.Owner)
-		if err != nil {
-			return &wire.ErrResp{Msg: err.Error()}
-		}
-		return &wire.RegisterResp{}
-	default:
-		return &wire.ErrResp{Msg: "gdo: unhandled message type"}
-	}
-}
-
-func (s *GDOServer) route(events []gdo.Event) {
-	for _, ev := range events {
-		_ = s.net.Send(ev.Site, directory.EventMsg(ev))
-	}
-}
 
 // NodeConfig assembles one data node of a TCP deployment.
 type NodeConfig struct {

@@ -9,9 +9,12 @@ import (
 	"time"
 
 	"lotec/internal/core"
+	"lotec/internal/gdo"
 	"lotec/internal/ids"
 	"lotec/internal/node"
+	"lotec/internal/o2pl"
 	"lotec/internal/schema"
+	"lotec/internal/stats"
 	"lotec/internal/wire"
 )
 
@@ -57,33 +60,39 @@ func accountClass(t *testing.T) *schema.Class {
 	return cls
 }
 
+// deposit adds its argument to the balance and returns the new balance.
+func deposit(ctx *node.Ctx) error {
+	cur, err := ctx.Read("balance")
+	if err != nil {
+		return err
+	}
+	next := dec64(cur) + dec64(ctx.Arg())
+	if err := ctx.Write("balance", i64(next)); err != nil {
+		return err
+	}
+	ctx.SetResult(i64(next))
+	return nil
+}
+
+// peek returns the balance.
+func peek(ctx *node.Ctx) error {
+	cur, err := ctx.Read("balance")
+	if err != nil {
+		return err
+	}
+	ctx.SetResult(cur)
+	return nil
+}
+
 func registerBodies(t *testing.T, s *NodeServer, cls *schema.Class) {
 	t.Helper()
 	if err := s.AddClass(cls); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.OnMethod(cls, "deposit", func(ctx *node.Ctx) error {
-		cur, err := ctx.Read("balance")
-		if err != nil {
-			return err
-		}
-		next := dec64(cur) + dec64(ctx.Arg())
-		if err := ctx.Write("balance", i64(next)); err != nil {
-			return err
-		}
-		ctx.SetResult(i64(next))
-		return nil
-	}); err != nil {
+	if err := s.OnMethod(cls, "deposit", deposit); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.OnMethod(cls, "peek", func(ctx *node.Ctx) error {
-		cur, err := ctx.Read("balance")
-		if err != nil {
-			return err
-		}
-		ctx.SetResult(cur)
-		return nil
-	}); err != nil {
+	if err := s.OnMethod(cls, "peek", peek); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -91,21 +100,43 @@ func registerBodies(t *testing.T, s *NodeServer, cls *schema.Class) {
 // startDeployment brings up a GDO and n nodes on loopback.
 func startDeployment(t *testing.T, n int, protocol core.Protocol) (Topology, *GDOServer, []*NodeServer) {
 	t.Helper()
-	addrs := freeAddrs(t, n+1)
-	topo := Topology{NodeAddrs: addrs[:n], GDOAddr: addrs[n]}
-	g := NewGDOServer(topo)
+	return deploy(t, deployment{nodes: n, protocol: protocol, retain: true})
+}
+
+// deployment shapes a loopback deployment of the account class with
+// 256-byte pages.
+type deployment struct {
+	nodes    int
+	protocol core.Protocol
+	shards   int  // Topology.DirectoryShards
+	retain   bool // the directory retains grants at sites, as NewGDOServer's does
+	// rec, when not nil, records every frame the directory and the nodes
+	// send.
+	rec *stats.Recorder
+}
+
+// deploy brings up a GDO and d.nodes nodes on loopback.
+func deploy(t *testing.T, d deployment) (Topology, *GDOServer, []*NodeServer) {
+	t.Helper()
+	addrs := freeAddrs(t, d.nodes+1)
+	topo := Topology{NodeAddrs: addrs[:d.nodes], GDOAddr: addrs[d.nodes], DirectoryShards: d.shards}
+	g := newGDOServer(topo, d.retain)
+	if d.rec != nil {
+		g.SetRecorder(d.rec)
+	}
 	if err := g.Start(); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = g.Close() })
 	cls := accountClass(t)
-	nodes := make([]*NodeServer, 0, n)
-	for i := 1; i <= n; i++ {
+	nodes := make([]*NodeServer, 0, d.nodes)
+	for i := 1; i <= d.nodes; i++ {
 		ns, err := NewNodeServer(NodeConfig{
 			Topology: topo,
 			Self:     ids.NodeID(i),
-			Protocol: protocol,
+			Protocol: d.protocol,
 			PageSize: 256,
+			Rec:      d.rec,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -287,6 +318,62 @@ func TestTCPNetCallAndSend(t *testing.T) {
 	// Unknown peer.
 	if _, err := a.Call(9, &wire.CopySetReq{}); err == nil {
 		t.Error("unknown peer should fail")
+	}
+}
+
+// TestGDOServerChecksOutsideInput is directory.TestHostChecksOutsideInput
+// over loopback: a request addressed to the wrong shard is redirected and
+// locks nothing, and a message the directory does not serve is answered
+// with an error — over TCP, a message with no handler is never answered.
+func TestGDOServerChecksOutsideInput(t *testing.T) {
+	addrs := freeAddrs(t, 2)
+	topo := Topology{NodeAddrs: addrs[:1], GDOAddr: addrs[1], DirectoryShards: 2}
+	g := NewGDOServer(topo)
+	if err := g.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = g.Close() })
+	site := NewTCPNet(1, topo.addrMap())
+	t.Cleanup(func() { _ = site.Close() })
+	call := func(m wire.Msg) (wire.Msg, error) {
+		type result struct {
+			reply wire.Msg
+			err   error
+		}
+		done := make(chan result, 1)
+		go func() {
+			reply, err := site.Call(topo.GDONode(), m)
+			done <- result{reply, err}
+		}()
+		select {
+		case r := <-done:
+			return r.reply, r.err
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%T was never answered", m)
+			return nil, nil
+		}
+	}
+
+	const onShard1 = ids.ObjectID(11)
+	if _, err := call(&wire.RegisterReq{Obj: onShard1, Class: 1, NumPages: 1, Owner: 1}); err != nil {
+		t.Fatal(err)
+	}
+	epoch := topo.InitialMap().Epoch
+	for _, req := range []wire.Msg{
+		&wire.AcquireReq{Obj: onShard1, Ref: ids.TxRef{Tx: 1, Node: 1}, Family: 1, Age: 1, Site: 1, Mode: o2pl.Write, Shard: 0, Epoch: epoch},
+		&wire.ReleaseReq{Family: 1, Site: 1, Shard: 0, Epoch: epoch, Rels: []gdo.ObjectRelease{{Obj: onShard1}}},
+	} {
+		if reply, err := call(req); err != nil {
+			t.Errorf("%T to the wrong shard: %v", req, err)
+		} else if _, ok := reply.(*wire.RouteResp); !ok {
+			t.Errorf("%T to the wrong shard answered %T, want RouteResp", req, reply)
+		}
+	}
+	if _, err := call(&wire.MultiFetchReq{}); err == nil || !strings.Contains(err.Error(), "cannot serve") {
+		t.Errorf("a message the directory does not serve: %v, want its error reply", err)
+	}
+	if d := g.host.DebugDump(); d != "" {
+		t.Errorf("misaddressed requests left locks:\n%s", d)
 	}
 }
 

@@ -44,11 +44,6 @@ var tcpRetryDefaults = transport.RetryPolicy{
 	MaxBackoff:  time.Second,
 }
 
-// AsyncHandler processes messages whose replies are produced later (e.g.
-// RunReq, which executes a whole transaction). The reply closure writes the
-// response on the connection the request arrived on.
-type AsyncHandler func(from ids.NodeID, m wire.Msg, reply func(wire.Msg))
-
 // TCPNet is the sockets implementation of transport.Env. One TCPNet
 // instance represents one process (a site or the GDO); peers are dialed
 // lazily by node ID.
@@ -58,7 +53,7 @@ type TCPNet struct {
 	start time.Time
 
 	handler transport.Handler
-	async   map[wire.MsgType]AsyncHandler
+	async   [256]transport.AsyncHandler // by wire.MsgType; nil: the synchronous handler serves it
 
 	mu       sync.Mutex
 	listener net.Listener            // guarded by mu
@@ -113,7 +108,6 @@ func NewTCPNet(self ids.NodeID, addrs map[ids.NodeID]string) *TCPNet {
 		self:    self,
 		addrs:   cp,
 		start:   time.Now(),
-		async:   make(map[wire.MsgType]AsyncHandler),
 		conns:   make(map[ids.NodeID]*tcpConn),
 		serving: make(map[*tcpConn]struct{}),
 	}
@@ -122,8 +116,9 @@ func NewTCPNet(self ids.NodeID, addrs map[ids.NodeID]string) *TCPNet {
 // SetHandler installs the synchronous message handler (must not block).
 func (n *TCPNet) SetHandler(h transport.Handler) { n.handler = h }
 
-// SetAsyncHandler routes one message type to an asynchronous handler.
-func (n *TCPNet) SetAsyncHandler(t wire.MsgType, h AsyncHandler) { n.async[t] = h }
+// SetAsyncHandler routes one message type to an asynchronous handler, whose
+// reply is written on the connection the request arrived on.
+func (n *TCPNet) SetAsyncHandler(t wire.MsgType, h transport.AsyncHandler) { n.async[t] = h }
 
 // SetRecorder attaches a stats recorder for fault/retry counters. Call
 // during setup.
@@ -347,7 +342,7 @@ func (n *TCPNet) readLoop(c *tcpConn, peer ids.NodeID) {
 			}
 			n.mu.Unlock()
 		}
-		if _, isAsync := n.async[m.Type()]; isAsync {
+		if n.async[m.Type()] != nil {
 			wire.Retain(m)
 		}
 		// Synchronous handlers consume the message before returning (the
@@ -368,7 +363,7 @@ func (n *TCPNet) readLoop(c *tcpConn, peer ids.NodeID) {
 
 // dispatch routes one inbound request.
 func (n *TCPNet) dispatch(c *tcpConn, env wire.Envelope, m wire.Msg) {
-	if h, ok := n.async[m.Type()]; ok {
+	if h := n.async[m.Type()]; h != nil {
 		reqID, from := env.ReqID, env.From
 		h(from, m, func(reply wire.Msg) {
 			if reqID == 0 {

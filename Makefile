@@ -1,8 +1,8 @@
 # Tier-1 gate: everything must build, vet clean, lint clean, and pass
 # under the race detector before a change lands.
-.PHONY: check build vet lint lint-fixtures test test-benchmark bench bench-allocs bench-smoke calibrate-smoke chaos retain
+.PHONY: check build vet lint lint-fixtures test test-benchmark probes bench bench-allocs bench-smoke calibrate-smoke chaos retain
 
-check: build vet lint lint-fixtures test test-benchmark bench-allocs bench-smoke calibrate-smoke chaos
+check: build vet lint lint-fixtures test test-benchmark probes bench-allocs bench-smoke calibrate-smoke chaos
 
 build:
 	go build ./...
@@ -29,6 +29,12 @@ test:
 # does not reach it; vet and test it from its own directory.
 test-benchmark:
 	go vet -C benchmark ./... && go test -C benchmark ./...
+
+# The repo benchmark's layer probes (benchmark/probes.go), built from this
+# checkout: they drive the runtime packages directly, and nothing else runs
+# them, so a runtime change could break one unseen.
+probes:
+	bash benchmark/run.sh --probes
 
 # Regenerate BENCH_results.json (figure workload timings, transfer-stage
 # breakdown, fetch-concurrency sweep, sharded directory throughput).

@@ -175,7 +175,7 @@ type Directory struct {
 	// Reused hot-path scratch. Acquire and Release run on every protocol
 	// crossover, so their working sets are kept on the Directory and
 	// recycled: at steady state the grant/release path performs no
-	// allocations (ROADMAP item 4). All guarded by mu.
+	// allocations. All guarded by mu.
 	wf       wfScratch      // waits-for detector working state (deadlock.go)
 	entScr   []*entry       // waitEntriesSortedLocked sweep list
 	famScr   []ids.FamilyID // recheckQueuedLocked deadlock re-check snapshot

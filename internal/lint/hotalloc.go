@@ -42,7 +42,8 @@ import (
 // The check is syntactic: it neither proves the compiler heap-allocates a
 // flagged construct (escape analysis may stack-allocate it) nor catches
 // allocations hidden behind unannotated dependencies it was told to trust.
-// It is a regression tripwire for ROADMAP item 4, not a profiler.
+// It is a regression tripwire for the zero-allocation hot paths, not a
+// profiler: the make bench-allocs gates measure them.
 var HotAlloc = &Analyzer{
 	Name:       "hotalloc",
 	Doc:        "functions marked //lotec:noalloc must not contain allocating constructs",

@@ -292,8 +292,8 @@ func TestRepoIsClean(t *testing.T) {
 }
 
 // TestRepoHasNoallocSurface pins the enforcement surface: the wire codec,
-// the page pool and the directory fast path must keep their
-// //lotec:noalloc annotations.
+// the page pool, the delta journal's write path and the directory fast path
+// must keep their //lotec:noalloc annotations.
 func TestRepoHasNoallocSurface(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads several module packages")
@@ -328,6 +328,7 @@ func TestRepoHasNoallocSurface(t *testing.T) {
 		"wire.ReleaseFrame",
 		"pstore.GetPage",
 		"pstore.ReleasePage",
+		"pstore.insert",
 		"gdo.newHoldLocked",
 		"gdo.removeHolderLocked",
 		"gdo.buildWaitsForLocked",

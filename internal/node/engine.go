@@ -266,8 +266,9 @@ func (e *Engine) protocolForLocked(obj ids.ObjectID) core.Protocol {
 }
 
 // RegisterObject makes an object of the given class known to this node.
-// The owner node additionally materializes all pages at version 1,
-// matching the GDO's initial page map.
+// The owner node additionally creates all pages at version 1, matching the
+// GDO's initial page map; they keep no delta journal until they first
+// leave it (pstore.Store.Create).
 func (e *Engine) RegisterObject(obj ids.ObjectID, class ids.ClassID, owner ids.NodeID) error {
 	layout, err := e.cfg.Schemas.Layout(class)
 	if err != nil {
@@ -280,13 +281,7 @@ func (e *Engine) RegisterObject(obj ids.ObjectID, class ids.ClassID, owner ids.N
 	e.objClass[obj] = class
 	e.mu.Unlock()
 	if owner == e.self {
-		zero := make([]byte, e.cfg.Store.PageSize())
-		for p := 0; p < layout.NumPages(); p++ {
-			pid := ids.PageID{Object: obj, Page: ids.PageNum(p)}
-			if err := e.cfg.Store.InstallPage(pid, zero, 1); err != nil {
-				return err
-			}
-		}
+		return e.cfg.Store.Create(obj, 1)
 	}
 	return nil
 }

@@ -79,3 +79,53 @@ func TestAllocsUndoLog(t *testing.T) {
 		t.Logf("a one-page shadow log allocates %.0f B", b)
 	}
 }
+
+// TestAllocsJournal gates the journal's write path: an insert into a set
+// with room allocates nothing, and a commit of a one-span write — Write,
+// seal, ClearDirty — allocates only the touched-page slice Write returns,
+// on a home-only page (whose seal keeps its open epoch) and on a served page
+// whose ring is full (the evicted epoch's runs become the next open epoch).
+func TestAllocsJournal(t *testing.T) {
+	set := make(intervalSet, 0, 4)
+	if n := testing.AllocsPerRun(1000, func() {
+		set = set[:0].insert(8, 4).insert(0, 4).insert(4, 4).insert(32, 1).insert(20, 2)
+	}); n != 0 {
+		t.Errorf("insert with room allocates %.2f, want 0", n)
+	}
+	for _, served := range []bool{false, true} {
+		st := NewStore(DefaultPageSize)
+		if err := st.Register(1, 1); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Create(1, 1); err != nil {
+			t.Fatal(err)
+		}
+		pid := ids.PageID{Object: 1}
+		if served {
+			if _, err := st.PageCopyInto(pid, make([]byte, DefaultPageSize)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		v := uint64(1)
+		data := []byte{1, 2, 3, 4}
+		commit := func() {
+			v++
+			if _, err := st.Write(1, int(v%64), data); err != nil {
+				t.Fatal(err)
+			}
+			if err := st.SetPageVersion(pid, v); err != nil {
+				t.Fatal(err)
+			}
+			st.ClearDirty(1, []ids.PageNum{0})
+		}
+		for i := 0; i < 2*DefaultDeltaJournalDepth; i++ {
+			commit() // fill the ring
+		}
+		if n := testing.AllocsPerRun(1000, commit); n != 1 {
+			t.Errorf("a one-span commit (served %v) allocates %.2f, want 1 (Write's touched pages)", served, n)
+		}
+		if got := len(st.JournalEpochs(pid)); served != (got == DefaultDeltaJournalDepth) {
+			t.Errorf("served %v: ring holds %d epochs", served, got)
+		}
+	}
+}

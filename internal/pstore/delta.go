@@ -28,39 +28,40 @@ type Span struct {
 // intervalSet is a sorted, coalesced set of non-overlapping spans.
 type intervalSet []Span
 
-// insert adds [off, off+n) and re-coalesces. Adjacent spans merge: the
-// journal describes which bytes changed, so touching [0,4) and [4,8) is
-// exactly the span [0,8).
+// insert adds [off, off+n) and re-coalesces, in place: the set's backing
+// array is reused and grows only when a span that absorbs nothing does not
+// fit. Adjacent spans merge: the journal describes which bytes changed, so
+// touching [0,4) and [4,8) is exactly the span [0,8).
+//
+//lotec:noalloc
 func (s intervalSet) insert(off, n int) intervalSet {
 	if n <= 0 {
 		return s
 	}
-	out := make(intervalSet, 0, len(s)+1)
 	start, end := off, off+n
-	placed := false
-	for _, sp := range s {
-		switch {
-		case sp.Off+sp.Len < start: // strictly before, not adjacent
-			out = append(out, sp)
-		case sp.Off > end: // strictly after, not adjacent
-			if !placed {
-				out = append(out, Span{Off: start, Len: end - start})
-				placed = true
-			}
-			out = append(out, sp)
-		default: // overlaps or touches: absorb
-			if sp.Off < start {
-				start = sp.Off
-			}
-			if sp.Off+sp.Len > end {
-				end = sp.Off + sp.Len
-			}
+	// s[i:j] are the spans [start, end) overlaps or touches.
+	i := 0
+	for i < len(s) && s[i].Off+s[i].Len < start {
+		i++
+	}
+	j := i
+	for ; j < len(s) && s[j].Off <= end; j++ {
+		start = min(start, s[j].Off)
+		end = max(end, s[j].Off+s[j].Len)
+	}
+	if i == j { // absorbs nothing: open a slot at i
+		if len(s) == cap(s) {
+			grown := make(intervalSet, len(s), 2*len(s)+1) //lotec:alloc-ok — growth; the set keeps the capacity
+			copy(grown, s)
+			s = grown
 		}
+		s = s[:len(s)+1]
+		copy(s[i+1:], s[i:])
+	} else { // s[i] becomes the merged span; close the gap behind it
+		s = s[:i+1+copy(s[i+1:], s[j:])]
 	}
-	if !placed {
-		out = append(out, Span{Off: start, Len: end - start})
-	}
-	return out
+	s[i] = Span{Off: start, Len: end - start}
+	return s
 }
 
 // union merges another set into this one.
@@ -119,30 +120,38 @@ func (s *Store) journalDepthLocked() int {
 // sealLocked moves the page's open-epoch dirty ranges into the sealed ring
 // as the transition old→now. A version change with no recorded writes means
 // the bytes changed through a path the journal did not observe, so the whole
-// ring is invalidated rather than risk serving a delta that misses bytes.
-// Caller holds s.mu.
+// ring is invalidated rather than risk serving a delta that misses bytes. A
+// home-only page records nothing — no site holds a version to patch — and
+// keeps its open epoch's storage for the next one. Caller holds s.mu.
 func (s *Store) sealLocked(pg *page, old, now uint64) {
-	if now == old {
-		return
-	}
-	if len(pg.pending) == 0 {
+	switch {
+	case now == old: // no transition to record
+	case pg.homeOnly:
+		pg.pending = pg.pending[:0]
+	case len(pg.pending) == 0:
 		pg.hist = nil
-		return
+	default:
+		free := s.makeRoomLocked(pg)
+		pg.hist = append(pg.hist, epoch{base: old, target: now, runs: pg.pending})
+		pg.pending = free
 	}
-	s.recordLocked(pg, epoch{base: old, target: now, runs: pg.pending})
-	pg.pending = nil
 }
 
-// recordLocked appends e to the page's sealed ring, evicting the oldest
-// epochs first when the ring is at its depth: appending and trimming
-// afterwards let the slice grow to the next capacity beyond the depth — twice
-// the ring, kept for good by every page that is written often enough to fill
-// it. Caller holds s.mu.
-func (s *Store) recordLocked(pg *page, e epoch) {
-	if d := s.journalDepthLocked(); len(pg.hist) >= d {
-		pg.hist = append(pg.hist[:0], pg.hist[len(pg.hist)-d+1:]...)
+// makeRoomLocked readies the page's sealed ring for one more epoch,
+// evicting the oldest ones when it is at its depth, and returns the emptied
+// run storage of an evicted epoch for reuse (nil if none was evicted).
+// Evicting before appending keeps the ring's slice at the depth; appending
+// first let it grow to the next capacity up — twice the ring, kept for good
+// by every page written often enough to fill it. Caller holds s.mu.
+func (s *Store) makeRoomLocked(pg *page) intervalSet {
+	d := s.journalDepthLocked()
+	if len(pg.hist) < d {
+		return nil
 	}
-	pg.hist = append(pg.hist, e)
+	gone := len(pg.hist) - d + 1
+	free := pg.hist[gone-1].runs[:0]
+	pg.hist = append(pg.hist[:0], pg.hist[gone:]...)
+	return free
 }
 
 // checkRuns validates a delta's shape: runs sorted, non-overlapping, each
@@ -169,7 +178,8 @@ func (s *Store) checkRuns(runs []Span, data []byte) error {
 // takes its bytes from data in order. The page must be clean and at exactly
 // the base version; otherwise ErrDeltaBase is returned and the page is
 // untouched. A successful apply records the epoch in the receiver's own
-// journal, so a site that caught up via a delta can serve deltas onward.
+// journal, so a site that caught up via a delta can serve deltas onward;
+// the page is no longer home-only.
 func (s *Store) ApplyDelta(pid ids.PageID, base, target uint64, runs []Span, data []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -192,7 +202,9 @@ func (s *Store) ApplyDelta(pid ids.PageID, base, target uint64, runs []Span, dat
 		done += r.Len
 	}
 	pg.version = target
-	s.recordLocked(pg, epoch{base: base, target: target, runs: intervalSet(runs).clone()})
+	pg.homeOnly = false
+	free := s.makeRoomLocked(pg)
+	pg.hist = append(pg.hist, epoch{base: base, target: target, runs: append(free, runs...)})
 	return nil
 }
 
@@ -202,12 +214,17 @@ func (s *Store) ApplyDelta(pid ids.PageID, base, target uint64, runs []Span, dat
 // ok=false means the caller must fall back to a full-page transfer: the page
 // is missing, locally dirty (its bytes are not yet any committed version),
 // the base epoch was evicted from the bounded ring, or the chain is not
-// contiguous up to the current version.
+// contiguous up to the current version. A requester holds some version of
+// the page, so the page is no longer home-only.
 func (s *Store) DeltaSince(pid ids.PageID, base uint64, buf []byte) (runs []Span, target uint64, n int, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	pg, found := s.lookupLocked(pid)
-	if !found || pg.dirty || len(pg.pending) > 0 || base >= pg.version {
+	if !found {
+		return nil, 0, 0, false
+	}
+	pg.homeOnly = false
+	if pg.dirty || len(pg.pending) > 0 || base >= pg.version {
 		return nil, 0, 0, false
 	}
 	start := -1
@@ -250,11 +267,9 @@ func (s *Store) DeltaSince(pid ids.PageID, base uint64, buf []byte) (runs []Span
 func (s *Store) Drop(pid ids.PageID) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	om, ok := s.objects[pid.Object]
-	if !ok {
-		return
+	if om, ok := s.objects[pid.Object]; ok && om.page(pid.Page) != nil {
+		om.pages[pid.Page] = nil
 	}
-	delete(om.pages, pid.Page)
 }
 
 // JournalEpochs reports the sealed (base, target) transitions currently

@@ -15,6 +15,13 @@ import (
 // (at the child or the root) roll their journal contributions back through
 // the shadow-page undo path, so the property also pins that Undo restores
 // the open epoch exactly.
+//
+// Even seeds start from a page its owner created (Create): it journals
+// nothing until it is served, at a random point — between rounds by
+// PageCopyInto, or in the middle of a round's writes by a DeltaSince that
+// must refuse — and a requester can hold only the versions from that serve
+// on. Each of those must patch forward exactly as on a page that journaled
+// from birth.
 func TestDeltaPropertyRandomCommitTrees(t *testing.T) {
 	const pageSize = 256
 	const obj = ids.ObjectID(7)
@@ -26,17 +33,32 @@ func TestDeltaPropertyRandomCommitTrees(t *testing.T) {
 		if err := src.Register(obj, 1); err != nil {
 			t.Fatal(err)
 		}
-		if err := src.InstallPage(pid, make([]byte, pageSize), 1); err != nil {
+		home := seed%2 == 0
+		if home {
+			if err := src.Create(obj, 1); err != nil {
+				t.Fatal(err)
+			}
+		} else if err := src.InstallPage(pid, make([]byte, pageSize), 1); err != nil {
 			t.Fatal(err)
 		}
 
-		// images[v] is the committed page content at version v.
+		// images[v] is the committed page content at version v, for every v
+		// a requester can hold: from birth, or from the first serve of a
+		// home-only page on. Reading the page does not serve it.
 		images := map[uint64][]byte{}
-		snap, _, err := src.PageCopy(pid)
-		if err != nil {
-			t.Fatal(err)
+		current := func() ([]byte, uint64) {
+			data, err := src.Read(obj, 0, pageSize)
+			if err != nil {
+				t.Fatal(err)
+			}
+			v, _ := src.PageVersion(pid)
+			return data, v
 		}
-		images[1] = snap
+		journaling := !home
+		if journaling {
+			img, v := current()
+			images[v] = img
+		}
 
 		writeSome := func(log *UndoLog) {
 			n := 1 + rng.Intn(3)
@@ -58,17 +80,29 @@ func TestDeltaPropertyRandomCommitTrees(t *testing.T) {
 		}
 
 		for round := 0; round < 30; round++ {
-			beforeEpochs := len(src.JournalEpochs(pid))
-			before, ver, err := src.PageCopy(pid)
-			if err != nil {
-				t.Fatal(err)
+			if !journaling && rng.Intn(6) == 0 { // first serve, between rounds
+				buf := make([]byte, pageSize)
+				v, err := src.PageCopyInto(pid, buf)
+				if err != nil {
+					t.Fatal(err)
+				}
+				images[v] = buf
+				journaling = true
 			}
+			beforeEpochs := len(src.JournalEpochs(pid))
+			before, ver := current()
 
 			// One root with a child sub-transaction: the child either aborts
 			// (its writes undone immediately) or pre-commits (its log merges
 			// into the root's); then the root aborts or commits.
 			root := NewUndoLog()
 			writeSome(root)
+			if !journaling && rng.Intn(6) == 0 { // first serve, mid-epoch
+				if _, _, _, ok := src.DeltaSince(pid, ver, make([]byte, pageSize)); ok {
+					t.Fatalf("seed %d round %d: dirty home-only page served a delta", seed, round)
+				}
+				journaling = true
+			}
 			child := NewUndoLog()
 			writeSome(child)
 			if rng.Intn(2) == 0 {
@@ -79,10 +113,7 @@ func TestDeltaPropertyRandomCommitTrees(t *testing.T) {
 
 			if rng.Intn(3) == 0 { // root abort
 				root.Undo(src)
-				after, v2, err := src.PageCopy(pid)
-				if err != nil {
-					t.Fatal(err)
-				}
+				after, v2 := current()
 				if v2 != ver || !bytes.Equal(after, before) {
 					t.Fatalf("seed %d round %d: abort did not restore page (v%d→v%d)", seed, round, ver, v2)
 				}
@@ -97,16 +128,17 @@ func TestDeltaPropertyRandomCommitTrees(t *testing.T) {
 				t.Fatal(err)
 			}
 			src.ClearDirty(obj, []ids.PageNum{0})
-			now, _, err := src.PageCopy(pid)
-			if err != nil {
-				t.Fatal(err)
+			if !journaling {
+				if got := src.JournalEpochs(pid); len(got) != 0 {
+					t.Fatalf("seed %d round %d: home-only page journaled %v", seed, round, got)
+				}
+				continue
 			}
-			images[ver+1] = now
+			now, cur := current()
+			images[cur] = now
 
-			// Every historical image either patches forward to the current
-			// bytes, or the journal honestly refuses (fallback).
-			cur, _ := src.PageVersion(pid)
-			served := 0
+			// Every image a requester can hold either patches forward to the
+			// current bytes, or the journal honestly refuses (fallback).
 			for base, img := range images {
 				if base >= cur {
 					continue
@@ -116,7 +148,6 @@ func TestDeltaPropertyRandomCommitTrees(t *testing.T) {
 				if !ok {
 					continue
 				}
-				served++
 				if target != cur {
 					t.Fatalf("seed %d round %d: delta targets v%d, page is v%d", seed, round, target, cur)
 				}
@@ -134,18 +165,190 @@ func TestDeltaPropertyRandomCommitTrees(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if v2 != cur || !bytes.Equal(got, images[cur]) {
+				if v2 != cur || !bytes.Equal(got, now) {
 					t.Fatalf("seed %d round %d: delta from v%d not byte-identical to full page", seed, round, base)
 				}
 			}
 			// The epoch just sealed must always be servable: the commit wrote
-			// at least one byte and the ring holds >= 1 epoch.
+			// at least one byte, the page was no longer home-only when it
+			// sealed, and the ring holds >= 1 epoch.
 			buf := make([]byte, pageSize)
 			if _, _, _, ok := src.DeltaSince(pid, cur-1, buf); !ok {
 				t.Fatalf("seed %d round %d: newest epoch v%d→v%d unservable", seed, round, cur-1, cur)
 			}
-			_ = served
 		}
+	}
+}
+
+// commitWrite writes one byte at off of a one-page object, seals the page
+// at version v and cleans it, as a root commit does.
+func commitWrite(t *testing.T, s *Store, obj ids.ObjectID, off int, v uint64) {
+	t.Helper()
+	if _, err := s.Write(obj, off, []byte{byte(v)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SetPageVersion(ids.PageID{Object: obj}, v); err != nil {
+		t.Fatal(err)
+	}
+	s.ClearDirty(obj, []ids.PageNum{0})
+}
+
+// TestHomePageKeepsNoJournal: a page its owner created and never served
+// records no epoch however often it commits, and its writes reuse one open
+// epoch's storage.
+func TestHomePageKeepsNoJournal(t *testing.T) {
+	const pageSize = 64
+	pid := ids.PageID{Object: 1}
+	s := NewStore(pageSize)
+	if err := s.Register(1, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Create(1, 1); err != nil {
+		t.Fatal(err)
+	}
+	for v := uint64(2); v <= 101; v++ {
+		commitWrite(t, s, 1, int(v)%pageSize, v)
+	}
+	if got := s.JournalEpochs(pid); len(got) != 0 {
+		t.Fatalf("home-only page sealed 100 times holds epochs %v", got)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	pg, _ := s.lookupLocked(pid)
+	if len(pg.pending) != 0 || cap(pg.pending) != 1 {
+		t.Errorf("open epoch has len %d cap %d after 100 one-span commits, want 0 and 1", len(pg.pending), cap(pg.pending))
+	}
+}
+
+// TestHomePageJournalsOnceServed: the first serve — a full copy or a delta
+// request — ends a page's home-only state; the seals after it journal, and
+// a requester holding the served version catches up by delta exactly.
+func TestHomePageJournalsOnceServed(t *testing.T) {
+	const pageSize = 64
+	const obj = ids.ObjectID(2)
+	pid := ids.PageID{Object: obj}
+	for _, tc := range []struct {
+		name  string
+		serve func(s *Store, buf []byte) uint64 // copies the page to buf, returns its version
+	}{
+		{"PageCopyInto", func(s *Store, buf []byte) uint64 {
+			v, err := s.PageCopyInto(pid, buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return v
+		}},
+		{"DeltaSince", func(s *Store, buf []byte) uint64 {
+			// A requester at v1 asks for a delta; the page journaled
+			// nothing, so it is refused and the full page goes instead.
+			if _, _, _, ok := s.DeltaSince(pid, 1, buf); ok {
+				t.Fatal("home-only page served a delta")
+			}
+			data, err := s.Read(obj, 0, pageSize)
+			if err != nil {
+				t.Fatal(err)
+			}
+			copy(buf, data)
+			v, _ := s.PageVersion(pid)
+			return v
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := NewStore(pageSize)
+			if err := s.Register(obj, 1); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Create(obj, 1); err != nil {
+				t.Fatal(err)
+			}
+			for v := uint64(2); v <= 4; v++ {
+				commitWrite(t, s, obj, int(v), v)
+			}
+			copyAt := make([]byte, pageSize)
+			served := tc.serve(s, copyAt)
+			for v := served + 1; v <= served+3; v++ {
+				commitWrite(t, s, obj, 10*int(v)%pageSize, v)
+			}
+			if got := s.JournalEpochs(pid); len(got) != 3 || got[0] != [2]uint64{served, served + 1} {
+				t.Fatalf("seals after the serve journaled %v, want 3 epochs from v%d", got, served)
+			}
+			buf := make([]byte, pageSize)
+			runs, target, n, ok := s.DeltaSince(pid, served, buf)
+			if !ok {
+				t.Fatalf("no delta from the served version v%d", served)
+			}
+			dst := NewStore(pageSize)
+			if err := dst.Register(obj, 1); err != nil {
+				t.Fatal(err)
+			}
+			if err := dst.InstallPage(pid, copyAt, served); err != nil {
+				t.Fatal(err)
+			}
+			if err := dst.ApplyDelta(pid, served, target, runs, buf[:n]); err != nil {
+				t.Fatal(err)
+			}
+			want, _ := s.Read(obj, 0, pageSize)
+			got, _ := dst.Read(obj, 0, pageSize)
+			if !bytes.Equal(got, want) {
+				t.Fatal("delta from the served version is not byte-identical to the page")
+			}
+		})
+	}
+}
+
+// TestOtherPagesJournalFromBirth: only Create makes a page home-only. A page
+// installed from another site, a materialized one, and a created one that a
+// page or a delta from elsewhere overwrote all journal their first seal.
+func TestOtherPagesJournalFromBirth(t *testing.T) {
+	const pageSize = 64
+	pid := ids.PageID{Object: 1}
+	for _, tc := range []struct {
+		name string
+		make func(s *Store) uint64 // makes the page resident, returns its version
+	}{
+		{"InstallPage", func(s *Store) uint64 {
+			if err := s.InstallPage(pid, make([]byte, pageSize), 1); err != nil {
+				t.Fatal(err)
+			}
+			return 1
+		}},
+		{"Materialize", func(s *Store) uint64 {
+			if err := s.Materialize(1); err != nil {
+				t.Fatal(err)
+			}
+			return 0
+		}},
+		{"Create then InstallPage", func(s *Store) uint64 {
+			if err := s.Create(1, 1); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.InstallPage(pid, make([]byte, pageSize), 3); err != nil {
+				t.Fatal(err)
+			}
+			return 3
+		}},
+		{"Create then ApplyDelta", func(s *Store) uint64 {
+			if err := s.Create(1, 1); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.ApplyDelta(pid, 1, 2, []Span{{Off: 0, Len: 1}}, []byte{9}); err != nil {
+				t.Fatal(err)
+			}
+			return 2
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := NewStore(pageSize)
+			if err := s.Register(1, 1); err != nil {
+				t.Fatal(err)
+			}
+			v := tc.make(s)
+			before := len(s.JournalEpochs(pid))
+			commitWrite(t, s, 1, 5, v+1)
+			if got := s.JournalEpochs(pid); len(got) != before+1 || got[len(got)-1] != [2]uint64{v, v + 1} {
+				t.Fatalf("first seal journaled %v, want epoch v%d→v%d appended", got, v, v+1)
+			}
+		})
 	}
 }
 
@@ -296,5 +499,39 @@ func TestDeltaJournalRingKeepsItsCapacity(t *testing.T) {
 	pg, _ := s.lookupLocked(pid)
 	if len(pg.hist) != DefaultDeltaJournalDepth || cap(pg.hist) != DefaultDeltaJournalDepth {
 		t.Errorf("ring has len %d cap %d after 100 commits, want %d and %d", len(pg.hist), cap(pg.hist), DefaultDeltaJournalDepth, DefaultDeltaJournalDepth)
+	}
+}
+
+// TestIntervalSetInsertMatchesByteMask checks the in-place insert against a
+// byte mask: after every insert the set is sorted, coalesced (no two spans
+// overlap or touch) and covers exactly the bytes inserted so far.
+func TestIntervalSetInsertMatchesByteMask(t *testing.T) {
+	const size = 200
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 200; trial++ {
+		var set intervalSet
+		var mask [size]bool
+		for i := 0; i < 1+rng.Intn(20); i++ {
+			off := rng.Intn(size)
+			n := rng.Intn(1 + min(size-off, 30))
+			set = set.insert(off, n)
+			for b := off; b < off+n; b++ {
+				mask[b] = true
+			}
+			var got [size]bool
+			end := -1
+			for k, sp := range set {
+				if sp.Len <= 0 || sp.Off <= end {
+					t.Fatalf("trial %d: span %d %v not after the previous one (ending %d) with a gap: %v", trial, k, sp, end, set)
+				}
+				end = sp.Off + sp.Len
+				for b := sp.Off; b < end; b++ {
+					got[b] = true
+				}
+			}
+			if got != mask {
+				t.Fatalf("trial %d: set %v does not cover exactly the inserted bytes", trial, set)
+			}
+		}
 	}
 }

@@ -73,12 +73,29 @@ type page struct {
 	// records the ranges that changed across one version transition, so a
 	// holder can answer "what changed since version V" for recent V.
 	hist []epoch
+	// homeOnly marks a page its owner created (Create) that has never
+	// crossed a site: no other site holds any version of it, so nobody can
+	// ask it for a delta, and its seals journal nothing. Serving the page
+	// or installing into it from another site clears the bit for good.
+	homeOnly bool
 }
 
 // objectMem is the per-object residency record at one site.
 type objectMem struct {
-	numPages int
-	pages    map[ids.PageNum]*page
+	// pages is indexed by page number; nil means not resident. Its length
+	// is the object's extent in pages, fixed at Register.
+	pages []*page
+}
+
+// page returns the resident page p, or nil if p is not resident or out of
+// range.
+//
+//lotec:noalloc
+func (om *objectMem) page(p ids.PageNum) *page {
+	if int(p) < 0 || int(p) >= len(om.pages) {
+		return nil
+	}
+	return om.pages[p]
 }
 
 // Store is the paged object memory of a single site. A Store is safe for
@@ -114,22 +131,41 @@ func (s *Store) Register(obj ids.ObjectID, numPages int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if om, ok := s.objects[obj]; ok {
-		if om.numPages != numPages {
+		if len(om.pages) != numPages {
 			return fmt.Errorf("%w: %v has %d pages, requested %d",
-				ErrObjectExists, obj, om.numPages, numPages)
+				ErrObjectExists, obj, len(om.pages), numPages)
 		}
 		return nil
 	}
-	s.objects[obj] = &objectMem{
-		numPages: numPages,
-		pages:    make(map[ids.PageNum]*page, numPages),
+	s.objects[obj] = &objectMem{pages: make([]*page, numPages)}
+	return nil
+}
+
+// Create makes every page of obj resident, zero-filled at version, as the
+// object's owner creates it; a resident page is overwritten. The pages are
+// home-only: they keep no delta journal until they first cross a site
+// (PageCopy, PageCopyInto or DeltaSince serves them; InstallPage or
+// ApplyDelta brings bytes from elsewhere). Every copy at another site
+// descends from such a serve, so no site can ask a page for a delta from
+// a version it held while home-only, and nothing is lost by not recording
+// those versions.
+func (s *Store) Create(obj ids.ObjectID, version uint64) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	om, ok := s.objects[obj]
+	if !ok {
+		return fmt.Errorf("%w: %v", ErrObjectUnknown, obj)
+	}
+	for p := range om.pages {
+		om.pages[p] = &page{data: make([]byte, s.pageSize), version: version, homeOnly: true}
 	}
 	return nil
 }
 
-// Materialize makes every page of obj resident and zero-filled at version 0.
-// It is used at the object's home site when the object is created. Pages
-// that are already resident are left untouched.
+// Materialize makes every page of obj resident and zero-filled at version 0,
+// leaving pages that are already resident untouched. Its pages journal from
+// birth, like pages installed from another site; tests and the layer probes
+// build stores with it. An owner creates its objects' pages with Create.
 func (s *Store) Materialize(obj ids.ObjectID) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -137,8 +173,8 @@ func (s *Store) Materialize(obj ids.ObjectID) error {
 	if !ok {
 		return fmt.Errorf("%w: %v", ErrObjectUnknown, obj)
 	}
-	for p := ids.PageNum(0); int(p) < om.numPages; p++ {
-		if _, ok := om.pages[p]; !ok {
+	for p, pg := range om.pages {
+		if pg == nil {
 			om.pages[p] = &page{data: make([]byte, s.pageSize)}
 		}
 	}
@@ -153,7 +189,7 @@ func (s *Store) NumPages(obj ids.ObjectID) (int, error) {
 	if !ok {
 		return 0, fmt.Errorf("%w: %v", ErrObjectUnknown, obj)
 	}
-	return om.numPages, nil
+	return len(om.pages), nil
 }
 
 // Size reports the object's extent in bytes.
@@ -194,18 +230,19 @@ func (s *Store) PageVersion(pid ids.PageID) (version uint64, ok bool) {
 //lotec:noalloc
 func (s *Store) lookupLocked(pid ids.PageID) (*page, bool) {
 	om, ok := s.objects[pid.Object]
-	if !ok || int(pid.Page) < 0 || int(pid.Page) >= om.numPages {
+	if !ok {
 		return nil, false
 	}
-	pg, ok := om.pages[pid.Page]
-	return pg, ok
+	pg := om.page(pid.Page)
+	return pg, pg != nil
 }
 
-// InstallPage installs a page copy received from another site (or created
-// locally), overwriting any prior resident copy. The data is copied. The
-// installed page starts clean, with an empty journal. A resident page is
-// overwritten in place: its buffer never leaves s.mu (every reader copies
-// out), so reusing it is indistinguishable from installing a fresh one.
+// InstallPage installs a page copy received from another site, overwriting
+// any prior resident copy. The data is copied. The installed page starts
+// clean, with an empty journal that records its seals from now on. A
+// resident page is overwritten in place: its buffer never leaves s.mu
+// (every reader copies out), so reusing it is indistinguishable from
+// installing a fresh one.
 func (s *Store) InstallPage(pid ids.PageID, data []byte, version uint64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -213,13 +250,13 @@ func (s *Store) InstallPage(pid ids.PageID, data []byte, version uint64) error {
 	if !ok {
 		return fmt.Errorf("%w: %v", ErrObjectUnknown, pid.Object)
 	}
-	if int(pid.Page) < 0 || int(pid.Page) >= om.numPages {
-		return fmt.Errorf("pstore: install %v: page out of range (object has %d pages)", pid, om.numPages)
+	if int(pid.Page) < 0 || int(pid.Page) >= len(om.pages) {
+		return fmt.Errorf("pstore: install %v: page out of range (object has %d pages)", pid, len(om.pages))
 	}
 	if len(data) != s.pageSize {
 		return fmt.Errorf("pstore: install %v: got %d bytes, page size is %d", pid, len(data), s.pageSize)
 	}
-	if pg, ok := om.pages[pid.Page]; ok {
+	if pg := om.pages[pid.Page]; pg != nil {
 		copy(pg.data, data)
 		*pg = page{data: pg.data, version: version}
 		return nil
@@ -231,7 +268,7 @@ func (s *Store) InstallPage(pid ids.PageID, data []byte, version uint64) error {
 }
 
 // PageCopy returns a copy of the resident page's bytes and its version, for
-// transmission to another site.
+// transmission to another site: the page is no longer home-only.
 func (s *Store) PageCopy(pid ids.PageID) (data []byte, version uint64, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -239,6 +276,7 @@ func (s *Store) PageCopy(pid ids.PageID) (data []byte, version uint64, err error
 	if !ok {
 		return nil, 0, &PageMissingError{PID: pid}
 	}
+	pg.homeOnly = false
 	out := make([]byte, len(pg.data))
 	copy(out, pg.data)
 	return out, pg.version, nil
@@ -246,7 +284,8 @@ func (s *Store) PageCopy(pid ids.PageID) (data []byte, version uint64, err error
 
 // PageCopyInto copies the resident page's bytes into buf (which must be at
 // least PageSize long) and returns its version. It is the allocation-free
-// variant of PageCopy used by the xfer pipeline's pooled staging buffers.
+// variant of PageCopy used by the xfer pipeline's pooled staging buffers,
+// and likewise ends the page's home-only state.
 //
 //lotec:noalloc
 func (s *Store) PageCopyInto(pid ids.PageID, buf []byte) (version uint64, err error) {
@@ -259,6 +298,7 @@ func (s *Store) PageCopyInto(pid ids.PageID, buf []byte) (version uint64, err er
 	if len(buf) < len(pg.data) {
 		return 0, fmt.Errorf("pstore: copy %v: buffer %d bytes, page is %d", pid, len(buf), len(pg.data))
 	}
+	pg.homeOnly = false
 	copy(buf, pg.data)
 	return pg.version, nil
 }
@@ -296,8 +336,8 @@ func (s *Store) Read(obj ids.ObjectID, off, n int) ([]byte, error) {
 	for done := 0; done < n; {
 		pnum := ids.PageNum((off + done) / s.pageSize)
 		poff := (off + done) % s.pageSize
-		pg, ok := om.pages[pnum]
-		if !ok {
+		pg := om.pages[pnum]
+		if pg == nil {
 			return nil, &PageMissingError{PID: ids.PageID{Object: obj, Page: pnum}}
 		}
 		c := copy(out[done:], pg.data[poff:])
@@ -326,7 +366,7 @@ func (s *Store) Write(obj ids.ObjectID, off int, data []byte) ([]ids.PageNum, er
 		return nil, nil
 	}
 	for p := first; p <= last; p++ {
-		if _, ok := om.pages[p]; !ok {
+		if om.pages[p] == nil {
 			return nil, &PageMissingError{PID: ids.PageID{Object: obj, Page: p}}
 		}
 	}
@@ -349,7 +389,7 @@ func (s *Store) Write(obj ids.ObjectID, off int, data []byte) ([]ids.PageNum, er
 //
 //lotec:noalloc
 func (s *Store) checkBounds(om *objectMem, obj ids.ObjectID, off, n int) error {
-	size := om.numPages * s.pageSize
+	size := len(om.pages) * s.pageSize
 	if off < 0 || n < 0 || off+n > size {
 		return &BoundsError{Object: obj, Offset: off, Length: n, Size: size}
 	}
@@ -368,9 +408,9 @@ func (s *Store) DirtyPages(obj ids.ObjectID) []ids.PageNum {
 		return nil
 	}
 	var out []ids.PageNum
-	for p := ids.PageNum(0); int(p) < om.numPages; p++ {
-		if pg, ok := om.pages[p]; ok && pg.dirty {
-			out = append(out, p)
+	for p, pg := range om.pages {
+		if pg != nil && pg.dirty {
+			out = append(out, ids.PageNum(p))
 		}
 	}
 	return out
@@ -386,7 +426,7 @@ func (s *Store) ClearDirty(obj ids.ObjectID, pages []ids.PageNum) {
 		return
 	}
 	for _, p := range pages {
-		if pg, ok := om.pages[p]; ok {
+		if pg := om.page(p); pg != nil {
 			pg.dirty = false
 			if len(pg.pending) > 0 {
 				// Dirty ranges discarded without a version seal: the bytes
@@ -409,9 +449,9 @@ func (s *Store) ResidentPages(obj ids.ObjectID) []ids.PageNum {
 		return nil
 	}
 	var out []ids.PageNum
-	for p := ids.PageNum(0); int(p) < om.numPages; p++ {
-		if _, ok := om.pages[p]; ok {
-			out = append(out, p)
+	for p, pg := range om.pages {
+		if pg != nil {
+			out = append(out, ids.PageNum(p))
 		}
 	}
 	return out
@@ -443,5 +483,5 @@ func (pg *page) snapshotLocked() ([]byte, bool, intervalSet) {
 func (pg *page) restore(data []byte, dirty bool, pending intervalSet) {
 	copy(pg.data, data)
 	pg.dirty = dirty
-	pg.pending = pending.clone()
+	pg.pending = append(pg.pending[:0], pending...)
 }

@@ -58,6 +58,9 @@ func TestUnknownObjectErrors(t *testing.T) {
 	if err := s.Materialize(9); !errors.Is(err, ErrObjectUnknown) {
 		t.Errorf("Materialize unknown: %v", err)
 	}
+	if err := s.Create(9, 1); !errors.Is(err, ErrObjectUnknown) {
+		t.Errorf("Create unknown: %v", err)
+	}
 	if _, err := s.NumPages(9); !errors.Is(err, ErrObjectUnknown) {
 		t.Errorf("NumPages unknown: %v", err)
 	}
@@ -73,6 +76,31 @@ func TestMaterializeAndReadZeroFilled(t *testing.T) {
 	}
 	if !bytes.Equal(got, make([]byte, 64)) {
 		t.Error("materialized pages are not zero-filled")
+	}
+}
+
+// TestCreateOverwritesZeroFilled: Create makes every page resident, zeroed,
+// at the given version, a resident one included.
+func TestCreateOverwritesZeroFilled(t *testing.T) {
+	s := NewStore(32)
+	mustRegister(t, s, 1, 2)
+	if err := s.InstallPage(ids.PageID{Object: 1, Page: 1}, bytes.Repeat([]byte{7}, 32), 5); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Create(1, 1); err != nil {
+		t.Fatal(err)
+	}
+	got, err := s.Read(1, 0, 64)
+	if err != nil {
+		t.Fatalf("Read: %v", err)
+	}
+	if !bytes.Equal(got, make([]byte, 64)) {
+		t.Error("created pages are not zero-filled")
+	}
+	for p := ids.PageNum(0); p < 2; p++ {
+		if v, ok := s.PageVersion(ids.PageID{Object: 1, Page: p}); !ok || v != 1 {
+			t.Errorf("page %d at version %d (resident %v), want 1", p, v, ok)
+		}
 	}
 }
 

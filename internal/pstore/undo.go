@@ -56,8 +56,8 @@ func (l *UndoLog) SnapshotBefore(st *Store, obj ids.ObjectID, pages []ids.PageNu
 		if l.has(pid) {
 			continue
 		}
-		pg, ok := om.pages[p]
-		if !ok {
+		pg := om.page(p)
+		if pg == nil {
 			return &PageMissingError{PID: pid}
 		}
 		before, dirty, pending := pg.snapshotLocked()

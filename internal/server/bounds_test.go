@@ -59,16 +59,18 @@ func TestAllocsTCPCall(t *testing.T) {
 // A repeat root runs on the grant the directory left at the site, so it is
 // its committing release and nothing else. What is left is the root's own
 // state (transaction, family and lock entry with their maps), the two
-// messages with their slices on both sides, the shadow page and journal of
-// the write, and the method body.
+// messages with their slices on both sides, the shadow log of the write,
+// and the method body. The page never left its owner, so its journal
+// records nothing and reuses its open epoch: it was 37 while every seal
+// kept an epoch and every write grew a fresh interval set.
 //
 // A first root — here, every root of a deployment whose directory has
 // retention switched off — is an acquire and a committing release: the two
 // more messages, the page map that comes with the grant and the directory's
 // hold record. It was 60 before the connection writer combined frames.
 const (
-	repeatRootAllocs = 39
-	firstRootAllocs  = 44
+	repeatRootAllocs = 36
+	firstRootAllocs  = 42
 )
 
 func TestAllocsRootCommit(t *testing.T) {
@@ -102,7 +104,7 @@ func TestAllocsRootCommit(t *testing.T) {
 // dataRootBytes is the most a data root may allocate, process-wide: under
 // one page. The root runs at node 2 and rewrites the whole 4 KiB page node 1
 // wrote last, so the page crosses the wire and is shadowed; its messages,
-// lock state, page map and the journal of its write take ~3.3 KiB in ~66
+// lock state, page map and the journal of its write take ~3.1 KiB in ~66
 // allocations. Before the page pool it was ~11.5 KiB: the shadow copy and
 // the fetched page copied out of its frame were a fresh 4 KiB each (the
 // page node 1 staged to serve was the second of them, recycled).
@@ -159,6 +161,46 @@ func TestSteadyStateHeapIsConstant(t *testing.T) {
 	}
 	t.Run("alternating", func(t *testing.T) { steadyStateHeap(t, 1) })
 	t.Run("runs at one node", func(t *testing.T) { steadyStateHeap(t, gdo.KeepStreak+2) })
+}
+
+// TestHomePagesKeepNoJournal is the journal's growth gate: roots run at the
+// owner of their object, so no page ever leaves its owner, and the delta
+// journal — which only a site holding another copy could use — must keep
+// nothing for them. With retention off every root is a first root, and the
+// directory entry and the site's records of an object do not grow from one
+// root to the next; the journal would. While every page journaled from
+// birth, this gate measured ≈ 385 B per page: the ring a page written
+// 2 × DeltaJournalDepth times fills.
+func TestHomePagesKeepNoJournal(t *testing.T) {
+	const (
+		objects = 256
+		repeats = 2 * pstore.DefaultDeltaJournalDepth
+		// maxGrowth is per written page.
+		maxGrowth = 64
+	)
+	_, _, nodes := deploy(t, deployment{nodes: 1, protocol: core.LOTEC})
+	rootAll := func() {
+		for o := 1; o <= objects; o++ {
+			if _, err := nodes[0].Run(ids.ObjectID(o), "deposit", i64(1)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for o := 1; o <= objects; o++ {
+		createObject(t, nodes, ids.ObjectID(o), 1)
+	}
+	rootAll() // dial, fill the pools, make every object's entries
+	before := liveHeap()
+	for r := 0; r < repeats; r++ {
+		rootAll()
+	}
+	after := liveHeap()
+	if grown := int64(after) - int64(before); grown > maxGrowth*objects {
+		t.Errorf("live heap grew %d B over %d roots on each of %d home pages: %.1f B per page, want < %d",
+			grown, repeats, objects, float64(grown)/objects, maxGrowth)
+	} else {
+		t.Logf("live heap grew %.1f B per home page over %d roots each", float64(grown)/objects, repeats)
+	}
 }
 
 // steadyStateHeap commits the gate's roots with run consecutive roots of an

@@ -292,7 +292,7 @@ func (c *Cluster) RegisterBody(cls *schema.Class, method string, fn node.MethodF
 }
 
 // CreateObject instantiates an object of class at owner and registers it
-// everywhere (pages materialize at the owner at version 1).
+// everywhere (pages are created at the owner at version 1).
 func (c *Cluster) CreateObject(class ids.ClassID, owner ids.NodeID) (ids.ObjectID, error) {
 	layout, err := c.schemas.Layout(class)
 	if err != nil {

@@ -337,6 +337,22 @@ func (e *Engine) Push(objs []ids.ObjectID, dirty map[ids.ObjectID][]ids.PageNum,
 	if err != nil {
 		return err
 	}
+	// Stage only what another site caches: a page pushed to nobody is
+	// neither copied nor counted, and a page its owner created stays
+	// home-only (pstore.Store.Create).
+	self := e.Env.Self()
+	remote := withPages[:0]
+	for _, obj := range withPages {
+		for _, site := range copySets[obj] {
+			if site != self {
+				remote = append(remote, obj)
+				break
+			}
+		}
+	}
+	if withPages = remote; len(withPages) == 0 {
+		return nil
+	}
 
 	// Stage each dirty page once; the buffer is shared by every
 	// destination's message and released only after the whole group
@@ -392,7 +408,6 @@ func (e *Engine) Push(objs []ids.ObjectID, dirty map[ids.ObjectID][]ids.PageNum,
 
 	// Batch by destination site across objects (sites ascending, objects
 	// in caller order — commitRoot passes them sorted).
-	self := e.Env.Self()
 	byDest := make(map[ids.NodeID][]wire.ObjPayload)
 	var dests []ids.NodeID
 	for _, obj := range withPages {
@@ -405,9 +420,6 @@ func (e *Engine) Push(objs []ids.ObjectID, dirty map[ids.ObjectID][]ids.PageNum,
 			}
 			byDest[site] = append(byDest[site], wire.ObjPayload{Obj: obj, Pages: payloads[obj], Deltas: deltas[obj]})
 		}
-	}
-	if len(dests) == 0 {
-		return nil
 	}
 	sort.Slice(dests, func(i, j int) bool { return dests[i] < dests[j] })
 	calls := make([]transport.GroupCall, 0, len(dests))

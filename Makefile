@@ -1,8 +1,8 @@
 # Tier-1 gate: everything must build, vet clean, lint clean, and pass
 # under the race detector before a change lands.
-.PHONY: check build vet lint lint-fixtures test test-benchmark probes bench bench-allocs bench-smoke calibrate-smoke chaos retain
+.PHONY: check build vet lint lint-fixtures test test-benchmark probes bench bench-allocs bench-smoke calibrate-smoke chaos retain fuzz-smoke
 
-check: build vet lint lint-fixtures test test-benchmark probes bench-allocs bench-smoke calibrate-smoke chaos
+check: build vet lint lint-fixtures test test-benchmark probes bench-allocs bench-smoke calibrate-smoke chaos fuzz-smoke
 
 build:
 	go build ./...
@@ -37,7 +37,7 @@ probes:
 	bash benchmark/run.sh --probes
 
 # Regenerate BENCH_results.json (figure workload timings, transfer-stage
-# breakdown, fetch-concurrency sweep, sharded directory throughput).
+# breakdown, fetch-concurrency sweep, hot-path perf ledger, loc rows).
 bench:
 	go run ./cmd/lotec-bench -figure 3 -json BENCH_results.json
 
@@ -89,3 +89,8 @@ chaos:
 retain:
 	go test -race -run 'Retention|Retain|Recall|Adopt|TestMessagesPerRoot|TestSimulatorAndTCPSendTheSameTrace' ./internal/gdo/ ./internal/directory/ ./internal/node/ ./internal/server/
 	go test -race -run 'TestWorkloadSerialEquivalence|TestReplicatedWorkload|TestReplicatedPrimaryKill' ./internal/sim/
+
+# The codec fuzzer for 20 s, as CI runs it: Decode must never panic, must
+# agree with DecodeView, and must re-encode whatever it accepts canonically.
+fuzz-smoke:
+	go test -run=NONE -fuzz=FuzzDecode -fuzztime=20s ./internal/wire/

@@ -337,7 +337,7 @@ func BenchmarkMicro_WireRoundTrip(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	b.SetBytes(int64(m.Size()))
+	b.SetBytes(int64(wire.Size(m)))
 }
 
 // BenchmarkMicro_EndToEndTransaction measures one whole cross-node root

@@ -4,10 +4,9 @@
 // behind Figures 6–8, for finding where LOTEC's smaller-but-more-numerous
 // messages win or lose.
 //
-// With -json, it additionally benchmarks the directory itself — concurrent
-// acquire/release throughput at 1, 2, 4 and 8 lock shards — counts the lines
-// of Go in the module, and writes machine-readable results to
-// BENCH_results.json. Run it from the module root.
+// With -json, it additionally times the figure workloads and the hot-path
+// ledger, counts the lines of Go in the module, and writes machine-readable
+// results to BENCH_results.json. Run it from the module root.
 package main
 
 import (
@@ -17,16 +16,10 @@ import (
 	"os"
 	"reflect"
 	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"lotec/internal/core"
-	"lotec/internal/directory"
-	"lotec/internal/gdo"
-	"lotec/internal/ids"
 	"lotec/internal/netmodel"
-	"lotec/internal/o2pl"
 	"lotec/internal/sim"
 	"lotec/internal/stats"
 	"lotec/internal/workload"
@@ -34,12 +27,10 @@ import (
 
 // benchResult is one line of BENCH_results.json.
 type benchResult struct {
-	// Op names the benchmark ("workload/figure3", "directory/acquire-release/shards=4").
+	// Op names the benchmark ("workload/figure3", "perf/codec-encode").
 	Op string `json:"op"`
 	// Protocol is the consistency protocol, where one applies.
 	Protocol string `json:"protocol,omitempty"`
-	// Shards is the directory partition count, for directory benchmarks.
-	Shards int `json:"shards,omitempty"`
 	// FetchConcurrency is the transfer fan-out bound, for sweep entries.
 	FetchConcurrency int `json:"fetch_concurrency,omitempty"`
 	// Ops is the number of operations timed.
@@ -51,7 +42,7 @@ type benchResult struct {
 	// historical whole-attribute writes).
 	WriteBytes int `json:"write_bytes,omitempty"`
 	// BytesMoved is the consistency data traffic of the run (simulated
-	// runs only; the directory benchmark is in-process).
+	// runs only).
 	BytesMoved int64 `json:"bytes_moved"`
 	// Delta-transfer split of BytesMoved (delta sweep entries only):
 	// bytes that moved as dirty-range deltas, the full-page bytes those
@@ -100,7 +91,7 @@ type benchResult struct {
 
 func main() {
 	figure := flag.String("figure", "3", "workload figure to sweep (2..5)")
-	jsonOut := flag.String("json", "", "also benchmark directory sharding and write results to this file (e.g. BENCH_results.json)")
+	jsonOut := flag.String("json", "", "also time the figure workloads and hot paths and write results to this file (e.g. BENCH_results.json)")
 	smoke := flag.Bool("smoke", false, "fast CI check: assert the byte/message trace is FetchConcurrency-invariant, the gather wall-clock improves, and bytes_moved/ns_per_op/allocs_per_op have not regressed vs -baseline")
 	baseline := flag.String("baseline", "BENCH_results.json", "committed results the smoke check compares bytes_moved against (\"\" disables)")
 	writeBytes := flag.Int("write-bytes", 0, "cap each declared write at this many bytes (0 = whole attribute) — prices the figure grid under a field-sized write schema where sub-page deltas flow")
@@ -275,20 +266,6 @@ func writeJSON(spec sim.FigureSpec, path string) error {
 		return err
 	}
 	results = append(results, deltas...)
-
-	for _, shards := range []int{1, 2, 4, 8} {
-		nsPerOp, ops, err := benchDirectory(shards)
-		if err != nil {
-			return fmt.Errorf("directory bench (%d shards): %w", shards, err)
-		}
-		results = append(results, benchResult{
-			Op:      fmt.Sprintf("directory/acquire-release/shards=%d", shards),
-			Shards:  shards,
-			Ops:     ops,
-			NsPerOp: nsPerOp,
-		})
-		fmt.Printf("directory/acquire-release  %d shard(s) %8d ops  %12.0f ns/op\n", shards, ops, nsPerOp)
-	}
 
 	perf, err := perfLedger()
 	if err != nil {
@@ -603,59 +580,4 @@ func runSmoke(spec sim.FigureSpec) error {
 	fmt.Printf("smoke ok: figure %s, %d msgs invariant, gather %v (k=1) → %v (k=4), %d fanned-out transfers\n",
 		spec.ID, len(serial.trace), serial.gather, overlapped.gather, serial.multi)
 	return nil
-}
-
-// benchDirectory times write-acquire + release round trips against a
-// sharded directory under concurrent load: 8 sites hammer 512 registered
-// objects with single-object transactions over disjoint object ranges (so
-// every acquire grants immediately and the lock-service path itself is what
-// is measured). Each release scans its partition's entries, so throughput
-// scales with the partition count even on one core.
-func benchDirectory(shards int) (nsPerOp float64, ops int, err error) {
-	const (
-		objects = 512
-		workers = 8
-		iters   = 2000
-	)
-	s := directory.NewSharded(shards, workers)
-	for o := ids.ObjectID(1); o <= objects; o++ {
-		if err := s.Register(o, 1, 1); err != nil {
-			return 0, 0, err
-		}
-	}
-	var (
-		nextFam  atomic.Uint64
-		wg       sync.WaitGroup
-		errOnce  sync.Once
-		benchErr error
-	)
-	span := objects / workers
-	start := time.Now()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			site := ids.NodeID(w + 1)
-			for i := 0; i < iters; i++ {
-				obj := ids.ObjectID(w*span + i%span + 1)
-				fam := ids.FamilyID(nextFam.Add(1))
-				ref := ids.TxRef{Tx: ids.TxID(fam), Node: site}
-				if _, _, err := s.Acquire(obj, ref, fam, uint64(fam), site, o2pl.Write); err != nil {
-					errOnce.Do(func() { benchErr = err })
-					return
-				}
-				if _, _, err := s.Release(fam, site, false, []gdo.ObjectRelease{{Obj: obj}}); err != nil {
-					errOnce.Do(func() { benchErr = err })
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	if benchErr != nil {
-		return 0, 0, benchErr
-	}
-	ops = workers * iters
-	return float64(elapsed.Nanoseconds()) / float64(ops), ops, nil
 }

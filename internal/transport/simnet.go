@@ -215,7 +215,7 @@ func (s *SimNet) record(from, to ids.NodeID, m wire.Msg) {
 
 // latency returns the simulated transmission time of m.
 func (s *SimNet) latency(m wire.Msg) time.Duration {
-	return s.params.MsgTime(m.Size())
+	return s.params.MsgTime(wire.Size(m))
 }
 
 // Run drives the simulation until no events remain. It returns an error if

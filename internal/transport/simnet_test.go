@@ -90,7 +90,7 @@ func TestCallAdvancesVirtualClock(t *testing.T) {
 			t.Errorf("Call: %v", err)
 		}
 		elapsed = env.Now() - t0
-		want := p.MsgTime(req.Size()) + p.MsgTime((&wire.PushResp{}).Size())
+		want := p.MsgTime(wire.Size(req)) + p.MsgTime(wire.Size(&wire.PushResp{}))
 		if elapsed != want {
 			t.Errorf("RTT = %v, want %v", elapsed, want)
 		}

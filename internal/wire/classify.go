@@ -8,9 +8,12 @@ import (
 // Classify maps a message onto its stats record: kind, size, and the shared
 // object(s) whose consistency maintenance the message is attributed to
 // (Figures 2–5 report bytes per object; Figures 6–8 report message time per
-// object). From/To are left for the transport to fill in.
+// object). From/To are left for the transport to fill in. The size and the
+// per-object section sizes come from walking the message's layout.
 func Classify(m Msg) stats.MsgRecord {
-	rec := stats.MsgRecord{Obj: stats.NoObject, Bytes: m.Size(), Kind: stats.KindOther, Shard: stats.NoShard}
+	c := getCoder()
+	defer putCoder(c)
+	rec := stats.MsgRecord{Obj: stats.NoObject, Bytes: c.size(m), Kind: stats.KindOther, Shard: stats.NoShard}
 	switch t := m.(type) {
 	case *AcquireReq:
 		rec.Kind, rec.Obj, rec.Shard = stats.KindLockReq, t.Obj, int(t.Shard)
@@ -20,24 +23,25 @@ func Classify(m Msg) stats.MsgRecord {
 		rec.Kind, rec.Shard = stats.KindRelease, int(t.Shard)
 		objs := make([]ids.ObjectID, 0, len(t.Rels))
 		overheads := make([]int, 0, len(t.Rels))
-		for _, rel := range t.Rels {
-			objs = append(objs, rel.Obj)
-			overheads = append(overheads, 8+4+4*len(rel.Dirty))
+		for i := range t.Rels {
+			objs = append(objs, t.Rels[i].Obj)
+			overheads = append(overheads, section(c, &t.Rels[i], objRelease))
 		}
 		rec.Objs, rec.Overheads = objs, overheads
 	case *ReleaseResp:
 		rec.Kind, rec.Shard = stats.KindReleaseReply, int(t.Shard)
 		objs := make([]ids.ObjectID, 0, len(t.Stamps))
-		stamps := make(map[ids.ObjectID]int, len(t.Stamps))
-		for _, st := range t.Stamps {
-			if _, seen := stamps[st.Obj]; !seen {
+		stamped := make(map[ids.ObjectID]int, len(t.Stamps))
+		for i := range t.Stamps {
+			st := &t.Stamps[i]
+			if _, seen := stamped[st.Obj]; !seen {
 				objs = append(objs, st.Obj)
 			}
-			stamps[st.Obj]++
+			stamped[st.Obj] += section(c, st, pageStamp)
 		}
 		overheads := make([]int, 0, len(objs))
 		for _, o := range objs {
-			overheads = append(overheads, sizeStamp*stamps[o])
+			overheads = append(overheads, stamped[o])
 		}
 		rec.Objs, rec.Overheads = objs, overheads
 	case *Grant:
@@ -55,29 +59,29 @@ func Classify(m Msg) stats.MsgRecord {
 		rec.Kind = stats.KindLockReply
 		objs := make([]ids.ObjectID, 0, len(t.Sets))
 		overheads := make([]int, 0, len(t.Sets))
-		for _, c := range t.Sets {
-			objs = append(objs, c.Obj)
-			overheads = append(overheads, c.size())
+		for i := range t.Sets {
+			objs = append(objs, t.Sets[i].Obj)
+			overheads = append(overheads, section(c, &t.Sets[i], copySet))
 		}
 		rec.Objs, rec.Overheads = objs, overheads
 	case *MultiFetchReq:
 		rec.Kind = stats.KindMultiFetchReq
 		objs := make([]ids.ObjectID, 0, len(t.Objs))
 		overheads := make([]int, 0, len(t.Objs))
-		for _, o := range t.Objs {
-			objs = append(objs, o.Obj)
-			overheads = append(overheads, o.size())
+		for i := range t.Objs {
+			objs = append(objs, t.Objs[i].Obj)
+			overheads = append(overheads, section(c, &t.Objs[i], objPages))
 		}
 		rec.Objs, rec.Overheads = objs, overheads
 	case *MultiFetchResp:
 		rec.Kind = stats.KindMultiPageData
-		rec.Objs, rec.Payloads, rec.Overheads = classifyObjPayloads(t.Objs)
+		rec.Objs, rec.Payloads, rec.Overheads = classifyObjPayloads(c, t.Objs)
 		for _, pb := range rec.Payloads {
 			rec.Payload += pb
 		}
 	case *MultiPushReq:
 		rec.Kind = stats.KindMultiPush
-		rec.Objs, rec.Payloads, rec.Overheads = classifyObjPayloads(t.Objs)
+		rec.Objs, rec.Payloads, rec.Overheads = classifyObjPayloads(c, t.Objs)
 		for _, pb := range rec.Payloads {
 			rec.Payload += pb
 		}
@@ -132,11 +136,12 @@ func Classify(m Msg) stats.MsgRecord {
 // object's payload is its full-page bytes plus its delta run bytes; the rest
 // of its section (page numbers, versions, run offsets, length prefixes) is
 // its exact framing overhead.
-func classifyObjPayloads(objs []ObjPayload) ([]ids.ObjectID, []int, []int) {
+func classifyObjPayloads(c *coder, objs []ObjPayload) ([]ids.ObjectID, []int, []int) {
 	os := make([]ids.ObjectID, 0, len(objs))
 	payloads := make([]int, 0, len(objs))
 	overheads := make([]int, 0, len(objs))
-	for _, o := range objs {
+	for i := range objs {
+		o := &objs[i]
 		n := 0
 		for _, pg := range o.Pages {
 			n += len(pg.Data)
@@ -146,7 +151,7 @@ func classifyObjPayloads(objs []ObjPayload) ([]ids.ObjectID, []int, []int) {
 		}
 		os = append(os, o.Obj)
 		payloads = append(payloads, n)
-		overheads = append(overheads, o.size()-n)
+		overheads = append(overheads, section(c, o, objPayload)-n)
 	}
 	return os, payloads, overheads
 }

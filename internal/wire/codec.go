@@ -8,7 +8,6 @@ import (
 
 	"lotec/internal/gdo"
 	"lotec/internal/ids"
-	"lotec/internal/o2pl"
 )
 
 // Envelope is the fixed 32-byte message header.
@@ -25,212 +24,336 @@ var (
 	ErrTrailing    = errors.New("wire: trailing bytes after body")
 )
 
-// writer accumulates a little-endian body.
-type writer struct {
-	buf []byte
-}
-
-// writerPool and readerPool recycle codec state across messages: the
-// encodeBody/decodeBody interface calls force a stack writer or reader to
-// escape, which would otherwise cost one heap allocation per message.
-var (
-	writerPool = sync.Pool{New: func() any { return new(writer) }}
-	readerPool = sync.Pool{New: func() any { return new(reader) }}
-)
-
-// u8..qreq append fixed-width fields into the reused buffer; they are the
-// wire hot path and must stay allocation-free (amortized growth aside).
-//
-//lotec:noalloc
-func (w *writer) u8(v uint8) { w.buf = append(w.buf, v) }
-
-//lotec:noalloc
-func (w *writer) u32(v uint32) { w.buf = binary.LittleEndian.AppendUint32(w.buf, v) }
-
-//lotec:noalloc
-func (w *writer) u64(v uint64) { w.buf = binary.LittleEndian.AppendUint64(w.buf, v) }
-
-//lotec:noalloc
-func (w *writer) i32(v int32) { w.u32(uint32(v)) }
-
-//lotec:noalloc
-func (w *writer) i64(v int64) { w.u64(uint64(v)) }
-
-//lotec:noalloc
-func (w *writer) boolean(v bool) {
-	if v {
-		w.u8(1)
-	} else {
-		w.u8(0)
-	}
-}
-
-//lotec:noalloc
-func (w *writer) bytes(b []byte) {
-	w.u32(uint32(len(b)))
-	w.buf = append(w.buf, b...)
-}
-func (w *writer) str(s string) { w.bytes([]byte(s)) }
-
-//lotec:noalloc
-func (w *writer) ref(r ids.TxRef) { w.u64(uint64(r.Tx)); w.i32(int32(r.Node)) }
-
-//lotec:noalloc
-func (w *writer) loc(l gdo.PageLoc) { w.i32(int32(l.Node)); w.u64(l.Version) }
-
-//lotec:noalloc
-func (w *writer) qreq(q gdo.QueuedReq) { w.ref(q.Ref); w.u8(uint8(q.Mode)) }
-
-// reader consumes a little-endian body, accumulating the first error. In
-// view mode (DecodeView) byte-slice fields alias buf instead of copying —
-// the decoded message then lives only as long as the frame it came from.
-type reader struct {
-	buf  []byte
-	off  int
-	err  error
+// coder walks a message's layout method, the one description of its body
+// bytes, either encoding or decoding. An encoding walk only reads the
+// message, so a message may be encoded by several goroutines at once; it
+// counts every field in n and writes the fields that fit buf's spare
+// capacity, never growing buf. Sizing is therefore an encoding walk with no
+// buffer — the zero coder — and an encoding is complete iff it wrote all n
+// bytes. A decoding walk fills a fresh message, checks every read against
+// the body's end and records the first malformation in err, after which
+// every field operation is a no-op.
+type coder struct {
+	decoding bool
+	n        int    // encoding: the body bytes walked so far
+	buf      []byte // encoding: the buffer written into; decoding: the body read
+	off      int    // decoding: read offset into buf
+	err      error  // decoding: the first malformation
+	// need is the byte count of a read that ran past the body's end. Such a
+	// read records the bare ErrShortBuffer, and decode formats the detail
+	// once: the field operations stay small enough to inline.
+	need int
+	// view (DecodeView) makes decoded byte fields alias buf instead of
+	// copying it: the message then lives only as long as the frame.
 	view bool
 }
 
-// fail is the bounds check on every read; the formatted error is built only
-// once, on the first short read.
+// coders recycles coder state across messages: a layout is reached through
+// the Msg interface, so a stack coder would escape and cost one heap
+// allocation per message.
+var coders = sync.Pool{New: func() any { return new(coder) }}
+
+// getCoder returns a zero coder: an encoding walk with no buffer, which
+// sizes.
 //
 //lotec:noalloc
-func (r *reader) fail(n int) bool {
-	if r.err != nil {
-		return true
-	}
-	if r.off+n > len(r.buf) {
-		r.err = fmt.Errorf("%w: need %d at %d of %d", ErrShortBuffer, n, r.off, len(r.buf)) //lotec:alloc-ok — first short read poisons the reader
-		return true
-	}
-	return false
-}
+func getCoder() *coder { return coders.Get().(*coder) }
 
-// u8..qreq read fixed-width fields in place; like their writer duals they
-// are annotated allocation-free.
+// putCoder returns c to the pool zeroed, so the pool keeps no frame alive.
 //
 //lotec:noalloc
-func (r *reader) u8() uint8 {
-	if r.fail(1) {
-		return 0
+func putCoder(c *coder) {
+	*c = coder{}
+	coders.Put(c)
+}
+
+// fits is the bounds check on every decoded read: it reports whether the
+// walk has not failed and n more bytes remain, recording a short read when
+// they do not.
+//
+//lotec:noalloc
+func (c *coder) fits(n int) bool {
+	if c.err == nil && c.off+n > len(c.buf) {
+		c.err, c.need = ErrShortBuffer, n
 	}
-	v := r.buf[r.off]
-	r.off++
-	return v
+	return c.err == nil
 }
 
+// take consumes the next n bytes of a decoded body and returns them (nil
+// on a short read), with capacity capped so an append by a consumer
+// aliasing them cannot scribble over the fields that follow.
+//
 //lotec:noalloc
-func (r *reader) u32() uint32 {
-	if r.fail(4) {
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(r.buf[r.off:])
-	r.off += 4
-	return v
-}
-
-//lotec:noalloc
-func (r *reader) u64() uint64 {
-	if r.fail(8) {
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(r.buf[r.off:])
-	r.off += 8
-	return v
-}
-
-//lotec:noalloc
-func (r *reader) i32() int32 { return int32(r.u32()) }
-
-//lotec:noalloc
-func (r *reader) i64() int64 { return int64(r.u64()) }
-
-//lotec:noalloc
-func (r *reader) boolean() bool { return r.u8() != 0 }
-
-//lotec:noalloc
-func (r *reader) ref() ids.TxRef { return ids.TxRef{Tx: ids.TxID(r.u64()), Node: ids.NodeID(r.i32())} }
-
-//lotec:noalloc
-func (r *reader) loc() gdo.PageLoc {
-	return gdo.PageLoc{Node: ids.NodeID(r.i32()), Version: r.u64()}
-}
-
-//lotec:noalloc
-func (r *reader) qreq() gdo.QueuedReq {
-	return gdo.QueuedReq{Ref: r.ref(), Mode: o2pl.Mode(r.u8())}
-}
-
-// bytes reads a length-prefixed byte field. In view mode the result aliases
-// the frame (capped capacity, so an append by the consumer cannot scribble
-// over adjacent fields); otherwise it is a fresh copy.
-func (r *reader) bytes() []byte {
-	n := int(r.u32())
-	if n == 0 || r.fail(n) {
+func (c *coder) take(n int) []byte {
+	if !c.fits(n) {
 		return nil
 	}
-	if r.view {
-		out := r.buf[r.off : r.off+n : r.off+n]
-		r.off += n
-		return out
-	}
-	out := make([]byte, n)
-	copy(out, r.buf[r.off:])
-	r.off += n
-	return out
+	b := c.buf[c.off : c.off+n : c.off+n]
+	c.off += n
+	return b
 }
 
-func (r *reader) str() string { return string(r.bytes()) }
-
-// count reads a collection length with a sanity bound.
+// fault records a malformation found while decoding; it is a no-op when
+// encoding and once the walk has failed.
 //
 //lotec:noalloc
-func (r *reader) count() int {
-	n := int(r.u32())
-	if r.err == nil && (n < 0 || n > 1<<24) {
-		r.err = fmt.Errorf("wire: absurd collection length %d", n) //lotec:alloc-ok — malformed frame poisons the reader
+func (c *coder) fault(err error) {
+	if c.decoding && c.err == nil {
+		c.err = err
+	}
+}
+
+// u8, u32 and u64 walk one fixed-width little-endian integer of any type
+// whose values fit the width: IDs, modes and counts.
+//
+//lotec:noalloc
+func u8[T ~uint8 | ~int](c *coder, v *T) {
+	if c.decoding {
+		if c.fits(1) {
+			*v = T(c.buf[c.off])
+			c.off++
+		}
+		return
+	}
+	c.n++
+	if len(c.buf) < cap(c.buf) {
+		c.buf = append(c.buf, uint8(*v))
+	}
+}
+
+//lotec:noalloc
+func u32[T ~uint32 | ~int32](c *coder, v *T) {
+	if c.decoding {
+		if c.fits(4) {
+			*v = T(binary.LittleEndian.Uint32(c.buf[c.off:]))
+			c.off += 4
+		}
+		return
+	}
+	c.n += 4
+	if len(c.buf)+4 <= cap(c.buf) {
+		c.buf = binary.LittleEndian.AppendUint32(c.buf, uint32(*v))
+	}
+}
+
+//lotec:noalloc
+func u64[T ~uint64 | ~int64](c *coder, v *T) {
+	if c.decoding {
+		if c.fits(8) {
+			*v = T(binary.LittleEndian.Uint64(c.buf[c.off:]))
+			c.off += 8
+		}
+		return
+	}
+	c.n += 8
+	if len(c.buf)+8 <= cap(c.buf) {
+		c.buf = binary.LittleEndian.AppendUint64(c.buf, uint64(*v))
+	}
+}
+
+//lotec:noalloc
+func (c *coder) boolean(v *bool) {
+	b := uint8(0)
+	if *v {
+		b = 1
+	}
+	u8(c, &b)
+	if c.decoding {
+		*v = b != 0
+	}
+}
+
+//lotec:noalloc
+func txRef(c *coder, r *ids.TxRef) {
+	u64(c, &r.Tx)
+	u32(c, &r.Node)
+}
+
+//lotec:noalloc
+func pageLoc(c *coder, l *gdo.PageLoc) {
+	u32(c, &l.Node)
+	u64(c, &l.Version)
+}
+
+//lotec:noalloc
+func queuedReq(c *coder, q *gdo.QueuedReq) {
+	txRef(c, &q.Ref)
+	u8(c, &q.Mode)
+}
+
+// payload walks a length-prefixed byte or string field: encoding, it writes
+// b whole or not at all, and decoding, it returns the field's bytes in the
+// frame (nil when empty).
+//
+//lotec:noalloc
+func payload[B ~[]byte | ~string](c *coder, b B) []byte {
+	n := uint32(len(b))
+	u32(c, &n)
+	if c.decoding {
+		if n == 0 {
+			return nil
+		}
+		return c.take(int(n))
+	}
+	c.n += len(b)
+	if len(c.buf)+len(b) <= cap(c.buf) {
+		c.buf = append(c.buf, b...)
+	}
+	return nil
+}
+
+// bytes walks a byte field; a decoded one aliases the frame in view mode
+// and is a fresh copy otherwise.
+//
+//lotec:noalloc
+func (c *coder) bytes(b *[]byte) {
+	switch v := payload(c, *b); {
+	case v == nil:
+	case c.view:
+		*b = v
+	default:
+		*b = append([]byte(nil), v...) //lotec:alloc-ok — a copying decode owns its payloads
+	}
+}
+
+// str walks a string field; a decoded string is always a copy.
+func (c *coder) str(s *string) {
+	if v := payload(c, *s); v != nil {
+		*s = string(v)
+	}
+}
+
+// length walks a collection length, which a decoded frame may not claim
+// above limit.
+//
+//lotec:noalloc
+func (c *coder) length(n, limit int, what string) int {
+	v := uint32(n)
+	u32(c, &v)
+	return c.bounded(int(v), limit, what)
+}
+
+//lotec:noalloc
+func (c *coder) bounded(n, limit int, what string) int {
+	if c.decoding && c.err == nil && n > limit {
+		c.err = fmt.Errorf("wire: absurd %s %d", what, n) //lotec:alloc-ok — malformed frame poisons the walk
 		return 0
 	}
 	return n
 }
+
+// maxCount bounds every collection count a frame may claim.
+const maxCount = 1 << 24
 
 // sectionFlag marks an optional trailing section in a collection count's
 // high bit. Counts are sanity-bounded far below 2³¹, so the bit is free;
 // using it keeps flag-less messages byte-identical to the pre-delta format.
 const sectionFlag = 1 << 31
 
-// flaggedCount reads a collection length whose bit 31 is an optional-section
-// presence flag.
+// flagged walks a collection length whose bit 31 flags an optional section,
+// returning the length and the flag.
 //
 //lotec:noalloc
-func (r *reader) flaggedCount() (int, bool) {
-	v := r.u32()
-	flag := v&sectionFlag != 0
-	n := int(v &^ sectionFlag)
-	if r.err == nil && n > 1<<24 {
-		r.err = fmt.Errorf("wire: absurd collection length %d", n) //lotec:alloc-ok — malformed frame poisons the reader
-		return 0, false
+func (c *coder) flagged(n int, flag bool) (int, bool) {
+	v := uint32(n)
+	if flag {
+		v |= sectionFlag
 	}
-	return n, flag
+	u32(c, &v)
+	return c.bounded(int(v&^sectionFlag), maxCount, "collection length"), v&sectionFlag != 0
+}
+
+// trailing walks the presence of an optional trailing section, which an
+// encoder writes only when present is true; a decoder finds it iff body
+// bytes remain.
+//
+//lotec:noalloc
+func (c *coder) trailing(present bool) bool {
+	if c.decoding {
+		return c.err == nil && c.off < len(c.buf)
+	}
+	return present
+}
+
+// list walks a counted collection, each element through el.
+//
+//lotec:noalloc
+func list[T any](c *coder, s *[]T, el func(*coder, *T)) {
+	items(c, s, c.length(len(*s), maxCount, "collection length"), el)
+}
+
+// items walks n elements of *s through el, appending each first when
+// decoding.
+//
+//lotec:noalloc
+func items[T any](c *coder, s *[]T, n int, el func(*coder, *T)) {
+	for i := 0; i < n && c.err == nil; i++ {
+		el(c, elem(c, s, i)) //lotec:alloc-ok — the walkers the //lotec:noalloc layouts pass are //lotec:noalloc too
+	}
+}
+
+// elem returns element i of *s, appending it first when decoding.
+//
+//lotec:noalloc
+func elem[T any](c *coder, s *[]T, i int) *T {
+	if c.decoding {
+		// Through a local: hotalloc admits growth only as x = append(x, …).
+		var zero T
+		grown := *s
+		grown = append(grown, zero)
+		*s = grown
+	}
+	return &(*s)[i]
+}
+
+// section returns the on-wire size of one element of a message.
+func section[T any](c *coder, v *T, el func(*coder, *T)) int {
+	*c = coder{}
+	el(c, v)
+	return c.n
+}
+
+// size returns m's full on-wire size in bytes, HeaderSize included.
+func (c *coder) size(m Msg) int {
+	*c = coder{}
+	m.layout(c)
+	return HeaderSize + c.n
+}
+
+// encode appends env and m to buf, the envelope's Type taken from m, and
+// reports whether they fit buf's capacity; either way c.n is then the size
+// of m's body.
+func (c *coder) encode(buf []byte, env Envelope, m Msg) ([]byte, bool) {
+	start := len(buf)
+	buf = append(buf, make([]byte, HeaderSize)...)
+	h := buf[start:]
+	h[0] = uint8(m.Type())
+	binary.LittleEndian.PutUint64(h[1:], env.ReqID)
+	binary.LittleEndian.PutUint32(h[9:], uint32(env.From))
+	binary.LittleEndian.PutUint32(h[13:], uint32(env.To))
+	*c = coder{buf: buf}
+	m.layout(c)
+	buf = c.buf
+	binary.LittleEndian.PutUint32(buf[start+17:], uint32(c.n))
+	return buf, len(buf)-start-HeaderSize == c.n
+}
+
+// Size returns m's full on-wire size in bytes (HeaderSize + body): what the
+// simulation's cost model prices and Encode produces.
+func Size(m Msg) int {
+	c := getCoder()
+	n := c.size(m)
+	putCoder(c)
+	return n
 }
 
 // Encode serializes env+m into a fresh buffer. The envelope's Type field is
 // taken from the message, not from env.
 func Encode(env Envelope, m Msg) []byte {
-	var w writer
-	w.buf = make([]byte, 0, m.Size())
-	w.u8(uint8(m.Type()))
-	w.u64(env.ReqID)
-	w.i32(int32(env.From))
-	w.i32(int32(env.To))
-	w.u32(0) // body length back-patched below
-	// Reserved/padding to HeaderSize.
-	for len(w.buf) < HeaderSize {
-		w.u8(0)
-	}
-	m.encodeBody(&w)
-	binary.LittleEndian.PutUint32(w.buf[17:], uint32(len(w.buf)-HeaderSize))
-	return w.buf
+	c := getCoder()
+	buf, _ := c.encode(make([]byte, 0, c.size(m)), env, m)
+	putCoder(c)
+	return buf
 }
 
 // Decode parses a full message buffer produced by Encode. The returned
@@ -266,496 +389,118 @@ func decode(buf []byte, view bool) (Envelope, Msg, error) {
 	if err != nil {
 		return env, nil, err
 	}
-	r := readerPool.Get().(*reader)
-	*r = reader{buf: buf[HeaderSize : HeaderSize+bodyLen], view: view}
-	m.decodeBody(r)
-	rerr, off, n := r.err, r.off, len(r.buf)
-	*r = reader{}
-	readerPool.Put(r)
-	if rerr != nil {
-		return env, nil, fmt.Errorf("decode %d: %w", env.Type, rerr)
+	c := getCoder()
+	*c = coder{decoding: true, buf: buf[HeaderSize : HeaderSize+bodyLen], view: view}
+	m.layout(c)
+	cerr, off := c.err, c.off
+	if cerr == ErrShortBuffer {
+		cerr = fmt.Errorf("%w: need %d at %d of %d", ErrShortBuffer, c.need, off, bodyLen)
 	}
-	if off != n {
-		return env, nil, fmt.Errorf("%w: %d of %d consumed", ErrTrailing, off, n)
+	putCoder(c)
+	if cerr != nil {
+		return env, nil, fmt.Errorf("decode %d: %w", env.Type, cerr)
+	}
+	if off != bodyLen {
+		return env, nil, fmt.Errorf("%w: %d of %d consumed", ErrTrailing, off, bodyLen)
 	}
 	return env, m, nil
 }
 
-// adoptFlag is AcquireReq.Adopt's bit in the mode byte; lock modes are 1
-// and 2.
-const adoptFlag = 0x80
+// Element walkers of the message layouts.
 
-// Body encoders/decoders. Each pair must mirror the other exactly; the test
-// suite round-trips every type and cross-checks Size.
-
-// The lock-protocol bodies (acquire/release/grant/abort) ride the
-// per-transaction fast path and are annotated allocation-free end to end;
-// the page-transfer bodies carry payload slices and are not.
-//
 //lotec:noalloc
-func (m *AcquireReq) encodeBody(w *writer) {
-	w.u64(m.ReqID)
-	w.i64(int64(m.Obj))
-	w.ref(m.Ref)
-	w.u64(uint64(m.Family))
-	w.u64(m.Age)
-	w.i32(int32(m.Site))
-	mode := uint8(m.Mode)
-	if m.Adopt {
-		mode |= adoptFlag
-	}
-	w.u8(mode)
-	w.i32(m.Shard)
-	if m.Epoch != 0 {
-		w.u64(m.Epoch)
-	}
+func objRelease(c *coder, r *gdo.ObjectRelease) {
+	u64(c, &r.Obj)
+	list(c, &r.Dirty, u32[ids.PageNum])
 }
 
 //lotec:noalloc
-func (m *AcquireReq) decodeBody(r *reader) {
-	m.ReqID = r.u64()
-	m.Obj = ids.ObjectID(r.i64())
-	m.Ref = r.ref()
-	m.Family = ids.FamilyID(r.u64())
-	m.Age = r.u64()
-	m.Site = ids.NodeID(r.i32())
-	mode := r.u8()
-	m.Mode, m.Adopt = o2pl.Mode(mode&^adoptFlag), mode&adoptFlag != 0
-	m.Shard = r.i32()
-	// Trailing optional epoch section: present iff body bytes remain.
-	if r.err == nil && r.off < len(r.buf) {
-		m.Epoch = r.u64()
+func pageStamp(c *coder, s *gdo.PageStamp) {
+	u64(c, &s.Obj)
+	u32(c, &s.Page)
+	u64(c, &s.Version)
+}
+
+func copySet(c *coder, s *CopySet) {
+	u64(c, &s.Obj)
+	list(c, &s.Sites, u32[ids.NodeID])
+}
+
+func objPages(c *coder, o *ObjPages) {
+	u64(c, &o.Obj)
+	n, withBases := c.flagged(len(o.Pages), o.hasBases())
+	if withBases && n == 0 {
+		c.fault(errEmptyBases)
+	}
+	items(c, &o.Pages, n, u32[ids.PageNum])
+	if withBases {
+		items(c, &o.Bases, n, u64[uint64])
 	}
 }
 
-//lotec:noalloc
-func (m *AcquireResp) encodeBody(w *writer) {
-	w.i64(int64(m.Obj))
-	w.u8(uint8(m.Status))
-	w.u8(uint8(m.Mode))
-	w.i32(m.NumPages)
-	w.i32(int32(m.LastWriter))
-	w.i32(m.Shard)
-	w.u32(uint32(len(m.PageMap)))
-	for _, l := range m.PageMap {
-		w.loc(l)
-	}
-}
-
-//lotec:noalloc
-func (m *AcquireResp) decodeBody(r *reader) {
-	m.Obj = ids.ObjectID(r.i64())
-	m.Status = gdo.AcquireStatus(r.u8())
-	m.Mode = o2pl.Mode(r.u8())
-	m.NumPages = r.i32()
-	m.LastWriter = ids.NodeID(r.i32())
-	m.Shard = r.i32()
-	n := r.count()
-	for i := 0; i < n && r.err == nil; i++ {
-		m.PageMap = append(m.PageMap, r.loc())
-	}
-}
-
-//lotec:noalloc
-func (m *ReleaseReq) encodeBody(w *writer) {
-	w.u64(m.ReqID)
-	w.u64(uint64(m.Family))
-	w.i32(int32(m.Site))
-	w.boolean(m.Commit)
-	w.i32(m.Shard)
-	w.u32(uint32(len(m.Rels)))
-	for _, rel := range m.Rels {
-		w.i64(int64(rel.Obj))
-		w.u32(uint32(len(rel.Dirty)))
-		for _, p := range rel.Dirty {
-			w.i32(int32(p))
-		}
-	}
-	if m.Epoch != 0 {
-		w.u64(m.Epoch)
-	}
-}
-
-//lotec:noalloc
-func (m *ReleaseReq) decodeBody(r *reader) {
-	m.ReqID = r.u64()
-	m.Family = ids.FamilyID(r.u64())
-	m.Site = ids.NodeID(r.i32())
-	m.Commit = r.boolean()
-	m.Shard = r.i32()
-	n := r.count()
-	for i := 0; i < n && r.err == nil; i++ {
-		rel := gdo.ObjectRelease{Obj: ids.ObjectID(r.i64())}
-		k := r.count()
-		for j := 0; j < k && r.err == nil; j++ {
-			rel.Dirty = append(rel.Dirty, ids.PageNum(r.i32()))
-		}
-		m.Rels = append(m.Rels, rel)
-	}
-	// Trailing optional epoch section: present iff body bytes remain.
-	if r.err == nil && r.off < len(r.buf) {
-		m.Epoch = r.u64()
-	}
-}
-
-//lotec:noalloc
-func (m *ReleaseResp) encodeBody(w *writer) {
-	w.i32(m.Shard)
-	w.u32(uint32(len(m.Stamps)))
-	for _, s := range m.Stamps {
-		w.i64(int64(s.Obj))
-		w.i32(int32(s.Page))
-		w.u64(s.Version)
-	}
-	if len(m.Kept) > 0 {
-		w.u32(uint32(len(m.Kept)))
-		for _, o := range m.Kept {
-			w.i64(int64(o))
+func objPayload(c *coder, o *ObjPayload) {
+	u64(c, &o.Obj)
+	n, withDeltas := c.flagged(len(o.Pages), len(o.Deltas) > 0)
+	items(c, &o.Pages, n, pagePayload)
+	if withDeltas {
+		list(c, &o.Deltas, deltaPage)
+		if len(o.Deltas) == 0 {
+			c.fault(errEmptyDeltas)
 		}
 	}
 }
 
-//lotec:noalloc
-func (m *ReleaseResp) decodeBody(r *reader) {
-	m.Shard = r.i32()
-	n := r.count()
-	for i := 0; i < n && r.err == nil; i++ {
-		m.Stamps = append(m.Stamps, gdo.PageStamp{
-			Obj:     ids.ObjectID(r.i64()),
-			Page:    ids.PageNum(r.i32()),
-			Version: r.u64(),
-		})
+func pagePayload(c *coder, p *PagePayload) {
+	u32(c, &p.Page)
+	u64(c, &p.Version)
+	c.bytes(&p.Data)
+}
+
+// deltaPage walks one DeltaPage; a decoded one must have the shape the
+// apply path trusts (see shapeErr).
+func deltaPage(c *coder, d *DeltaPage) {
+	u32(c, &d.Page)
+	u64(c, &d.Base)
+	u64(c, &d.Version)
+	// The runs are walked here, not through list: its call through a
+	// function value would move EncodedSize's coder to the heap.
+	n := c.length(len(d.Runs), maxCount, "collection length")
+	for i := 0; i < n && c.err == nil; i++ {
+		s := elem(c, &d.Runs, i)
+		u32(c, &s.Off)
+		u32(c, &s.Len)
 	}
-	// Trailing optional kept section: present iff body bytes remain.
-	if r.err == nil && r.off < len(r.buf) {
-		n = r.count()
-		if n == 0 && r.err == nil {
-			r.err = fmt.Errorf("wire: empty kept section") //lotec:alloc-ok — malformed frame poisons the reader
-		}
-		for i := 0; i < n && r.err == nil; i++ {
-			m.Kept = append(m.Kept, ids.ObjectID(r.i64()))
-		}
+	c.bytes(&d.Data)
+	if c.decoding && c.err == nil {
+		c.err = d.shapeErr()
 	}
 }
 
-//lotec:noalloc
-func (m *Grant) encodeBody(w *writer) {
-	w.i64(int64(m.Obj))
-	w.u64(uint64(m.Family))
-	w.u8(uint8(m.Mode))
-	w.boolean(m.Upgrade)
-	w.i32(m.NumPages)
-	w.i32(int32(m.LastWriter))
-	w.i32(m.Shard)
-	w.u32(uint32(len(m.Reqs)))
-	for _, q := range m.Reqs {
-		w.qreq(q)
-	}
-	w.u32(uint32(len(m.PageMap)))
-	for _, l := range m.PageMap {
-		w.loc(l)
-	}
-}
-
-//lotec:noalloc
-func (m *Grant) decodeBody(r *reader) {
-	m.Obj = ids.ObjectID(r.i64())
-	m.Family = ids.FamilyID(r.u64())
-	m.Mode = o2pl.Mode(r.u8())
-	m.Upgrade = r.boolean()
-	m.NumPages = r.i32()
-	m.LastWriter = ids.NodeID(r.i32())
-	m.Shard = r.i32()
-	n := r.count()
-	for i := 0; i < n && r.err == nil; i++ {
-		m.Reqs = append(m.Reqs, r.qreq())
-	}
-	n = r.count()
-	for i := 0; i < n && r.err == nil; i++ {
-		m.PageMap = append(m.PageMap, r.loc())
-	}
-}
-
-//lotec:noalloc
-func (m *Abort) encodeBody(w *writer) {
-	w.i64(int64(m.Obj))
-	w.u64(uint64(m.Family))
-	w.i32(m.Shard)
-	w.u32(uint32(len(m.Reqs)))
-	for _, q := range m.Reqs {
-		w.qreq(q)
-	}
-}
-
-//lotec:noalloc
-func (m *Abort) decodeBody(r *reader) {
-	m.Obj = ids.ObjectID(r.i64())
-	m.Family = ids.FamilyID(r.u64())
-	m.Shard = r.i32()
-	n := r.count()
-	for i := 0; i < n && r.err == nil; i++ {
-		m.Reqs = append(m.Reqs, r.qreq())
-	}
-}
-
-//lotec:noalloc
-func (m *Recall) encodeBody(w *writer) {
-	w.i64(int64(m.Obj))
-	w.u64(uint64(m.Family))
-	w.i32(m.Shard)
-}
-
-//lotec:noalloc
-func (m *Recall) decodeBody(r *reader) {
-	m.Obj = ids.ObjectID(r.i64())
-	m.Family = ids.FamilyID(r.u64())
-	m.Shard = r.i32()
-}
-
-// encodePagesFlagged writes the page list, optionally raising the
-// delta-section presence flag on the count.
-func encodePagesFlagged(w *writer, pages []PagePayload, flag bool) {
-	cnt := uint32(len(pages))
-	if flag {
-		cnt |= sectionFlag
-	}
-	w.u32(cnt)
-	for _, p := range pages {
-		w.i32(int32(p.Page))
-		w.u64(p.Version)
-		w.bytes(p.Data)
-	}
-}
-
-func decodePagesFlagged(r *reader) ([]PagePayload, bool) {
-	n, flag := r.flaggedCount()
-	var out []PagePayload
-	for i := 0; i < n && r.err == nil; i++ {
-		out = append(out, PagePayload{
-			Page:    ids.PageNum(r.i32()),
-			Version: r.u64(),
-			Data:    r.bytes(),
-		})
-	}
-	return out, flag
-}
-
-func encodeDelta(w *writer, d DeltaPage) {
-	w.i32(int32(d.Page))
-	w.u64(d.Base)
-	w.u64(d.Version)
-	w.u32(uint32(len(d.Runs)))
-	for _, s := range d.Runs {
-		w.u32(s.Off)
-		w.u32(s.Len)
-	}
-	w.bytes(d.Data)
-}
-
-// decodeDelta reads one DeltaPage and validates its shape: version must
-// progress, runs must be sorted, non-overlapping, non-empty, and in-bounds,
-// and together exactly cover the payload. Anything else is a decode error,
-// never a panic — the apply path trusts decoded deltas' shape.
-func decodeDelta(r *reader) DeltaPage {
-	d := DeltaPage{Page: ids.PageNum(r.i32()), Base: r.u64(), Version: r.u64()}
-	n := r.count()
-	prevEnd := uint64(0)
-	sum := 0
-	for i := 0; i < n && r.err == nil; i++ {
-		s := Span{Off: r.u32(), Len: r.u32()}
-		if r.err != nil {
-			break
-		}
+// shapeErr reports a malformed delta: version must progress, runs must be
+// sorted, non-overlapping, non-empty, and in-bounds, and together exactly
+// cover the payload. The decoder rejects anything else, never panics — the
+// apply path trusts decoded deltas' shape.
+func (d *DeltaPage) shapeErr() error {
+	prevEnd, sum := uint64(0), 0
+	for i, s := range d.Runs {
 		if s.Len == 0 || uint64(s.Off) < prevEnd || uint64(s.Off)+uint64(s.Len) > 1<<24 {
-			r.err = fmt.Errorf("wire: delta run %d [%d,+%d) empty, overlapping, or out of bounds", i, s.Off, s.Len)
-			break
+			return fmt.Errorf("wire: delta run %d [%d,+%d) empty, overlapping, or out of bounds", i, s.Off, s.Len)
 		}
 		prevEnd = uint64(s.Off) + uint64(s.Len)
 		sum += int(s.Len)
-		d.Runs = append(d.Runs, s)
 	}
-	if r.err == nil && d.Base >= d.Version {
-		r.err = fmt.Errorf("wire: delta for page %d has a version gap (%d→%d)", d.Page, d.Base, d.Version)
+	if d.Base >= d.Version {
+		return fmt.Errorf("wire: delta for page %d has a version gap (%d→%d)", d.Page, d.Base, d.Version)
 	}
-	d.Data = r.bytes()
-	if r.err == nil && sum != len(d.Data) {
-		r.err = fmt.Errorf("wire: delta runs cover %d bytes, payload has %d", sum, len(d.Data))
+	if sum != len(d.Data) {
+		return fmt.Errorf("wire: delta runs cover %d bytes, payload has %d", sum, len(d.Data))
 	}
-	return d
+	return nil
 }
 
-func (*PushResp) encodeBody(*writer) {}
-func (*PushResp) decodeBody(*reader) {}
-
-func (m *CopySetReq) encodeBody(w *writer) {
-	w.u64(m.ReqID)
-	w.u32(uint32(len(m.Objs)))
-	for _, o := range m.Objs {
-		w.i64(int64(o))
-	}
-}
-
-func (m *CopySetReq) decodeBody(r *reader) {
-	m.ReqID = r.u64()
-	n := r.count()
-	for i := 0; i < n && r.err == nil; i++ {
-		m.Objs = append(m.Objs, ids.ObjectID(r.i64()))
-	}
-}
-
-func (m *CopySetResp) encodeBody(w *writer) {
-	w.u32(uint32(len(m.Sets)))
-	for _, c := range m.Sets {
-		w.i64(int64(c.Obj))
-		w.u32(uint32(len(c.Sites)))
-		for _, s := range c.Sites {
-			w.i32(int32(s))
-		}
-	}
-}
-
-func (m *CopySetResp) decodeBody(r *reader) {
-	n := r.count()
-	for i := 0; i < n && r.err == nil; i++ {
-		c := CopySet{Obj: ids.ObjectID(r.i64())}
-		k := r.count()
-		for j := 0; j < k && r.err == nil; j++ {
-			c.Sites = append(c.Sites, ids.NodeID(r.i32()))
-		}
-		m.Sets = append(m.Sets, c)
-	}
-}
-
-func (m *RegisterReq) encodeBody(w *writer) {
-	w.i64(int64(m.Obj))
-	w.i32(int32(m.Class))
-	w.i32(m.NumPages)
-	w.i32(int32(m.Owner))
-}
-
-func (m *RegisterReq) decodeBody(r *reader) {
-	m.Obj = ids.ObjectID(r.i64())
-	m.Class = ids.ClassID(r.i32())
-	m.NumPages = r.i32()
-	m.Owner = ids.NodeID(r.i32())
-}
-
-func (*RegisterResp) encodeBody(*writer) {}
-func (*RegisterResp) decodeBody(*reader) {}
-
-func (m *RunReq) encodeBody(w *writer) {
-	w.i64(int64(m.Obj))
-	w.str(m.Method)
-	w.bytes(m.Arg)
-}
-
-func (m *RunReq) decodeBody(r *reader) {
-	m.Obj = ids.ObjectID(r.i64())
-	m.Method = r.str()
-	m.Arg = r.bytes()
-}
-
-func (m *RunResp) encodeBody(w *writer) {
-	w.bytes(m.Result)
-	w.str(m.ErrMsg)
-}
-
-func (m *RunResp) decodeBody(r *reader) {
-	m.Result = r.bytes()
-	m.ErrMsg = r.str()
-}
-
-func (m *ErrResp) encodeBody(w *writer) { w.str(m.Msg) }
-func (m *ErrResp) decodeBody(r *reader) { m.Msg = r.str() }
-
-func (m *MultiFetchReq) encodeBody(w *writer) {
-	w.u64(m.ReqID)
-	w.boolean(m.Demand)
-	w.u32(uint32(len(m.Objs)))
-	for _, o := range m.Objs {
-		w.i64(int64(o.Obj))
-		cnt := uint32(len(o.Pages))
-		if o.hasBases() {
-			cnt |= sectionFlag
-		}
-		w.u32(cnt)
-		for _, p := range o.Pages {
-			w.i32(int32(p))
-		}
-		if o.hasBases() {
-			for _, b := range o.Bases {
-				w.u64(b)
-			}
-		}
-	}
-}
-
-func (m *MultiFetchReq) decodeBody(r *reader) {
-	m.ReqID = r.u64()
-	m.Demand = r.boolean()
-	n := r.count()
-	for i := 0; i < n && r.err == nil; i++ {
-		o := ObjPages{Obj: ids.ObjectID(r.i64())}
-		k, withBases := r.flaggedCount()
-		if withBases && k == 0 && r.err == nil {
-			r.err = fmt.Errorf("wire: base-version section on an empty page list")
-		}
-		for j := 0; j < k && r.err == nil; j++ {
-			o.Pages = append(o.Pages, ids.PageNum(r.i32()))
-		}
-		if withBases {
-			for j := 0; j < k && r.err == nil; j++ {
-				o.Bases = append(o.Bases, r.u64())
-			}
-		}
-		m.Objs = append(m.Objs, o)
-	}
-}
-
-func encodeObjPayloads(w *writer, objs []ObjPayload) {
-	w.u32(uint32(len(objs)))
-	for _, o := range objs {
-		w.i64(int64(o.Obj))
-		encodePagesFlagged(w, o.Pages, len(o.Deltas) > 0)
-		if len(o.Deltas) > 0 {
-			w.u32(uint32(len(o.Deltas)))
-			for _, d := range o.Deltas {
-				encodeDelta(w, d)
-			}
-		}
-	}
-}
-
-func decodeObjPayloads(r *reader) []ObjPayload {
-	n := r.count()
-	var out []ObjPayload
-	for i := 0; i < n && r.err == nil; i++ {
-		o := ObjPayload{Obj: ids.ObjectID(r.i64())}
-		var withDeltas bool
-		o.Pages, withDeltas = decodePagesFlagged(r)
-		if withDeltas {
-			k := r.count()
-			if k == 0 && r.err == nil {
-				r.err = fmt.Errorf("wire: delta flag set on an empty delta section")
-			}
-			for j := 0; j < k && r.err == nil; j++ {
-				o.Deltas = append(o.Deltas, decodeDelta(r))
-			}
-		}
-		out = append(out, o)
-	}
-	return out
-}
-
-func (m *MultiFetchResp) encodeBody(w *writer) { encodeObjPayloads(w, m.Objs) }
-func (m *MultiFetchResp) decodeBody(r *reader) { m.Objs = decodeObjPayloads(r) }
-
-func (m *MultiPushReq) encodeBody(w *writer) {
-	w.u64(m.ReqID)
-	encodeObjPayloads(w, m.Objs)
-}
-
-func (m *MultiPushReq) decodeBody(r *reader) {
-	m.ReqID = r.u64()
-	m.Objs = decodeObjPayloads(r)
-}
+// Decode faults with no detail to format.
+var (
+	errEmptyKept   = errors.New("wire: empty kept section")
+	errEmptyBases  = errors.New("wire: base-version section on an empty page list")
+	errEmptyDeltas = errors.New("wire: delta flag set on an empty delta section")
+)

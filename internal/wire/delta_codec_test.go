@@ -4,8 +4,6 @@ import (
 	"encoding/binary"
 	"strings"
 	"testing"
-
-	"lotec/internal/ids"
 )
 
 // TestDecodeRejectsMalformedDeltas pins the decode-time validation contract
@@ -68,14 +66,14 @@ func TestDecodeRejectsFlaggedEmptySections(t *testing.T) {
 	t.Run("push delta section", func(t *testing.T) {
 		// MultiPushReq body: reqID u64, objCount u32, obj i64,
 		// flagged page count u32, then (flag set) delta count u32.
-		w := &writer{}
-		w.u64(7)
-		w.u32(1)
-		w.i64(9)
-		w.u32(0 | sectionFlag) // zero pages, delta section follows
-		w.u32(0)               // ... but it is empty
+		le := binary.LittleEndian
+		body := le.AppendUint64(nil, 7)
+		body = le.AppendUint32(body, 1)
+		body = le.AppendUint64(body, 9)
+		body = le.AppendUint32(body, 0|sectionFlag) // zero pages, delta section follows
+		body = le.AppendUint32(body, 0)             // ... but it is empty
 		buf := Encode(Envelope{ReqID: 1, From: 1, To: 2}, &MultiPushReq{})
-		buf = append(buf[:HeaderSize], w.buf...)
+		buf = append(buf[:HeaderSize], body...)
 		buf = fixBodyLen(buf)
 		if _, _, err := Decode(buf); err == nil {
 			t.Fatal("delta flag on an empty section decoded cleanly")
@@ -84,16 +82,16 @@ func TestDecodeRejectsFlaggedEmptySections(t *testing.T) {
 	t.Run("fetch base section", func(t *testing.T) {
 		// MultiFetchReq body: reqID u64, demand u8, objCount u32, obj i64,
 		// flagged page count u32, pages, then (flag set) bases — absent.
-		w := &writer{}
-		w.u64(0)
-		w.u8(0)
-		w.u32(1)
-		w.i64(3)
-		w.u32(1 | sectionFlag)
-		w.i32(int32(ids.PageNum(0)))
+		le := binary.LittleEndian
+		body := le.AppendUint64(nil, 0)
+		body = append(body, 0)
+		body = le.AppendUint32(body, 1)
+		body = le.AppendUint64(body, 3)
+		body = le.AppendUint32(body, 1|sectionFlag)
+		body = le.AppendUint32(body, 0) // page 0
 		// Bases section missing entirely: decoder must run out of bytes.
 		buf := Encode(Envelope{ReqID: 1, From: 1, To: 2}, &MultiFetchReq{})
-		buf = append(buf[:HeaderSize], w.buf...)
+		buf = append(buf[:HeaderSize], body...)
 		buf = fixBodyLen(buf)
 		if _, _, err := Decode(buf); err == nil {
 			t.Fatal("base flag with a missing section decoded cleanly")
@@ -138,15 +136,16 @@ func TestClassifyDeltaFramingExact(t *testing.T) {
 		if rec.Payloads[i] != wantPayloads[i] {
 			t.Errorf("object %d payload = %d, want %d", o.Obj, rec.Payloads[i], wantPayloads[i])
 		}
-		if got := rec.Payloads[i] + rec.Overheads[i]; got != o.size() {
-			t.Errorf("object %d payload+overhead = %d, section is %d B", o.Obj, got, o.size())
+		size := len(Encode(Envelope{}, &MultiFetchResp{Objs: []ObjPayload{o}})) - HeaderSize - 4
+		if got := rec.Payloads[i] + rec.Overheads[i]; got != size {
+			t.Errorf("object %d payload+overhead = %d, section is %d B", o.Obj, got, size)
 		}
-		shared -= o.size()
+		shared -= size
 	}
 	if shared != sharedWant {
 		t.Errorf("residual shared bytes = %d, want %d", shared, sharedWant)
 	}
-	if rec.Bytes != m.Size() || rec.Bytes != len(Encode(Envelope{From: 1, To: 2}, m)) {
+	if rec.Bytes != Size(m) || rec.Bytes != len(Encode(Envelope{From: 1, To: 2}, m)) {
 		t.Errorf("classified size %d disagrees with encoding", rec.Bytes)
 	}
 	if rec.Payload != 300 {

@@ -107,8 +107,8 @@ func TestEveryRegisteredTypeRoundTripsAndClassifies(t *testing.T) {
 		fill(reflect.ValueOf(m), &ctr)
 
 		buf := Encode(Envelope{ReqID: 42, From: 1, To: 2}, m)
-		if len(buf) != m.Size() {
-			t.Errorf("%T: Size()=%d but encoded length=%d", m, m.Size(), len(buf))
+		if len(buf) != Size(m) {
+			t.Errorf("%T: Size()=%d but encoded length=%d", m, Size(m), len(buf))
 		}
 		env, back, err := Decode(buf)
 		if err != nil {
@@ -126,8 +126,8 @@ func TestEveryRegisteredTypeRoundTripsAndClassifies(t *testing.T) {
 		if rec.Kind == stats.KindOther {
 			t.Errorf("%T: Classify degrades to KindOther — add a case in classify.go (wiresync catches this statically)", m)
 		}
-		if rec.Bytes != m.Size() {
-			t.Errorf("%T: Classify records %d bytes, Size is %d", m, rec.Bytes, m.Size())
+		if rec.Bytes != Size(m) {
+			t.Errorf("%T: Classify records %d bytes, Size is %d", m, rec.Bytes, Size(m))
 		}
 		if shard := reflect.ValueOf(m).Elem().FieldByName("Shard"); shard.IsValid() {
 			if int64(rec.Shard) != shard.Int() {
@@ -142,16 +142,22 @@ func TestEveryRegisteredTypeRoundTripsAndClassifies(t *testing.T) {
 // frame's body must be identical to Encode's output, the headroom must
 // hold exactly the little-endian message length, and DecodeView must
 // round-trip the frame body into a message deep-equal to the copying
-// decode. Any divergence means old and new binaries could not interoperate
-// on one wire.
+// decode, which Retain must detach from the frame. Any divergence means old
+// and new binaries could not interoperate on one wire. The filled samples
+// all fit a small frame; one fetch reply too large for it takes the bulk
+// path.
 func TestEncodeFrameMatchesEncodeExactly(t *testing.T) {
-	reg := registeredTypes(t)
-	env := Envelope{ReqID: 99, From: 3, To: 1}
-	for _, proto := range reg {
+	var msgs []Msg
+	for _, proto := range registeredTypes(t) {
 		ctr := int64(0)
 		m := reflect.New(reflect.TypeOf(proto).Elem()).Interface().(Msg)
 		fill(reflect.ValueOf(m), &ctr)
-
+		msgs = append(msgs, m)
+	}
+	msgs = append(msgs, &MultiFetchResp{Objs: []ObjPayload{{Obj: 7, Pages: []PagePayload{
+		{Page: 1, Version: 2, Data: bytes.Repeat([]byte{0x3C}, SmallFrame)}}}}})
+	env := Envelope{ReqID: 99, From: 3, To: 1}
+	for _, m := range msgs {
 		want := Encode(env, m)
 		frame := EncodeFrame(env, m)
 		if len(frame) != FrameHeadroom+len(want) {
@@ -176,15 +182,18 @@ func TestEncodeFrameMatchesEncodeExactly(t *testing.T) {
 			if !reflect.DeepEqual(m, vm) {
 				t.Errorf("%T: view decode mismatch:\n sent %+v\n got  %+v", m, m, vm)
 			}
-			// Retain must sever every frame alias: poison the frame and the
+			// Retain must sever every frame alias, whichever payload field
+			// its switch copies: overwrite and release the frame, and the
 			// retained message has to stay intact.
 			Retain(vm)
 			for i := range frame {
 				frame[i] = 0xDB
 			}
+			ReleaseFrame(frame)
 			if !reflect.DeepEqual(m, vm) {
 				t.Errorf("%T: Retain left a field aliasing the frame", m)
 			}
+			continue
 		}
 		ReleaseFrame(frame)
 	}

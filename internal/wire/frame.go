@@ -141,27 +141,18 @@ func ReadFrame(r io.Reader) ([]byte, error) {
 // The transport writes the whole frame in one call and hands it back with
 // ReleaseFrame. The envelope's Type field is taken from the message.
 func EncodeFrame(env Envelope, m Msg) []byte {
-	// A stack writer would escape through the encodeBody interface call, so
-	// the frame path draws one from a pool instead.
-	w := writerPool.Get().(*writer)
-	w.buf = GetFrame(FrameHeadroom + m.Size())[:FrameHeadroom]
-	w.u8(uint8(m.Type()))
-	w.u64(env.ReqID)
-	w.i32(int32(env.From))
-	w.i32(int32(env.To))
-	w.u32(0) // body length back-patched below
-	// Reserved/padding to HeaderSize.
-	for len(w.buf) < FrameHeadroom+HeaderSize {
-		w.u8(0)
+	// Most messages are control messages: encode into a small frame, and
+	// into a bulk one, of the size the first walk counted, when it does not
+	// fit.
+	c := getCoder()
+	frame, ok := c.encode(GetFrame(SmallFrame)[:FrameHeadroom], env, m)
+	if !ok {
+		ReleaseFrame(frame)
+		frame, _ = c.encode(GetFrame(FrameHeadroom + HeaderSize + c.n)[:FrameHeadroom], env, m)
 	}
-	m.encodeBody(w)
-	msgLen := len(w.buf) - FrameHeadroom
-	binary.LittleEndian.PutUint32(w.buf[FrameHeadroom+17:], uint32(msgLen-HeaderSize))
-	binary.LittleEndian.PutUint32(w.buf[:FrameHeadroom], uint32(msgLen))
-	buf := w.buf
-	w.buf = nil
-	writerPool.Put(w)
-	return buf
+	putCoder(c)
+	binary.LittleEndian.PutUint32(frame, uint32(len(frame)-FrameHeadroom))
+	return frame
 }
 
 // Retain deep-copies every frame-aliasing field of m in place, so a message

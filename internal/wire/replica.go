@@ -1,10 +1,6 @@
 package wire
 
-import (
-	"fmt"
-
-	"lotec/internal/ids"
-)
+import "lotec/internal/ids"
 
 // Control-plane replication messages. A directory shard is a replicated,
 // relocatable state machine: its primary chains every state-mutating op to
@@ -30,9 +26,6 @@ type PlacementMap struct {
 	Backup  []ids.NodeID
 }
 
-// size is the map's on-wire section size.
-func (p PlacementMap) size() int { return 8 + 4 + 4 + 8*len(p.Primary) }
-
 // NumShards returns the shard count the map covers.
 func (p PlacementMap) NumShards() int { return len(p.Primary) }
 
@@ -57,28 +50,16 @@ func (p PlacementMap) Clone() PlacementMap {
 	return q
 }
 
-func encodeMap(w *writer, p PlacementMap) {
-	w.u64(p.Epoch)
-	w.i32(p.Nodes)
-	w.u32(uint32(len(p.Primary)))
-	for i := range p.Primary {
-		w.i32(int32(p.Primary[i]))
-		w.i32(int32(p.Backup[i]))
+// layout walks the map's section: epoch, node count, then each shard's
+// primary and backup.
+func (p *PlacementMap) layout(c *coder) {
+	u64(c, &p.Epoch)
+	u32(c, &p.Nodes)
+	n := c.length(len(p.Primary), 1<<16, "shard count")
+	for i := 0; i < n && c.err == nil; i++ {
+		u32(c, elem(c, &p.Primary, i))
+		u32(c, elem(c, &p.Backup, i))
 	}
-}
-
-func decodeMap(r *reader) PlacementMap {
-	p := PlacementMap{Epoch: r.u64(), Nodes: r.i32()}
-	n := int(r.u32())
-	if r.err == nil && (n < 0 || n > 1<<16) {
-		r.err = fmt.Errorf("wire: absurd shard count %d", n)
-		return p
-	}
-	for i := 0; i < n && r.err == nil; i++ {
-		p.Primary = append(p.Primary, ids.NodeID(r.i32()))
-		p.Backup = append(p.Backup, ids.NodeID(r.i32()))
-	}
-	return p
 }
 
 // ReplicateReq chains one state-mutating shard op from primary to backup:
@@ -111,10 +92,17 @@ type ReplicateReq struct {
 // Type implements Msg.
 func (*ReplicateReq) Type() MsgType { return TReplicateReq }
 
-// Size implements Msg.
-func (m *ReplicateReq) Size() int {
-	return HeaderSize + 8 + 4 + 8 + 8 + 4 + 4 + len(m.Op) + 4 + len(m.Reply) +
-		4 + 8*len(m.Purges) + 4 + 8*len(m.Aborts) + m.Map.size()
+func (m *ReplicateReq) layout(c *coder) {
+	u64(c, &m.ReqID)
+	u32(c, &m.Shard)
+	u64(c, &m.Epoch)
+	u64(c, &m.Seq)
+	u32(c, &m.Client)
+	c.bytes(&m.Op)
+	c.bytes(&m.Reply)
+	list(c, &m.Purges, u64[ids.FamilyID])
+	list(c, &m.Aborts, u64[ids.FamilyID])
+	m.Map.layout(c)
 }
 
 // RequestID implements Idempotent.
@@ -134,8 +122,10 @@ type ReplicateResp struct {
 // Type implements Msg.
 func (*ReplicateResp) Type() MsgType { return TReplicateResp }
 
-// Size implements Msg.
-func (m *ReplicateResp) Size() int { return HeaderSize + 1 + m.Map.size() }
+func (m *ReplicateResp) layout(c *coder) {
+	c.boolean(&m.OK)
+	m.Map.layout(c)
+}
 
 // PromoteReq asks a backup to take over every shard it backs whose primary
 // is Dead. Clients send it after a Call to the primary exhausts its
@@ -153,8 +143,11 @@ type PromoteReq struct {
 // Type implements Msg.
 func (*PromoteReq) Type() MsgType { return TPromoteReq }
 
-// Size implements Msg.
-func (*PromoteReq) Size() int { return HeaderSize + 8 + 4 + 8 }
+func (m *PromoteReq) layout(c *coder) {
+	u64(c, &m.ReqID)
+	u32(c, &m.Dead)
+	u64(c, &m.Epoch)
+}
 
 // RequestID implements Idempotent.
 func (m *PromoteReq) RequestID() uint64 { return m.ReqID }
@@ -170,8 +163,7 @@ type PromoteResp struct {
 // Type implements Msg.
 func (*PromoteResp) Type() MsgType { return TPromoteResp }
 
-// Size implements Msg.
-func (m *PromoteResp) Size() int { return HeaderSize + m.Map.size() }
+func (m *PromoteResp) layout(c *coder) { m.Map.layout(c) }
 
 // EpochChangeReq proposes a new placement map to a witness (the shard's
 // backup). The witness accepts a proposal for exactly epoch+1 — first
@@ -187,8 +179,10 @@ type EpochChangeReq struct {
 // Type implements Msg.
 func (*EpochChangeReq) Type() MsgType { return TEpochChangeReq }
 
-// Size implements Msg.
-func (m *EpochChangeReq) Size() int { return HeaderSize + 8 + m.Map.size() }
+func (m *EpochChangeReq) layout(c *coder) {
+	u64(c, &m.ReqID)
+	m.Map.layout(c)
+}
 
 // RequestID implements Idempotent.
 func (m *EpochChangeReq) RequestID() uint64 { return m.ReqID }
@@ -206,8 +200,10 @@ type EpochChangeResp struct {
 // Type implements Msg.
 func (*EpochChangeResp) Type() MsgType { return TEpochChangeResp }
 
-// Size implements Msg.
-func (m *EpochChangeResp) Size() int { return HeaderSize + 1 + m.Map.size() }
+func (m *EpochChangeResp) layout(c *coder) {
+	c.boolean(&m.OK)
+	m.Map.layout(c)
+}
 
 // HandoffStartReq tells a shard's current primary to hand the shard to
 // Target: seal intake, drain in-flight replication, export state, ship it.
@@ -221,8 +217,11 @@ type HandoffStartReq struct {
 // Type implements Msg.
 func (*HandoffStartReq) Type() MsgType { return THandoffStartReq }
 
-// Size implements Msg.
-func (*HandoffStartReq) Size() int { return HeaderSize + 8 + 4 + 4 }
+func (m *HandoffStartReq) layout(c *coder) {
+	u64(c, &m.ReqID)
+	u32(c, &m.Shard)
+	u32(c, &m.Target)
+}
 
 // RequestID implements Idempotent.
 func (m *HandoffStartReq) RequestID() uint64 { return m.ReqID }
@@ -242,8 +241,11 @@ type HandoffStartResp struct {
 // Type implements Msg.
 func (*HandoffStartResp) Type() MsgType { return THandoffStartResp }
 
-// Size implements Msg.
-func (m *HandoffStartResp) Size() int { return HeaderSize + 1 + 8 + m.Map.size() }
+func (m *HandoffStartResp) layout(c *coder) {
+	c.boolean(&m.OK)
+	u64(c, &m.StateBytes)
+	m.Map.layout(c)
+}
 
 // HandoffReq ships a sealed shard's exported state to its new owner. Map is
 // the proposed post-handoff placement (epoch+1, Target as primary); Seq is
@@ -261,9 +263,12 @@ type HandoffReq struct {
 // Type implements Msg.
 func (*HandoffReq) Type() MsgType { return THandoffReq }
 
-// Size implements Msg.
-func (m *HandoffReq) Size() int {
-	return HeaderSize + 8 + 4 + 8 + m.Map.size() + 4 + len(m.State)
+func (m *HandoffReq) layout(c *coder) {
+	u64(c, &m.ReqID)
+	u32(c, &m.Shard)
+	u64(c, &m.Seq)
+	m.Map.layout(c)
+	c.bytes(&m.State)
 }
 
 // RequestID implements Idempotent.
@@ -283,8 +288,10 @@ type HandoffResp struct {
 // Type implements Msg.
 func (*HandoffResp) Type() MsgType { return THandoffResp }
 
-// Size implements Msg.
-func (m *HandoffResp) Size() int { return HeaderSize + 1 + m.Map.size() }
+func (m *HandoffResp) layout(c *coder) {
+	c.boolean(&m.OK)
+	m.Map.layout(c)
+}
 
 // RouteResp rejects a stale-epoch or wrong-owner request, carrying the
 // responder's newer placement map; the client adopts it and retries. This
@@ -297,8 +304,7 @@ type RouteResp struct {
 // Type implements Msg.
 func (*RouteResp) Type() MsgType { return TRouteResp }
 
-// Size implements Msg.
-func (m *RouteResp) Size() int { return HeaderSize + m.Map.size() }
+func (m *RouteResp) layout(c *coder) { m.Map.layout(c) }
 
 // WaitEdge is one waits-for edge in a host's local union graph.
 type WaitEdge struct {
@@ -328,9 +334,12 @@ type WaitEdgeUpdate struct {
 // Type implements Msg.
 func (*WaitEdgeUpdate) Type() MsgType { return TWaitEdgeUpdate }
 
-// Size implements Msg.
-func (m *WaitEdgeUpdate) Size() int {
-	return HeaderSize + 8 + 8 + 8 + 4 + 16*len(m.Edges) + 4 + 16*len(m.Ages)
+func (m *WaitEdgeUpdate) layout(c *coder) {
+	u64(c, &m.ReqID)
+	u64(c, &m.Ver)
+	u64(c, &m.Epoch)
+	list(c, &m.Edges, waitEdge)
+	list(c, &m.Ages, familyAge)
 }
 
 // RequestID implements Idempotent.
@@ -347,8 +356,7 @@ type WaitEdgeResp struct {
 // Type implements Msg.
 func (*WaitEdgeResp) Type() MsgType { return TWaitEdgeResp }
 
-// Size implements Msg.
-func (m *WaitEdgeResp) Size() int { return HeaderSize + m.Map.size() }
+func (m *WaitEdgeResp) layout(c *coder) { m.Map.layout(c) }
 
 // AbortFamilyReq tells a host to victimize Family on every shard it serves
 // (the coordinator's cross-host deadlock resolution). A host where the
@@ -363,8 +371,11 @@ type AbortFamilyReq struct {
 // Type implements Msg.
 func (*AbortFamilyReq) Type() MsgType { return TAbortFamilyReq }
 
-// Size implements Msg.
-func (*AbortFamilyReq) Size() int { return HeaderSize + 8 + 8 + 8 }
+func (m *AbortFamilyReq) layout(c *coder) {
+	u64(c, &m.ReqID)
+	u64(c, &m.Family)
+	u64(c, &m.Epoch)
+}
 
 // RequestID implements Idempotent.
 func (m *AbortFamilyReq) RequestID() uint64 { return m.ReqID }
@@ -379,192 +390,14 @@ type AbortFamilyResp struct{}
 // Type implements Msg.
 func (*AbortFamilyResp) Type() MsgType { return TAbortFamilyResp }
 
-// Size implements Msg.
-func (*AbortFamilyResp) Size() int { return HeaderSize }
+func (*AbortFamilyResp) layout(*coder) {}
 
-// Codec bodies for the replication messages. None of them ride the
-// per-transaction lock fast path, so they are not //lotec:noalloc.
-
-func (m *ReplicateReq) encodeBody(w *writer) {
-	w.u64(m.ReqID)
-	w.i32(m.Shard)
-	w.u64(m.Epoch)
-	w.u64(m.Seq)
-	w.i32(int32(m.Client))
-	w.bytes(m.Op)
-	w.bytes(m.Reply)
-	w.u32(uint32(len(m.Purges)))
-	for _, f := range m.Purges {
-		w.u64(uint64(f))
-	}
-	w.u32(uint32(len(m.Aborts)))
-	for _, f := range m.Aborts {
-		w.u64(uint64(f))
-	}
-	encodeMap(w, m.Map)
+func waitEdge(c *coder, e *WaitEdge) {
+	u64(c, &e.From)
+	u64(c, &e.To)
 }
 
-func (m *ReplicateReq) decodeBody(r *reader) {
-	m.ReqID = r.u64()
-	m.Shard = r.i32()
-	m.Epoch = r.u64()
-	m.Seq = r.u64()
-	m.Client = ids.NodeID(r.i32())
-	m.Op = r.bytes()
-	m.Reply = r.bytes()
-	n := r.count()
-	for i := 0; i < n && r.err == nil; i++ {
-		m.Purges = append(m.Purges, ids.FamilyID(r.u64()))
-	}
-	n = r.count()
-	for i := 0; i < n && r.err == nil; i++ {
-		m.Aborts = append(m.Aborts, ids.FamilyID(r.u64()))
-	}
-	m.Map = decodeMap(r)
+func familyAge(c *coder, a *FamilyAge) {
+	u64(c, &a.Family)
+	u64(c, &a.Age)
 }
-
-func (m *ReplicateResp) encodeBody(w *writer) {
-	w.boolean(m.OK)
-	encodeMap(w, m.Map)
-}
-
-func (m *ReplicateResp) decodeBody(r *reader) {
-	m.OK = r.boolean()
-	m.Map = decodeMap(r)
-}
-
-func (m *PromoteReq) encodeBody(w *writer) {
-	w.u64(m.ReqID)
-	w.i32(int32(m.Dead))
-	w.u64(m.Epoch)
-}
-
-func (m *PromoteReq) decodeBody(r *reader) {
-	m.ReqID = r.u64()
-	m.Dead = ids.NodeID(r.i32())
-	m.Epoch = r.u64()
-}
-
-func (m *PromoteResp) encodeBody(w *writer) { encodeMap(w, m.Map) }
-func (m *PromoteResp) decodeBody(r *reader) { m.Map = decodeMap(r) }
-
-func (m *EpochChangeReq) encodeBody(w *writer) {
-	w.u64(m.ReqID)
-	encodeMap(w, m.Map)
-}
-
-func (m *EpochChangeReq) decodeBody(r *reader) {
-	m.ReqID = r.u64()
-	m.Map = decodeMap(r)
-}
-
-func (m *EpochChangeResp) encodeBody(w *writer) {
-	w.boolean(m.OK)
-	encodeMap(w, m.Map)
-}
-
-func (m *EpochChangeResp) decodeBody(r *reader) {
-	m.OK = r.boolean()
-	m.Map = decodeMap(r)
-}
-
-func (m *HandoffStartReq) encodeBody(w *writer) {
-	w.u64(m.ReqID)
-	w.i32(m.Shard)
-	w.i32(int32(m.Target))
-}
-
-func (m *HandoffStartReq) decodeBody(r *reader) {
-	m.ReqID = r.u64()
-	m.Shard = r.i32()
-	m.Target = ids.NodeID(r.i32())
-}
-
-func (m *HandoffStartResp) encodeBody(w *writer) {
-	w.boolean(m.OK)
-	w.u64(m.StateBytes)
-	encodeMap(w, m.Map)
-}
-
-func (m *HandoffStartResp) decodeBody(r *reader) {
-	m.OK = r.boolean()
-	m.StateBytes = r.u64()
-	m.Map = decodeMap(r)
-}
-
-func (m *HandoffReq) encodeBody(w *writer) {
-	w.u64(m.ReqID)
-	w.i32(m.Shard)
-	w.u64(m.Seq)
-	encodeMap(w, m.Map)
-	w.bytes(m.State)
-}
-
-func (m *HandoffReq) decodeBody(r *reader) {
-	m.ReqID = r.u64()
-	m.Shard = r.i32()
-	m.Seq = r.u64()
-	m.Map = decodeMap(r)
-	m.State = r.bytes()
-}
-
-func (m *HandoffResp) encodeBody(w *writer) {
-	w.boolean(m.OK)
-	encodeMap(w, m.Map)
-}
-
-func (m *HandoffResp) decodeBody(r *reader) {
-	m.OK = r.boolean()
-	m.Map = decodeMap(r)
-}
-
-func (m *RouteResp) encodeBody(w *writer) { encodeMap(w, m.Map) }
-func (m *RouteResp) decodeBody(r *reader) { m.Map = decodeMap(r) }
-
-func (m *WaitEdgeUpdate) encodeBody(w *writer) {
-	w.u64(m.ReqID)
-	w.u64(m.Ver)
-	w.u64(m.Epoch)
-	w.u32(uint32(len(m.Edges)))
-	for _, e := range m.Edges {
-		w.u64(uint64(e.From))
-		w.u64(uint64(e.To))
-	}
-	w.u32(uint32(len(m.Ages)))
-	for _, a := range m.Ages {
-		w.u64(uint64(a.Family))
-		w.u64(a.Age)
-	}
-}
-
-func (m *WaitEdgeUpdate) decodeBody(r *reader) {
-	m.ReqID = r.u64()
-	m.Ver = r.u64()
-	m.Epoch = r.u64()
-	n := r.count()
-	for i := 0; i < n && r.err == nil; i++ {
-		m.Edges = append(m.Edges, WaitEdge{From: ids.FamilyID(r.u64()), To: ids.FamilyID(r.u64())})
-	}
-	n = r.count()
-	for i := 0; i < n && r.err == nil; i++ {
-		m.Ages = append(m.Ages, FamilyAge{Family: ids.FamilyID(r.u64()), Age: r.u64()})
-	}
-}
-
-func (m *WaitEdgeResp) encodeBody(w *writer) { encodeMap(w, m.Map) }
-func (m *WaitEdgeResp) decodeBody(r *reader) { m.Map = decodeMap(r) }
-
-func (m *AbortFamilyReq) encodeBody(w *writer) {
-	w.u64(m.ReqID)
-	w.u64(uint64(m.Family))
-	w.u64(m.Epoch)
-}
-
-func (m *AbortFamilyReq) decodeBody(r *reader) {
-	m.ReqID = r.u64()
-	m.Family = ids.FamilyID(r.u64())
-	m.Epoch = r.u64()
-}
-
-func (*AbortFamilyResp) encodeBody(*writer) {}
-func (*AbortFamilyResp) decodeBody(*reader) {}

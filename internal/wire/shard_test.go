@@ -34,7 +34,7 @@ func shardSamples() []Msg {
 func TestShardRoundTrip(t *testing.T) {
 	for _, m := range shardSamples() {
 		buf := Encode(Envelope{ReqID: 7, From: 2, To: 9}, m)
-		if got, want := len(buf), m.Size(); got != want {
+		if got, want := len(buf), Size(m); got != want {
 			t.Errorf("%T: encoded length %d, Size() %d", m, got, want)
 		}
 		_, got, err := Decode(buf)

@@ -1,11 +1,12 @@
 // Package wire defines the messages the LOTEC protocols exchange and a
 // compact binary codec for them.
 //
-// Every message has a deterministic Size — the bytes it occupies on the
-// wire, envelope included — which is what the simulation's cost accounting
-// and the paper's byte counts (Figures 2–5) are computed from. Size is
-// defined to equal the actual encoded length; the test suite checks the two
-// against each other for every message type.
+// Every message type has one layout method that walks its fields in wire
+// order; Size, Encode, Decode and Classify's per-object sections all come
+// from that walk. Size — the bytes a message occupies on the wire, envelope
+// included — is what the simulation's cost accounting and the paper's byte
+// counts (Figures 2–5) are computed from, so it is by construction the
+// encoded length.
 package wire
 
 import (
@@ -68,10 +69,9 @@ const HeaderSize = 32
 // Msg is implemented by every message body.
 type Msg interface {
 	Type() MsgType
-	// Size returns the full on-wire size in bytes (HeaderSize + body).
-	Size() int
-	encodeBody(w *writer)
-	decodeBody(r *reader)
+	// layout walks the body's fields in wire order through c, which sizes,
+	// encodes or decodes them.
+	layout(c *coder)
 }
 
 // Idempotent is implemented by the request bodies the retry layer may
@@ -88,14 +88,6 @@ type Idempotent interface {
 	SetRequestID(uint64)
 }
 
-// Fixed field sizes used by the Size formulas.
-const (
-	sizeTxRef     = 12 // txID(8) + node(4)
-	sizePageLoc   = 12 // node(4) + version(8)
-	sizeQueuedReq = 13 // ref(12) + mode(1)
-	sizeStamp     = 20 // obj(8) + page(4) + version(8)
-)
-
 // PagePayload carries one page's bytes and version.
 type PagePayload struct {
 	Page    ids.PageNum
@@ -103,11 +95,13 @@ type PagePayload struct {
 	Data    []byte
 }
 
-func (p PagePayload) size() int { return 4 + 8 + 4 + len(p.Data) }
-
 // EncodedSize is the payload's on-wire section size; the serving side uses
 // it to decide whether a delta actually beats the full page it replaces.
-func (p PagePayload) EncodedSize() int { return p.size() }
+func (p PagePayload) EncodedSize() int {
+	var c coder
+	pagePayload(&c, &p)
+	return c.n
+}
 
 // Span is one byte range [Off, Off+Len) within a delta-encoded page.
 type Span struct {
@@ -129,11 +123,13 @@ type DeltaPage struct {
 	Data    []byte
 }
 
-func (d DeltaPage) size() int { return 4 + 8 + 8 + 4 + 8*len(d.Runs) + 4 + len(d.Data) }
-
 // EncodedSize is the delta's on-wire section size (runs and framing
 // included — a delta only ships when this beats the full page).
-func (d DeltaPage) EncodedSize() int { return d.size() }
+func (d DeltaPage) EncodedSize() int {
+	var c coder
+	deltaPage(&c, &d)
+	return c.n
+}
 
 // AcquireReq asks the GDO to acquire obj's lock (Alg 4.2 input).
 type AcquireReq struct {
@@ -166,20 +162,37 @@ type AcquireReq struct {
 	Epoch uint64
 }
 
-// epochExtra is the trailing optional epoch section's size.
-func epochExtra(e uint64) int {
-	if e != 0 {
-		return 8
-	}
-	return 0
-}
-
 // Type implements Msg.
 func (*AcquireReq) Type() MsgType { return TAcquireReq }
 
-// Size implements Msg.
-func (m *AcquireReq) Size() int {
-	return HeaderSize + 8 + 8 + sizeTxRef + 8 + 8 + 4 + 1 + 4 + epochExtra(m.Epoch)
+// adoptFlag is AcquireReq.Adopt's bit in the mode byte; lock modes are 1
+// and 2.
+const adoptFlag = 0x80
+
+// The lock-protocol layouts (acquire/release/grant/abort) ride the
+// per-transaction fast path and are annotated allocation-free end to end;
+// the page-transfer layouts carry payload slices and are not.
+//
+//lotec:noalloc
+func (m *AcquireReq) layout(c *coder) {
+	u64(c, &m.ReqID)
+	u64(c, &m.Obj)
+	txRef(c, &m.Ref)
+	u64(c, &m.Family)
+	u64(c, &m.Age)
+	u32(c, &m.Site)
+	mode := uint8(m.Mode)
+	if m.Adopt {
+		mode |= adoptFlag
+	}
+	u8(c, &mode)
+	if c.decoding {
+		m.Mode, m.Adopt = o2pl.Mode(mode&^adoptFlag), mode&adoptFlag != 0
+	}
+	u32(c, &m.Shard)
+	if c.trailing(m.Epoch != 0) {
+		u64(c, &m.Epoch)
+	}
 }
 
 // RequestID implements Idempotent.
@@ -204,9 +217,15 @@ type AcquireResp struct {
 // Type implements Msg.
 func (*AcquireResp) Type() MsgType { return TAcquireResp }
 
-// Size implements Msg.
-func (m *AcquireResp) Size() int {
-	return HeaderSize + 8 + 1 + 1 + 4 + 4 + 4 + 4 + sizePageLoc*len(m.PageMap)
+//lotec:noalloc
+func (m *AcquireResp) layout(c *coder) {
+	u64(c, &m.Obj)
+	u8(c, &m.Status)
+	u8(c, &m.Mode)
+	u32(c, &m.NumPages)
+	u32(c, &m.LastWriter)
+	u32(c, &m.Shard)
+	list(c, &m.PageMap, pageLoc)
 }
 
 // ReleaseReq releases a family's holds on the listed objects (Alg 4.4
@@ -231,13 +250,17 @@ type ReleaseReq struct {
 // Type implements Msg.
 func (*ReleaseReq) Type() MsgType { return TReleaseReq }
 
-// Size implements Msg.
-func (m *ReleaseReq) Size() int {
-	n := HeaderSize + 8 + 8 + 4 + 1 + 4 + 4 + epochExtra(m.Epoch)
-	for _, rel := range m.Rels {
-		n += 8 + 4 + 4*len(rel.Dirty)
+//lotec:noalloc
+func (m *ReleaseReq) layout(c *coder) {
+	u64(c, &m.ReqID)
+	u64(c, &m.Family)
+	u32(c, &m.Site)
+	c.boolean(&m.Commit)
+	u32(c, &m.Shard)
+	list(c, &m.Rels, objRelease)
+	if c.trailing(m.Epoch != 0) {
+		u64(c, &m.Epoch)
 	}
-	return n
 }
 
 // RequestID implements Idempotent.
@@ -262,13 +285,16 @@ type ReleaseResp struct {
 // Type implements Msg.
 func (*ReleaseResp) Type() MsgType { return TReleaseResp }
 
-// Size implements Msg.
-func (m *ReleaseResp) Size() int {
-	n := HeaderSize + 4 + 4 + sizeStamp*len(m.Stamps)
-	if len(m.Kept) > 0 {
-		n += 4 + 8*len(m.Kept)
+//lotec:noalloc
+func (m *ReleaseResp) layout(c *coder) {
+	u32(c, &m.Shard)
+	list(c, &m.Stamps, pageStamp)
+	if c.trailing(len(m.Kept) > 0) {
+		list(c, &m.Kept, u64[ids.ObjectID])
+		if len(m.Kept) == 0 {
+			c.fault(errEmptyKept)
+		}
 	}
-	return n
 }
 
 // Grant delivers a deferred lock grant to the new holder family's site:
@@ -290,11 +316,17 @@ type Grant struct {
 // Type implements Msg.
 func (*Grant) Type() MsgType { return TGrant }
 
-// Size implements Msg.
-func (m *Grant) Size() int {
-	return HeaderSize + 8 + 8 + 1 + 1 + 4 + 4 + 4 +
-		4 + sizeQueuedReq*len(m.Reqs) +
-		4 + sizePageLoc*len(m.PageMap)
+//lotec:noalloc
+func (m *Grant) layout(c *coder) {
+	u64(c, &m.Obj)
+	u64(c, &m.Family)
+	u8(c, &m.Mode)
+	c.boolean(&m.Upgrade)
+	u32(c, &m.NumPages)
+	u32(c, &m.LastWriter)
+	u32(c, &m.Shard)
+	list(c, &m.Reqs, queuedReq)
+	list(c, &m.PageMap, pageLoc)
 }
 
 // Abort tells a site its family's queued requests were cancelled as a
@@ -310,8 +342,13 @@ type Abort struct {
 // Type implements Msg.
 func (*Abort) Type() MsgType { return TAbort }
 
-// Size implements Msg.
-func (m *Abort) Size() int { return HeaderSize + 8 + 8 + 4 + 4 + sizeQueuedReq*len(m.Reqs) }
+//lotec:noalloc
+func (m *Abort) layout(c *coder) {
+	u64(c, &m.Obj)
+	u64(c, &m.Family)
+	u32(c, &m.Shard)
+	list(c, &m.Reqs, queuedReq)
+}
 
 // Recall tells a site that a request conflicting with the site hold it
 // retains on Obj is queued at the directory. One-way and sent once, like
@@ -328,8 +365,12 @@ type Recall struct {
 // Type implements Msg.
 func (*Recall) Type() MsgType { return TRecall }
 
-// Size implements Msg.
-func (*Recall) Size() int { return HeaderSize + 8 + 8 + 4 }
+//lotec:noalloc
+func (m *Recall) layout(c *coder) {
+	u64(c, &m.Obj)
+	u64(c, &m.Family)
+	u32(c, &m.Shard)
+}
 
 // PushResp acknowledges a MultiPushReq (pushes must land before the lock
 // is released).
@@ -338,8 +379,7 @@ type PushResp struct{}
 // Type implements Msg.
 func (*PushResp) Type() MsgType { return TPushResp }
 
-// Size implements Msg.
-func (*PushResp) Size() int { return HeaderSize }
+func (*PushResp) layout(*coder) {}
 
 // CopySetReq asks the GDO which sites cache each of the listed objects.
 // Root commit batches the lookups for all dirty objects of a family into
@@ -353,8 +393,10 @@ type CopySetReq struct {
 // Type implements Msg.
 func (*CopySetReq) Type() MsgType { return TCopySetReq }
 
-// Size implements Msg.
-func (m *CopySetReq) Size() int { return HeaderSize + 8 + 4 + 8*len(m.Objs) }
+func (m *CopySetReq) layout(c *coder) {
+	u64(c, &m.ReqID)
+	list(c, &m.Objs, u64[ids.ObjectID])
+}
 
 // RequestID implements Idempotent.
 func (m *CopySetReq) RequestID() uint64 { return m.ReqID }
@@ -368,8 +410,6 @@ type CopySet struct {
 	Sites []ids.NodeID
 }
 
-func (c CopySet) size() int { return 8 + 4 + 4*len(c.Sites) }
-
 // CopySetResp lists the caching sites per requested object.
 type CopySetResp struct {
 	Sets []CopySet
@@ -378,14 +418,7 @@ type CopySetResp struct {
 // Type implements Msg.
 func (*CopySetResp) Type() MsgType { return TCopySetResp }
 
-// Size implements Msg.
-func (m *CopySetResp) Size() int {
-	n := HeaderSize + 4
-	for _, c := range m.Sets {
-		n += c.size()
-	}
-	return n
-}
+func (m *CopySetResp) layout(c *coder) { list(c, &m.Sets, copySet) }
 
 // RegisterReq registers an object in the GDO (deployment setup).
 type RegisterReq struct {
@@ -398,8 +431,12 @@ type RegisterReq struct {
 // Type implements Msg.
 func (*RegisterReq) Type() MsgType { return TRegisterReq }
 
-// Size implements Msg.
-func (*RegisterReq) Size() int { return HeaderSize + 8 + 4 + 4 + 4 }
+func (m *RegisterReq) layout(c *coder) {
+	u64(c, &m.Obj)
+	u32(c, &m.Class)
+	u32(c, &m.NumPages)
+	u32(c, &m.Owner)
+}
 
 // RegisterResp acknowledges a RegisterReq.
 type RegisterResp struct{}
@@ -407,8 +444,7 @@ type RegisterResp struct{}
 // Type implements Msg.
 func (*RegisterResp) Type() MsgType { return TRegisterResp }
 
-// Size implements Msg.
-func (*RegisterResp) Size() int { return HeaderSize }
+func (*RegisterResp) layout(*coder) {}
 
 // RunReq asks a node to run a root transaction: invoke Method on Obj.
 type RunReq struct {
@@ -420,8 +456,11 @@ type RunReq struct {
 // Type implements Msg.
 func (*RunReq) Type() MsgType { return TRunReq }
 
-// Size implements Msg.
-func (m *RunReq) Size() int { return HeaderSize + 8 + 4 + len(m.Method) + 4 + len(m.Arg) }
+func (m *RunReq) layout(c *coder) {
+	u64(c, &m.Obj)
+	c.str(&m.Method)
+	c.bytes(&m.Arg)
+}
 
 // RunResp returns a root transaction's result.
 type RunResp struct {
@@ -432,8 +471,10 @@ type RunResp struct {
 // Type implements Msg.
 func (*RunResp) Type() MsgType { return TRunResp }
 
-// Size implements Msg.
-func (m *RunResp) Size() int { return HeaderSize + 4 + len(m.Result) + 4 + len(m.ErrMsg) }
+func (m *RunResp) layout(c *coder) {
+	c.bytes(&m.Result)
+	c.str(&m.ErrMsg)
+}
 
 // ErrResp is a generic error reply.
 type ErrResp struct {
@@ -443,8 +484,7 @@ type ErrResp struct {
 // Type implements Msg.
 func (*ErrResp) Type() MsgType { return TErrResp }
 
-// Size implements Msg.
-func (m *ErrResp) Size() int { return HeaderSize + 4 + len(m.Msg) }
+func (m *ErrResp) layout(c *coder) { c.str(&m.Msg) }
 
 // ObjPages names one object's pages within a batched fetch request.
 type ObjPages struct {
@@ -463,14 +503,6 @@ type ObjPages struct {
 // be exactly parallel to a non-empty Pages list.
 func (o ObjPages) hasBases() bool { return len(o.Pages) > 0 && len(o.Bases) == len(o.Pages) }
 
-func (o ObjPages) size() int {
-	n := 8 + 4 + 4*len(o.Pages)
-	if o.hasBases() {
-		n += 8 * len(o.Pages)
-	}
-	return n
-}
-
 // ObjPayload carries one object's page payloads within a batched reply or
 // push. Pages carry full payloads; Deltas carry pages answered as dirty-range
 // deltas (the optional section is flagged in the page count's high bit, so
@@ -479,20 +511,6 @@ type ObjPayload struct {
 	Obj    ids.ObjectID
 	Pages  []PagePayload
 	Deltas []DeltaPage
-}
-
-func (o ObjPayload) size() int {
-	n := 8 + 4
-	for _, p := range o.Pages {
-		n += p.size()
-	}
-	if len(o.Deltas) > 0 {
-		n += 4
-		for _, d := range o.Deltas {
-			n += d.size()
-		}
-	}
-	return n
 }
 
 // MultiFetchReq asks one site for pages of several objects in a single
@@ -509,13 +527,10 @@ type MultiFetchReq struct {
 // Type implements Msg.
 func (*MultiFetchReq) Type() MsgType { return TMultiFetchReq }
 
-// Size implements Msg.
-func (m *MultiFetchReq) Size() int {
-	n := HeaderSize + 8 + 1 + 4
-	for _, o := range m.Objs {
-		n += o.size()
-	}
-	return n
+func (m *MultiFetchReq) layout(c *coder) {
+	u64(c, &m.ReqID)
+	c.boolean(&m.Demand)
+	list(c, &m.Objs, objPages)
 }
 
 // RequestID implements Idempotent.
@@ -533,14 +548,7 @@ type MultiFetchResp struct {
 // Type implements Msg.
 func (*MultiFetchResp) Type() MsgType { return TMultiFetchResp }
 
-// Size implements Msg.
-func (m *MultiFetchResp) Size() int {
-	n := HeaderSize + 4
-	for _, o := range m.Objs {
-		n += o.size()
-	}
-	return n
-}
+func (m *MultiFetchResp) layout(c *coder) { list(c, &m.Objs, objPayload) }
 
 // MultiPushReq eagerly pushes the updated pages of several objects to one
 // caching site in a single round-trip (the §6 Release Consistency push
@@ -554,13 +562,9 @@ type MultiPushReq struct {
 // Type implements Msg.
 func (*MultiPushReq) Type() MsgType { return TMultiPushReq }
 
-// Size implements Msg.
-func (m *MultiPushReq) Size() int {
-	n := HeaderSize + 8 + 4
-	for _, o := range m.Objs {
-		n += o.size()
-	}
-	return n
+func (m *MultiPushReq) layout(c *coder) {
+	u64(c, &m.ReqID)
+	list(c, &m.Objs, objPayload)
 }
 
 // RequestID implements Idempotent.

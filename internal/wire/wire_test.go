@@ -83,7 +83,7 @@ func TestRoundTripAllTypes(t *testing.T) {
 func TestSizeMatchesEncodedLength(t *testing.T) {
 	for _, m := range samples() {
 		buf := Encode(Envelope{}, m)
-		if got, want := m.Size(), len(buf); got != want {
+		if got, want := Size(m), len(buf); got != want {
 			t.Errorf("%T: Size() = %d, encoded length = %d", m, got, want)
 		}
 	}
@@ -148,8 +148,8 @@ func TestRoundTripPropertyFetchResp(t *testing.T) {
 		}
 		m := &MultiFetchResp{Objs: []ObjPayload{o}}
 		buf := Encode(Envelope{ReqID: uint64(i)}, m)
-		if len(buf) != m.Size() {
-			t.Fatalf("iteration %d: size %d vs %d", i, len(buf), m.Size())
+		if len(buf) != Size(m) {
+			t.Fatalf("iteration %d: size %d vs %d", i, len(buf), Size(m))
 		}
 		_, got, err := Decode(buf)
 		if err != nil {

@@ -43,10 +43,6 @@ type Options struct {
 	// default (false) lets version-tracking protocols ship just the bytes
 	// written since the requester's resident version.
 	DeltaOff bool
-	// DeltaJournalDepth bounds how many committed write-sets each page's
-	// dirty-range journal retains (how far back a delta can reach); 0 →
-	// default 8.
-	DeltaJournalDepth int
 }
 
 // Cluster is an in-process LOTEC deployment: a set of simulated sites over
@@ -86,7 +82,6 @@ func NewCluster(opts Options) (*Cluster, error) {
 		DirectoryShards:   opts.DirectoryShards,
 		FetchConcurrency:  opts.FetchConcurrency,
 		DeltaOff:          opts.DeltaOff,
-		DeltaJournalDepth: opts.DeltaJournalDepth,
 	})
 	if err != nil {
 		return nil, err

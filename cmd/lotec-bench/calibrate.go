@@ -15,7 +15,6 @@ package main
 import (
 	"fmt"
 	"math"
-	"net"
 	"sync"
 	"time"
 
@@ -132,21 +131,6 @@ func calibPredict(spec *workload.Spec) (*calibRun, error) {
 	}, nil
 }
 
-// calibFreeAddrs reserves n distinct loopback addresses by binding and
-// immediately releasing them (the servers re-bind moments later).
-func calibFreeAddrs(n int) ([]string, error) {
-	addrs := make([]string, n)
-	for i := range addrs {
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, err
-		}
-		addrs[i] = l.Addr().String()
-		l.Close()
-	}
-	return addrs, nil
-}
-
 // calibMeasure replays the same compiled schedule open-loop against an
 // in-process TCP deployment: one GDO and N node servers on loopback, one
 // shared traffic recorder, every root submitted at its generated arrival
@@ -156,67 +140,22 @@ func calibMeasure(spec *workload.Spec) (*calibRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	addrs, err := calibFreeAddrs(w.Cfg.Nodes + 1)
+	rec := stats.NewRecorder()
+	l, err := startLoopback(w.Cfg.Nodes, server.NodeConfig{
+		Protocol: core.LOTEC,
+		PageSize: w.Cfg.PageSize,
+		Lenient:  w.Cfg.MispredictProb > 0,
+		Rec:      rec,
+	}, w.Classes, workload.Body(w.Cfg.WriteBytes))
 	if err != nil {
 		return nil, err
 	}
-	topo := server.Topology{NodeAddrs: addrs[:w.Cfg.Nodes], GDOAddr: addrs[w.Cfg.Nodes]}
-	rec := stats.NewRecorder()
-
-	gdo := server.NewGDOServer(topo)
-	gdo.SetRecorder(rec)
-	if err := gdo.Start(); err != nil {
-		return nil, fmt.Errorf("start GDO: %w", err)
-	}
-	defer gdo.Close()
-
-	body := workload.Body(w.Cfg.WriteBytes)
-	nodes := make([]*server.NodeServer, w.Cfg.Nodes)
-	for i := range nodes {
-		n, err := server.NewNodeServer(server.NodeConfig{
-			Topology: topo,
-			Self:     ids.NodeID(i + 1),
-			Protocol: core.LOTEC,
-			PageSize: w.Cfg.PageSize,
-			Lenient:  w.Cfg.MispredictProb > 0,
-			Rec:      rec,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("node %d: %w", i+1, err)
-		}
-		for _, cls := range w.Classes {
-			if err := n.AddClass(cls); err != nil {
-				return nil, err
-			}
-			for _, m := range cls.Methods() {
-				if err := n.OnMethod(cls, m.Name, body); err != nil {
-					return nil, err
-				}
-			}
-		}
-		if err := n.Start(); err != nil {
-			return nil, fmt.Errorf("start node %d: %w", i+1, err)
-		}
-		defer n.Close()
-		nodes[i] = n
-	}
-
-	// Create every object on every node; the owner's call goes first
-	// because it also registers the object with the GDO.
+	defer l.close()
 	objs := make([]ids.ObjectID, len(w.Objects))
 	for j, o := range w.Objects {
-		obj := ids.ObjectID(j + 1)
-		objs[j] = obj
-		if err := nodes[o.Owner-1].CreateObject(obj, o.Class, o.Owner); err != nil {
-			return nil, fmt.Errorf("create object %v: %w", obj, err)
-		}
-		for i, n := range nodes {
-			if ids.NodeID(i+1) == o.Owner {
-				continue
-			}
-			if err := n.CreateObject(obj, o.Class, o.Owner); err != nil {
-				return nil, fmt.Errorf("create object %v at node %d: %w", obj, i+1, err)
-			}
+		objs[j] = ids.ObjectID(j + 1)
+		if err := l.create(objs[j], o.Class, o.Owner); err != nil {
+			return nil, err
 		}
 	}
 
@@ -238,7 +177,7 @@ func calibMeasure(spec *workload.Spec) (*calibRun, error) {
 		go func(i int, root workload.RootSpec) {
 			defer wg.Done()
 			start := time.Now()
-			_, err := nodes[root.Node-1].Run(objs[root.Call.ObjIndex], root.Call.Method,
+			_, err := l.nodes[root.Node-1].Run(objs[root.Call.ObjIndex], root.Call.Method,
 				workload.EncodeCall(objs, root.Call))
 			results[i] = outcome{latNs: time.Since(start).Nanoseconds(), committed: err == nil}
 		}(i, root)

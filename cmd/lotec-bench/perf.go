@@ -3,7 +3,7 @@ package main
 import (
 	"bytes"
 	"fmt"
-	"strings"
+	"io"
 	"testing"
 
 	"lotec/internal/directory"
@@ -14,11 +14,9 @@ import (
 	"lotec/internal/wire"
 )
 
-// Per-path perf ledger: microbenchmarks over the pooled data-plane
-// primitives (codec encode/decode, frame read/write), the directory
-// acquire/release fast path, and the TCP call path the three of them feed.
-// Each row lands in BENCH_results.json next to the workload rows, and the
-// smoke gate reruns the set against the committed values — the continuous
+// The perf/ entry: microbenchmarks over the pooled data-plane primitives
+// (codec encode/decode, frame read/write), the directory acquire/release
+// fast path, and the TCP call path the three of them feed — the continuous
 // record of where each hot path's ns/op and allocs/op stand.
 
 // perfMsg builds the representative data-plane message the codec and frame
@@ -51,16 +49,7 @@ func benchRow(op string, fn func(b *testing.B)) benchResult {
 	}
 }
 
-// countWriter swallows writes without allocating — the in-memory stand-in
-// for a TCP connection's Write in the frame-write row.
-type countWriter struct{ n int64 }
-
-func (w *countWriter) Write(p []byte) (int, error) {
-	w.n += int64(len(p))
-	return len(p), nil
-}
-
-// perfLedger measures every hot-path row. The codec/frame rows exercise the
+// perfRows measures every hot-path row. The codec/frame rows exercise the
 // pooled encode buffers and in-place decode views end to end; the directory
 // row exercises the scratch-backed acquire/release path with immediate
 // grants; the tcp-call row is a whole RPC between two endpoints on
@@ -68,7 +57,7 @@ func (w *countWriter) Write(p []byte) (int, error) {
 // pooled paths and small and constant on decode (the message struct and its
 // payload headers; page bytes alias the frame) — which is all a call
 // allocates too, once at each end.
-func perfLedger() ([]benchResult, error) {
+func perfRows() ([]benchResult, error) {
 	env, msg := perfMsg()
 
 	rows := []benchResult{
@@ -105,10 +94,9 @@ func perfLedger() ([]benchResult, error) {
 	}))
 
 	rows = append(rows, benchRow("perf/frame-write", func(b *testing.B) {
-		var sink countWriter
-		for i := 0; i < b.N; i++ {
+		for i := 0; i < b.N; i++ { // io.Discard stands in for a connection's Write
 			frame := wire.EncodeFrame(env, msg)
-			if _, err := sink.Write(frame); err != nil {
+			if _, err := io.Discard.Write(frame); err != nil {
 				b.Fatal(err)
 			}
 			wire.ReleaseFrame(frame)
@@ -141,19 +129,14 @@ func perfLedger() ([]benchResult, error) {
 		}
 	}))
 	if dirErr != nil {
-		return nil, fmt.Errorf("perf ledger: directory row: %w", dirErr)
+		return nil, fmt.Errorf("directory row: %w", dirErr)
 	}
 
 	call, err := tcpCallRow()
 	if err != nil {
-		return nil, fmt.Errorf("perf ledger: tcp-call row: %w", err)
+		return nil, fmt.Errorf("tcp-call row: %w", err)
 	}
-	rows = append(rows, call)
-
-	for _, r := range rows {
-		fmt.Printf("%-32s %10d ops  %8.0f ns/op  %6.2f allocs/op\n", r.Op, r.Ops, r.NsPerOp, r.AllocsPerOp)
-	}
-	return rows, nil
+	return append(rows, call), nil
 }
 
 // echoPair starts two connected endpoints on loopback, nodes 1 and 2; node 2
@@ -161,7 +144,7 @@ func perfLedger() ([]benchResult, error) {
 // the pair is the transport's own cost and nothing of a handler's. stop
 // closes both.
 func echoPair() (a, b *server.TCPNet, stop func(), err error) {
-	addrs, err := calibFreeAddrs(2)
+	addrs, err := freeAddrs(2)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -202,47 +185,4 @@ func tcpCallRow() (benchResult, error) {
 		}
 	})
 	return row, callErr
-}
-
-// checkPerfLedger is the smoke gate over the per-path rows: rerun the
-// ledger and compare each row against the committed one. ns/op gets the
-// wide wall-clock slack; allocs/op gets the tight multiplicative band plus
-// half an allocation of absolute headroom, so a pooled path committed at
-// zero still fails the moment a real per-op allocation appears.
-func checkPerfLedger(path string) error {
-	doc, err := readBenchDoc(path)
-	if err != nil {
-		return err
-	}
-	committed := make(map[string]benchResult)
-	for _, r := range doc.Results {
-		if strings.HasPrefix(r.Op, "perf/") {
-			committed[r.Op] = r
-		}
-	}
-	if len(committed) == 0 {
-		fmt.Printf("smoke: no perf/ rows in %s; skipping per-path gates\n", path)
-		return nil
-	}
-	rows, err := perfLedger()
-	if err != nil {
-		return err
-	}
-	for _, got := range rows {
-		base, ok := committed[got.Op]
-		if !ok {
-			fmt.Printf("smoke: %s has no committed row; skipping\n", got.Op)
-			continue
-		}
-		if base.NsPerOp > 0 && got.NsPerOp > base.NsPerOp*smokeNsSlack {
-			return fmt.Errorf("ns_per_op regressed: %s runs at %.0f ns/op, committed %.0f (limit %.0fx)",
-				got.Op, got.NsPerOp, base.NsPerOp, smokeNsSlack)
-		}
-		if limit := base.AllocsPerOp*smokeAllocsSlack + 0.5; got.AllocsPerOp > limit {
-			return fmt.Errorf("allocs_per_op regressed: %s allocates %.2f/op, committed %.2f (limit %.2f)",
-				got.Op, got.AllocsPerOp, base.AllocsPerOp, limit)
-		}
-	}
-	fmt.Printf("smoke ok: %d perf/ rows within slack\n", len(rows))
-	return nil
 }

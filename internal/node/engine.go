@@ -123,10 +123,6 @@ type Config struct {
 	// plane. Dirty-range journaling in the store stays on either way — it is
 	// invisible to the trace.
 	DeltaOff bool
-	// DeltaJournalDepth bounds how many sealed dirty-range epochs the store
-	// retains per page (how far back a delta can reach before falling back
-	// to a full page). <= 0 means pstore.DefaultDeltaJournalDepth.
-	DeltaJournalDepth int
 	// History, when non-nil, is handed the record of every family whose
 	// root commits here, for package history to order. The simulator sets
 	// it; a deployment leaves it nil and pays nothing.
@@ -201,7 +197,6 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.FetchConcurrency <= 0 {
 		cfg.FetchConcurrency = 4
 	}
-	cfg.Store.SetJournalDepth(cfg.DeltaJournalDepth)
 	return &Engine{
 		cfg:  cfg,
 		env:  cfg.Env,

@@ -142,9 +142,6 @@ type NodeConfig struct {
 	FetchConcurrency int
 	// DeltaOff disables sub-page delta transfers (must match cluster-wide).
 	DeltaOff bool
-	// DeltaJournalDepth bounds the per-page dirty-range journal (0 →
-	// default 8; must match cluster-wide).
-	DeltaJournalDepth int
 	// Rec records traffic; may be nil.
 	Rec *stats.Recorder
 	// Faults, when non-nil, injects the deterministic fault plan into this
@@ -205,7 +202,6 @@ func NewNodeServer(cfg NodeConfig) (*NodeServer, error) {
 		FetchConcurrency:  cfg.FetchConcurrency,
 		Strict:            !cfg.Lenient,
 		DeltaOff:          cfg.DeltaOff,
-		DeltaJournalDepth: cfg.DeltaJournalDepth,
 	})
 	if err != nil {
 		return nil, err

@@ -40,11 +40,9 @@ type Config struct {
 	// Net is the simulated network (default fast Ethernet + 20 µs software
 	// cost, the paper's mid-range configuration).
 	Net netmodel.Params
-	// Strict enforces declared access sets (default true — the paper's
+	// Lenient lets accesses outside the declared sets through (kept as the
+	// negative so the zero value of Config enforces them — the paper's
 	// conservative compiler).
-	Strict bool
-	// Lenient disables Strict (kept separate so the zero value of Config
-	// means strict).
 	Lenient bool
 	// MaxRetries bounds deadlock retries per root (default 20).
 	MaxRetries int
@@ -70,10 +68,6 @@ type Config struct {
 	// deltas off the wire traffic is byte-identical to the pre-delta data
 	// plane.
 	DeltaOff bool
-	// DeltaJournalDepth bounds the per-page dirty-range journal (sealed
-	// epochs a delta may reach back across); <= 0 means
-	// pstore.DefaultDeltaJournalDepth.
-	DeltaJournalDepth int
 	// Replicas, when > 0, runs the directory as that many dedicated
 	// control-plane host nodes (N+1 .. N+Replicas) speaking the replicated
 	// shard protocol: primary/backup op-log replication, epoch-stamped
@@ -112,7 +106,6 @@ func (c Config) withDefaults() Config {
 	if c.Net.BandwidthBps == 0 {
 		c.Net = netmodel.Ethernet100.WithSoftwareCost(20 * time.Microsecond)
 	}
-	c.Strict = !c.Lenient
 	if c.MaxRetries <= 0 {
 		c.MaxRetries = 20
 	}
@@ -244,9 +237,8 @@ func NewCluster(cfg Config) (*Cluster, error) {
 			Rec:               c.rec,
 			MaxRetries:        cfg.MaxRetries,
 			FetchConcurrency:  cfg.FetchConcurrency,
-			Strict:            cfg.Strict,
+			Strict:            !cfg.Lenient,
 			DeltaOff:          cfg.DeltaOff,
-			DeltaJournalDepth: cfg.DeltaJournalDepth,
 			History:           func(rec history.Record) { c.history = append(c.history, rec) },
 		})
 		if err != nil {

@@ -78,9 +78,6 @@ type NodeOptions struct {
 	FetchConcurrency int
 	// DeltaOff disables sub-page delta transfers; must match cluster-wide.
 	DeltaOff bool
-	// DeltaJournalDepth bounds the per-page dirty-range journal (0 →
-	// default 8); must match cluster-wide.
-	DeltaJournalDepth int
 	// FaultPlan, when non-empty, injects deterministic faults into this
 	// node's outbound traffic and enables the RPC timeout/retry layer (a
 	// preset name like "drop" or a clause list like
@@ -108,15 +105,14 @@ func NewNode(opts NodeOptions) (*Node, error) {
 		plan = parsed
 	}
 	inner, err := server.NewNodeServer(server.NodeConfig{
-		Topology:          opts.Topology,
-		Self:              opts.Self,
-		Protocol:          p,
-		PageSize:          opts.PageSize,
-		Lenient:           opts.Lenient,
-		FetchConcurrency:  opts.FetchConcurrency,
-		DeltaOff:          opts.DeltaOff,
-		DeltaJournalDepth: opts.DeltaJournalDepth,
-		Faults:            plan,
+		Topology:         opts.Topology,
+		Self:             opts.Self,
+		Protocol:         p,
+		PageSize:         opts.PageSize,
+		Lenient:          opts.Lenient,
+		FetchConcurrency: opts.FetchConcurrency,
+		DeltaOff:         opts.DeltaOff,
+		Faults:           plan,
 	})
 	if err != nil {
 		return nil, err

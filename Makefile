@@ -10,9 +10,8 @@ build:
 vet:
 	go vet ./...
 
-# Repo-specific invariant analyzers (determinism taint, lock discipline,
-# static lock ordering, hot-path allocations, wire-protocol sync, dropped
-# errors). Exits non-zero on any finding; per-analyzer timings on stderr.
+# Repo-specific invariant analyzers (determinism taint, map order, lock
+# discipline, static lock ordering, dropped errors). Exits non-zero on any finding; per-analyzer timings on stderr.
 lint:
 	go run ./cmd/lotec-lint -time ./...
 
@@ -20,7 +19,7 @@ lint:
 # diagnostics on its positive fixtures (including the -json golden file)
 # and stay silent on the negative ones.
 lint-fixtures:
-	go test -run 'TestMapIter|TestLockHeld|TestWireSync|TestErrDrop|TestDetSource|TestLockOrder|TestHotAlloc|TestDirectiveAudit|TestMain' ./internal/lint/
+	go test -run 'TestMapIter|TestLockHeld|TestErrDrop|TestDetSource|TestLockOrder|TestDirectiveAudit|TestMain' ./internal/lint/
 
 test:
 	go test -race ./...
@@ -43,18 +42,20 @@ probes:
 bench:
 	go run ./cmd/lotec-bench -figure 3 -json BENCH_results.json
 
-# Steady-state allocation gates (testing.AllocsPerRun) over the
-# //lotec:noalloc surfaces: pooled frame get/release, EncodeFrame,
-# ReadFrame, DecodeView, the page pool, the directory's immediate-grant fast
-# path, and a whole TCPNet.Call round trip on loopback; and the per-root
-# budgets: a flat root — a repeat one, on a grant retained at its site, and a
-# first one — in the engine alone, a root over two directory shards, its
-# shadow log (no page-sized buffer), end to end over loopback, and the bytes
-# of a root that pulls and rewrites a whole page (under one page).
+# Steady-state allocation gates (testing.AllocsPerRun) over the hot paths:
+# pooled frame get/release, EncodeFrame, ReadFrame, DecodeView, the page
+# pool, the directory's immediate-grant fast path and its contended path
+# (queues, deferred grants, deadlock aborts, upgrades, recalls), the serving
+# side of a fetch and a push, and a whole TCPNet.Call round trip on
+# loopback; and the per-root budgets: a flat root — a repeat one, on a grant
+# retained at its site, and a first one — in the engine alone, a root over
+# two directory shards, its shadow log (no page-sized buffer), end to end
+# over loopback, and the bytes of a root that pulls and rewrites a whole
+# page (under one page).
 # Run without -race: the poison pass and detector instrumentation change
 # the allocation behavior under test.
 bench-allocs:
-	go test -run 'TestAllocs' ./internal/wire/ ./internal/directory/ ./internal/server/ ./internal/node/ ./internal/pstore/
+	go test -run 'TestAllocs' ./internal/wire/ ./internal/directory/ ./internal/server/ ./internal/node/ ./internal/pstore/ ./internal/xfer/
 
 # The ledger gate: rerun every gated entry of lotec-bench's ledger table and
 # hold each row to the committed BENCH_results.json, which is only read; a

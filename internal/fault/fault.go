@@ -139,8 +139,7 @@ func NewInjector(plan Plan) *Injector {
 var RetriableKinds = []stats.MsgKind{
 	stats.KindLockReq, stats.KindLockReply,
 	stats.KindRelease, stats.KindReleaseReply,
-	stats.KindFetchReq, stats.KindPageData,
-	stats.KindPush, stats.KindPushReply,
+	stats.KindPushReply,
 	stats.KindMultiFetchReq, stats.KindMultiPageData,
 	stats.KindMultiPush,
 	// Control-plane replication traffic is idempotent end to end (body

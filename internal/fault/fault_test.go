@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"lotec/internal/ids"
+	"lotec/internal/stats"
 	"lotec/internal/wire"
 )
 
@@ -194,8 +195,8 @@ func TestParsePresetsAndGrammar(t *testing.T) {
 		r.After != 10*time.Millisecond || r.Before != 50*time.Millisecond || r.MaxHits != 3 {
 		t.Errorf("rule parsed wrong: %+v", r)
 	}
-	if len(r.Kinds) != 2 {
-		t.Errorf("kind=data should scope to the two page-data kinds, got %v", r.Kinds)
+	if len(r.Kinds) != 1 || r.Kinds[0] != stats.KindMultiPageData {
+		t.Errorf("kind=data should scope to the page-data kind, got %v", r.Kinds)
 	}
 	if c := p.Crashes[0]; c.Node != 2 || c.At != time.Millisecond || c.Until != 8*time.Millisecond {
 		t.Errorf("crash parsed wrong: %+v", c)

@@ -27,13 +27,13 @@ import (
 
 // kindGroups names the message-kind sets a clause may scope to.
 var kindGroups = map[string][]stats.MsgKind{
-	"lock":      {stats.KindLockReq, stats.KindLockReply},
-	"release":   {stats.KindRelease, stats.KindReleaseReply},
-	"fetch":     {stats.KindFetchReq, stats.KindPageData, stats.KindMultiFetchReq, stats.KindMultiPageData},
-	"push":      {stats.KindPush, stats.KindPushReply, stats.KindMultiPush},
-	"data":      {stats.KindPageData, stats.KindMultiPageData},
-	"grant":     {stats.KindGrant},
-	"abort":     {stats.KindAbort},
+	"lock":    {stats.KindLockReq, stats.KindLockReply},
+	"release": {stats.KindRelease, stats.KindReleaseReply},
+	"fetch":   {stats.KindMultiFetchReq, stats.KindMultiPageData},
+	"push":    {stats.KindPushReply, stats.KindMultiPush},
+	"data":    {stats.KindMultiPageData},
+	"grant":   {stats.KindGrant},
+	"abort":   {stats.KindAbort},
 	"replica": {
 		stats.KindReplicate, stats.KindReplicateReply,
 		stats.KindPromote, stats.KindPromoteReply,

@@ -190,8 +190,6 @@ func (d *Directory) grantedNow(e *entry, mode o2pl.Mode) AcquireResult {
 }
 
 // dropUpgradeLocked removes a pending upgrade for family on e.
-//
-//lotec:noalloc
 func (d *Directory) dropUpgradeLocked(e *entry, family ids.FamilyID) {
 	for i, u := range e.upgrades {
 		if u.family == family {

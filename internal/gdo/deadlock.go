@@ -118,12 +118,10 @@ func (d *Directory) PurgeFamily(family ids.FamilyID) {
 // list ends sorted by (From, To), so each family's neighbors are a
 // contiguous ascending run — the deterministic traversal order the old
 // per-key sort provided, without the per-call maps. Caller holds d.mu.
-//
-//lotec:noalloc
 func (d *Directory) buildWaitsForLocked() {
 	d.wf.edges = d.wf.edges[:0]
 	if d.wf.ages == nil {
-		d.wf.ages = make(map[ids.FamilyID]uint64) //lotec:alloc-ok — first use; the map is reused (clear keeps buckets)
+		d.wf.ages = make(map[ids.FamilyID]uint64) // first use; the map is reused (clear keeps buckets)
 	}
 	clear(d.wf.ages)
 	if len(d.waitObjs) == 0 {
@@ -153,10 +151,7 @@ func (d *Directory) buildWaitsForLocked() {
 	slices.SortFunc(d.wf.edges, cmpWaitEdge)
 }
 
-// cmpWaitEdge orders edges by (From, To). Package-level rather than a
-// closure so the noalloc sort call site stays literal-free.
-//
-//lotec:noalloc
+// cmpWaitEdge orders edges by (From, To).
 func cmpWaitEdge(a, b WaitEdge) int {
 	switch {
 	case a.From < b.From:
@@ -173,8 +168,6 @@ func cmpWaitEdge(a, b WaitEdge) int {
 
 // neighborsLocked returns the index range [lo, hi) of f's outgoing edges in
 // the sorted scratch edge list. Caller holds d.mu after buildWaitsForLocked.
-//
-//lotec:noalloc
 func (d *Directory) neighborsLocked(f ids.FamilyID) (int, int) {
 	edges := d.wf.edges
 	lo, hi := 0, len(edges)
@@ -196,8 +189,6 @@ func (d *Directory) neighborsLocked(f ids.FamilyID) (int, int) {
 // waitedOnLocked reports whether some other family waits for a lock f
 // holds, i.e. whether the waits-for graph has an edge into f. Caller holds
 // d.mu.
-//
-//lotec:noalloc
 func (d *Directory) waitedOnLocked(f ids.FamilyID) bool {
 	//lotec:unordered — pure existence scan; any hit gives the same answer.
 	for _, e := range d.waitObjs {
@@ -243,8 +234,6 @@ func (d *Directory) breakCyclesLocked(start ids.FamilyID) (events []Event, self 
 // directory calls and a cycle can only run through start's own new edges.
 // It then needs an edge back into start; when nobody waits on start — every
 // root's first acquire — there is none and the graph is not built at all.
-//
-//lotec:noalloc
 func (d *Directory) findDeadlockVictimLocked(start ids.FamilyID) (ids.FamilyID, bool) {
 	if !d.waitedOnLocked(start) {
 		return 0, false
@@ -254,7 +243,7 @@ func (d *Directory) findDeadlockVictimLocked(start ids.FamilyID) (ids.FamilyID, 
 		return 0, false
 	}
 	if d.wf.color == nil {
-		d.wf.color = make(map[ids.FamilyID]uint8) //lotec:alloc-ok — first use; the map is reused (clear keeps buckets)
+		d.wf.color = make(map[ids.FamilyID]uint8) // first use; the map is reused (clear keeps buckets)
 	}
 	clear(d.wf.color)
 	d.wf.stack = d.wf.stack[:0]

@@ -122,8 +122,6 @@ type entry struct {
 }
 
 // state derives the LockState from the holder list.
-//
-//lotec:noalloc
 func (e *entry) state() LockState {
 	if len(e.holders) == 0 {
 		return Free
@@ -138,8 +136,6 @@ func (e *entry) state() LockState {
 
 // holder and queue scan the short per-entry lists; with state they are the
 // grant/release fast path and must not allocate.
-//
-//lotec:noalloc
 func (e *entry) holder(f ids.FamilyID) *familyHold {
 	for _, h := range e.holders {
 		if h.family == f {
@@ -149,7 +145,6 @@ func (e *entry) holder(f ids.FamilyID) *familyHold {
 	return nil
 }
 
-//lotec:noalloc
 func (e *entry) queue(f ids.FamilyID) *familyQueue {
 	for _, q := range e.queues {
 		if q.family == f {
@@ -198,8 +193,6 @@ func New(n int) *Directory {
 
 // noteWaitersLocked keeps waitObjs exact; it must be called after any
 // mutation of e's queues or upgrades. Caller holds d.mu.
-//
-//lotec:noalloc
 func (d *Directory) noteWaitersLocked(e *entry) {
 	if len(e.queues) > 0 || len(e.upgrades) > 0 {
 		d.waitObjs[e.obj] = e
@@ -211,8 +204,6 @@ func (d *Directory) noteWaitersLocked(e *entry) {
 // newHoldLocked returns a reset familyHold for a fresh grant, reusing a
 // record (and its refs backing array) from the freelist when one is
 // available. Caller holds d.mu.
-//
-//lotec:noalloc
 func (d *Directory) newHoldLocked(f ids.FamilyID, site ids.NodeID, mode o2pl.Mode) *familyHold {
 	if n := len(d.holdFree); n > 0 {
 		h := d.holdFree[n-1]
@@ -222,15 +213,13 @@ func (d *Directory) newHoldLocked(f ids.FamilyID, site ids.NodeID, mode o2pl.Mod
 		h.refs = h.refs[:0]
 		return h
 	}
-	return &familyHold{family: f, site: site, mode: mode} //lotec:alloc-ok — pool miss; removeHolderLocked recycles the record
+	return &familyHold{family: f, site: site, mode: mode} // pool miss; removeHolderLocked recycles the record
 }
 
 // removeHolderLocked unlinks the hold recorded under f from e and recycles
 // the record onto the freelist. Holds never leave the package (events carry queue
 // requests, not holder refs), so the next grant may safely reuse the struct.
 // Caller holds d.mu.
-//
-//lotec:noalloc
 func (d *Directory) removeHolderLocked(e *entry, f ids.FamilyID) bool {
 	for i, h := range e.holders {
 		if h.family == f {
@@ -246,8 +235,6 @@ func (d *Directory) removeHolderLocked(e *entry, f ids.FamilyID) bool {
 // directory state itself is centralized; HomeNode exists so the simulation
 // charges global lock messages to the right partition, matching the paper's
 // partitioned GDO.
-//
-//lotec:noalloc
 func (d *Directory) HomeNode(obj ids.ObjectID) ids.NodeID {
 	return ids.NodeID(int64(obj)%int64(d.nodes)) + 1
 }

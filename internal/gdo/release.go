@@ -203,8 +203,6 @@ func (d *Directory) recheckQueuedLocked(e *entry) []Event {
 // CancelRequest withdraws any queued requests and pending upgrades of
 // family on obj (used when the engine unwinds a waiting transaction, e.g.
 // on external abort). It reports whether anything was removed.
-//
-//lotec:noalloc
 func (d *Directory) CancelRequest(obj ids.ObjectID, family ids.FamilyID) (bool, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -240,8 +238,6 @@ func (d *Directory) CancelRequest(obj ids.ObjectID, family ids.FamilyID) (bool, 
 // d.entries directly would visit (and, for aborts, emit events) in map
 // order. The returned slice is the reused entScr scratch; it is valid only
 // until the next call. Caller holds d.mu.
-//
-//lotec:noalloc
 func (d *Directory) waitEntriesSortedLocked() []*entry {
 	d.entScr = d.entScr[:0]
 	for _, e := range d.waitObjs {
@@ -251,10 +247,7 @@ func (d *Directory) waitEntriesSortedLocked() []*entry {
 	return d.entScr
 }
 
-// cmpEntryObj orders entries by object ID. Package-level rather than a
-// closure so the noalloc sort call site stays literal-free.
-//
-//lotec:noalloc
+// cmpEntryObj orders entries by object ID.
 func cmpEntryObj(a, b *entry) int {
 	switch {
 	case a.obj < b.obj:
@@ -267,8 +260,6 @@ func cmpEntryObj(a, b *entry) int {
 
 // purgeFamilyLocked silently removes family from every queue and upgrade
 // list. Caller holds d.mu.
-//
-//lotec:noalloc
 func (d *Directory) purgeFamilyLocked(family ids.FamilyID) {
 	for _, e := range d.waitEntriesSortedLocked() {
 		removed := false

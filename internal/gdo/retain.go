@@ -67,8 +67,6 @@ func (d *Directory) RetainGrants() bool {
 
 // noteGrantLocked counts a fresh grant of e to a family at site towards the
 // object's streak. Caller holds d.mu.
-//
-//lotec:noalloc
 func (d *Directory) noteGrantLocked(e *entry, site ids.NodeID) {
 	switch {
 	case !d.retain:
@@ -82,8 +80,6 @@ func (d *Directory) noteGrantLocked(e *entry, site ids.NodeID) {
 // recall returns the event that recalls the site hold on e, if there is
 // one. There is at most one: it is created only when no other holder is
 // left, and a later reader joins as a family.
-//
-//lotec:noalloc
 func (e *entry) recall() (Event, bool) {
 	for _, h := range e.holders {
 		if ids.IsSiteFamily(h.family) {
@@ -95,8 +91,6 @@ func (e *entry) recall() (Event, bool) {
 
 // keepLocked decides whether the committing release of h, the last hold on
 // e, leaves the lock with h's site. Caller holds d.mu.
-//
-//lotec:noalloc
 func (d *Directory) keepLocked(e *entry, h *familyHold) bool {
 	return d.retain && len(e.holders) == 1 && len(e.queues) == 0 && len(e.upgrades) == 0 &&
 		e.streakSite == h.site && e.streak >= KeepStreak

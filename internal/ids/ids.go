@@ -79,13 +79,9 @@ const siteFamilyBit = 1 << 63
 // SiteFamily returns the reserved family ID under which the directory holds
 // a lock for site n itself, between the roots that run there, rather than
 // for one of its transaction families.
-//
-//lotec:noalloc
 func SiteFamily(n NodeID) FamilyID { return FamilyID(siteFamilyBit | uint64(uint32(n))) }
 
 // IsSiteFamily reports whether f is a SiteFamily ID.
-//
-//lotec:noalloc
 func IsSiteFamily(f FamilyID) bool { return f&siteFamilyBit != 0 }
 
 // TxRef is the ⟨transaction id, node id⟩ pair stored in GDO holder and

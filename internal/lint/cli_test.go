@@ -23,7 +23,6 @@ func TestMainJSONGolden(t *testing.T) {
 		"./testdata/detsource_pos/sim",
 		"./testdata/detsource_pos/helper",
 		"./testdata/lockorder_pos",
-		"./testdata/hotalloc_pos",
 		"./testdata/directive_pos",
 	}, &stdout, &stderr)
 	if code != 1 {
@@ -60,7 +59,7 @@ func TestMainExitCodes(t *testing.T) {
 		args []string
 		want int
 	}{
-		{"clean", []string{"./testdata/hotalloc_neg"}, 0},
+		{"clean", []string{"./testdata/lockorder_neg"}, 0},
 		{"findings", []string{"./testdata/directive_pos"}, 1},
 		{"badpattern", []string{"./testdata/does_not_exist"}, 2},
 		{"badflag", []string{"-no-such-flag"}, 2},

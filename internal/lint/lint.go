@@ -2,11 +2,15 @@
 // repository, built only on the standard library's go/parser, go/ast and
 // go/types (no golang.org/x/tools dependency). It exists because the
 // invariants LOTEC's reproduction depends on — bit-for-bit deterministic
-// simulation runs, mutex discipline in the lock service, three-way
-// wire/codec/classify synchronization, and the zero-allocation hot-path
-// ledger — are invisible to the compiler and to go vet.
+// simulation runs, mutex discipline and lock order in the lock service, and
+// errors handled at the I/O boundary — are invisible to the compiler and to
+// go vet. The suite keeps an analyzer only where no test catches its bug:
+// the wire protocol's three-way sync and the zero-allocation hot paths are
+// checked by running code instead (internal/wire's registry tests and the
+// TestAllocs* gates), which see real escape analysis and unannotated
+// callees.
 //
-// Seven repo-specific analyzers are provided:
+// Five repo-specific analyzers are provided:
 //
 //   - mapiter:  flags `for range` over maps in determinism-critical
 //     packages (sim, gdo, directory, node, stats, xfer, workload) unless
@@ -16,10 +20,6 @@
 //     accessed in methods that hold that mutex on a dominating path
 //     (conservative intra-package check; a `Locked` method-name suffix
 //     asserts the caller holds the lock).
-//   - wiresync: every concrete wire.Msg implementation must be
-//     constructible by the codec (newMsg switch), classified for the
-//     stats trace (Classify type switch), and — when it carries a Shard
-//     field — attribute that shard in its Classify case.
 //   - errdrop:  implicitly discarded error returns in the transport,
 //     server, wire, sim and node packages (an explicit `_ =` is the
 //     sanctioned discard marker).
@@ -32,13 +32,6 @@
 //     directory, node, pstore and server; cycles (potential deadlocks)
 //     are reported with a witness path. `//lotec:lockorder-ok` blesses
 //     an ordered nested acquisition.
-//   - hotalloc: functions annotated `//lotec:noalloc` may not contain
-//     allocating constructs (fresh make/append, interface boxing,
-//     closures, string↔[]byte conversion, fmt/errors calls, calls to
-//     unannotated functions). Amortized growth into a reused buffer
-//     (x = append(x, ...)) and allocations on error-returning/panicking
-//     paths are admitted; `//lotec:alloc-ok` documents a deliberate
-//     residual allocation.
 //
 // After the analyzers run, RunAll audits every `//lotec:` directive in the
 // analyzed sources: unknown directives and suppressions with no matching
@@ -92,7 +85,7 @@ type Package struct {
 }
 
 // Analyzer is one invariant checker. Per-package analyzers set Run;
-// whole-program analyzers (detsource, lockorder, hotalloc) set RunProgram
+// whole-program analyzers (detsource, lockorder) set RunProgram
 // and receive every loaded package at once, sharing the program's
 // type-checked state instead of re-loading per analyzer.
 type Analyzer struct {
@@ -105,7 +98,7 @@ type Analyzer struct {
 
 // All returns every analyzer of the suite, in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{MapIter, LockHeld, WireSync, ErrDrop, DetSource, LockOrder, HotAlloc}
+	return []*Analyzer{MapIter, LockHeld, ErrDrop, DetSource, LockOrder}
 }
 
 // knownDirectives are the `//lotec:<name>` markers the suite understands.
@@ -115,8 +108,6 @@ var knownDirectives = map[string]string{
 	"unordered":    "mapiter",
 	"nondet-ok":    "detsource",
 	"lockorder-ok": "lockorder",
-	"alloc-ok":     "hotalloc",
-	"noalloc":      "hotalloc",
 }
 
 // directive is one `//lotec:<name>` comment occurrence in analyzed source.
@@ -223,8 +214,8 @@ func (prog *Program) Suppressed(name string, pos token.Position) bool {
 	return true
 }
 
-// MarkUsed records that the named directive at pos was consumed without
-// suppressing a diagnostic (declaration-style directives like noalloc).
+// MarkUsed marks the named directive at pos as consumed, for analyzers that
+// look a directive up themselves rather than through Suppressed.
 func (prog *Program) MarkUsed(name string, pos token.Position) {
 	if d := prog.directiveAt(name, pos); d != nil {
 		d.used = true
@@ -244,7 +235,7 @@ func (prog *Program) auditDirectives() []Finding {
 				File:     d.file,
 				Line:     d.line,
 				Col:      1,
-				Message:  fmt.Sprintf("unknown directive //lotec:%s (known: alloc-ok, lockorder-ok, noalloc, nondet-ok, unordered)", d.name),
+				Message:  fmt.Sprintf("unknown directive //lotec:%s (known: lockorder-ok, nondet-ok, unordered)", d.name),
 			})
 			continue
 		}

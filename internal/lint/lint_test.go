@@ -111,19 +111,6 @@ func TestLockHeldNegative(t *testing.T) {
 	wantFindings(t, runOn(t, LockHeld, "./testdata/lockheld_neg"), 0)
 }
 
-func TestWireSyncPositive(t *testing.T) {
-	fs := runOn(t, WireSync, "./testdata/wiresync_pos")
-	wantFindings(t, fs, 3,
-		"Ghost implements Msg but is not constructed in newMsg",
-		"Orphan implements Msg but has no case in Classify",
-		"Lock carries a Shard field",
-	)
-}
-
-func TestWireSyncNegative(t *testing.T) {
-	wantFindings(t, runOn(t, WireSync, "./testdata/wiresync_neg"), 0)
-}
-
 func TestErrDropPositive(t *testing.T) {
 	fs := runOn(t, ErrDrop, "./testdata/errdrop_pos")
 	wantFindings(t, fs, 5,
@@ -216,29 +203,6 @@ func TestLockOrderNegative(t *testing.T) {
 	wantFindings(t, fs, 0)
 }
 
-func TestHotAllocPositive(t *testing.T) {
-	fs := runOn(t, HotAlloc, "./testdata/hotalloc_pos")
-	wantFindings(t, fs, 9,
-		"make allocates",
-		"self-assignment grows a fresh slice",
-		"function literal allocates a closure",
-		"calls fmt.Sprintf (outside the noalloc stdlib allowlist)",
-		"conversion copies",
-		"&hot.Buf{} allocates",
-		"calls hot.unannotated, which is not marked //lotec:noalloc",
-		"boxes int into any",
-		"takes the address of local b, which escapes to the heap through any",
-	)
-}
-
-func TestHotAllocNegative(t *testing.T) {
-	// Full run: the fixture's //lotec:alloc-ok (pool miss) must be consumed
-	// and its //lotec:noalloc annotations recognized.
-	pkgs := loadFixturePkgs(t, "./testdata/hotalloc_neg")
-	fs := RunAll(pkgs, []*Analyzer{HotAlloc})
-	wantFindings(t, fs, 0)
-}
-
 func TestDirectiveAudit(t *testing.T) {
 	pkgs := loadFixturePkgs(t, "./testdata/directive_pos")
 	fs := RunAll(pkgs, All())
@@ -288,56 +252,6 @@ func TestRepoIsClean(t *testing.T) {
 	fs := RunAll(pkgs, All())
 	for _, f := range fs {
 		t.Errorf("unexpected finding: %s", f)
-	}
-}
-
-// TestRepoHasNoallocSurface pins the enforcement surface: the wire codec,
-// the page pool, the delta journal's write path and the directory fast path
-// must keep their //lotec:noalloc annotations.
-func TestRepoHasNoallocSurface(t *testing.T) {
-	if testing.Short() {
-		t.Skip("loads several module packages")
-	}
-	l, err := NewLoader("../..")
-	if err != nil {
-		t.Fatalf("NewLoader: %v", err)
-	}
-	pkgs, err := l.Load("lotec/internal/wire", "lotec/internal/gdo", "lotec/internal/directory", "lotec/internal/pstore")
-	if err != nil {
-		t.Fatalf("Load: %v", err)
-	}
-	prog := NewProgram(pkgs)
-	g := prog.graph()
-	count := make(map[string]int)
-	marked := make(map[string]bool)
-	for _, fi := range g.sortedFuncs() {
-		if _, ok := noallocMark(fi); ok {
-			count[fi.pkg.Name]++
-			marked[fi.pkg.Name+"."+fi.decl.Name.Name] = true
-		}
-	}
-	for _, pkg := range []string{"wire", "gdo", "directory"} {
-		if count[pkg] == 0 {
-			t.Errorf("package %s has no //lotec:noalloc functions; the hot-path surface regressed", pkg)
-		}
-	}
-	// Pin the pooled data-plane and directory fast-path functions: losing
-	// one of these annotations silently drops it out of hotalloc's scope.
-	for _, fn := range []string{
-		"wire.GetFrame",
-		"wire.ReleaseFrame",
-		"pstore.GetPage",
-		"pstore.ReleasePage",
-		"pstore.insert",
-		"gdo.newHoldLocked",
-		"gdo.removeHolderLocked",
-		"gdo.buildWaitsForLocked",
-		"gdo.findDeadlockVictimLocked",
-		"gdo.waitEntriesSortedLocked",
-	} {
-		if !marked[fn] {
-			t.Errorf("%s is not marked //lotec:noalloc; the pooled hot-path surface regressed", fn)
-		}
 	}
 }
 

@@ -32,8 +32,6 @@ type intervalSet []Span
 // array is reused and grows only when a span that absorbs nothing does not
 // fit. Adjacent spans merge: the journal describes which bytes changed, so
 // touching [0,4) and [4,8) is exactly the span [0,8).
-//
-//lotec:noalloc
 func (s intervalSet) insert(off, n int) intervalSet {
 	if n <= 0 {
 		return s
@@ -51,7 +49,7 @@ func (s intervalSet) insert(off, n int) intervalSet {
 	}
 	if i == j { // absorbs nothing: open a slot at i
 		if len(s) == cap(s) {
-			grown := make(intervalSet, len(s), 2*len(s)+1) //lotec:alloc-ok — growth; the set keeps the capacity
+			grown := make(intervalSet, len(s), 2*len(s)+1) // growth; the set keeps the capacity
 			copy(grown, s)
 			s = grown
 		}

@@ -6,5 +6,4 @@ package pstore
 // ReleasePage stays a pure pool put. See poison_race.go.
 const pagePoison = false
 
-//lotec:noalloc
 func poisonPage([]byte) {}

@@ -8,8 +8,6 @@ package pstore
 const pagePoison = true
 
 // poisonPage fills a released page with a recognizable pattern.
-//
-//lotec:noalloc
 func poisonPage(b []byte) {
 	for i := range b {
 		b[i] = 0xDB

@@ -38,11 +38,9 @@ var boxPool = sync.Pool{
 
 // GetPage returns a buffer of exactly size bytes, from the pool when size
 // is at most a page. Its contents are unspecified.
-//
-//lotec:noalloc
 func GetPage(size int) []byte {
 	if size > DefaultPageSize {
-		return make([]byte, size) //lotec:alloc-ok — larger than a pool page; never pooled
+		return make([]byte, size) // larger than a pool page; never pooled
 	}
 	bp := pagePool.Get().(*[]byte)
 	buf := *bp
@@ -54,8 +52,6 @@ func GetPage(size int) []byte {
 // ReleasePage gives a buffer back to the pool. A buffer whose capacity is not
 // a page is dropped. Safe to call with buffers that did not come from
 // GetPage, and with nil.
-//
-//lotec:noalloc
 func ReleasePage(buf []byte) {
 	if cap(buf) != DefaultPageSize {
 		return

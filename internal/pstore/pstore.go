@@ -89,8 +89,6 @@ type objectMem struct {
 
 // page returns the resident page p, or nil if p is not resident or out of
 // range.
-//
-//lotec:noalloc
 func (om *objectMem) page(p ids.PageNum) *page {
 	if int(p) < 0 || int(p) >= len(om.pages) {
 		return nil
@@ -202,8 +200,6 @@ func (s *Store) Size(obj ids.ObjectID) (int, error) {
 }
 
 // HasPage reports whether the page is resident at this site.
-//
-//lotec:noalloc
 func (s *Store) HasPage(pid ids.PageID) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -213,8 +209,6 @@ func (s *Store) HasPage(pid ids.PageID) bool {
 
 // PageVersion returns the version of the locally resident copy of pid, or
 // ok=false if the page is not resident.
-//
-//lotec:noalloc
 func (s *Store) PageVersion(pid ids.PageID) (version uint64, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -226,8 +220,6 @@ func (s *Store) PageVersion(pid ids.PageID) (version uint64, ok bool) {
 }
 
 // lookupLocked returns the resident page, if any. Caller holds s.mu.
-//
-//lotec:noalloc
 func (s *Store) lookupLocked(pid ids.PageID) (*page, bool) {
 	om, ok := s.objects[pid.Object]
 	if !ok {
@@ -286,8 +278,6 @@ func (s *Store) PageCopy(pid ids.PageID) (data []byte, version uint64, err error
 // least PageSize long) and returns its version. It is the allocation-free
 // variant of PageCopy used by the xfer pipeline's pooled staging buffers,
 // and likewise ends the page's home-only state.
-//
-//lotec:noalloc
 func (s *Store) PageCopyInto(pid ids.PageID, buf []byte) (version uint64, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -386,8 +376,6 @@ func (s *Store) Write(obj ids.ObjectID, off int, data []byte) ([]ids.PageNum, er
 
 // checkBounds validates [off, off+n) against the object extent. Caller holds
 // s.mu.
-//
-//lotec:noalloc
 func (s *Store) checkBounds(om *objectMem, obj ids.ObjectID, off, n int) error {
 	size := len(om.pages) * s.pageSize
 	if off < 0 || n < 0 || off+n > size {
@@ -398,8 +386,6 @@ func (s *Store) checkBounds(om *objectMem, obj ids.ObjectID, off, n int) error {
 
 // DirtyPages returns the page numbers of obj that have been modified locally
 // since the last ClearDirty, in ascending order.
-//
-//lotec:noalloc
 func (s *Store) DirtyPages(obj ids.ObjectID) []ids.PageNum {
 	s.mu.Lock()
 	defer s.mu.Unlock()

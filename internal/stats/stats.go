@@ -29,9 +29,9 @@ const (
 	KindGrant                        // deferred grant GDO → site
 	KindRelease                      // global release → GDO (dirty info piggybacked)
 	KindReleaseReply
-	KindFetchReq  // retired with the single-object fetch; the number stays
-	KindPageData  // retired with the single-object fetch reply; the number stays
-	KindPush      // retired with the single-object RC push; the number stays
+	_             // 6–8 were the single-object fetch, fetch reply and RC push,
+	_             // retired for their Multi* forms; the numbers are not reused
+	_             // so that the later kinds keep theirs
 	KindPushReply // RC push acknowledgement
 	KindAbort     // deadlock-abort notification
 	KindRegister  // object registration → GDO (server mode)
@@ -76,12 +76,6 @@ func (k MsgKind) String() string {
 		return "release"
 	case KindReleaseReply:
 		return "release-reply"
-	case KindFetchReq:
-		return "fetch-req"
-	case KindPageData:
-		return "page-data"
-	case KindPush:
-		return "push"
 	case KindPushReply:
 		return "push-reply"
 	case KindAbort:
@@ -136,7 +130,7 @@ func (k MsgKind) String() string {
 // IsData reports whether the kind carries page payloads (consistency data)
 // as opposed to control information.
 func (k MsgKind) IsData() bool {
-	return k == KindPageData || k == KindPush || k == KindMultiPageData || k == KindMultiPush
+	return k == KindMultiPageData || k == KindMultiPush
 }
 
 // MsgRecord is one message of the trace. Obj attributes the message to the

@@ -11,8 +11,9 @@ import (
 
 func TestMsgKindStrings(t *testing.T) {
 	kinds := []MsgKind{KindLockReq, KindLockReply, KindGrant, KindRelease,
-		KindReleaseReply, KindFetchReq, KindPageData, KindPush, KindPushReply, KindAbort,
-		KindRegister, KindRegisterReply, KindRun, KindRunReply, KindError, KindOther}
+		KindReleaseReply, KindPushReply, KindAbort,
+		KindRegister, KindRegisterReply, KindRun, KindRunReply, KindError, KindOther,
+		KindMultiFetchReq, KindMultiPageData, KindMultiPush}
 	seen := map[string]bool{}
 	for _, k := range kinds {
 		s := k.String()
@@ -24,10 +25,10 @@ func TestMsgKindStrings(t *testing.T) {
 }
 
 func TestIsData(t *testing.T) {
-	if !KindPageData.IsData() || !KindPush.IsData() {
+	if !KindMultiPageData.IsData() || !KindMultiPush.IsData() {
 		t.Error("payload kinds must be data")
 	}
-	if KindLockReq.IsData() || KindGrant.IsData() || KindPushReply.IsData() {
+	if KindLockReq.IsData() || KindGrant.IsData() || KindPushReply.IsData() || KindMultiFetchReq.IsData() {
 		t.Error("control kinds must not be data")
 	}
 }
@@ -35,7 +36,7 @@ func TestIsData(t *testing.T) {
 func TestPerObjectAggregation(t *testing.T) {
 	r := NewRecorder()
 	r.Record(MsgRecord{From: 1, To: 2, Obj: 5, Kind: KindLockReq, Bytes: 100})
-	r.Record(MsgRecord{From: 2, To: 1, Obj: 5, Kind: KindPageData, Bytes: 4100, Payload: 4000})
+	r.Record(MsgRecord{From: 2, To: 1, Obj: 5, Kind: KindMultiPageData, Bytes: 4100, Payload: 4000})
 	r.Record(MsgRecord{From: 1, To: 2, Obj: 6, Kind: KindLockReq, Bytes: 50})
 
 	s5 := r.Object(5)
@@ -124,8 +125,8 @@ func TestTraceCopy(t *testing.T) {
 func TestTransferTime(t *testing.T) {
 	r := NewRecorder()
 	r.Record(MsgRecord{From: 1, To: 2, Obj: 5, Kind: KindLockReq, Bytes: 0})
-	r.Record(MsgRecord{From: 2, To: 1, Obj: 5, Kind: KindPageData, Bytes: 1000, Payload: 900})
-	r.Record(MsgRecord{From: 2, To: 1, Obj: 6, Kind: KindPageData, Bytes: 1000, Payload: 900})
+	r.Record(MsgRecord{From: 2, To: 1, Obj: 5, Kind: KindMultiPageData, Bytes: 1000, Payload: 900})
+	r.Record(MsgRecord{From: 2, To: 1, Obj: 6, Kind: KindMultiPageData, Bytes: 1000, Payload: 900})
 
 	p := netmodel.Params{Name: "t", BandwidthBps: 8e6, SoftwareCost: 10 * time.Microsecond}
 	// obj5: 2 msgs → 2×10µs software + 1000B×8/8Mbps = 1ms wire.

@@ -7,8 +7,8 @@ import (
 	"lotec/internal/ids"
 )
 
-// Steady-state allocation gates over the //lotec:noalloc data-plane
-// surface. testing.AllocsPerRun averages over enough iterations that pool
+// Steady-state allocation gates over the data plane's pooled frame path and
+// codec. testing.AllocsPerRun averages over enough iterations that pool
 // misses on the first pass amortize to zero; any real per-op allocation
 // shows up as ≥1. The gates are skipped in race builds, where ReleaseFrame
 // poisons frames and the runtime's instrumentation shifts allocation

@@ -55,13 +55,9 @@ var coders = sync.Pool{New: func() any { return new(coder) }}
 
 // getCoder returns a zero coder: an encoding walk with no buffer, which
 // sizes.
-//
-//lotec:noalloc
 func getCoder() *coder { return coders.Get().(*coder) }
 
 // putCoder returns c to the pool zeroed, so the pool keeps no frame alive.
-//
-//lotec:noalloc
 func putCoder(c *coder) {
 	*c = coder{}
 	coders.Put(c)
@@ -70,8 +66,6 @@ func putCoder(c *coder) {
 // fits is the bounds check on every decoded read: it reports whether the
 // walk has not failed and n more bytes remain, recording a short read when
 // they do not.
-//
-//lotec:noalloc
 func (c *coder) fits(n int) bool {
 	if c.err == nil && c.off+n > len(c.buf) {
 		c.err, c.need = ErrShortBuffer, n
@@ -82,8 +76,6 @@ func (c *coder) fits(n int) bool {
 // take consumes the next n bytes of a decoded body and returns them (nil
 // on a short read), with capacity capped so an append by a consumer
 // aliasing them cannot scribble over the fields that follow.
-//
-//lotec:noalloc
 func (c *coder) take(n int) []byte {
 	if !c.fits(n) {
 		return nil
@@ -95,8 +87,6 @@ func (c *coder) take(n int) []byte {
 
 // fault records a malformation found while decoding; it is a no-op when
 // encoding and once the walk has failed.
-//
-//lotec:noalloc
 func (c *coder) fault(err error) {
 	if c.decoding && c.err == nil {
 		c.err = err
@@ -105,8 +95,6 @@ func (c *coder) fault(err error) {
 
 // u8, u32 and u64 walk one fixed-width little-endian integer of any type
 // whose values fit the width: IDs, modes and counts.
-//
-//lotec:noalloc
 func u8[T ~uint8 | ~int](c *coder, v *T) {
 	if c.decoding {
 		if c.fits(1) {
@@ -121,7 +109,6 @@ func u8[T ~uint8 | ~int](c *coder, v *T) {
 	}
 }
 
-//lotec:noalloc
 func u32[T ~uint32 | ~int32](c *coder, v *T) {
 	if c.decoding {
 		if c.fits(4) {
@@ -136,7 +123,6 @@ func u32[T ~uint32 | ~int32](c *coder, v *T) {
 	}
 }
 
-//lotec:noalloc
 func u64[T ~uint64 | ~int64](c *coder, v *T) {
 	if c.decoding {
 		if c.fits(8) {
@@ -151,7 +137,6 @@ func u64[T ~uint64 | ~int64](c *coder, v *T) {
 	}
 }
 
-//lotec:noalloc
 func (c *coder) boolean(v *bool) {
 	b := uint8(0)
 	if *v {
@@ -163,19 +148,16 @@ func (c *coder) boolean(v *bool) {
 	}
 }
 
-//lotec:noalloc
 func txRef(c *coder, r *ids.TxRef) {
 	u64(c, &r.Tx)
 	u32(c, &r.Node)
 }
 
-//lotec:noalloc
 func pageLoc(c *coder, l *gdo.PageLoc) {
 	u32(c, &l.Node)
 	u64(c, &l.Version)
 }
 
-//lotec:noalloc
 func queuedReq(c *coder, q *gdo.QueuedReq) {
 	txRef(c, &q.Ref)
 	u8(c, &q.Mode)
@@ -184,8 +166,6 @@ func queuedReq(c *coder, q *gdo.QueuedReq) {
 // payload walks a length-prefixed byte or string field: encoding, it writes
 // b whole or not at all, and decoding, it returns the field's bytes in the
 // frame (nil when empty).
-//
-//lotec:noalloc
 func payload[B ~[]byte | ~string](c *coder, b B) []byte {
 	n := uint32(len(b))
 	u32(c, &n)
@@ -204,15 +184,13 @@ func payload[B ~[]byte | ~string](c *coder, b B) []byte {
 
 // bytes walks a byte field; a decoded one aliases the frame in view mode
 // and is a fresh copy otherwise.
-//
-//lotec:noalloc
 func (c *coder) bytes(b *[]byte) {
 	switch v := payload(c, *b); {
 	case v == nil:
 	case c.view:
 		*b = v
 	default:
-		*b = append([]byte(nil), v...) //lotec:alloc-ok — a copying decode owns its payloads
+		*b = append([]byte(nil), v...) // a copying decode owns its payloads
 	}
 }
 
@@ -225,18 +203,15 @@ func (c *coder) str(s *string) {
 
 // length walks a collection length, which a decoded frame may not claim
 // above limit.
-//
-//lotec:noalloc
 func (c *coder) length(n, limit int, what string) int {
 	v := uint32(n)
 	u32(c, &v)
 	return c.bounded(int(v), limit, what)
 }
 
-//lotec:noalloc
 func (c *coder) bounded(n, limit int, what string) int {
 	if c.decoding && c.err == nil && n > limit {
-		c.err = fmt.Errorf("wire: absurd %s %d", what, n) //lotec:alloc-ok — malformed frame poisons the walk
+		c.err = fmt.Errorf("wire: absurd %s %d", what, n) // malformed frame poisons the walk
 		return 0
 	}
 	return n
@@ -252,8 +227,6 @@ const sectionFlag = 1 << 31
 
 // flagged walks a collection length whose bit 31 flags an optional section,
 // returning the length and the flag.
-//
-//lotec:noalloc
 func (c *coder) flagged(n int, flag bool) (int, bool) {
 	v := uint32(n)
 	if flag {
@@ -266,8 +239,6 @@ func (c *coder) flagged(n int, flag bool) (int, bool) {
 // trailing walks the presence of an optional trailing section, which an
 // encoder writes only when present is true; a decoder finds it iff body
 // bytes remain.
-//
-//lotec:noalloc
 func (c *coder) trailing(present bool) bool {
 	if c.decoding {
 		return c.err == nil && c.off < len(c.buf)
@@ -276,32 +247,23 @@ func (c *coder) trailing(present bool) bool {
 }
 
 // list walks a counted collection, each element through el.
-//
-//lotec:noalloc
 func list[T any](c *coder, s *[]T, el func(*coder, *T)) {
 	items(c, s, c.length(len(*s), maxCount, "collection length"), el)
 }
 
 // items walks n elements of *s through el, appending each first when
 // decoding.
-//
-//lotec:noalloc
 func items[T any](c *coder, s *[]T, n int, el func(*coder, *T)) {
 	for i := 0; i < n && c.err == nil; i++ {
-		el(c, elem(c, s, i)) //lotec:alloc-ok — the walkers the //lotec:noalloc layouts pass are //lotec:noalloc too
+		el(c, elem(c, s, i))
 	}
 }
 
 // elem returns element i of *s, appending it first when decoding.
-//
-//lotec:noalloc
 func elem[T any](c *coder, s *[]T, i int) *T {
 	if c.decoding {
-		// Through a local: hotalloc admits growth only as x = append(x, …).
 		var zero T
-		grown := *s
-		grown = append(grown, zero)
-		*s = grown
+		*s = append(*s, zero)
 	}
 	return &(*s)[i]
 }
@@ -408,13 +370,11 @@ func decode(buf []byte, view bool) (Envelope, Msg, error) {
 
 // Element walkers of the message layouts.
 
-//lotec:noalloc
 func objRelease(c *coder, r *gdo.ObjectRelease) {
 	u64(c, &r.Obj)
 	list(c, &r.Dirty, u32[ids.PageNum])
 }
 
-//lotec:noalloc
 func pageStamp(c *coder, s *gdo.PageStamp) {
 	u64(c, &s.Obj)
 	u32(c, &s.Page)

@@ -3,6 +3,10 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"go/types"
 	"reflect"
 	"testing"
 
@@ -10,10 +14,8 @@ import (
 	"lotec/internal/stats"
 )
 
-// registeredTypes probes newMsg over the whole tag space — the codec's own
-// registry is the single source of truth, so a type added to the enum but
-// forgotten in newMsg shows up as a count mismatch here (and as a wiresync
-// lint finding).
+// registeredTypes probes newMsg over the whole tag space: the codec's own
+// registry of the messages it can decode.
 func registeredTypes(t *testing.T) map[MsgType]Msg {
 	t.Helper()
 	out := make(map[MsgType]Msg)
@@ -85,21 +87,62 @@ func fill(v reflect.Value, ctr *int64) {
 	}
 }
 
-// TestEveryRegisteredTypeRoundTripsAndClassifies is the runtime twin of the
-// wiresync analyzer: every message the codec can construct must (1) encode
-// to exactly Size bytes, (2) round-trip through Decode into a deep-equal
-// value, (3) classify to a non-KindOther stats record, and (4) echo its
-// Shard field into the record's shard attribution.
+// msgTypeEnum reads the MsgType enum out of wire.go: the tag of every named
+// constant, and the tags of the blank ones, which are retired.
+func msgTypeEnum(t *testing.T) (named map[MsgType]string, retired []MsgType) {
+	t.Helper()
+	f, err := parser.ParseFile(token.NewFileSet(), "wire.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, decl := range f.Decls {
+		gd, ok := decl.(*ast.GenDecl)
+		if !ok || gd.Tok != token.CONST {
+			continue
+		}
+		first := gd.Specs[0].(*ast.ValueSpec)
+		if typ, ok := first.Type.(*ast.Ident); !ok || typ.Name != "MsgType" {
+			continue
+		}
+		if len(first.Values) != 1 || types.ExprString(first.Values[0]) != "iota + 1" {
+			t.Fatal("the MsgType enum must start at iota + 1")
+		}
+		named = make(map[MsgType]string)
+		for i, spec := range gd.Specs {
+			tag, name := MsgType(i+1), spec.(*ast.ValueSpec).Names[0].Name
+			if name == "_" {
+				retired = append(retired, tag)
+			} else {
+				named[tag] = name
+			}
+		}
+		return named, retired
+	}
+	t.Fatal("wire.go declares no MsgType enum")
+	return nil, nil
+}
+
+// TestEveryRegisteredTypeRoundTripsAndClassifies holds the three places a
+// message type is named in sync: every tag of the MsgType enum must be
+// constructed by newMsg, and every message newMsg constructs must (1)
+// encode to exactly Size bytes, (2) round-trip through Decode into a
+// deep-equal value, (3) classify to a non-KindOther stats record, and (4)
+// echo its Shard field into the record's shard attribution.
 func TestEveryRegisteredTypeRoundTripsAndClassifies(t *testing.T) {
 	reg := registeredTypes(t)
-	// TRecall is the enum's last tag; tags 7–9 are retired holes.
-	if want := int(TRecall) - 3; len(reg) != want {
-		t.Fatalf("newMsg constructs %d types; the MsgType enum defines %d", len(reg), want)
+	named, retired := msgTypeEnum(t)
+	for tag, name := range named {
+		if _, ok := reg[tag]; !ok {
+			t.Errorf("%s (tag %d) has no newMsg case: Decode cannot build it", name, tag)
+		}
 	}
-	for tag := MsgType(7); tag <= 9; tag++ {
+	for _, tag := range retired {
 		if _, live := reg[tag]; live {
 			t.Errorf("retired tag %d decodes to a message again", tag)
 		}
+	}
+	if len(reg) != len(named) {
+		t.Fatalf("newMsg constructs %d types; the MsgType enum names %d", len(reg), len(named))
 	}
 	for tag, proto := range reg {
 		ctr := int64(0)
@@ -124,7 +167,7 @@ func TestEveryRegisteredTypeRoundTripsAndClassifies(t *testing.T) {
 
 		rec := Classify(m)
 		if rec.Kind == stats.KindOther {
-			t.Errorf("%T: Classify degrades to KindOther — add a case in classify.go (wiresync catches this statically)", m)
+			t.Errorf("%T: Classify degrades to KindOther — add a case in classify.go", m)
 		}
 		if rec.Bytes != Size(m) {
 			t.Errorf("%T: Classify records %d bytes, Size is %d", m, rec.Bytes, Size(m))

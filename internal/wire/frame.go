@@ -59,8 +59,6 @@ func newBox() any { return new([]byte) }
 
 // GetFrame returns a pooled buffer of length n from n's size class. The
 // contents are unspecified; callers overwrite every byte they frame.
-//
-//lotec:noalloc
 func GetFrame(n int) []byte {
 	pool := &bulkFrames
 	if n <= SmallFrame {
@@ -71,7 +69,7 @@ func GetFrame(n int) []byte {
 	*bp = nil
 	headerPool.Put(bp)
 	if cap(buf) < n {
-		return make([]byte, n, max(n, SmallFrame)) //lotec:alloc-ok — pool miss or growth; the buffer joins its class on release
+		return make([]byte, n, max(n, SmallFrame)) // pool miss or growth; the buffer joins its class on release
 	}
 	return buf[:n]
 }
@@ -80,8 +78,6 @@ func GetFrame(n int) []byte {
 // the pool of its capacity's class. Safe to call with buffers from other
 // sources; never call it with a sub-slice of a pooled frame (see the
 // ownership rules above).
-//
-//lotec:noalloc
 func ReleaseFrame(buf []byte) {
 	if cap(buf) == 0 {
 		return

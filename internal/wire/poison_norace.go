@@ -6,5 +6,4 @@ package wire
 // and ReleaseFrame stays a pure pool put. See poison_race.go.
 const framePoison = false
 
-//lotec:noalloc
 func poisonFrame([]byte) {}

@@ -9,8 +9,6 @@ package wire
 const framePoison = true
 
 // poisonFrame fills a released buffer with a recognizable pattern.
-//
-//lotec:noalloc
 func poisonFrame(b []byte) {
 	for i := range b {
 		b[i] = 0xDB

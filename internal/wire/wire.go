@@ -172,8 +172,6 @@ const adoptFlag = 0x80
 // The lock-protocol layouts (acquire/release/grant/abort) ride the
 // per-transaction fast path and are annotated allocation-free end to end;
 // the page-transfer layouts carry payload slices and are not.
-//
-//lotec:noalloc
 func (m *AcquireReq) layout(c *coder) {
 	u64(c, &m.ReqID)
 	u64(c, &m.Obj)
@@ -217,7 +215,6 @@ type AcquireResp struct {
 // Type implements Msg.
 func (*AcquireResp) Type() MsgType { return TAcquireResp }
 
-//lotec:noalloc
 func (m *AcquireResp) layout(c *coder) {
 	u64(c, &m.Obj)
 	u8(c, &m.Status)
@@ -250,7 +247,6 @@ type ReleaseReq struct {
 // Type implements Msg.
 func (*ReleaseReq) Type() MsgType { return TReleaseReq }
 
-//lotec:noalloc
 func (m *ReleaseReq) layout(c *coder) {
 	u64(c, &m.ReqID)
 	u64(c, &m.Family)
@@ -285,7 +281,6 @@ type ReleaseResp struct {
 // Type implements Msg.
 func (*ReleaseResp) Type() MsgType { return TReleaseResp }
 
-//lotec:noalloc
 func (m *ReleaseResp) layout(c *coder) {
 	u32(c, &m.Shard)
 	list(c, &m.Stamps, pageStamp)
@@ -316,7 +311,6 @@ type Grant struct {
 // Type implements Msg.
 func (*Grant) Type() MsgType { return TGrant }
 
-//lotec:noalloc
 func (m *Grant) layout(c *coder) {
 	u64(c, &m.Obj)
 	u64(c, &m.Family)
@@ -342,7 +336,6 @@ type Abort struct {
 // Type implements Msg.
 func (*Abort) Type() MsgType { return TAbort }
 
-//lotec:noalloc
 func (m *Abort) layout(c *coder) {
 	u64(c, &m.Obj)
 	u64(c, &m.Family)
@@ -365,7 +358,6 @@ type Recall struct {
 // Type implements Msg.
 func (*Recall) Type() MsgType { return TRecall }
 
-//lotec:noalloc
 func (m *Recall) layout(c *coder) {
 	u64(c, &m.Obj)
 	u64(c, &m.Family)

@@ -24,14 +24,10 @@ import (
 // ReleasePage gives a staged buffer back to the page pool; it is
 // pstore.ReleasePage, named here for callers of ServeFetch outside the
 // runtime (benchmark/probes.go).
-//
-//lotec:noalloc
 func ReleasePage(buf []byte) { pstore.ReleasePage(buf) }
 
 // ReleaseServed gives back every staged buffer of a reply ServeFetch built,
 // once nothing reads it any more.
-//
-//lotec:noalloc
 func ReleaseServed(resp *wire.MultiFetchResp) {
 	for _, op := range resp.Objs {
 		releasePayloads(op)
@@ -114,8 +110,6 @@ func ServeFetch(store *pstore.Store, rec *stats.Recorder, req *wire.MultiFetchRe
 }
 
 // releasePayloads hands one object's staged buffers back.
-//
-//lotec:noalloc
 func releasePayloads(op wire.ObjPayload) {
 	for _, pg := range op.Pages {
 		pstore.ReleasePage(pg.Data)

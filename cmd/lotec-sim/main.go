@@ -13,6 +13,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -63,7 +64,7 @@ func main() {
 		}
 		return
 	}
-	if err := run(*figure, *headline, *ablation, *fetchConc, *delta == "off", *faultPlan, *faultSeed); err != nil {
+	if err := run(os.Stdout, *figure, *headline, *ablation, *fetchConc, *delta == "off", *faultPlan, *faultSeed); err != nil {
 		fmt.Fprintln(os.Stderr, "lotec-sim:", err)
 		os.Exit(1)
 	}
@@ -220,7 +221,8 @@ func runWorkload(arg, jsonPath string, fetchConc int, deltaOff bool, faultPlan s
 	return nil
 }
 
-func run(figure string, headline bool, ablation string, fetchConc int, deltaOff bool, faultPlan string, faultSeed uint64) error {
+// run writes the requested figures, headline and ablations to w.
+func run(w io.Writer, figure string, headline bool, ablation string, fetchConc int, deltaOff bool, faultPlan string, faultSeed uint64) error {
 	var faults *fault.Plan
 	if faultPlan != "" {
 		plan, err := fault.Parse(faultPlan, faultSeed)
@@ -244,7 +246,7 @@ func run(figure string, headline bool, ablation string, fetchConc int, deltaOff 
 			if err != nil {
 				return err
 			}
-			fmt.Printf("(regenerated in %v)\n%s\n", time.Since(t0).Round(time.Millisecond), res.Render())
+			fmt.Fprintf(w, "(regenerated in %v)\n%s\n", time.Since(t0).Round(time.Millisecond), res.Render())
 		}
 	}
 	if headline {
@@ -252,7 +254,7 @@ func run(figure string, headline bool, ablation string, fetchConc int, deltaOff 
 		if err != nil {
 			return err
 		}
-		fmt.Println(out)
+		fmt.Fprintln(w, out)
 	}
 	if ablation != "" {
 		all := map[string]func() (string, error){
@@ -277,7 +279,7 @@ func run(figure string, headline bool, ablation string, fetchConc int, deltaOff 
 			if err != nil {
 				return err
 			}
-			fmt.Println(out)
+			fmt.Fprintln(w, out)
 		}
 	}
 	return nil

@@ -75,6 +75,27 @@ func (c *contendedDir) release(f ids.FamilyID, site ids.NodeID, commit bool, obj
 	c.events(events)
 }
 
+// queueRound is round 1: b's write request for x queues behind a's and is
+// granted on a's release.
+func (c *contendedDir) queueRound(x ids.ObjectID, a, b ids.FamilyID) {
+	c.acquire(x, a, 1, o2pl.Write, gdo.GrantedNow)
+	c.acquire(x, b, 2, o2pl.Write, gdo.Queued)
+	c.release(a, 1, false, x)
+	c.release(b, 2, false, x)
+}
+
+// cycleRound is round 2, a two-family cycle: b (younger) waits on y, which
+// a holds, and a's request for x, which b holds, closes the cycle; b is the
+// victim, and a is granted x once b releases it.
+func (c *contendedDir) cycleRound(x, y ids.ObjectID, a, b ids.FamilyID) {
+	c.acquire(y, a, 1, o2pl.Write, gdo.GrantedNow)
+	c.acquire(x, b, 2, o2pl.Write, gdo.GrantedNow)
+	c.acquire(y, b, 2, o2pl.Write, gdo.Queued)
+	c.acquire(x, a, 1, o2pl.Write, gdo.Queued)
+	c.release(b, 2, false, x)
+	c.release(a, 1, false, x, y)
+}
+
 // TestAllocsContendedAcquire gates the directory's contended path, the one
 // the uncontended gates never reach: parked requests, deferred grants, the
 // deadlock check and the recall of a site-retained grant. Each pass runs
@@ -104,23 +125,8 @@ func TestAllocsContendedAcquire(t *testing.T) {
 		c.got = c.got[:0]
 		fam += 10
 		a, b := fam+1, fam+2
-
-		// 1. Queue, then grant on release.
-		c.acquire(x, a, 1, o2pl.Write, gdo.GrantedNow)
-		c.acquire(x, b, 2, o2pl.Write, gdo.Queued)
-		c.release(a, 1, false, x)
-		c.release(b, 2, false, x)
-
-		// 2. A two-family cycle: b (younger) waits on y, which a holds, and
-		// a's request for x, which b holds, closes the cycle; b is the
-		// victim.
-		a, b = fam+3, fam+4
-		c.acquire(y, a, 1, o2pl.Write, gdo.GrantedNow)
-		c.acquire(x, b, 2, o2pl.Write, gdo.GrantedNow)
-		c.acquire(y, b, 2, o2pl.Write, gdo.Queued)
-		c.acquire(x, a, 1, o2pl.Write, gdo.Queued)
-		c.release(b, 2, false, x)
-		c.release(a, 1, false, x, y)
+		c.queueRound(x, a, b)
+		c.cycleRound(x, y, fam+3, fam+4)
 
 		// 3. Two readers both ask to upgrade: a waits for b, and b, younger,
 		// would wait for a, so b's own request is the one aborted; a
@@ -166,5 +172,45 @@ func TestAllocsContendedAcquire(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(500, pass); n > contendedAllocs {
 		t.Errorf("a pass over the contended rounds allocates %.2f, want ≤ %v", n, contendedAllocs)
+	}
+}
+
+// contendedAcrossAllocs is what one pass of
+// TestAllocsContendedAcquireAcrossShards allocates: exactly what its two
+// rounds allocate on one shard. A second shard's events need nothing more —
+// the router appends a victim's abort events to the acquire's own event
+// list — and the union graph is pooled and searched in place.
+const contendedAcrossAllocs = 32
+
+// TestAllocsContendedAcquireAcrossShards runs TestAllocsContendedAcquire's
+// first two rounds with x and y on different shards, at 2 and 4 shards, so
+// the cycle of round 2 is one that only the router's union graph shows.
+func TestAllocsContendedAcquireAcrossShards(t *testing.T) {
+	for _, shards := range []int{2, 4} {
+		c := &contendedDir{t: t, s: NewSharded(shards, 2)}
+		const x, y = 1, 2
+		for _, obj := range []ids.ObjectID{x, y} {
+			if err := c.s.Register(obj, 2, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if c.s.ShardOf(x) == c.s.ShardOf(y) {
+			t.Fatalf("shards=%d: x and y share shard %d", shards, c.s.ShardOf(x))
+		}
+		var fam ids.FamilyID
+		pass := func() {
+			c.got = c.got[:0]
+			fam += 10
+			c.queueRound(x, fam+1, fam+2)
+			c.cycleRound(x, y, fam+3, fam+4)
+		}
+		pass()
+		want := []gdo.EventKind{gdo.EventGrant, gdo.EventDeadlockAbort, gdo.EventGrant}
+		if !slices.Equal(c.got, want) {
+			t.Fatalf("shards=%d: a pass releases events %v, want %v", shards, c.got, want)
+		}
+		if n := testing.AllocsPerRun(500, pass); n > contendedAcrossAllocs {
+			t.Errorf("shards=%d: a pass over the queue and cycle rounds allocates %.2f, want ≤ %v", shards, n, contendedAcrossAllocs)
+		}
 	}
 }

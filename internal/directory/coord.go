@@ -1,30 +1,33 @@
-// Deadlock detection for the replicated control plane, in two tiers.
+// Deadlock detection for the replicated control plane, in two tiers. Both
+// run the one waits-for search (gdo.WaitGraph) over a graph the host keeps
+// under h.mu.
 //
 // Tier 1 — host-local union: a host serving several primary shards runs
 // the in-process Sharded router's detection (detect.go) over them. When an
-// acquire parks or a release re-points grants, it unions its own shards'
-// waits-for summaries and aborts the youngest family on any cycle reachable
-// from the trigger.
+// acquire parks or a release re-points grants, it appends its own shards'
+// waits-for edges into its graph and aborts the youngest family on any
+// cycle reachable from the trigger.
 // Decisions are replicated: the triggering shard's purge/abort rides the
 // client op's log entry, sibling shards get decision-only entries.
 //
 // Tier 2 — cross-host coordination: when primaries span hosts (spread
 // placement, or after a handoff), cycles can straddle hosts. Every
-// non-coordinator host pushes its local edge summary to the coordinator —
-// the shard-0 primary, a role that travels with the map — whenever the
-// summary changes, coalesced (one in-flight push, content-compared) and
-// version-stamped so reordered pushes cannot regress the view. The
-// coordinator unions the stored summaries with its own live edges, aborts
-// the youngest family per cycle, prunes the victim from its stored copies,
-// and fans AbortFamilyReq out to every other primary host. A stable cycle
-// is eventually fully visible (the last host to change re-pushes its whole
-// summary), and a phantom cycle assembled from stale summaries costs one
-// safe extra abort — the victim retries, exactly like a real victim.
+// non-coordinator host pushes its local edge summary — its sorted union
+// graph — to the coordinator, the shard-0 primary, a role that travels
+// with the map, whenever the summary changes, coalesced (one in-flight
+// push, content-compared) and version-stamped so reordered pushes cannot
+// regress the view. The coordinator appends the stored summaries to its own
+// live edges, aborts the youngest family per cycle, prunes the victim from
+// its stored copies, and fans AbortFamilyReq out to every other primary
+// host. A stable cycle is eventually fully visible (the last host to change
+// re-pushes its whole summary), and a phantom cycle assembled from stale
+// summaries costs one safe extra abort — the victim retries, exactly like a
+// real victim.
 
 package directory
 
 import (
-	"sort"
+	"slices"
 	"time"
 
 	"lotec/internal/gdo"
@@ -114,7 +117,7 @@ func (h *Host) victimIntoLocked(rep *replica, op *repOp, extras map[int]*repOp, 
 // shard sees). The decisions extend extras, which may be nil.
 func (h *Host) sweepIntoLocked(rep *replica, op *repOp, extras map[int]*repOp) map[int]*repOp {
 	var buf [8]*gdo.Directory
-	sweep(h.primaryDirsLocked(buf[:0]), func(victim ids.FamilyID) {
+	sweep(&h.graph, h.primaryDirsLocked(buf[:0]), func(victim ids.FamilyID) {
 		extras = h.victimIntoLocked(rep, op, extras, victim, false)
 	})
 	return extras
@@ -165,51 +168,6 @@ func (h *Host) markEdgesDirtyLocked(a *acts) {
 	a.proc(h.edgeSender)
 }
 
-// localSummaryLocked flattens the host-local union into wire form,
-// deterministically sorted.
-func (h *Host) localSummaryLocked() ([]wire.WaitEdge, []wire.FamilyAge) {
-	var edges []wire.WaitEdge
-	ageSet := make(map[ids.FamilyID]uint64)
-	h.forEachPrimaryLocked(func(_ int, rep *replica) {
-		es, shardAges := rep.dir.WaitEdges()
-		for _, e := range es {
-			edges = append(edges, wire.WaitEdge{From: e.From, To: e.To})
-		}
-		for f, age := range shardAges {
-			ageSet[f] = age
-		}
-	})
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].From != edges[j].From {
-			return edges[i].From < edges[j].From
-		}
-		return edges[i].To < edges[j].To
-	})
-	ages := make([]wire.FamilyAge, 0, len(ageSet))
-	for f, age := range ageSet {
-		ages = append(ages, wire.FamilyAge{Family: f, Age: age})
-	}
-	sort.Slice(ages, func(i, j int) bool { return ages[i].Family < ages[j].Family })
-	return edges, ages
-}
-
-func summariesEqual(e1, e2 []wire.WaitEdge, a1, a2 []wire.FamilyAge) bool {
-	if len(e1) != len(e2) || len(a1) != len(a2) {
-		return false
-	}
-	for i := range e1 {
-		if e1[i] != e2[i] {
-			return false
-		}
-	}
-	for i := range a1 {
-		if a1[i] != a2[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // edgeSender is the coalescing push proc: while the summary stays dirty
 // and actually different from the last acknowledged push, send it to the
 // coordinator. At most one instance runs per host.
@@ -222,8 +180,10 @@ func (h *Host) edgeSender() {
 			return
 		}
 		h.edgeDirty = false
-		edges, ages := h.localSummaryLocked()
-		if summariesEqual(edges, h.lastEdges, ages, h.lastAges) {
+		var buf [8]*gdo.Directory
+		unionInto(&h.graph, h.primaryDirsLocked(buf[:0]))
+		h.graph.Sort()
+		if slices.Equal(h.graph.Edges, h.lastEdges) && slices.Equal(h.graph.Ages, h.lastAges) {
 			h.mu.Unlock()
 			continue
 		}
@@ -234,6 +194,7 @@ func (h *Host) edgeSender() {
 			return
 		}
 		h.edgeVer++
+		edges, ages := slices.Clone(h.graph.Edges), slices.Clone(h.graph.Ages)
 		req := &wire.WaitEdgeUpdate{Ver: h.edgeVer, Epoch: h.cur.Epoch, Edges: edges, Ages: ages}
 		h.mu.Unlock()
 
@@ -279,35 +240,29 @@ func (h *Host) waitEdgesLocked(a *acts, from ids.NodeID, t *wire.WaitEdgeUpdate)
 	return &wire.WaitEdgeResp{Map: h.cur.Clone()}
 }
 
-// detectLocked runs coordinator detection over the union of this host's
-// live edges and every stored peer summary, aborting the youngest family
-// per cycle until the combined graph is acyclic.
+// detectLocked runs coordinator detection over this host's live edges and
+// every stored peer summary, aborting the youngest family per cycle until
+// the combined graph is acyclic. The host's own ages come first, then the
+// peers' in ascending node order, so its own win where they differ.
 func (h *Host) detectLocked(a *acts) {
+	peerIDs := make([]ids.NodeID, 0, len(h.peers))
+	for id := range h.peers {
+		peerIDs = append(peerIDs, id)
+	}
+	slices.Sort(peerIDs)
 	var buf [8]*gdo.Directory
 	for {
-		adj, ages := unionWaits(h.primaryDirsLocked(buf[:0]))
-		peerIDs := make([]ids.NodeID, 0, len(h.peers))
-		for id := range h.peers {
-			peerIDs = append(peerIDs, id)
-		}
-		sort.Slice(peerIDs, func(i, j int) bool { return peerIDs[i] < peerIDs[j] })
+		unionInto(&h.graph, h.primaryDirsLocked(buf[:0]))
 		for _, id := range peerIDs {
 			p := h.peers[id]
-			for _, e := range p.edges {
-				adj[e.From] = append(adj[e.From], e.To)
-			}
-			for _, fa := range p.ages {
-				if _, ok := ages[fa.Family]; !ok {
-					ages[fa.Family] = fa.Age
-				}
-			}
+			h.graph.Edges = append(h.graph.Edges, p.edges...)
+			h.graph.Ages = append(h.graph.Ages, p.ages...)
 		}
-		sortAdj(adj)
-		cycle := firstCycle(adj)
-		if len(cycle) == 0 {
+		h.graph.Sort()
+		victim, ok := h.graph.Victim()
+		if !ok {
 			return
 		}
-		victim := youngest(cycle, ages)
 		h.abortFamilyLocked(a, victim)
 		h.prunePeerFamilyLocked(victim)
 		h.fanoutAbortLocked(a, victim)

@@ -1,20 +1,25 @@
 // Inter-family deadlock detection across shards.
 //
-// Each shard detects cycles among its own waiters exactly as the single
-// directory does (gdo/deadlock.go). A cycle whose edges straddle shards —
-// family A queued on a shard-0 object family B holds while B is queued on a
-// shard-1 object A holds — is invisible to both shards individually, so the
-// router performs the paper-family of "edge chasing" in its simplest sound
-// form: every shard exports its waits-for edge summary (gdo.WaitEdges) and
-// the router unions them and searches the combined graph. In this
-// in-process router aggregation runs synchronously at the two moments the
-// graph can gain an edge or re-point one — when an acquire parks
-// (Acquire → Queued) and after a release hands locks to new holders —
+// Each shard detects cycles among its own waiters (gdo/deadlock.go). A cycle
+// whose edges straddle shards — family A queued on a shard-0 object family
+// B holds while B is queued on a shard-1 object A holds — is invisible to
+// both shards individually, so the router performs the paper-family of
+// "edge chasing" in its simplest sound form: every shard appends its
+// waits-for edges and ages to one reused gdo.WaitGraph, and the router runs
+// the shards' own search (gdo.WaitGraph) over the union. There is one
+// search and one victim policy — the youngest (largest-age) waiting family
+// on the cycle, FamilyID tie-break, neighbours visited in ascending order,
+// wound-wait stable ages, so a repeatedly victimized root eventually
+// becomes oldest and cannot starve — whether one shard, a router, a host or
+// the tier-2 coordinator (coord.go) runs it.
+//
+// In this in-process router aggregation runs synchronously at the two
+// moments the graph can gain an edge or re-point one — when an acquire
+// parks (Acquire → Queued) and after a release hands locks to new holders —
 // rather than on a timer, so detection latency is zero and simulation runs
-// stay deterministic. Victim selection matches the shard-local policy:
-// the youngest (largest-age) waiting family on the cycle, FamilyID
-// tie-break, wound-wait stable ages, so a repeatedly victimized root
-// eventually becomes oldest and cannot starve.
+// stay deterministic. A parked acquire builds the union only when some
+// shard has a family waiting on a lock the requester holds: a cycle through
+// the requester needs that edge.
 //
 // The router (Sharded, over all its shards) and the replicated host (Host,
 // over the shards it serves as primary) run the same detection below, over
@@ -29,109 +34,24 @@
 package directory
 
 import (
-	"sort"
+	"sync"
 
 	"lotec/internal/gdo"
 	"lotec/internal/ids"
 )
 
-// unionWaits aggregates the directories' waits-for edge summaries into one
-// adjacency map (deterministically ordered) plus the waiting families'
-// ages.
-func unionWaits(dirs []*gdo.Directory) (map[ids.FamilyID][]ids.FamilyID, map[ids.FamilyID]uint64) {
-	adj := make(map[ids.FamilyID][]ids.FamilyID)
-	ages := make(map[ids.FamilyID]uint64)
+// graphs pools the union graphs of Sharded routers, which are called
+// concurrently: each search takes a graph and puts it back.
+var graphs = sync.Pool{New: func() any { return new(gdo.WaitGraph) }}
+
+// unionInto resets g to the union of the directories' waits-for relations,
+// unsorted. Ages follow directory order, so where they differ the first
+// directory's wins once g is sorted.
+func unionInto(g *gdo.WaitGraph, dirs []*gdo.Directory) {
+	g.Reset()
 	for _, d := range dirs {
-		edges, shardAges := d.WaitEdges()
-		for _, e := range edges {
-			adj[e.From] = append(adj[e.From], e.To)
-		}
-		for f, age := range shardAges {
-			ages[f] = age
-		}
+		d.AppendWaits(g)
 	}
-	sortAdj(adj)
-	return adj, ages
-}
-
-func sortAdj(adj map[ids.FamilyID][]ids.FamilyID) {
-	//lotec:unordered — per-key in-place sort; no cross-key state.
-	for f := range adj {
-		tos := adj[f]
-		sort.Slice(tos, func(i, j int) bool { return tos[i] < tos[j] })
-	}
-}
-
-// findCycleFrom runs the same colored DFS the shard-local detector uses,
-// over an arbitrary adjacency, and returns the first cycle reachable from
-// start (empty if none).
-func findCycleFrom(adj map[ids.FamilyID][]ids.FamilyID, start ids.FamilyID) []ids.FamilyID {
-	const (
-		white = 0
-		gray  = 1
-		black = 2
-	)
-	color := make(map[ids.FamilyID]int)
-	var stack []ids.FamilyID
-	var cycle []ids.FamilyID
-
-	var dfs func(f ids.FamilyID) bool
-	dfs = func(f ids.FamilyID) bool {
-		color[f] = gray
-		stack = append(stack, f)
-		for _, g := range adj[f] {
-			switch color[g] {
-			case white:
-				if dfs(g) {
-					return true
-				}
-			case gray:
-				for i := len(stack) - 1; i >= 0; i-- {
-					cycle = append(cycle, stack[i])
-					if stack[i] == g {
-						break
-					}
-				}
-				return true
-			}
-		}
-		stack = stack[:len(stack)-1]
-		color[f] = black
-		return false
-	}
-	if !dfs(start) {
-		return nil
-	}
-	return cycle
-}
-
-// firstCycle scans the adjacency in deterministic start order and returns
-// the first cycle found.
-func firstCycle(adj map[ids.FamilyID][]ids.FamilyID) []ids.FamilyID {
-	starts := make([]ids.FamilyID, 0, len(adj))
-	for f := range adj {
-		starts = append(starts, f)
-	}
-	sort.Slice(starts, func(i, j int) bool { return starts[i] < starts[j] })
-	for _, f := range starts {
-		if cycle := findCycleFrom(adj, f); len(cycle) > 0 {
-			return cycle
-		}
-	}
-	return nil
-}
-
-// youngest picks the victim from a cycle: largest age, FamilyID tie-break —
-// identical to the shard-local policy.
-func youngest(cycle []ids.FamilyID, ages map[ids.FamilyID]uint64) ids.FamilyID {
-	victim := cycle[0]
-	for _, f := range cycle[1:] {
-		av, af := ages[victim], ages[f]
-		if af > av || (af == av && f > victim) {
-			victim = f
-		}
-	}
-	return victim
 }
 
 // crossShardPossible is the O(1)-per-shard precheck gating every union
@@ -154,41 +74,56 @@ func crossShardPossible(dirs []*gdo.Directory) bool {
 	return false
 }
 
-// findVictimFrom searches the union waits-for graph for a cycle reachable
-// from start and returns the youngest waiting family on it.
-func findVictimFrom(dirs []*gdo.Directory, start ids.FamilyID) (ids.FamilyID, bool) {
-	if !crossShardPossible(dirs) {
-		return 0, false
+// waitedOn reports whether some family waits, in any of the directories,
+// for a lock f holds.
+func waitedOn(dirs []*gdo.Directory, f ids.FamilyID) bool {
+	for _, d := range dirs {
+		if d.WaitedOn(f) {
+			return true
+		}
 	}
-	adj, ages := unionWaits(dirs)
-	cycle := findCycleFrom(adj, start)
-	if len(cycle) == 0 {
-		return 0, false
-	}
-	return youngest(cycle, ages), true
+	return false
 }
 
-// sweep repeatedly searches the union graph and hands the youngest family
-// of each cycle to abort until the graph is acyclic. It runs after releases
-// and adoptions, where grant re-pointing can close cycles no single shard
-// sees; it is bounded because every abort removes at least one waiting
-// family.
-func sweep(dirs []*gdo.Directory, abort func(victim ids.FamilyID)) {
+// findVictimFrom searches the union waits-for graph, built in g, for a
+// cycle reachable from start and returns the youngest waiting family on it.
+func findVictimFrom(g *gdo.WaitGraph, dirs []*gdo.Directory, start ids.FamilyID) (ids.FamilyID, bool) {
+	if !crossShardPossible(dirs) || !waitedOn(dirs, start) {
+		return 0, false
+	}
+	unionInto(g, dirs)
+	g.Sort()
+	return g.VictimFrom(start)
+}
+
+// sweep repeatedly searches the union graph, built in g, and hands the
+// youngest family of each cycle to abort until the graph is acyclic. It
+// runs after releases and adoptions, where grant re-pointing can close
+// cycles no single shard sees; it is bounded because every abort removes at
+// least one waiting family.
+func sweep(g *gdo.WaitGraph, dirs []*gdo.Directory, abort func(victim ids.FamilyID)) {
 	for crossShardPossible(dirs) {
-		adj, ages := unionWaits(dirs)
-		cycle := firstCycle(adj)
-		if len(cycle) == 0 {
+		unionInto(g, dirs)
+		g.Sort()
+		victim, ok := g.Victim()
+		if !ok {
 			return
 		}
-		abort(youngest(cycle, ages))
+		abort(victim)
 	}
 }
 
-// abortVictim cancels the victim's waits on every shard and collects the
-// deadlock-abort events for its site(s), each stamped with the shard it
-// came from.
-func (s *Sharded) abortVictim(victim ids.FamilyID) []gdo.Event {
-	var events []gdo.Event
+// victimFrom is findVictimFrom over the router's shards, on a pooled graph.
+func (s *Sharded) victimFrom(start ids.FamilyID) (ids.FamilyID, bool) {
+	g := graphs.Get().(*gdo.WaitGraph)
+	defer graphs.Put(g)
+	return findVictimFrom(g, s.shards, start)
+}
+
+// abortVictim cancels the victim's waits on every shard and appends the
+// deadlock-abort events for its site(s) to events, each stamped with the
+// shard it came from.
+func (s *Sharded) abortVictim(events []gdo.Event, victim ids.FamilyID) []gdo.Event {
 	for i, sh := range s.shards {
 		events = append(events, stamp(i, sh.AbortVictim(victim))...)
 	}
@@ -198,9 +133,11 @@ func (s *Sharded) abortVictim(victim ids.FamilyID) []gdo.Event {
 // sweep aborts the youngest family of each cross-shard cycle until the
 // router's union graph is acyclic, and returns the abort events.
 func (s *Sharded) sweep() []gdo.Event {
+	g := graphs.Get().(*gdo.WaitGraph)
+	defer graphs.Put(g)
 	var events []gdo.Event
-	sweep(s.shards, func(victim ids.FamilyID) {
-		events = append(events, s.abortVictim(victim)...)
+	sweep(g, s.shards, func(victim ids.FamilyID) {
+		events = s.abortVictim(events, victim)
 	})
 	return events
 }

@@ -16,11 +16,11 @@
 //     (HomeNode) so the simulation charges global lock traffic to the same
 //     partition the deployment would consult.
 //   - Inter-family deadlock detection across shards: each shard detects
-//     cycles among its own waiters exactly as before, and additionally
-//     exports a waits-for edge summary (gdo.WaitEdges); the router unions
-//     the summaries and searches the combined graph, so a cycle whose
-//     edges straddle shards is still found and the youngest family on it
-//     is still the victim. See detect.go.
+//     cycles among its own waiters, and additionally appends its waits-for
+//     edges to one union graph (gdo.Directory.AppendWaits); the router runs
+//     the shards' own search over it, so a cycle whose edges straddle
+//     shards is still found and the youngest family on it is still the
+//     victim. See detect.go.
 //
 // There is no commit order to keep across shards: strict nested O2PL holds
 // every lock of a family until its root commits, so the serialization order
@@ -267,7 +267,7 @@ func (s *Sharded) afterAcquire(shard int, family ids.FamilyID, res gdo.AcquireRe
 	}
 	events = stamp(shard, events)
 	if len(s.shards) > 1 && res.Status == gdo.Queued {
-		if victim, cycle := findVictimFrom(s.shards, family); cycle {
+		if victim, cycle := s.victimFrom(family); cycle {
 			if victim == family {
 				// Mirror the single directory's self-victim path: drop the
 				// family's parked requests everywhere, silently — the
@@ -277,7 +277,7 @@ func (s *Sharded) afterAcquire(shard int, family ids.FamilyID, res gdo.AcquireRe
 				}
 				return gdo.AcquireResult{Status: gdo.DeadlockAbort}, events, nil
 			}
-			events = append(events, s.abortVictim(victim)...)
+			events = s.abortVictim(events, victim)
 		}
 	}
 	return res, events, nil

@@ -85,12 +85,14 @@ type Host struct {
 	reps   map[int]*replica
 	reqCtr uint64
 
-	// Cross-host deadlock detection (coord.go).
+	// Deadlock detection (coord.go): the graph both tiers search, then the
+	// tier-2 push state and the coordinator's stored peer summaries.
+	graph       gdo.WaitGraph
 	edgeVer     uint64
 	edgeDirty   bool
 	edgeSending bool
-	lastEdges   []wire.WaitEdge
-	lastAges    []wire.FamilyAge
+	lastEdges   []gdo.WaitEdge
+	lastAges    []gdo.FamilyAge
 	peers       map[ids.NodeID]peerSummary
 }
 
@@ -148,8 +150,8 @@ type parkedOp struct {
 // waits-for graph.
 type peerSummary struct {
 	ver   uint64
-	edges []wire.WaitEdge
-	ages  []wire.FamilyAge
+	edges []gdo.WaitEdge
+	ages  []gdo.FamilyAge
 }
 
 // NewHost builds the host and instantiates a replica for every shard the
@@ -487,7 +489,7 @@ func (h *Host) applyLocked(rep *replica, op *repOp) (map[int]*repOp, wire.Msg) {
 		op.events = stamp(rep.shard, events)
 		if resp.Status == gdo.Queued {
 			var buf [8]*gdo.Directory
-			if victim, found := findVictimFrom(h.primaryDirsLocked(buf[:0]), t.Family); found {
+			if victim, found := findVictimFrom(&h.graph, h.primaryDirsLocked(buf[:0]), t.Family); found {
 				extras = h.victimIntoLocked(rep, op, nil, victim, victim == t.Family)
 				if victim == t.Family {
 					resp = &wire.AcquireResp{Obj: t.Obj, Status: gdo.DeadlockAbort, Shard: t.Shard}

@@ -18,31 +18,50 @@ import (
 // (wound-wait style), so a repeatedly victimized root eventually becomes
 // the oldest in any cycle and is guaranteed to win — no starvation.
 //
+// The search over the relation is WaitGraph's, and it is the only one:
+// this directory runs it over its own waits, and package directory runs it
+// over the union of several directories' waits (shards of one router or one
+// host) and over the summaries other hosts push. Every detector therefore
+// decides alike: the same traversal order, the same victim.
+//
 // The detector runs on every release that re-points waiters (the directory's
-// steady-state hot path), so all of its working state — the flat edge list,
-// the DFS stack, the color and age maps — lives in a per-Directory scratch
-// area (wfScratch) that is reused across calls. A run allocates only while
-// the graph outgrows every previous one; at steady state it allocates
-// nothing. The maps are clear()ed, not reallocated: Go map clears keep the
-// buckets.
+// steady-state hot path), so all of its working state — the flat edge and
+// age lists, the DFS stack and the color map — lives in a WaitGraph that is
+// reused across calls. A run allocates only while the graph outgrows every
+// previous one; at steady state it allocates nothing. The map is clear()ed,
+// not reallocated: Go map clears keep the buckets.
 
 // WaitEdge is one family-level waits-for edge: From is queued (or upgrading)
-// behind a lock To currently holds. Edge summaries are what a partitioned
-// directory's shards exchange so inter-shard cycles stay detectable (see
-// package directory).
+// behind a lock To currently holds.
 type WaitEdge struct {
 	From ids.FamilyID
 	To   ids.FamilyID
 }
 
-// wfScratch is the detector's reusable working state. Guarded by d.mu; only
-// valid within one locked call.
-type wfScratch struct {
-	edges []WaitEdge              // flat adjacency, sorted by (From, To)
-	ages  map[ids.FamilyID]uint64 // waiting family → deadlock age
-	color map[ids.FamilyID]uint8  // DFS colors (white=absent, gray, black)
-	stack []wfFrame               // iterative DFS stack
-	cycle []ids.FamilyID          // cycle members, stack-top first
+// FamilyAge pairs a waiting family with its deadlock age.
+type FamilyAge struct {
+	Family ids.FamilyID
+	Age    uint64
+}
+
+// WaitGraph is a family-level waits-for graph and the reusable working
+// state of the cycle search over it. Fill it with Reset and AppendWaits
+// (once per directory) or by appending to Edges and Ages, then Sort it
+// before a search. The zero value is an empty graph. A graph is not safe for
+// concurrent use.
+type WaitGraph struct {
+	// Edges is the flat adjacency, sorted by (From, To) after Sort, so each
+	// family's neighbours are a contiguous ascending run. Duplicates are
+	// harmless.
+	Edges []WaitEdge
+	// Ages holds the deadlock age of every waiting family, one entry per
+	// family sorted by Family after Sort. Where a family was appended more
+	// than once, the first entry wins.
+	Ages []FamilyAge
+
+	color map[ids.FamilyID]uint8 // DFS colors (white=absent, gray, black)
+	stack []wfFrame              // iterative DFS stack
+	cycle []ids.FamilyID         // cycle members, stack-top first
 }
 
 // wfFrame is one iterative-DFS stack slot: a gray family and the index of
@@ -58,6 +77,164 @@ const (
 	wfBlack uint8 = 2
 )
 
+// Reset empties the graph, keeping its storage.
+func (g *WaitGraph) Reset() {
+	g.Edges = g.Edges[:0]
+	g.Ages = g.Ages[:0]
+}
+
+// Sort orders the edges by (From, To) and the ages by family, keeping only
+// the first age appended for each family.
+func (g *WaitGraph) Sort() {
+	slices.SortFunc(g.Edges, cmpWaitEdge)
+	slices.SortStableFunc(g.Ages, cmpFamilyAge)
+	g.Ages = slices.CompactFunc(g.Ages, sameFamily)
+}
+
+// VictimFrom looks for a waits-for cycle reachable from start and, if one
+// exists, returns the youngest waiting family on it.
+func (g *WaitGraph) VictimFrom(start ids.FamilyID) (ids.FamilyID, bool) {
+	if len(g.Edges) == 0 {
+		return 0, false
+	}
+	g.clearColors()
+	if !g.dfs(start) {
+		return 0, false
+	}
+	return g.youngest(), true
+}
+
+// Victim looks for any cycle, trying starts in ascending family order, and
+// returns the youngest waiting family on the first one found. A family
+// left black by an earlier start reaches no cycle, so it is not tried again.
+func (g *WaitGraph) Victim() (ids.FamilyID, bool) {
+	if len(g.Edges) == 0 {
+		return 0, false
+	}
+	g.clearColors()
+	for i, e := range g.Edges {
+		if i > 0 && g.Edges[i-1].From == e.From || g.color[e.From] != 0 {
+			continue
+		}
+		if g.dfs(e.From) {
+			return g.youngest(), true
+		}
+	}
+	return 0, false
+}
+
+func (g *WaitGraph) clearColors() {
+	if g.color == nil {
+		g.color = make(map[ids.FamilyID]uint8) // first use; the map is reused (clear keeps buckets)
+	}
+	clear(g.color)
+}
+
+// dfs runs an iterative white/gray/black DFS from start, visiting each gray
+// family's neighbours in ascending order. On reaching a gray family it
+// leaves the cycle in g.cycle and reports true; otherwise every family it
+// reached ends black.
+func (g *WaitGraph) dfs(start ids.FamilyID) bool {
+	g.stack = g.stack[:0]
+	g.cycle = g.cycle[:0]
+	g.color[start] = wfGray
+	g.stack = append(g.stack, wfFrame{fam: start, next: g.neighbors(start)})
+	for len(g.stack) > 0 {
+		top := &g.stack[len(g.stack)-1]
+		if top.next >= len(g.Edges) || g.Edges[top.next].From != top.fam {
+			// Neighbors exhausted: blacken and pop.
+			g.color[top.fam] = wfBlack
+			g.stack = g.stack[:len(g.stack)-1]
+			continue
+		}
+		f := g.Edges[top.next].To
+		top.next++
+		switch g.color[f] {
+		case wfGray:
+			// Found a cycle: the stack suffix from f onward, top first.
+			for i := len(g.stack) - 1; i >= 0; i-- {
+				g.cycle = append(g.cycle, g.stack[i].fam)
+				if g.stack[i].fam == f {
+					break
+				}
+			}
+			return true
+		case wfBlack:
+			// Explored and cycle-free; skip.
+		default:
+			g.color[f] = wfGray
+			g.stack = append(g.stack, wfFrame{fam: f, next: g.neighbors(f)})
+		}
+	}
+	return false
+}
+
+// neighbors returns the index of f's first outgoing edge in the sorted edge
+// list (or of the first edge past where it would be).
+func (g *WaitGraph) neighbors(f ids.FamilyID) int {
+	lo, hi := 0, len(g.Edges)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if g.Edges[mid].From < f {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// youngest picks the victim from the cycle dfs found: the largest age, with
+// a FamilyID tie-break for determinism. Every cycle member waits, so each
+// has an age.
+func (g *WaitGraph) youngest() ids.FamilyID {
+	victim := g.cycle[0]
+	for _, f := range g.cycle[1:] {
+		av, af := g.age(victim), g.age(f)
+		if af > av || (af == av && f > victim) {
+			victim = f
+		}
+	}
+	return victim
+}
+
+// age returns f's deadlock age (0 if f is not waiting).
+func (g *WaitGraph) age(f ids.FamilyID) uint64 {
+	if i, ok := slices.BinarySearchFunc(g.Ages, f, cmpAgeFamily); ok {
+		return g.Ages[i].Age
+	}
+	return 0
+}
+
+// cmpWaitEdge orders edges by (From, To).
+func cmpWaitEdge(a, b WaitEdge) int {
+	switch {
+	case a.From < b.From:
+		return -1
+	case a.From > b.From:
+		return 1
+	case a.To < b.To:
+		return -1
+	case a.To > b.To:
+		return 1
+	}
+	return 0
+}
+
+func cmpFamilyAge(a, b FamilyAge) int { return cmpAgeFamily(a, b.Family) }
+
+func cmpAgeFamily(a FamilyAge, f ids.FamilyID) int {
+	switch {
+	case a.Family < f:
+		return -1
+	case a.Family > f:
+		return 1
+	}
+	return 0
+}
+
+func sameFamily(a, b FamilyAge) bool { return a.Family == b.Family }
+
 // HasWaiters reports whether any family is queued or upgrading here. The
 // sharded router uses it as an O(1) precheck: a cycle spanning shards needs
 // waiting families in at least two of them.
@@ -67,27 +244,24 @@ func (d *Directory) HasWaiters() bool {
 	return len(d.waitObjs) > 0
 }
 
-// WaitEdges summarizes this directory's waits-for relation: the edge list
-// plus the waiting families' deadlock ages. The sharded router unions the
-// summaries of every shard and runs the same cycle search findDeadlockVictimLocked
-// performs locally. The returned slice and map are the caller's to keep —
-// they are copied out of the detector's scratch.
-func (d *Directory) WaitEdges() ([]WaitEdge, map[ids.FamilyID]uint64) {
+// WaitedOn reports whether some other family waits here for a lock f
+// holds. A cycle through f needs such an edge, so a router that finds none
+// in any directory can skip the search for one.
+func (d *Directory) WaitedOn(f ids.FamilyID) bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.buildWaitsForLocked()
-	var edges []WaitEdge
-	var ages map[ids.FamilyID]uint64
-	if len(d.wf.edges) > 0 {
-		edges = append(edges, d.wf.edges...)
-	}
-	if len(d.wf.ages) > 0 {
-		ages = make(map[ids.FamilyID]uint64, len(d.wf.ages))
-		for f, a := range d.wf.ages {
-			ages[f] = a
-		}
-	}
-	return edges, ages
+	return d.waitedOnLocked(f)
+}
+
+// AppendWaits appends this directory's waits-for relation to g, unsorted:
+// a queued family waits on every holder of that object; an upgrading
+// family waits on every *other* holder. The sharded router and the
+// replicated host append several directories into one graph and search the
+// union.
+func (d *Directory) AppendWaits(g *WaitGraph) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.appendWaitsLocked(g)
 }
 
 // AbortVictim cancels every queued request and pending upgrade of victim in
@@ -112,78 +286,29 @@ func (d *Directory) PurgeFamily(family ids.FamilyID) {
 	d.purgeFamilyLocked(family)
 }
 
-// buildWaitsForLocked derives the waits-for relation from current directory
-// state into the reused scratch: a queued family waits on every holder of
-// that object; an upgrading family waits on every *other* holder. The edge
-// list ends sorted by (From, To), so each family's neighbors are a
-// contiguous ascending run — the deterministic traversal order the old
-// per-key sort provided, without the per-call maps. Caller holds d.mu.
-func (d *Directory) buildWaitsForLocked() {
-	d.wf.edges = d.wf.edges[:0]
-	if d.wf.ages == nil {
-		d.wf.ages = make(map[ids.FamilyID]uint64) // first use; the map is reused (clear keeps buckets)
-	}
-	clear(d.wf.ages)
-	if len(d.waitObjs) == 0 {
-		return
-	}
-	// Only entries someone waits on can contribute edges; waitObjs indexes
-	// exactly those, so idle directories pay nothing here. The edge multiset
-	// is map-order independent: it is sorted before any traversal.
+// appendWaitsLocked is AppendWaits with d.mu held. Only entries someone
+// waits on can contribute edges; waitObjs indexes exactly those, so idle
+// directories add nothing.
+func (d *Directory) appendWaitsLocked(g *WaitGraph) {
+	//lotec:unordered — g is sorted before any search; a family's requests all carry its one age.
 	for _, e := range d.waitObjs {
 		for _, q := range e.queues {
-			d.wf.ages[q.family] = q.age
+			g.Ages = append(g.Ages, FamilyAge{Family: q.family, Age: q.age})
 			for _, h := range e.holders {
 				if q.family != h.family {
-					d.wf.edges = append(d.wf.edges, WaitEdge{From: q.family, To: h.family})
+					g.Edges = append(g.Edges, WaitEdge{From: q.family, To: h.family})
 				}
 			}
 		}
 		for _, u := range e.upgrades {
-			d.wf.ages[u.family] = u.age
+			g.Ages = append(g.Ages, FamilyAge{Family: u.family, Age: u.age})
 			for _, h := range e.holders {
 				if u.family != h.family {
-					d.wf.edges = append(d.wf.edges, WaitEdge{From: u.family, To: h.family})
+					g.Edges = append(g.Edges, WaitEdge{From: u.family, To: h.family})
 				}
 			}
 		}
 	}
-	slices.SortFunc(d.wf.edges, cmpWaitEdge)
-}
-
-// cmpWaitEdge orders edges by (From, To).
-func cmpWaitEdge(a, b WaitEdge) int {
-	switch {
-	case a.From < b.From:
-		return -1
-	case a.From > b.From:
-		return 1
-	case a.To < b.To:
-		return -1
-	case a.To > b.To:
-		return 1
-	}
-	return 0
-}
-
-// neighborsLocked returns the index range [lo, hi) of f's outgoing edges in
-// the sorted scratch edge list. Caller holds d.mu after buildWaitsForLocked.
-func (d *Directory) neighborsLocked(f ids.FamilyID) (int, int) {
-	edges := d.wf.edges
-	lo, hi := 0, len(edges)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if edges[mid].From < f {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	end := lo
-	for end < len(edges) && edges[end].From == f {
-		end++
-	}
-	return lo, end
 }
 
 // waitedOnLocked reports whether some other family waits for a lock f
@@ -225,10 +350,10 @@ func (d *Directory) breakCyclesLocked(start ids.FamilyID) (events []Event, self 
 	}
 }
 
-// findDeadlockVictimLocked looks for a waits-for cycle reachable from start and,
-// if one exists, returns the youngest waiting family on it. It runs on the
-// scratch graph with an iterative DFS — no per-call maps, slices or
-// closures. Caller holds d.mu.
+// findDeadlockVictimLocked looks for a waits-for cycle reachable from start
+// and, if one exists, returns the youngest waiting family on it. It builds
+// this directory's graph into the reused d.wf and searches it. Caller holds
+// d.mu.
 //
 // Its only caller is breakCyclesLocked, so the graph is acyclic between
 // directory calls and a cycle can only run through start's own new edges.
@@ -238,63 +363,8 @@ func (d *Directory) findDeadlockVictimLocked(start ids.FamilyID) (ids.FamilyID, 
 	if !d.waitedOnLocked(start) {
 		return 0, false
 	}
-	d.buildWaitsForLocked()
-	if len(d.wf.edges) == 0 {
-		return 0, false
-	}
-	if d.wf.color == nil {
-		d.wf.color = make(map[ids.FamilyID]uint8) // first use; the map is reused (clear keeps buckets)
-	}
-	clear(d.wf.color)
-	d.wf.stack = d.wf.stack[:0]
-	d.wf.cycle = d.wf.cycle[:0]
-
-	// Iterative white/gray/black DFS, visiting each gray family's neighbors
-	// in ascending order — the exact traversal the recursive form performed.
-	d.wf.color[start] = wfGray
-	lo, _ := d.neighborsLocked(start)
-	d.wf.stack = append(d.wf.stack, wfFrame{fam: start, next: lo})
-	found := false
-	for len(d.wf.stack) > 0 && !found {
-		top := &d.wf.stack[len(d.wf.stack)-1]
-		if top.next >= len(d.wf.edges) || d.wf.edges[top.next].From != top.fam {
-			// Neighbors exhausted: blacken and pop.
-			d.wf.color[top.fam] = wfBlack
-			d.wf.stack = d.wf.stack[:len(d.wf.stack)-1]
-			continue
-		}
-		g := d.wf.edges[top.next].To
-		top.next++
-		switch d.wf.color[g] {
-		case wfGray:
-			// Found a cycle: the stack suffix from g onward, top first.
-			for i := len(d.wf.stack) - 1; i >= 0; i-- {
-				d.wf.cycle = append(d.wf.cycle, d.wf.stack[i].fam)
-				if d.wf.stack[i].fam == g {
-					break
-				}
-			}
-			found = true
-		case wfBlack:
-			// Explored and cycle-free; skip.
-		default:
-			d.wf.color[g] = wfGray
-			glo, _ := d.neighborsLocked(g)
-			d.wf.stack = append(d.wf.stack, wfFrame{fam: g, next: glo})
-		}
-	}
-	if !found {
-		return 0, false
-	}
-	// Victim: the youngest (largest-age) waiting family on the cycle. All
-	// cycle members wait by construction; tie-break on FamilyID for
-	// determinism.
-	victim := d.wf.cycle[0]
-	for _, f := range d.wf.cycle[1:] {
-		av, af := d.wf.ages[victim], d.wf.ages[f]
-		if af > av || (af == av && f > victim) {
-			victim = f
-		}
-	}
-	return victim, true
+	d.wf.Reset()
+	d.appendWaitsLocked(&d.wf)
+	d.wf.Sort()
+	return d.wf.VictimFrom(start)
 }

@@ -10,7 +10,7 @@ import (
 // TestFirstAcquiresBuildNoWaitsForGraph: a family nobody waits on cannot
 // close a cycle, so queueing it — and re-pointing it at the next holder —
 // must not build the waits-for graph, however long the queue it joins. The
-// detector's age map is allocated by the first build, which makes "never
+// detector's age list is allocated by the first build, which makes "never
 // built" observable.
 func TestFirstAcquiresBuildNoWaitsForGraph(t *testing.T) {
 	d := newDir(t, 1)
@@ -21,7 +21,7 @@ func TestFirstAcquiresBuildNoWaitsForGraph(t *testing.T) {
 			t.Fatalf("family %v: %+v, want Queued", f, res)
 		}
 	}
-	if d.wf.ages != nil {
+	if d.wf.Ages != nil {
 		t.Fatal("queueing first-acquire families built the waits-for graph")
 	}
 
@@ -33,7 +33,7 @@ func TestFirstAcquiresBuildNoWaitsForGraph(t *testing.T) {
 	if len(ev) != 1 || ev[0].Kind != EventGrant || ev[0].Family != 2 {
 		t.Fatalf("hand-off events = %+v, want one grant to family 2", ev)
 	}
-	if d.wf.ages != nil {
+	if d.wf.Ages != nil {
 		t.Error("re-pointing first-acquire families built the waits-for graph")
 	}
 

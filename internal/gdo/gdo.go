@@ -171,7 +171,7 @@ type Directory struct {
 	// crossover, so their working sets are kept on the Directory and
 	// recycled: at steady state the grant/release path performs no
 	// allocations. All guarded by mu.
-	wf       wfScratch      // waits-for detector working state (deadlock.go)
+	wf       WaitGraph      // waits-for detector working state (deadlock.go)
 	entScr   []*entry       // waitEntriesSortedLocked sweep list
 	famScr   []ids.FamilyID // recheckQueuedLocked deadlock re-check snapshot
 	touchScr []*entry       // Release touched-entry list

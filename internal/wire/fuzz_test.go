@@ -228,8 +228,8 @@ func replicationSeeds() []Msg {
 		&HandoffResp{OK: true, Map: wideMap},
 		&RouteResp{Map: wideMap},
 		&WaitEdgeUpdate{ReqID: 1<<42 + 8, Ver: 3, Epoch: 7,
-			Edges: []WaitEdge{{From: 1, To: 2}, {From: 2, To: 3}},
-			Ages:  []FamilyAge{{Family: 1, Age: 10}, {Family: 2, Age: 20}}},
+			Edges: []gdo.WaitEdge{{From: 1, To: 2}, {From: 2, To: 3}},
+			Ages:  []gdo.FamilyAge{{Family: 1, Age: 10}, {Family: 2, Age: 20}}},
 		&WaitEdgeResp{Map: wideMap},
 		&AbortFamilyReq{ReqID: 1<<42 + 9, Family: 5, Epoch: 7},
 		&AbortFamilyResp{},

@@ -1,6 +1,9 @@
 package wire
 
-import "lotec/internal/ids"
+import (
+	"lotec/internal/gdo"
+	"lotec/internal/ids"
+)
 
 // Control-plane replication messages. A directory shard is a replicated,
 // relocatable state machine: its primary chains every state-mutating op to
@@ -306,17 +309,6 @@ func (*RouteResp) Type() MsgType { return TRouteResp }
 
 func (m *RouteResp) layout(c *coder) { m.Map.layout(c) }
 
-// WaitEdge is one waits-for edge in a host's local union graph.
-type WaitEdge struct {
-	From, To ids.FamilyID
-}
-
-// FamilyAge pairs a family with its deadlock-victim priority.
-type FamilyAge struct {
-	Family ids.FamilyID
-	Age    uint64
-}
-
 // WaitEdgeUpdate pushes a host's full local waits-for graph to the
 // detection coordinator (the shard-0 primary). Ver is a per-sender
 // monotonic version so reordered updates cannot regress the coordinator's
@@ -327,8 +319,8 @@ type WaitEdgeUpdate struct {
 	ReqID uint64
 	Ver   uint64
 	Epoch uint64
-	Edges []WaitEdge
-	Ages  []FamilyAge
+	Edges []gdo.WaitEdge
+	Ages  []gdo.FamilyAge
 }
 
 // Type implements Msg.
@@ -392,12 +384,12 @@ func (*AbortFamilyResp) Type() MsgType { return TAbortFamilyResp }
 
 func (*AbortFamilyResp) layout(*coder) {}
 
-func waitEdge(c *coder, e *WaitEdge) {
+func waitEdge(c *coder, e *gdo.WaitEdge) {
 	u64(c, &e.From)
 	u64(c, &e.To)
 }
 
-func familyAge(c *coder, a *FamilyAge) {
+func familyAge(c *coder, a *gdo.FamilyAge) {
 	u64(c, &a.Family)
 	u64(c, &a.Age)
 }

@@ -68,7 +68,7 @@ func Compile(s *Spec) (*Workload, error) {
 		if cls.MispredictProb > mispredict {
 			mispredict = cls.MispredictProb
 		}
-		roots, err := compileClass(&spec, cls, horizon, len(w.Roots))
+		roots, err := compileClass(&spec, cls, w.Objects, horizon, len(w.Roots))
 		if err != nil {
 			return nil, err
 		}
@@ -101,7 +101,7 @@ func Compile(s *Spec) (*Workload, error) {
 // compileClass generates one class's root stream: arrivals from the
 // class's rate/envelope model, each attributed to a logical client (for
 // site affinity) and given a generated call tree.
-func compileClass(spec *Spec, cls *ClientClass, horizon time.Duration, have int) ([]RootSpec, error) {
+func compileClass(spec *Spec, cls *ClientClass, objects []ObjectSpec, horizon time.Duration, have int) ([]RootSpec, error) {
 	arrRng := rand.New(rand.NewSource(subSeed(spec.Seed, cls.Name, 1)))
 	treeRng := rand.New(rand.NewSource(subSeed(spec.Seed, cls.Name, 2)))
 	var rateTrace, objTrace []float64
@@ -119,7 +119,7 @@ func compileClass(spec *Spec, cls *ClientClass, horizon time.Duration, have int)
 	}
 	buckets, totalHz := rateBuckets(cls, rateTrace)
 	env, envMax := envelope(cls.Arrivals)
-	gen := &classGen{total: spec.Objects.Count, cls: cls, objTrace: objTrace}
+	gen := &classGen{objects: objects, cls: cls, objTrace: objTrace}
 	gen.initPicker(treeRng)
 	salt := fnvHash(cls.Name)
 
@@ -333,13 +333,19 @@ func envelope(a ArrivalSpec) (func(float64) float64, float64) {
 	}
 }
 
-// classGen generates call trees for one client class. It keeps the legacy
-// generator's cursor discipline — objects are acquired in ascending index
-// order, so spec workloads are deadlock-free by construction — but plugs
-// in the class's object distribution and tree-shape parameters.
+// classGen generates call trees: for one client class of a spec, and for
+// Generate's one anonymous class. Objects are acquired in ascending index
+// order — picking strictly above the highest index the family has acquired
+// — so workloads are deadlock-free by construction unless disorder breaks
+// the order. The class supplies the object distribution and the tree
+// shape. A draw whose probability is 0 is not made, so a knob left at 0
+// never shifts the random stream.
 type classGen struct {
-	total    int
-	cls      *ClientClass
+	objects []ObjectSpec
+	cls     *ClientClass
+	// disorder is the probability an invocation ignores the ascending
+	// order (Config.DisorderProb; spec classes have none).
+	disorder float64
 	zipf     *rand.Zipf
 	objTrace []float64 // normalized empirical weights (dist "trace")
 	objCum   []float64 // objTrace resampled to the object population
@@ -348,10 +354,10 @@ type classGen struct {
 // initPicker prepares distribution state bound to the tree RNG.
 func (g *classGen) initPicker(rng *rand.Rand) {
 	if g.cls.ObjectDist.Dist == "zipf" {
-		g.zipf = rand.NewZipf(rng, g.cls.ObjectDist.S, 1, uint64(g.total-1))
+		g.zipf = rand.NewZipf(rng, g.cls.ObjectDist.S, 1, uint64(len(g.objects)-1))
 	}
 	if g.cls.ObjectDist.Dist == "trace" && len(g.objTrace) > 0 {
-		g.objCum = traceCum(g.objTrace, g.total)
+		g.objCum = traceCum(g.objTrace, len(g.objects))
 	}
 }
 
@@ -359,7 +365,8 @@ func (g *classGen) initPicker(rng *rand.Rand) {
 // avoiding the exclusion path. Falls back to a uniform draw when the
 // skewed head keeps landing below the cursor.
 func (g *classGen) pickObject(rng *rand.Rand, exclude map[int]bool, minIdx int) (int, bool) {
-	if minIdx >= g.total {
+	total := len(g.objects)
+	if minIdx >= total {
 		return 0, false
 	}
 	d := g.cls.ObjectDist
@@ -369,29 +376,29 @@ func (g *classGen) pickObject(rng *rand.Rand, exclude map[int]bool, minIdx int) 
 		case "zipf":
 			idx = int(g.zipf.Uint64())
 			if idx < minIdx {
-				idx = minIdx + rng.Intn(g.total-minIdx)
+				idx = minIdx + rng.Intn(total-minIdx)
 			}
 		case "trace":
 			u := rng.Float64() * g.objCum[len(g.objCum)-1]
 			idx = sort.SearchFloat64s(g.objCum, u)
-			if idx >= g.total {
-				idx = g.total - 1
+			if idx >= total {
+				idx = total - 1
 			}
 			if idx < minIdx {
-				idx = minIdx + rng.Intn(g.total-minIdx)
+				idx = minIdx + rng.Intn(total-minIdx)
 			}
 		case "hotset":
-			hot := int(float64(g.total) * d.HotFraction)
+			hot := int(float64(total) * d.HotFraction)
 			if hot < 1 {
 				hot = 1
 			}
 			if rng.Float64() < d.HotWeight && minIdx < hot {
 				idx = minIdx + rng.Intn(hot-minIdx)
 			} else {
-				idx = minIdx + rng.Intn(g.total-minIdx)
+				idx = minIdx + rng.Intn(total-minIdx)
 			}
 		default: // "uniform"
-			idx = minIdx + rng.Intn(g.total-minIdx)
+			idx = minIdx + rng.Intn(total-minIdx)
 		}
 		if !exclude[idx] {
 			return idx, true
@@ -400,8 +407,10 @@ func (g *classGen) pickObject(rng *rand.Rand, exclude map[int]bool, minIdx int) 
 	return 0, false
 }
 
-// genCall mirrors the legacy tree generator (see legacyGen.genCall) with
-// the class's shape parameters.
+// genCall builds one random invocation subtree. cursor tracks the highest
+// object index acquired so far on the family's depth-first path, and path
+// holds the objects of the calling frames, which a child never re-enters
+// (mutually recursive invocations are precluded, §3.4).
 func (g *classGen) genCall(rng *rand.Rand, path map[int]bool, cursor *int, depth int) (Call, bool) {
 	cls := g.cls
 	if path == nil {
@@ -411,7 +420,11 @@ func (g *classGen) genCall(rng *rand.Rand, path map[int]bool, cursor *int, depth
 		c := -1
 		cursor = &c
 	}
-	idx, ok := g.pickObject(rng, path, *cursor+1)
+	minIdx := *cursor + 1
+	if g.disorder > 0 && rng.Float64() < g.disorder {
+		minIdx = 0
+	}
+	idx, ok := g.pickObject(rng, path, minIdx)
 	if !ok {
 		return Call{}, false
 	}
@@ -430,9 +443,7 @@ func (g *classGen) genCall(rng *rand.Rand, path map[int]bool, cursor *int, depth
 		Seed:     rng.Uint64(),
 	}
 	if cls.MispredictProb > 0 && rng.Float64() < cls.MispredictProb {
-		// ExtraSeg indexes into the object's pages; sizes vary, so write
-		// the first segment, which every class has.
-		c.ExtraSeg = 1
+		c.ExtraSeg = 1 + rng.Intn(g.objects[idx].Pages)
 	}
 	if cls.AbortProb > 0 && rng.Float64() < cls.AbortProb {
 		c.Fail = true

@@ -39,8 +39,8 @@ type Spec struct {
 	// Classes are the heterogeneous client populations. At least one is
 	// required unless Legacy is set.
 	Classes []ClientClass `json:"classes"`
-	// Legacy, when set, bypasses the class machinery entirely and routes
-	// through the frozen uniform generator (Generate). The "uniform"
+	// Legacy, when set, bypasses the spec's classes and arrival model and
+	// routes through the uniform driver (Generate). The "uniform"
 	// preset uses it to reproduce the pre-spec driver's traffic
 	// byte-for-byte. If Legacy.Seed is zero, Seed is used.
 	Legacy *Config `json:"legacy,omitempty"`

@@ -203,8 +203,9 @@ type Workload struct {
 func segName(i int) string { return fmt.Sprintf("seg%d", i) }
 
 // Generate builds a reproducible workload from cfg — the legacy uniform
-// random driver. Its RNG call sequence is frozen; the uniform spec preset
-// must reproduce it byte-for-byte (enforced by tests in internal/sim).
+// random driver, whose call trees classGen builds for one hotset class.
+// Its RNG call sequence is frozen; the uniform spec preset must reproduce
+// it byte-for-byte (enforced by tests in internal/sim).
 func Generate(cfg Config) (*Workload, error) {
 	cfg = cfg.WithDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
@@ -231,7 +232,14 @@ func Generate(cfg Config) (*Workload, error) {
 		})
 	}
 
-	g := legacyGen{w: w}
+	g := &classGen{objects: w.Objects, disorder: cfg.DisorderProb, cls: &ClientClass{
+		WriteFraction:  cfg.WriteFraction,
+		MaxDepth:       cfg.MaxDepth,
+		MaxFanout:      cfg.MaxFanout,
+		AbortProb:      cfg.AbortProb,
+		MispredictProb: cfg.MispredictProb,
+		ObjectDist:     ObjectDist{Dist: "hotset", HotFraction: cfg.HotFraction, HotWeight: cfg.HotWeight},
+	}}
 	for i := 0; i < cfg.Transactions; i++ {
 		at := time.Duration(i)*cfg.ArrivalSpacing +
 			time.Duration(rng.Int63n(int64(cfg.ArrivalSpacing)))
@@ -290,97 +298,4 @@ func buildSizedClass(id ids.ClassID, size, pageSize, widen int, rng *rand.Rand) 
 		})
 	}
 	return b.Build()
-}
-
-// legacyGen is the frozen call-tree generator behind Generate. It stays a
-// distinct type (instead of sharing the spec driver's machinery) so its
-// RNG draw order can never drift.
-type legacyGen struct {
-	w *Workload
-}
-
-// pickObject draws an object index ≥ minIdx with the configured hot-set
-// skew, avoiding indexes on the exclusion path (mutually recursive
-// invocations are precluded, §3.4).
-func (g legacyGen) pickObject(rng *rand.Rand, exclude map[int]bool, minIdx int) (int, bool) {
-	total := len(g.w.Objects)
-	if minIdx >= total {
-		return 0, false
-	}
-	hot := int(float64(total) * g.w.Cfg.HotFraction)
-	if hot < 1 {
-		hot = 1
-	}
-	for tries := 0; tries < 20; tries++ {
-		var idx int
-		if rng.Float64() < g.w.Cfg.HotWeight && minIdx < hot {
-			idx = minIdx + rng.Intn(hot-minIdx)
-		} else {
-			idx = minIdx + rng.Intn(total-minIdx)
-		}
-		if !exclude[idx] {
-			return idx, true
-		}
-	}
-	return 0, false
-}
-
-// genCall builds one random invocation subtree. cursor tracks the highest
-// object index acquired so far on the family's depth-first path: picking
-// strictly above it yields globally ordered lock acquisition (deadlock-free
-// by construction); DisorderProb occasionally breaks the order.
-func (g legacyGen) genCall(rng *rand.Rand, path map[int]bool, cursor *int, depth int) (Call, bool) {
-	cfg := g.w.Cfg
-	if path == nil {
-		path = make(map[int]bool)
-	}
-	if cursor == nil {
-		c := -1
-		cursor = &c
-	}
-	minIdx := *cursor + 1
-	if cfg.DisorderProb > 0 && rng.Float64() < cfg.DisorderProb {
-		minIdx = 0
-	}
-	idx, ok := g.pickObject(rng, path, minIdx)
-	if !ok {
-		return Call{}, false
-	}
-	if idx > *cursor {
-		*cursor = idx
-	}
-	size := g.w.Objects[idx].Pages
-	var method string
-	if rng.Float64() < cfg.WriteFraction {
-		method = fmt.Sprintf("w%d", rng.Intn(3))
-	} else {
-		method = fmt.Sprintf("r%d", rng.Intn(3))
-	}
-	c := Call{
-		ObjIndex: idx,
-		Method:   method,
-		Seed:     rng.Uint64(),
-	}
-	if cfg.MispredictProb > 0 && rng.Float64() < cfg.MispredictProb {
-		c.ExtraSeg = 1 + rng.Intn(size)
-	}
-	if cfg.AbortProb > 0 && rng.Float64() < cfg.AbortProb {
-		c.Fail = true
-		c.Tolerate = rng.Float64() < 0.5
-	}
-	if depth < cfg.MaxDepth {
-		budget := cfg.MaxFanout - depth
-		if budget > 0 {
-			n := rng.Intn(budget + 1)
-			path[idx] = true
-			for i := 0; i < n; i++ {
-				child, ok := g.genCall(rng, path, cursor, depth+1)
-				if ok {
-					c.Children = append(c.Children, child)
-				}
-			}
-			delete(path, idx)
-		}
-	}
-	return c, true
 }

@@ -137,11 +137,18 @@ func ReadFrame(r io.Reader) ([]byte, error) {
 // The transport writes the whole frame in one call and hands it back with
 // ReleaseFrame. The envelope's Type field is taken from the message.
 func EncodeFrame(env Envelope, m Msg) []byte {
-	// Most messages are control messages: encode into a small frame, and
-	// into a bulk one, of the size the first walk counted, when it does not
-	// fit.
+	// A message that carries pages is sized first, by a walk that writes
+	// nothing, and encoded once into a frame of its class. Every other
+	// message is a control message: encode it into a small frame, and into
+	// a bulk one, of the size the first walk counted, in the rare case it
+	// does not fit.
 	c := getCoder()
-	frame, ok := c.encode(GetFrame(SmallFrame)[:FrameHeadroom], env, m)
+	n := SmallFrame
+	switch m.(type) {
+	case *MultiFetchResp, *MultiPushReq:
+		n = FrameHeadroom + c.size(m)
+	}
+	frame, ok := c.encode(GetFrame(n)[:FrameHeadroom], env, m)
 	if !ok {
 		ReleaseFrame(frame)
 		frame, _ = c.encode(GetFrame(FrameHeadroom + HeaderSize + c.n)[:FrameHeadroom], env, m)

@@ -113,13 +113,6 @@ func sweep(g *gdo.WaitGraph, dirs []*gdo.Directory, abort func(victim ids.Family
 	}
 }
 
-// victimFrom is findVictimFrom over the router's shards, on a pooled graph.
-func (s *Sharded) victimFrom(start ids.FamilyID) (ids.FamilyID, bool) {
-	g := graphs.Get().(*gdo.WaitGraph)
-	defer graphs.Put(g)
-	return findVictimFrom(g, s.shards, start)
-}
-
 // abortVictim cancels the victim's waits on every shard and appends the
 // deadlock-abort events for its site(s) to events, each stamped with the
 // shard it came from.

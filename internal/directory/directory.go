@@ -267,7 +267,10 @@ func (s *Sharded) afterAcquire(shard int, family ids.FamilyID, res gdo.AcquireRe
 	}
 	events = stamp(shard, events)
 	if len(s.shards) > 1 && res.Status == gdo.Queued {
-		if victim, cycle := s.victimFrom(family); cycle {
+		g := graphs.Get().(*gdo.WaitGraph)
+		victim, cycle := findVictimFrom(g, s.shards, family)
+		graphs.Put(g)
+		if cycle {
 			if victim == family {
 				// Mirror the single directory's self-victim path: drop the
 				// family's parked requests everywhere, silently — the

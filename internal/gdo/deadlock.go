@@ -1,6 +1,7 @@
 package gdo
 
 import (
+	"cmp"
 	"slices"
 
 	"lotec/internal/ids"
@@ -86,9 +87,11 @@ func (g *WaitGraph) Reset() {
 // Sort orders the edges by (From, To) and the ages by family, keeping only
 // the first age appended for each family.
 func (g *WaitGraph) Sort() {
-	slices.SortFunc(g.Edges, cmpWaitEdge)
-	slices.SortStableFunc(g.Ages, cmpFamilyAge)
-	g.Ages = slices.CompactFunc(g.Ages, sameFamily)
+	slices.SortFunc(g.Edges, func(a, b WaitEdge) int {
+		return cmp.Or(cmp.Compare(a.From, b.From), cmp.Compare(a.To, b.To))
+	})
+	slices.SortStableFunc(g.Ages, func(a, b FamilyAge) int { return cmp.Compare(a.Family, b.Family) })
+	g.Ages = slices.CompactFunc(g.Ages, func(a, b FamilyAge) bool { return a.Family == b.Family })
 }
 
 // VictimFrom looks for a waits-for cycle reachable from start and, if one
@@ -112,11 +115,8 @@ func (g *WaitGraph) Victim() (ids.FamilyID, bool) {
 		return 0, false
 	}
 	g.clearColors()
-	for i, e := range g.Edges {
-		if i > 0 && g.Edges[i-1].From == e.From || g.color[e.From] != 0 {
-			continue
-		}
-		if g.dfs(e.From) {
+	for _, e := range g.Edges {
+		if g.color[e.From] == 0 && g.dfs(e.From) {
 			return g.youngest(), true
 		}
 	}
@@ -172,16 +172,8 @@ func (g *WaitGraph) dfs(start ids.FamilyID) bool {
 // neighbors returns the index of f's first outgoing edge in the sorted edge
 // list (or of the first edge past where it would be).
 func (g *WaitGraph) neighbors(f ids.FamilyID) int {
-	lo, hi := 0, len(g.Edges)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if g.Edges[mid].From < f {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
+	i, _ := slices.BinarySearchFunc(g.Edges, f, func(e WaitEdge, f ids.FamilyID) int { return cmp.Compare(e.From, f) })
+	return i
 }
 
 // youngest picks the victim from the cycle dfs found: the largest age, with
@@ -200,40 +192,11 @@ func (g *WaitGraph) youngest() ids.FamilyID {
 
 // age returns f's deadlock age (0 if f is not waiting).
 func (g *WaitGraph) age(f ids.FamilyID) uint64 {
-	if i, ok := slices.BinarySearchFunc(g.Ages, f, cmpAgeFamily); ok {
+	if i, ok := slices.BinarySearchFunc(g.Ages, f, func(a FamilyAge, f ids.FamilyID) int { return cmp.Compare(a.Family, f) }); ok {
 		return g.Ages[i].Age
 	}
 	return 0
 }
-
-// cmpWaitEdge orders edges by (From, To).
-func cmpWaitEdge(a, b WaitEdge) int {
-	switch {
-	case a.From < b.From:
-		return -1
-	case a.From > b.From:
-		return 1
-	case a.To < b.To:
-		return -1
-	case a.To > b.To:
-		return 1
-	}
-	return 0
-}
-
-func cmpFamilyAge(a, b FamilyAge) int { return cmpAgeFamily(a, b.Family) }
-
-func cmpAgeFamily(a FamilyAge, f ids.FamilyID) int {
-	switch {
-	case a.Family < f:
-		return -1
-	case a.Family > f:
-		return 1
-	}
-	return 0
-}
-
-func sameFamily(a, b FamilyAge) bool { return a.Family == b.Family }
 
 // HasWaiters reports whether any family is queued or upgrading here. The
 // sharded router uses it as an O(1) precheck: a cycle spanning shards needs

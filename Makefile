@@ -1,14 +1,16 @@
 # Tier-1 gate: everything must build, vet clean, lint clean, and pass
 # under the race detector before a change lands.
-.PHONY: check build vet lint lint-fixtures test test-benchmark probes bench bench-allocs bench-smoke calibrate-smoke chaos retain fuzz-smoke
+.PHONY: check build vet lint lint-fixtures test norace test-benchmark probes bench bench-allocs bench-smoke calibrate-smoke chaos retain fuzz-smoke
 
-check: build vet lint lint-fixtures test test-benchmark probes bench-allocs bench-smoke calibrate-smoke chaos fuzz-smoke
+check: build vet lint lint-fixtures test norace test-benchmark probes bench-allocs bench-smoke calibrate-smoke chaos fuzz-smoke
 
 build:
 	go build ./...
 
+# Vet, and every Go file gofmt-clean (the unformatted ones are listed).
 vet:
 	go vet ./...
+	test -z "$$(gofmt -l . | tee /dev/stderr)"
 
 # Repo-specific invariant analyzers (determinism taint, map order, lock
 # discipline, static lock ordering, dropped errors). Exits non-zero on any finding; per-analyzer timings on stderr.
@@ -24,6 +26,13 @@ lint-fixtures:
 test:
 	go test -race ./...
 
+# The tests built only without -race (test above skips them), bar the
+# allocation gates of bench-allocs: the golden simulator outputs, which
+# prove a refactor kept the paper's figures, and the TCP runtime's
+# steady-state heap and home-page journal bounds.
+norace:
+	go test -run 'TestGoldenOutputs|TestSteadyStateHeapIsConstant|TestHomePagesKeepNoJournal' ./cmd/lotec-sim/ ./internal/server/
+
 # The repo benchmark (benchmark/) is a module of its own, so ./... above
 # does not reach it; vet and test it from its own directory.
 test-benchmark:
@@ -36,8 +45,8 @@ probes:
 	bash benchmark/run.sh --probes
 
 # Regenerate every row of BENCH_results.json: one run of lotec-bench's
-# ledger table (figure workload timings and transfer stages, fetch-concurrency
-# and delta sweeps, control-plane availability, hot-path perf/ rows, tcp/
+# ledger table (figure workload timings and transfer stages, the delta
+# sweep, control-plane availability, hot-path perf/ rows, tcp/
 # frame and allocation counts, loc rows). The calibration section is kept.
 bench:
 	go run ./cmd/lotec-bench -figure 3 -json BENCH_results.json
@@ -59,10 +68,8 @@ bench-allocs:
 
 # The ledger gate: rerun every gated entry of lotec-bench's ledger table and
 # hold each row to the committed BENCH_results.json, which is only read; a
-# row missing there fails. The runs also enforce the data plane's invariants
-# (the byte/message trace identical at every FetchConcurrency, the modeled
-# gather wall-clock improving when transfers fan out, the 8 B-write delta
-# saving) and control-plane availability.
+# row missing there fails. The runs also enforce the 8 B-write delta saving
+# and control-plane availability.
 bench-smoke:
 	go run ./cmd/lotec-bench -figure 3 -smoke
 

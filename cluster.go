@@ -34,10 +34,6 @@ type Options struct {
 	// placement and per-object cost attribution are identical at every
 	// shard count; sharding only relieves directory contention.
 	DirectoryShards int
-	// FetchConcurrency bounds the in-flight per-site calls of one page
-	// transfer fan-out (0 → default 4). Byte and message counters are
-	// identical at every setting; only transfer wall-clock changes.
-	FetchConcurrency int
 	// DeltaOff disables sub-page delta transfers: fetches and pushes move
 	// full pages only, byte-identical to the pre-delta data plane. The
 	// default (false) lets version-tracking protocols ship just the bytes
@@ -80,7 +76,6 @@ func NewCluster(opts Options) (*Cluster, error) {
 		Lenient:           opts.Lenient,
 		MaxRetries:        opts.MaxRetries,
 		DirectoryShards:   opts.DirectoryShards,
-		FetchConcurrency:  opts.FetchConcurrency,
 		DeltaOff:          opts.DeltaOff,
 	})
 	if err != nil {

@@ -2,7 +2,6 @@ package main
 
 import (
 	"fmt"
-	"reflect"
 	"runtime"
 	"time"
 
@@ -11,11 +10,10 @@ import (
 	"lotec/internal/stats"
 )
 
-// The simulated entries: the figure's workload per protocol, swept over
-// the transfer fan-out bound and over field-sized write schemas, and the
-// replicated directory's availability experiment. Everything but the wall
-// clock and the allocation counts is exactly reproducible on the virtual
-// clock.
+// The simulated entries: the figure's workload per protocol and over
+// field-sized write schemas, and the replicated directory's availability
+// experiment. Everything but the wall clock and the allocation counts is
+// exactly reproducible on the virtual clock.
 
 // figureRun is one execution of the figure's workload on the simulator:
 // its traffic, and the wall clock and heap allocations it cost per root.
@@ -27,18 +25,16 @@ type figureRun struct {
 }
 
 type figureKey struct {
-	protocol         string
-	fetchConcurrency int
-	writeBytes       int
+	protocol   string
+	writeBytes int
 }
 
-// figure runs the figure's workload under p, at transfer fan-out bound k
-// and with each declared write capped at wb bytes (0 = whole attribute),
-// once per invocation: the LOTEC run at the simulator's default k = 4 and
-// whole-attribute writes feeds the figure row, the k = 4 fan-out row and
-// the whole-attribute delta row alike.
-func (b *bench) figure(p core.Protocol, k, wb int) (*figureRun, error) {
-	key := figureKey{p.Name(), k, wb}
+// figure runs the figure's workload under p with each declared write
+// capped at wb bytes (0 = whole attribute), once per invocation: the LOTEC
+// run with whole-attribute writes feeds the figure row and the
+// whole-attribute delta row alike.
+func (b *bench) figure(p core.Protocol, wb int) (*figureRun, error) {
+	key := figureKey{p.Name(), wb}
 	if r := b.runs[key]; r != nil {
 		return r, nil
 	}
@@ -53,9 +49,9 @@ func (b *bench) figure(p core.Protocol, k, wb int) (*figureRun, error) {
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	start := time.Now()
-	c, _, err := w.Execute(sim.Config{Protocol: p, FetchConcurrency: k})
+	c, _, err := w.Execute(sim.Config{Protocol: p})
 	if err != nil {
-		return nil, fmt.Errorf("%s at k=%d, write bytes %d: %w", p.Name(), k, wb, err)
+		return nil, fmt.Errorf("%s at write bytes %d: %w", p.Name(), wb, err)
 	}
 	elapsed := time.Since(start)
 	runtime.ReadMemStats(&after)
@@ -89,7 +85,7 @@ func (r *figureRun) stageRow(op string, p core.Protocol) benchResult {
 func (b *bench) figureRows() ([]benchResult, error) {
 	var rows []benchResult
 	for _, p := range []core.Protocol{core.COTEC, core.OTEC, core.LOTEC} {
-		r, err := b.figure(p, 4, b.spec.Workload.WriteBytes)
+		r, err := b.figure(p, b.spec.Workload.WriteBytes)
 		if err != nil {
 			return nil, err
 		}
@@ -98,62 +94,6 @@ func (b *bench) figureRows() ([]benchResult, error) {
 		rows = append(rows, row)
 	}
 	return rows, nil
-}
-
-// fetchConcurrencyRows runs the figure's workload under LOTEC at transfer
-// fan-out bounds 1, 4 and 16. The data plane's core invariant is enforced
-// here, so it holds whenever the rows are recorded or gated: every bound
-// sends the serial run's trace record for record, and the modeled gather
-// wall clock — the one thing a row reports that may move — is no worse
-// than serial, and strictly better when any transfer fanned out.
-func (b *bench) fetchConcurrencyRows() ([]benchResult, error) {
-	var rows []benchResult
-	var serial *figureRun
-	multi := 0 // serial transfers that gathered from more than one site
-	for _, k := range []int{1, 4, 16} {
-		r, err := b.figure(core.LOTEC, k, b.spec.Workload.WriteBytes)
-		if err != nil {
-			return nil, err
-		}
-		row := r.stageRow(b.figureOp("/fetch-concurrency"), core.LOTEC)
-		row.FetchConcurrency, row.Ops = k, row.Transfers
-		row.NsPerOp = float64(row.XferGatherNs) / float64(row.Transfers)
-		rows = append(rows, row)
-		if k == 1 {
-			serial = r
-			for _, t := range r.rec.Transfers() {
-				if t.Batches > 1 {
-					multi++
-				}
-			}
-			continue
-		}
-		if err := sameTrace(serial.rec, r.rec); err != nil {
-			return nil, fmt.Errorf("k=%d against k=1: %w", k, err)
-		}
-		got, base := time.Duration(row.XferGatherNs), serial.rec.TransferStages(0).Gather
-		if got > base || multi > 0 && got >= base {
-			return nil, fmt.Errorf("%d transfers fanned out but gather went %v (k=1) → %v (k=%d)", multi, base, got, k)
-		}
-	}
-	return rows, nil
-}
-
-// sameTrace reports the first difference between two runs' message traces.
-func sameTrace(a, b *stats.Recorder) error {
-	if ta, tb := a.Totals(), b.Totals(); ta != tb {
-		return fmt.Errorf("totals diverge: %+v vs %+v", ta, tb)
-	}
-	ta, tb := a.Trace(), b.Trace()
-	if len(ta) != len(tb) {
-		return fmt.Errorf("trace lengths diverge: %d vs %d", len(ta), len(tb))
-	}
-	for i := range ta {
-		if !reflect.DeepEqual(ta[i], tb[i]) {
-			return fmt.Errorf("trace record %d diverges: %+v vs %+v", i, ta[i], tb[i])
-		}
-	}
-	return nil
 }
 
 // deltaRows runs the figure's workload under LOTEC with field-sized write
@@ -165,7 +105,7 @@ func sameTrace(a, b *stats.Recorder) error {
 func (b *bench) deltaRows() ([]benchResult, error) {
 	var rows []benchResult
 	for _, wb := range []int{8, 64, 0} {
-		r, err := b.figure(core.LOTEC, 4, wb)
+		r, err := b.figure(core.LOTEC, wb)
 		if err != nil {
 			return nil, err
 		}

@@ -29,8 +29,6 @@ type benchResult struct {
 	Op string `json:"op"`
 	// Protocol is the consistency protocol, where one applies.
 	Protocol string `json:"protocol,omitempty"`
-	// FetchConcurrency is the transfer fan-out bound, for sweep rows.
-	FetchConcurrency int `json:"fetch_concurrency,omitempty"`
 	// Ops is the number of operations timed.
 	Ops int `json:"ops"`
 	// NsPerOp is wall-clock nanoseconds per operation.
@@ -57,7 +55,6 @@ type benchResult struct {
 	AllocBytesPerOp float64 `json:"alloc_bytes_per_op,omitempty"`
 	// Transfer-pipeline breakdown (simulated runs only): total transfers
 	// and the summed per-stage wall clock on the cluster's virtual clock.
-	// Gather is the only stage whose time responds to FetchConcurrency.
 	Transfers    int   `json:"transfers,omitempty"`
 	XferPlanNs   int64 `json:"xfer_plan_ns,omitempty"`
 	XferGatherNs int64 `json:"xfer_gather_ns,omitempty"`
@@ -214,7 +211,6 @@ func (b *bench) figureOp(suffix string) string { return "workload/figure" + b.sp
 func (b *bench) entries() []entry {
 	return []entry{
 		{b.figureOp(""), b.figureRows, noWorse(0)},
-		{b.figureOp("/fetch-concurrency"), b.fetchConcurrencyRows, noWorse(0)},
 		{b.figureOp("/delta"), b.deltaRows, noWorse(0)},
 		{availabilityOp, availabilityRows, recorded},
 		{"perf/*", perfRows, noWorse(0.5)},
@@ -270,7 +266,7 @@ func (b *bench) record(path string) error {
 // rowKey names a row in the ledger: its op and the fields that tell the
 // rows of one op apart.
 func rowKey(r benchResult) string {
-	return fmt.Sprintf("%s[%s k=%d wb=%d replicas=%d %s]", r.Op, r.Protocol, r.FetchConcurrency, r.WriteBytes, r.Replicas, r.Package)
+	return fmt.Sprintf("%s[%s wb=%d replicas=%d %s]", r.Op, r.Protocol, r.WriteBytes, r.Replicas, r.Package)
 }
 
 // checkLedger runs every gated entry and holds each row to the row of the

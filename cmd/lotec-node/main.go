@@ -103,7 +103,6 @@ func main() {
 	protocol := flag.String("protocol", "LOTEC", "consistency protocol: COTEC, OTEC, LOTEC or RC")
 	objects := flag.Int("objects", 4, "demo accounts to create (owned round-robin)")
 	shards := flag.Int("shards", 1, "directory partitions; must match the lotec-gdo process")
-	fetchConc := flag.Int("fetch-concurrency", 0, "in-flight per-site page-transfer calls (0 = default 4)")
 	delta := flag.String("delta", "on", "sub-page delta transfers: on (default) or off; must match cluster-wide")
 	faultPlan := flag.String("fault-plan", "", `inject deterministic network faults: a preset (drop, delay, dup, reorder, chaos) or clause list like "drop(p=0.1);delay(p=0.2,d=1ms)"`)
 	faultSeed := flag.Uint64("fault-seed", 1, "seed driving the fault plan's random draws")
@@ -120,7 +119,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "lotec-node: -delta must be on or off")
 		os.Exit(2)
 	}
-	if err := run(*id, *gdoAddr, *nodes, *protocol, *objects, *shards, *fetchConc, *delta == "off", *faultPlan, *faultSeed, *call, *node, *obj, *method, *amount, *jsonOut); err != nil {
+	if err := run(*id, *gdoAddr, *nodes, *protocol, *objects, *shards, *delta == "off", *faultPlan, *faultSeed, *call, *node, *obj, *method, *amount, *jsonOut); err != nil {
 		fmt.Fprintln(os.Stderr, "lotec-node:", err)
 		os.Exit(1)
 	}
@@ -137,7 +136,7 @@ type nodeReport struct {
 	Objects    int                 `json:"objects"`
 }
 
-func run(id int, gdoAddr, nodes, protocol string, objects, shards, fetchConc int, deltaOff bool, faultPlan string, faultSeed uint64, call string, nodeID int, obj int64, method string, amount int64, jsonOut bool) error {
+func run(id int, gdoAddr, nodes, protocol string, objects, shards int, deltaOff bool, faultPlan string, faultSeed uint64, call string, nodeID int, obj int64, method string, amount int64, jsonOut bool) error {
 	if call != "" {
 		client, err := lotec.Dial(call, lotec.NodeID(nodeID))
 		if err != nil {
@@ -162,13 +161,12 @@ func run(id int, gdoAddr, nodes, protocol string, objects, shards, fetchConc int
 	nodeAddrs := strings.Split(nodes, ",")
 	topo := lotec.Topology{NodeAddrs: nodeAddrs, GDOAddr: gdoAddr, DirectoryShards: shards}
 	n, err := lotec.NewNode(lotec.NodeOptions{
-		Topology:         topo,
-		Self:             lotec.NodeID(id),
-		Protocol:         p,
-		FetchConcurrency: fetchConc,
-		DeltaOff:         deltaOff,
-		FaultPlan:        faultPlan,
-		FaultSeed:        faultSeed,
+		Topology:  topo,
+		Self:      lotec.NodeID(id),
+		Protocol:  p,
+		DeltaOff:  deltaOff,
+		FaultPlan: faultPlan,
+		FaultSeed: faultSeed,
 	})
 	if err != nil {
 		return err

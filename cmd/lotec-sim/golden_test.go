@@ -39,7 +39,7 @@ func TestGoldenOutputs(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.file, func(t *testing.T) {
 			var out bytes.Buffer
-			if err := run(&out, tc.figure, tc.headline, tc.ablation, 0, false, "", 1); err != nil {
+			if err := run(&out, tc.figure, tc.headline, tc.ablation, false, "", 1); err != nil {
 				t.Fatal(err)
 			}
 			got := wallClock.ReplaceAll(out.Bytes(), []byte("(regenerated in …)"))

@@ -31,7 +31,6 @@ func main() {
 	ablation := flag.String("ablation", "", "ablation to run: prediction, granularity, demand, disorder, faults, delta, or all")
 	workloadArg := flag.String("workload", "", "run a spec workload (a preset name or a JSON spec file; see EXPERIMENTS.md) and print per-class KPIs")
 	jsonOut := flag.String("json", "", "with -workload: also write machine-readable results (provenance, per-class KPIs, traffic totals) to this file")
-	fetchConc := flag.Int("fetch-concurrency", 0, "in-flight per-site page-transfer calls (0 = default 4); trace-invariant")
 	delta := flag.String("delta", "on", "sub-page delta transfers: on (default) or off (pre-delta wire traffic, byte-identical)")
 	faultPlan := flag.String("fault-plan", "", `network fault plan for -figure and -workload runs: a preset (drop, delay, dup, reorder, partition, crash, chaos) or clause list like "drop(p=0.1);delay(p=0.2,d=1ms)"`)
 	faultSeed := flag.Uint64("fault-seed", 1, "seed driving the fault plan's random draws")
@@ -58,13 +57,13 @@ func main() {
 		return
 	}
 	if *workloadArg != "" {
-		if err := runWorkload(*workloadArg, *jsonOut, *fetchConc, *delta == "off", *faultPlan, *faultSeed, *replicas, *reshard); err != nil {
+		if err := runWorkload(*workloadArg, *jsonOut, *delta == "off", *faultPlan, *faultSeed, *replicas, *reshard); err != nil {
 			fmt.Fprintln(os.Stderr, "lotec-sim:", err)
 			os.Exit(1)
 		}
 		return
 	}
-	if err := run(os.Stdout, *figure, *headline, *ablation, *fetchConc, *delta == "off", *faultPlan, *faultSeed); err != nil {
+	if err := run(os.Stdout, *figure, *headline, *ablation, *delta == "off", *faultPlan, *faultSeed); err != nil {
 		fmt.Fprintln(os.Stderr, "lotec-sim:", err)
 		os.Exit(1)
 	}
@@ -113,7 +112,7 @@ func parseReshard(s string) (shard int, target ids.NodeID, at time.Duration, err
 
 // runWorkload compiles a spec and runs it on the simulator under LOTEC,
 // printing the per-class KPI table and optionally a JSON report.
-func runWorkload(arg, jsonPath string, fetchConc int, deltaOff bool, faultPlan string, faultSeed uint64, replicas int, reshard string) error {
+func runWorkload(arg, jsonPath string, deltaOff bool, faultPlan string, faultSeed uint64, replicas int, reshard string) error {
 	spec, err := workload.LoadSpec(arg)
 	if err != nil {
 		return err
@@ -130,7 +129,7 @@ func runWorkload(arg, jsonPath string, fetchConc int, deltaOff bool, faultPlan s
 		}
 		faults = plan
 	}
-	cfg := sim.Config{Protocol: core.LOTEC, FetchConcurrency: fetchConc, DeltaOff: deltaOff, Faults: faults}
+	cfg := sim.Config{Protocol: core.LOTEC, DeltaOff: deltaOff, Faults: faults}
 	if faults != nil {
 		cfg.MaxRetries = 100
 	}
@@ -222,7 +221,7 @@ func runWorkload(arg, jsonPath string, fetchConc int, deltaOff bool, faultPlan s
 }
 
 // run writes the requested figures, headline and ablations to w.
-func run(w io.Writer, figure string, headline bool, ablation string, fetchConc int, deltaOff bool, faultPlan string, faultSeed uint64) error {
+func run(w io.Writer, figure string, headline bool, ablation string, deltaOff bool, faultPlan string, faultSeed uint64) error {
 	var faults *fault.Plan
 	if faultPlan != "" {
 		plan, err := fault.Parse(faultPlan, faultSeed)
@@ -242,7 +241,7 @@ func run(w io.Writer, figure string, headline bool, ablation string, fetchConc i
 		}
 		for _, spec := range specs {
 			t0 := time.Now()
-			res, err := sim.RunFigureConfig(spec, sim.Config{FetchConcurrency: fetchConc, DeltaOff: deltaOff, Faults: faults})
+			res, err := sim.RunFigureConfig(spec, sim.Config{DeltaOff: deltaOff, Faults: faults})
 			if err != nil {
 				return err
 			}

@@ -36,7 +36,7 @@ type dedupKey struct {
 type dedupEntry struct {
 	done    chan struct{}
 	reply   wire.Msg
-	ready   bool              // guarded by Dedup.mu
+	ready   bool             // guarded by Dedup.mu
 	waiters []func(wire.Msg) // guarded by Dedup.mu
 }
 

@@ -108,10 +108,6 @@ type Config struct {
 	Rec *stats.Recorder
 	// MaxRetries bounds deadlock-victim retries of a root (default 20).
 	MaxRetries int
-	// FetchConcurrency bounds the in-flight per-site calls of one xfer
-	// gather or push fan-out (default 4). The byte/message trace is
-	// identical at every setting; only wall-clock changes.
-	FetchConcurrency int
 	// Strict rejects accesses outside declared sets (the paper's
 	// conservative-compiler contract). When false, undeclared accesses are
 	// allowed and satisfied by demand fetches (the §4.3 fallback),
@@ -194,19 +190,15 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.MaxRetries <= 0 {
 		cfg.MaxRetries = 50
 	}
-	if cfg.FetchConcurrency <= 0 {
-		cfg.FetchConcurrency = 4
-	}
 	return &Engine{
 		cfg:  cfg,
 		env:  cfg.Env,
 		self: cfg.Env.Self(),
 		xfer: &xfer.Engine{
-			Env:         cfg.Env,
-			Store:       cfg.Store,
-			Rec:         cfg.Rec,
-			Concurrency: cfg.FetchConcurrency,
-			DeltaOff:    cfg.DeltaOff,
+			Env:      cfg.Env,
+			Store:    cfg.Store,
+			Rec:      cfg.Rec,
+			DeltaOff: cfg.DeltaOff,
 		},
 		objClass: make(map[ids.ObjectID]ids.ClassID),
 		fams:     make(map[ids.FamilyID]*famState),

@@ -7,9 +7,9 @@ import (
 )
 
 // DefaultDeltaJournalDepth is how many sealed version epochs a page's
-// dirty-range journal retains when the store is not configured otherwise.
-// A holder can serve "what changed since version V" only while V's epoch is
-// still in the ring; older bases fall back to full-page transfers.
+// dirty-range journal retains. A holder can serve "what changed since
+// version V" only while V's epoch is still in the ring; older bases fall
+// back to full-page transfers.
 const DefaultDeltaJournalDepth = 8
 
 // ErrDeltaBase reports that a delta could not be applied because the
@@ -95,26 +95,6 @@ type epoch struct {
 	runs   intervalSet
 }
 
-// SetJournalDepth bounds the per-page sealed-epoch ring. Depths below 1
-// select DefaultDeltaJournalDepth. Existing rings are trimmed lazily on the
-// next seal.
-func (s *Store) SetJournalDepth(d int) {
-	if d < 1 {
-		d = DefaultDeltaJournalDepth
-	}
-	s.mu.Lock()
-	s.journalDepth = d
-	s.mu.Unlock()
-}
-
-// journalDepthLocked returns the configured ring bound. Caller holds s.mu.
-func (s *Store) journalDepthLocked() int {
-	if s.journalDepth < 1 {
-		return DefaultDeltaJournalDepth
-	}
-	return s.journalDepth
-}
-
 // sealLocked moves the page's open-epoch dirty ranges into the sealed ring
 // as the transition old→now. A version change with no recorded writes means
 // the bytes changed through a path the journal did not observe, so the whole
@@ -136,19 +116,17 @@ func (s *Store) sealLocked(pg *page, old, now uint64) {
 }
 
 // makeRoomLocked readies the page's sealed ring for one more epoch,
-// evicting the oldest ones when it is at its depth, and returns the emptied
+// evicting the oldest one when it is at its depth, and returns the emptied
 // run storage of an evicted epoch for reuse (nil if none was evicted).
 // Evicting before appending keeps the ring's slice at the depth; appending
 // first let it grow to the next capacity up — twice the ring, kept for good
 // by every page written often enough to fill it. Caller holds s.mu.
 func (s *Store) makeRoomLocked(pg *page) intervalSet {
-	d := s.journalDepthLocked()
-	if len(pg.hist) < d {
+	if len(pg.hist) < DefaultDeltaJournalDepth {
 		return nil
 	}
-	gone := len(pg.hist) - d + 1
-	free := pg.hist[gone-1].runs[:0]
-	pg.hist = append(pg.hist[:0], pg.hist[gone:]...)
+	free := pg.hist[0].runs[:0]
+	pg.hist = append(pg.hist[:0], pg.hist[1:]...)
 	return free
 }
 

@@ -358,16 +358,17 @@ func TestOtherPagesJournalFromBirth(t *testing.T) {
 func TestDeltaJournalDepthEviction(t *testing.T) {
 	const pageSize = 128
 	const obj = ids.ObjectID(3)
+	const depth = DefaultDeltaJournalDepth
+	const last = depth + 5 // the page's final version: four bases evicted
 	pid := ids.PageID{Object: obj, Page: 0}
 	s := NewStore(pageSize)
-	s.SetJournalDepth(3)
 	if err := s.Register(obj, 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.InstallPage(pid, make([]byte, pageSize), 1); err != nil {
 		t.Fatal(err)
 	}
-	for v := uint64(1); v < 9; v++ {
+	for v := uint64(1); v < last; v++ {
 		if _, err := s.Write(obj, int(v)%pageSize, []byte{byte(v)}); err != nil {
 			t.Fatal(err)
 		}
@@ -376,21 +377,21 @@ func TestDeltaJournalDepthEviction(t *testing.T) {
 		}
 		s.ClearDirty(obj, []ids.PageNum{0})
 	}
-	// Page is at v9; ring holds epochs 6→7, 7→8, 8→9.
+	// The ring holds the newest depth epochs, last-depth → … → last.
 	buf := make([]byte, pageSize)
-	for base := uint64(1); base < 6; base++ {
+	for base := uint64(1); base < last-depth; base++ {
 		if _, _, _, ok := s.DeltaSince(pid, base, buf); ok {
-			t.Errorf("base v%d served after eviction (depth 3, page v9)", base)
+			t.Errorf("base v%d served after eviction (depth %d, page v%d)", base, depth, last)
 		}
 	}
-	for base := uint64(6); base < 9; base++ {
+	for base := uint64(last - depth); base < last; base++ {
 		runs, target, _, ok := s.DeltaSince(pid, base, buf)
-		if !ok || target != 9 || len(runs) == 0 {
+		if !ok || target != last || len(runs) == 0 {
 			t.Errorf("base v%d inside ring unservable (ok=%v target=%d)", base, ok, target)
 		}
 	}
-	if got := s.JournalEpochs(pid); len(got) != 3 {
-		t.Errorf("ring holds %d epochs, want 3", len(got))
+	if got := s.JournalEpochs(pid); len(got) != depth {
+		t.Errorf("ring holds %d epochs, want %d", len(got), depth)
 	}
 }
 

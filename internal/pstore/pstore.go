@@ -99,10 +99,9 @@ func (om *objectMem) page(p ids.PageNum) *page {
 // Store is the paged object memory of a single site. A Store is safe for
 // concurrent use.
 type Store struct {
-	mu           sync.Mutex
-	pageSize     int                         // immutable after NewStore
-	objects      map[ids.ObjectID]*objectMem // guarded by mu
-	journalDepth int                         // guarded by mu; 0 means DefaultDeltaJournalDepth
+	mu       sync.Mutex
+	pageSize int                         // immutable after NewStore
+	objects  map[ids.ObjectID]*objectMem // guarded by mu
 }
 
 // NewStore returns an empty Store with the given page size (bytes).

@@ -137,9 +137,6 @@ type NodeConfig struct {
 	PageSize int
 	// Lenient disables strict access checking.
 	Lenient bool
-	// FetchConcurrency bounds in-flight per-site calls of one page
-	// transfer fan-out (0 → default 4).
-	FetchConcurrency int
 	// DeltaOff disables sub-page delta transfers (must match cluster-wide).
 	DeltaOff bool
 	// Rec records traffic; may be nil.
@@ -199,7 +196,6 @@ func NewNodeServer(cfg NodeConfig) (*NodeServer, error) {
 		ShardFn:           place.ShardOf,
 		Route:             route,
 		Rec:               cfg.Rec,
-		FetchConcurrency:  cfg.FetchConcurrency,
 		Strict:            !cfg.Lenient,
 		DeltaOff:          cfg.DeltaOff,
 	})

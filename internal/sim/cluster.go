@@ -50,19 +50,12 @@ type Config struct {
 	// (default 1 — the paper's single logical directory). Placement and
 	// per-object cost attribution are unchanged at any shard count.
 	DirectoryShards int
-	// FetchConcurrency bounds in-flight per-site calls of one xfer
-	// gather/push fan-out (default 4). The simulated trace is identical at
-	// every setting; only modeled gather wall-clock changes.
-	FetchConcurrency int
 	// Faults, when non-nil, installs a deterministic network fault plan:
 	// the virtual wire drops/delays/duplicates/reorders messages per the
 	// plan, RPCs grow per-attempt timeouts with retransmission, and node
 	// handlers are wrapped in an idempotency cache. Nil keeps the
 	// historical fault-free paths byte-for-byte.
 	Faults *fault.Plan
-	// Retry overrides the transport retry policy (zero fields fall back
-	// to the simulator defaults). Only consulted when Faults is non-nil.
-	Retry transport.RetryPolicy
 	// DeltaOff disables sub-page delta transfers (kept as the negative so
 	// the zero value of Config means deltas on, like Strict/Lenient). With
 	// deltas off the wire traffic is byte-identical to the pre-delta data
@@ -111,9 +104,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DirectoryShards <= 0 {
 		c.DirectoryShards = 1
-	}
-	if c.FetchConcurrency <= 0 {
-		c.FetchConcurrency = 4
 	}
 	return c
 }
@@ -198,7 +188,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	if cfg.Faults != nil {
 		inj := fault.NewInjector(*cfg.Faults)
 		faultsActive = inj.Active()
-		c.net.InstallFaults(inj, cfg.Retry)
+		c.net.InstallFaults(inj)
 	}
 	for _, id := range c.hostIDs {
 		h := directory.NewHost(directory.HostConfig{
@@ -236,7 +226,6 @@ func NewCluster(cfg Config) (*Cluster, error) {
 			Route:             route,
 			Rec:               c.rec,
 			MaxRetries:        cfg.MaxRetries,
-			FetchConcurrency:  cfg.FetchConcurrency,
 			Strict:            !cfg.Lenient,
 			DeltaOff:          cfg.DeltaOff,
 			History:           func(rec history.Record) { c.history = append(c.history, rec) },

@@ -21,55 +21,6 @@ func deltaWorkload() WorkloadConfig {
 	return cfg
 }
 
-// TestDeltaTraceConcurrencyEquivalence extends the FetchConcurrency
-// invariant to the delta path: with deltas flowing (small writes, delta
-// counters non-zero), every fingerprint component must still be identical
-// at FetchConcurrency 1 and 8 — including the delta counters themselves and
-// the per-page fallback refetches a base mismatch triggers.
-func TestDeltaTraceConcurrencyEquivalence(t *testing.T) {
-	for _, proto := range []core.Protocol{core.LOTEC, core.RC} {
-		proto := proto
-		t.Run(proto.Name(), func(t *testing.T) {
-			var base traceFingerprint
-			for i, conc := range []int{1, 8} {
-				w, err := GenerateWorkload(deltaWorkload())
-				if err != nil {
-					t.Fatalf("generate: %v", err)
-				}
-				c, _, execErr := w.Execute(Config{Protocol: proto, FetchConcurrency: conc})
-				if execErr != nil {
-					t.Fatalf("execute conc=%d: %v", conc, execErr)
-				}
-				fp, _ := fingerprintCluster(c)
-				if fp.Counters.DeltaBytes == 0 || fp.Counters.DeltaSavedBytes == 0 {
-					t.Fatalf("conc=%d: no deltas flowed; invariant vacuous (%+v)", conc, fp.Counters)
-				}
-				if i == 0 {
-					base = fp
-					continue
-				}
-				if !reflect.DeepEqual(fp.Counters, base.Counters) {
-					t.Errorf("conc=%d: counters diverge with deltas on:\n got %+v\nwant %+v",
-						conc, fp.Counters, base.Counters)
-				}
-				if !reflect.DeepEqual(fp.Totals, base.Totals) {
-					t.Errorf("conc=%d: totals diverge with deltas on: %+v != %+v",
-						conc, fp.Totals, base.Totals)
-				}
-				if len(fp.Trace) != len(base.Trace) {
-					t.Fatalf("conc=%d: trace length %d != %d", conc, len(fp.Trace), len(base.Trace))
-				}
-				for j := range fp.Trace {
-					if !reflect.DeepEqual(fp.Trace[j], base.Trace[j]) {
-						t.Fatalf("conc=%d: trace record %d diverges:\n got %+v\nwant %+v",
-							conc, j, fp.Trace[j], base.Trace[j])
-					}
-				}
-			}
-		})
-	}
-}
-
 // assertSerialReplayEquivalent replays the run's committed roots in the
 // history checker's order on a fresh fault-free cluster and asserts
 // byte-identical object state — the same oracle the chaos harness uses. Any

@@ -129,8 +129,8 @@ func RunFigure(spec FigureSpec) (*FigureResult, error) {
 	return RunFigureConfig(spec, Config{})
 }
 
-// RunFigureConfig is RunFigure with a base cluster config (e.g. a
-// FetchConcurrency override); the figure's workload still sets nodes,
+// RunFigureConfig is RunFigure with a base cluster config (e.g. DeltaOff
+// or a fault plan); the figure's workload still sets nodes,
 // page size, protocol and leniency.
 func RunFigureConfig(spec FigureSpec, base Config) (*FigureResult, error) {
 	protocols := spec.Protocols

@@ -13,8 +13,8 @@ import (
 // guarantee: installing a fault plan that injects nothing — whether the
 // "none" preset or a bare seeded Plan with no rules — must leave the run
 // byte-for-byte identical to a run with no plan at all. Every message in
-// the trace, every counter, every modeled duration (Gather included, so
-// this is stricter than the concurrency-equivalence test) must match: the
+// the trace, every counter, every modeled duration (Gather included) must
+// match: the
 // fault layer may not stamp request IDs, upgrade one-way sends, arm
 // timeouts, or otherwise perturb the schedule unless it has faults to
 // inject.

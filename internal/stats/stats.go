@@ -545,10 +545,8 @@ type TransferSample struct {
 	DeltaPages int
 	DeltaBytes int
 	// Per-stage wall-clock. Plan and Apply are sequential work; Gather is
-	// the in-flight round-trip span and is the only stage whose duration
-	// depends on FetchConcurrency — it must never appear in trace-equality
-	// comparisons (the byte/message trace is concurrency-invariant, the
-	// gather wall-clock is not).
+	// the span of the fan-out's round trips, all in flight at once: on the
+	// simulator, which issues them one after another, the slowest call's.
 	Plan   time.Duration
 	Gather time.Duration
 	Apply  time.Duration
@@ -572,13 +570,6 @@ func (r *Recorder) AddTransfer(s TransferSample) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.transfers = append(r.transfers, s)
-}
-
-// Transfers returns a copy of the recorded transfer samples.
-func (r *Recorder) Transfers() []TransferSample {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]TransferSample(nil), r.transfers...)
 }
 
 // TransferStages sums the transfer samples of the given kind; pass 0 to sum

@@ -22,96 +22,41 @@ type GroupResult struct {
 }
 
 // GroupCaller is implemented by Envs that have their own way of issuing a
-// bounded-concurrency fan-out. SimNet implements it to keep the message
-// trace deterministic: it issues the calls sequentially on the virtual
-// clock (so byte/message counters are identical at any concurrency) and
-// separately models the k-worker overlap, returning the modeled makespan as
-// the group's elapsed time.
+// fan-out. SimNet implements it to keep the message trace deterministic: it
+// issues the calls sequentially on the virtual clock and reports the
+// slowest call as the group's elapsed time, the span of the calls had they
+// all been in flight at once.
 type GroupCaller interface {
-	CallGroup(calls []GroupCall, concurrency int) ([]GroupResult, time.Duration)
+	CallGroup(calls []GroupCall) ([]GroupResult, time.Duration)
 }
 
-// CallGroup issues the calls through env with at most concurrency in
-// flight, returning per-call results in call order and the elapsed
-// wall-clock span of the whole group. Envs implementing GroupCaller (the
-// simulator) use their own overlap accounting; otherwise a goroutine worker
-// pool provides real concurrency (the TCP transport).
-func CallGroup(env Env, calls []GroupCall, concurrency int) ([]GroupResult, time.Duration) {
+// CallGroup issues the calls through env, all in flight at once, returning
+// per-call results in call order and the elapsed wall-clock span of the
+// whole group. The number of peer sites bounds the fan-out. Envs
+// implementing GroupCaller (the simulator) use their own accounting;
+// otherwise each call runs on its own goroutine (the TCP transport), and a
+// one-call group runs inline on the caller.
+func CallGroup(env Env, calls []GroupCall) ([]GroupResult, time.Duration) {
 	if gc, ok := env.(GroupCaller); ok {
-		return gc.CallGroup(calls, concurrency)
+		return gc.CallGroup(calls)
 	}
 	if len(calls) == 0 {
 		return nil, 0
 	}
 	start := env.Now()
 	results := make([]GroupResult, len(calls))
-	if concurrency <= 1 || len(calls) == 1 {
-		for i, c := range calls {
-			results[i].Reply, results[i].Err = env.Call(c.To, c.Msg)
-		}
+	if len(calls) == 1 {
+		results[0].Reply, results[0].Err = env.Call(calls[0].To, calls[0].Msg)
 		return results, env.Now() - start
 	}
-	if concurrency > len(calls) {
-		concurrency = len(calls)
-	}
-	var next int
-	var mu sync.Mutex
 	var wg sync.WaitGroup
-	wg.Add(concurrency)
-	for w := 0; w < concurrency; w++ {
+	wg.Add(len(calls))
+	for i := range calls {
 		go func() {
 			defer wg.Done()
-			for {
-				mu.Lock()
-				i := next
-				next++
-				mu.Unlock()
-				if i >= len(calls) {
-					return
-				}
-				results[i].Reply, results[i].Err = env.Call(calls[i].To, calls[i].Msg)
-			}
+			results[i].Reply, results[i].Err = env.Call(calls[i].To, calls[i].Msg)
 		}()
 	}
 	wg.Wait()
 	return results, env.Now() - start
-}
-
-// OverlapMakespan models running the given per-call round-trip costs on k
-// workers, assigning each call in order to the earliest-free worker, and
-// returns the resulting makespan. k <= 1 degenerates to the serial sum.
-// SimNet uses this to price a concurrent gather without perturbing the
-// deterministic message trace.
-func OverlapMakespan(costs []time.Duration, k int) time.Duration {
-	if len(costs) == 0 {
-		return 0
-	}
-	if k <= 1 {
-		var sum time.Duration
-		for _, c := range costs {
-			sum += c
-		}
-		return sum
-	}
-	if k > len(costs) {
-		k = len(costs)
-	}
-	free := make([]time.Duration, k)
-	for _, c := range costs {
-		// Earliest-free worker takes the next call.
-		minIdx := 0
-		for i := 1; i < k; i++ {
-			if free[i] < free[minIdx] {
-				minIdx = i
-			}
-		}
-		free[minIdx] += c
-	}
-	var span time.Duration
-	for _, f := range free {
-		if f > span {
-			span = f
-		}
-	}
-	return span
 }

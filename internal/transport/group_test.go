@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"sync"
 	"testing"
 	"time"
 
@@ -9,50 +10,32 @@ import (
 	"lotec/internal/wire"
 )
 
-func TestOverlapMakespan(t *testing.T) {
-	ms := time.Millisecond
-	cases := []struct {
-		costs []time.Duration
-		k     int
-		want  time.Duration
-	}{
-		{nil, 4, 0},
-		{[]time.Duration{3 * ms}, 1, 3 * ms},
-		{[]time.Duration{3 * ms, 2 * ms, 1 * ms}, 1, 6 * ms},
-		{[]time.Duration{3 * ms, 2 * ms, 1 * ms}, 0, 6 * ms}, // k<=1 is serial
-		{[]time.Duration{3 * ms, 2 * ms, 1 * ms}, 3, 3 * ms},
-		{[]time.Duration{3 * ms, 2 * ms, 1 * ms}, 16, 3 * ms}, // k > n clamps
-		// Greedy earliest-free with k=2: w0=3, w1=2 then w1 takes the 2ms
-		// (free at 2 < 3), w1=4; last 1ms goes to w0 → 4.
-		{[]time.Duration{3 * ms, 2 * ms, 2 * ms, 1 * ms}, 2, 4 * ms},
-	}
-	for _, c := range cases {
-		if got := OverlapMakespan(c.costs, c.k); got != c.want {
-			t.Errorf("OverlapMakespan(%v, %d) = %v, want %v", c.costs, c.k, got, c.want)
-		}
-	}
-}
-
 // groupNet builds a 4-node simnet where node 1 fans out to 2..4.
 func groupNet(t *testing.T, rec *stats.Recorder) *SimNet {
 	t.Helper()
 	net := NewSimNet(4, testParams(), rec)
 	for n := ids.NodeID(1); n <= 4; n++ {
 		net.SetHandler(n, func(from ids.NodeID, m wire.Msg) wire.Msg {
-			req := m.(*wire.MultiFetchReq)
-			resp := &wire.MultiFetchResp{}
-			for _, o := range req.Objs {
-				resp.Objs = append(resp.Objs, wire.ObjPayload{Obj: o.Obj})
-			}
-			return resp
+			return echoObjs(m.(*wire.MultiFetchReq))
 		})
 	}
 	return net
 }
 
-func groupCalls() []GroupCall {
+// echoObjs answers a fetch with one empty payload per requested object.
+func echoObjs(req *wire.MultiFetchReq) *wire.MultiFetchResp {
+	resp := &wire.MultiFetchResp{}
+	for _, o := range req.Objs {
+		resp.Objs = append(resp.Objs, wire.ObjPayload{Obj: o.Obj})
+	}
+	return resp
+}
+
+// fetchCalls is one fetch per site in sites, each naming the site as its
+// object, so a reply tells which call it answers.
+func fetchCalls(sites ...ids.NodeID) []GroupCall {
 	var calls []GroupCall
-	for n := ids.NodeID(2); n <= 4; n++ {
+	for _, n := range sites {
 		calls = append(calls, GroupCall{To: n, Msg: &wire.MultiFetchReq{
 			Objs: []wire.ObjPages{{Obj: ids.ObjectID(n), Pages: []ids.PageNum{0, 1}}},
 		}})
@@ -60,83 +43,93 @@ func groupCalls() []GroupCall {
 	return calls
 }
 
-// TestCallGroupTraceInvariance is the transport-level core of the xfer
-// invariant: the simulator's recorded trace must be byte-identical at every
-// concurrency, while the reported group span shrinks with concurrency.
-func TestCallGroupTraceInvariance(t *testing.T) {
-	run := func(k int) ([]stats.MsgRecord, time.Duration) {
-		rec := stats.NewRecorder()
-		net := groupNet(t, rec)
-		env := net.Env(1)
-		var span time.Duration
-		env.Go(func() {
-			results, elapsed := CallGroup(env, groupCalls(), k)
-			span = elapsed
-			for i, r := range results {
-				if r.Err != nil {
-					t.Errorf("call %d: %v", i, r.Err)
-					continue
-				}
-				resp := r.Reply.(*wire.MultiFetchResp)
-				if want := ids.ObjectID(i + 2); resp.Objs[0].Obj != want {
-					t.Errorf("result %d out of order: obj %v, want %v", i, resp.Objs[0].Obj, want)
-				}
-			}
-		})
-		if err := net.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return rec.Trace(), span
-	}
-	trace1, span1 := run(1)
-	trace4, span4 := run(4)
-	if len(trace1) != len(trace4) {
-		t.Fatalf("trace lengths differ: %d vs %d", len(trace1), len(trace4))
-	}
-	for i := range trace1 {
-		a, b := trace1[i], trace4[i]
-		if a.From != b.From || a.To != b.To || a.Kind != b.Kind || a.Bytes != b.Bytes || a.Payload != b.Payload {
-			t.Fatalf("trace diverges at %d: %+v vs %+v", i, a, b)
-		}
-	}
-	if span4 >= span1 {
-		t.Errorf("concurrency 4 span %v not below serial span %v", span4, span1)
-	}
-	// All round-trips cost the same here, so 3 calls on 4 workers overlap
-	// completely: the span is one round-trip, a third of the serial span.
-	if want := span1 / 3; span4 != want {
-		t.Errorf("span at k=4 = %v, want one RTT %v", span4, want)
-	}
-}
-
-// TestCallGroupFallbackPool exercises the generic worker-pool path (used by
-// the TCP transport) through a non-GroupCaller Env wrapper.
-func TestCallGroupFallbackPool(t *testing.T) {
-	net := groupNet(t, nil)
-	env := net.Env(1)
-	// plainEnv hides the GroupCaller implementation; concurrency 1 keeps the
-	// pool path single-threaded, which is required under the simulator's
-	// one-proc-at-a-time scheduling.
-	var results []GroupResult
-	env.Go(func() {
-		results, _ = CallGroup(plainEnv{env}, groupCalls(), 1)
-	})
-	if err := net.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 3 {
-		t.Fatalf("got %d results", len(results))
+// checkInOrder fails unless every result answers its own call.
+func checkInOrder(t *testing.T, calls []GroupCall, results []GroupResult) {
+	t.Helper()
+	if len(results) != len(calls) {
+		t.Fatalf("got %d results for %d calls", len(results), len(calls))
 	}
 	for i, r := range results {
 		if r.Err != nil {
 			t.Errorf("call %d: %v", i, r.Err)
 			continue
 		}
-		if want := ids.ObjectID(i + 2); r.Reply.(*wire.MultiFetchResp).Objs[0].Obj != want {
-			t.Errorf("result %d out of order", i)
+		if got, want := r.Reply.(*wire.MultiFetchResp).Objs[0].Obj, ids.ObjectID(calls[i].To); got != want {
+			t.Errorf("result %d answers obj %v, want %v", i, got, want)
 		}
 	}
 }
 
-// plainEnv strips the GroupCaller interface from an Env.
-type plainEnv struct{ Env }
+// parkEnv is a non-simulator Env whose Call parks until want calls are in
+// flight at once, then answers each with echoObjs.
+type parkEnv struct {
+	Env      // nil: CallGroup uses only Call and Now
+	want     int
+	mu       sync.Mutex
+	inFlight int
+	all      chan struct{}
+}
+
+func (e *parkEnv) Now() time.Duration { return 0 }
+
+func (e *parkEnv) Call(to ids.NodeID, m wire.Msg) (wire.Msg, error) {
+	e.mu.Lock()
+	e.inFlight++
+	if e.inFlight == e.want {
+		close(e.all)
+	}
+	e.mu.Unlock()
+	<-e.all
+	return echoObjs(m.(*wire.MultiFetchReq)), nil
+}
+
+// TestCallGroupFansOutToEverySite holds every call of a six-site gather
+// until all six are in flight: off the simulator, CallGroup must put the
+// whole fan-out on the wire at once, with no bound below the site count.
+func TestCallGroupFansOutToEverySite(t *testing.T) {
+	env := &parkEnv{want: 6, all: make(chan struct{})}
+	calls := fetchCalls(2, 3, 4, 5, 6, 7)
+	done := make(chan []GroupResult, 1)
+	go func() {
+		results, _ := CallGroup(env, calls)
+		done <- results
+	}()
+	select {
+	case results := <-done:
+		checkInOrder(t, calls, results)
+	case <-time.After(5 * time.Second):
+		env.mu.Lock()
+		n := env.inFlight
+		env.mu.Unlock()
+		t.Fatalf("gather stalled with %d of %d calls in flight", n, len(calls))
+	}
+}
+
+// TestCallGroupSpanIsSlowestCall checks the simulator's accounting: the
+// calls go out one after another on the virtual clock, each recorded, and
+// the reported span is the slowest call's round trip, not their sum.
+func TestCallGroupSpanIsSlowestCall(t *testing.T) {
+	rec := stats.NewRecorder()
+	net := groupNet(t, rec)
+	env := net.Env(1)
+	calls := fetchCalls(2, 3, 4)
+	var results []GroupResult
+	var span, elapsed time.Duration
+	env.Go(func() {
+		start := env.Now()
+		results, span = CallGroup(env, calls)
+		elapsed = env.Now() - start
+	})
+	if err := net.Run(); err != nil {
+		t.Fatal(err)
+	}
+	checkInOrder(t, calls, results)
+	// Three equal round trips: the virtual clock advances by three, the
+	// span is one.
+	if span <= 0 || elapsed != 3*span {
+		t.Errorf("span %v over a sequential %v, want a third of it", span, elapsed)
+	}
+	if got := len(rec.Trace()); got != 6 {
+		t.Errorf("trace has %d messages, want 6 (3 requests, 3 replies)", got)
+	}
+}

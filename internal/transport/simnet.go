@@ -110,24 +110,22 @@ func NewSimNet(n int, params netmodel.Params, rec *stats.Recorder) *SimNet {
 // Env returns the Env of a node (1-based).
 func (s *SimNet) Env(id ids.NodeID) Env { return s.envs[id] }
 
-// InstallFaults attaches a fault injector and retry policy. Call during
-// setup, before Run. Zero policy fields fall back to the simulator
-// defaults; the backoff jitter seed defaults to the plan seed.
+// InstallFaults attaches a fault injector and the simulator's retry
+// policy. Call during setup, before Run. The backoff jitter is seeded with
+// the plan seed.
 //
 // An inert injector (nil, or a plan with no rules, crashes, or
 // partitions) is not installed at all: the fault layer is strictly
 // pay-for-what-you-use, and with nothing to inject Send and Call must
 // take exactly the historical code paths so the message trace stays
 // byte-for-byte identical to a run with no plan.
-func (s *SimNet) InstallFaults(inj *fault.Injector, policy RetryPolicy) {
+func (s *SimNet) InstallFaults(inj *fault.Injector) {
 	if !inj.Active() {
 		return
 	}
 	s.inj = inj
-	if policy.Seed == 0 {
-		policy.Seed = inj.Seed()
-	}
-	s.retry = policy.WithDefaults(simRetryDefaults)
+	s.retry = simRetryDefaults
+	s.retry.Seed = inj.Seed()
 }
 
 // nextReqID hands out idempotency keys for retried calls.
@@ -503,25 +501,23 @@ func (e *simEnv) transmitCall(to ids.NodeID, m wire.Msg, f Future, start time.Du
 }
 
 // CallGroup implements GroupCaller. The calls are issued sequentially on
-// the virtual clock — the recorded message trace is therefore byte-for-byte
-// identical at every concurrency level, which is the xfer pipeline's hard
-// invariant (truly overlapping the virtual round-trips would reorder lock
-// races at the GDO and change message counts). The k-worker overlap is
-// modeled instead: each call's measured round-trip cost feeds
-// OverlapMakespan, and the modeled makespan is returned as the group's
-// elapsed time, following the repo's record-once/re-price methodology.
-func (e *simEnv) CallGroup(calls []GroupCall, concurrency int) ([]GroupResult, time.Duration) {
+// the virtual clock, so the recorded message trace is deterministic (truly
+// overlapping the virtual round-trips would reorder lock races at the GDO
+// and change message counts). The overlap is priced instead: every call is
+// in flight at once off the simulator, so the group's elapsed time is its
+// slowest call's measured round trip.
+func (e *simEnv) CallGroup(calls []GroupCall) ([]GroupResult, time.Duration) {
 	if len(calls) == 0 {
 		return nil, 0
 	}
 	results := make([]GroupResult, len(calls))
-	costs := make([]time.Duration, len(calls))
+	var span time.Duration
 	for i, c := range calls {
 		start := e.net.Now()
 		results[i].Reply, results[i].Err = e.Call(c.To, c.Msg)
-		costs[i] = e.net.Now() - start
+		span = max(span, e.net.Now()-start)
 	}
-	return results, OverlapMakespan(costs, concurrency)
+	return results, span
 }
 
 // futResult carries a completion.

@@ -7,16 +7,15 @@
 // The plan stage decides which pages must actually move and which peer site
 // sources (or sinks) each one; the batch stage groups pages *across
 // objects* by peer site into one MultiFetchReq/MultiPushReq per site; the
-// gather stage issues the per-site calls with bounded concurrency through
+// gather stage issues the per-site calls, all in flight at once, through
 // transport.CallGroup; the apply stage installs the received pages. Staged
 // page buffers come from pstore's page pool and per-stage accounting lands in
 // stats.TransferSample records.
 //
-// Concurrency is a wall-clock optimization only: the byte and message
-// trace is identical at every FetchConcurrency for every protocol. The
-// simulator enforces the invariant by construction (it issues the group
-// sequentially on the virtual clock and models the k-worker overlap — see
-// transport.GroupCaller); the TCP transport overlaps the calls for real.
+// The overlap is a wall-clock matter only: the simulator issues the group
+// sequentially on the virtual clock and reports the slowest call as its span
+// (see transport.GroupCaller), so its trace stays deterministic; the TCP
+// transport overlaps the calls for real.
 // Consistency protocols (package core) stay pure policies: they choose
 // *what* to fetch, this package only decides *how* it moves.
 package xfer
@@ -62,9 +61,6 @@ type Engine struct {
 	Env   transport.Env
 	Store *pstore.Store
 	Rec   *stats.Recorder // may be nil
-	// Concurrency bounds the in-flight per-site calls of one gather or
-	// push fan-out (Options.FetchConcurrency); <= 1 means serial.
-	Concurrency int
 	// DeltaOff disables sub-page delta transfers entirely (the -delta=off
 	// escape hatch): no base versions are piggybacked on fetches and pushes
 	// stage only full pages, so the wire traffic is byte-identical to the
@@ -81,9 +77,9 @@ type sourcePlan struct {
 
 // Fetch runs the gather direction of the pipeline for the given wants:
 // plan which pages must move, batch them by source site across objects,
-// pull each site's batch under the concurrency bound, and install the
-// received pages. demand marks §4.3 demand fetches (counted per batched
-// source-site request, as serial per-source fetches were).
+// pull every site's batch at once, and install the received pages. demand
+// marks §4.3 demand fetches (counted per batched source-site request, as
+// serial per-source fetches were).
 func (e *Engine) Fetch(wants []Want, demand bool) error {
 	t0 := e.Env.Now()
 	plans, err := e.planFetch(wants)
@@ -105,7 +101,7 @@ func (e *Engine) Fetch(wants []Want, demand bool) error {
 	}
 	t1 := e.Env.Now()
 
-	results, span := transport.CallGroup(e.Env, calls, e.Concurrency)
+	results, span := transport.CallGroup(e.Env, calls)
 
 	t2 := e.Env.Now()
 	pages, bytes, deltaPages, deltaBytes, err := e.applyFetch(calls, results)
@@ -316,12 +312,12 @@ func (e *Engine) applyFetch(calls []transport.GroupCall, results []transport.Gro
 // Push runs the scatter direction of the pipeline (the §6 RC extension):
 // look up the copy set of every dirty object — batched into one CopySetReq
 // per GDO home site — stage each object's dirty pages once, batch the
-// payloads by destination site across objects, and push each site's batch
-// acknowledged under the concurrency bound. homeFn maps an object to its
-// GDO home. With delta set (the protocol is delta-eligible and deltas are
-// on), each page is staged as its newest journal epoch's dirty ranges when
-// that beats the full page; a pushee not at the delta's base evicts its
-// stale copy (see ApplyPush).
+// payloads by destination site across objects, and push every site's batch
+// at once, each acknowledged. homeFn maps an object to its GDO home. With
+// delta set (the protocol is delta-eligible and deltas are on), each page
+// is staged as its newest journal epoch's dirty ranges when that beats the
+// full page; a pushee not at the delta's base evicts its stale copy (see
+// ApplyPush).
 func (e *Engine) Push(objs []ids.ObjectID, dirty map[ids.ObjectID][]ids.PageNum, homeFn func(ids.ObjectID) ids.NodeID, delta bool) error {
 	t0 := e.Env.Now()
 	var withPages []ids.ObjectID
@@ -440,7 +436,7 @@ func (e *Engine) Push(objs []ids.ObjectID, dirty map[ids.ObjectID][]ids.PageNum,
 	}
 	t1 := e.Env.Now()
 
-	results, span := transport.CallGroup(e.Env, calls, e.Concurrency)
+	results, span := transport.CallGroup(e.Env, calls)
 	for i, r := range results {
 		if r.Err != nil {
 			return fmt.Errorf("push to %v: %w", calls[i].To, r.Err)

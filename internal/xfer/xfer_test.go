@@ -88,7 +88,7 @@ func pageByte(site ids.NodeID, obj ids.ObjectID, p ids.PageNum) byte {
 func (c *testCluster) run(t *testing.T, fn func(e *Engine)) *stats.Recorder {
 	t.Helper()
 	rec := stats.NewRecorder()
-	e := &Engine{Env: c.net.Env(1), Store: c.stores[1], Rec: rec, Concurrency: 4}
+	e := &Engine{Env: c.net.Env(1), Store: c.stores[1], Rec: rec}
 	c.net.Env(1).Go(func() { fn(e) })
 	if err := c.net.Run(); err != nil {
 		t.Fatal(err)
@@ -112,7 +112,7 @@ func TestPlanFetchBatching(t *testing.T) {
 	c.seed(t, 10, 2, 2)
 	c.seed(t, 11, 3, 3)
 	c.seed(t, 12, 1, 2)
-	e := &Engine{Env: c.net.Env(1), Store: c.stores[1], Concurrency: 4}
+	e := &Engine{Env: c.net.Env(1), Store: c.stores[1]}
 
 	// Object 11 scatters: page 0 at site 3, page 1 at self (skipped), page 2
 	// at site 2 — so sites 2 and 3 each serve pages of two objects.
@@ -147,7 +147,7 @@ func TestPlanFetchBatching(t *testing.T) {
 func TestPlanFetchFilters(t *testing.T) {
 	c := newTestCluster(t, 3)
 	c.seed(t, 20, 2, 2)
-	e := &Engine{Env: c.net.Env(1), Store: c.stores[1], Concurrency: 1}
+	e := &Engine{Env: c.net.Env(1), Store: c.stores[1]}
 
 	// Single == self: the whole want drops.
 	plans, err := e.planFetch([]Want{{Obj: 20, Pages: []ids.PageNum{0, 1}, PageMap: locs(2, 1, 2), Single: 1}})

@@ -72,10 +72,6 @@ type NodeOptions struct {
 	PageSize int
 	// Lenient disables strict declared-access checking.
 	Lenient bool
-	// FetchConcurrency bounds the in-flight per-site calls of one page
-	// transfer fan-out (0 → default 4). On TCP the calls genuinely
-	// overlap; counters are unchanged at any setting.
-	FetchConcurrency int
 	// DeltaOff disables sub-page delta transfers; must match cluster-wide.
 	DeltaOff bool
 	// FaultPlan, when non-empty, injects deterministic faults into this
@@ -105,14 +101,13 @@ func NewNode(opts NodeOptions) (*Node, error) {
 		plan = parsed
 	}
 	inner, err := server.NewNodeServer(server.NodeConfig{
-		Topology:         opts.Topology,
-		Self:             opts.Self,
-		Protocol:         p,
-		PageSize:         opts.PageSize,
-		Lenient:          opts.Lenient,
-		FetchConcurrency: opts.FetchConcurrency,
-		DeltaOff:         opts.DeltaOff,
-		Faults:           plan,
+		Topology: opts.Topology,
+		Self:     opts.Self,
+		Protocol: p,
+		PageSize: opts.PageSize,
+		Lenient:  opts.Lenient,
+		DeltaOff: opts.DeltaOff,
+		Faults:   plan,
 	})
 	if err != nil {
 		return nil, err

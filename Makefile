@@ -12,8 +12,8 @@ vet:
 	go vet ./...
 	test -z "$$(gofmt -l . | tee /dev/stderr)"
 
-# Repo-specific invariant analyzers (determinism taint, map order, lock
-# discipline, static lock ordering, dropped errors). Exits non-zero on any finding; per-analyzer timings on stderr.
+# Repo-specific invariant analyzers (map order, lock discipline, dropped
+# errors). Exits non-zero on any finding; per-analyzer timings on stderr.
 lint:
 	go run ./cmd/lotec-lint -time ./...
 
@@ -21,7 +21,7 @@ lint:
 # diagnostics on its positive fixtures (including the -json golden file)
 # and stay silent on the negative ones.
 lint-fixtures:
-	go test -run 'TestMapIter|TestLockHeld|TestErrDrop|TestDetSource|TestLockOrder|TestDirectiveAudit|TestMain' ./internal/lint/
+	go test -run 'TestMapIter|TestLockHeld|TestErrDrop|TestDirectiveAudit|TestMain' ./internal/lint/
 
 test:
 	go test -race ./...

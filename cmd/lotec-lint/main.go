@@ -1,6 +1,6 @@
 // Command lotec-lint runs the repository's invariant analyzer suite
-// (package internal/lint): mapiter, lockheld, errdrop, detsource and
-// lockorder, plus the //lotec: directive audit.
+// (package internal/lint): mapiter, lockheld and errdrop, plus the
+// //lotec: directive audit.
 //
 // Usage:
 //

@@ -1,7 +1,9 @@
 package directory
 
 import (
+	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -214,6 +216,7 @@ func TestReplicatedSingleShard(t *testing.T) {
 // primary refuses new-epoch traffic with a redirect, and the promoted
 // backup serves it.
 func TestPromotionIdempotent(t *testing.T) {
+	failAfter(t, 30*time.Second)
 	m := InitialMap(1, 1, []ids.NodeID{2, 3}, false)
 	b := newRepBed(t, 2, 1, m)
 	obj := ids.ObjectID(1)
@@ -425,4 +428,16 @@ func TestHandoffPreservesReleasedState(t *testing.T) {
 	if len(hs) != 1 || hs[0].Bytes == 0 {
 		t.Errorf("recorded handoffs = %+v, want one sample with bytes", hs)
 	}
+}
+
+// failAfter panics with every goroutine's stack if the test is still
+// running after d, so a self-deadlock fails in seconds with the blocked
+// lock named in the dump instead of hanging to the package timeout.
+func failAfter(t *testing.T, d time.Duration) {
+	name := t.Name()
+	timer := time.AfterFunc(d, func() {
+		buf := make([]byte, 1<<20)
+		panic(fmt.Sprintf("%s still running after %v\n%s", name, d, buf[:runtime.Stack(buf, true)]))
+	})
+	t.Cleanup(func() { timer.Stop() })
 }

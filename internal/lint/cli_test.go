@@ -20,9 +20,8 @@ func TestMainJSONGolden(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	code := Main([]string{
 		"-json",
-		"./testdata/detsource_pos/sim",
-		"./testdata/detsource_pos/helper",
-		"./testdata/lockorder_pos",
+		"./testdata/mapiter_pos",
+		"./testdata/errdrop_pos",
 		"./testdata/directive_pos",
 	}, &stdout, &stderr)
 	if code != 1 {
@@ -59,7 +58,7 @@ func TestMainExitCodes(t *testing.T) {
 		args []string
 		want int
 	}{
-		{"clean", []string{"./testdata/lockorder_neg"}, 0},
+		{"clean", []string{"./testdata/mapiter_neg"}, 0},
 		{"findings", []string{"./testdata/directive_pos"}, 1},
 		{"badpattern", []string{"./testdata/does_not_exist"}, 2},
 		{"badflag", []string{"-no-such-flag"}, 2},

@@ -126,3 +126,62 @@ func isErrorType(t types.Type) bool {
 	obj := named.Obj()
 	return obj.Name() == "error" && obj.Pkg() == nil
 }
+
+// calleeOf resolves a call expression to the *types.Func it invokes, or nil
+// for dynamic calls (function values, interface methods without a concrete
+// target), conversions and builtins.
+func calleeOf(p *Package, call *ast.CallExpr) *types.Func {
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		if fn, ok := p.Info.Uses[fun].(*types.Func); ok {
+			return fn
+		}
+	case *ast.SelectorExpr:
+		if sel, ok := p.Info.Selections[fun]; ok && sel.Kind() == types.MethodVal {
+			fn, _ := sel.Obj().(*types.Func)
+			if fn != nil && interfaceMethod(fn) {
+				return nil // dynamic dispatch: target unknown
+			}
+			return fn
+		}
+		if fn, ok := p.Info.Uses[fun.Sel].(*types.Func); ok {
+			return fn
+		}
+	}
+	return nil
+}
+
+// interfaceMethod reports whether fn is declared on an interface type (so a
+// call to it dispatches dynamically).
+func interfaceMethod(fn *types.Func) bool {
+	sig, ok := fn.Type().(*types.Signature)
+	if !ok || sig.Recv() == nil {
+		return false
+	}
+	return types.IsInterface(sig.Recv().Type())
+}
+
+// stdFuncIs reports whether fn is the standard-library function
+// <pkgPath>.<name> (package-level, not a method).
+func stdFuncIs(fn *types.Func, pkgPath, name string) bool {
+	if fn == nil || fn.Pkg() == nil || fn.Name() != name || fn.Pkg().Path() != pkgPath {
+		return false
+	}
+	sig, _ := fn.Type().(*types.Signature)
+	return sig == nil || sig.Recv() == nil
+}
+
+// recvNamed returns the named type of fn's receiver (dereferencing a
+// pointer receiver), or nil for package-level functions.
+func recvNamed(fn *types.Func) *types.Named {
+	sig, _ := fn.Type().(*types.Signature)
+	if sig == nil || sig.Recv() == nil {
+		return nil
+	}
+	t := sig.Recv().Type()
+	if ptr, ok := t.(*types.Pointer); ok {
+		t = ptr.Elem()
+	}
+	named, _ := t.(*types.Named)
+	return named
+}

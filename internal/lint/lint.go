@@ -2,20 +2,22 @@
 // repository, built only on the standard library's go/parser, go/ast and
 // go/types (no golang.org/x/tools dependency). It exists because the
 // invariants LOTEC's reproduction depends on — bit-for-bit deterministic
-// simulation runs, mutex discipline and lock order in the lock service, and
-// errors handled at the I/O boundary — are invisible to the compiler and to
-// go vet. The suite keeps an analyzer only where no test catches its bug:
-// the wire protocol's three-way sync and the zero-allocation hot paths are
-// checked by running code instead (internal/wire's registry tests and the
-// TestAllocs* gates), which see real escape analysis and unannotated
-// callees.
+// simulation runs, mutex discipline in the lock service, and errors handled
+// at the I/O boundary — are invisible to the compiler and to go vet. The
+// suite keeps an analyzer only where no test catches its bug: the wire
+// protocol's three-way sync, the zero-allocation hot paths, the other
+// nondeterminism sources (wall clock, global math/rand, environment reads,
+// multi-case select) and lock-order inversions are checked by running code
+// instead (internal/wire's registry tests, the TestAllocs* gates, the
+// golden simulator outputs and replay tests, and the deadline on the
+// promotion and availability tests).
 //
-// Five repo-specific analyzers are provided:
+// Three repo-specific analyzers are provided:
 //
 //   - mapiter:  flags `for range` over maps in determinism-critical
-//     packages (sim, gdo, directory, node, stats, xfer, workload) unless
-//     the loop's results are sorted before use or the site carries a
-//     `//lotec:unordered` justification comment.
+//     packages (every module package the simulator and the replay
+//     reach) unless the loop's results are sorted before use or the site
+//     carries a `//lotec:unordered` justification comment.
 //   - lockheld: struct fields annotated `// guarded by mu` may only be
 //     accessed in methods that hold that mutex on a dominating path
 //     (conservative intra-package check; a `Locked` method-name suffix
@@ -23,15 +25,6 @@
 //   - errdrop:  implicitly discarded error returns in the transport,
 //     server, wire, sim and node packages (an explicit `_ =` is the
 //     sanctioned discard marker).
-//   - detsource: whole-program taint — nondeterminism sources (time.Now,
-//     global math/rand, os.Getenv, sync.Map.Range, multi-case select,
-//     unordered map iteration outside mapiter's scope) must not be
-//     reachable from the deterministic packages (sim, fault, workload,
-//     netmodel, stats). `//lotec:nondet-ok` blesses a source site.
-//   - lockorder: whole-program static mutex-acquisition graph over gdo,
-//     directory, node, pstore and server; cycles (potential deadlocks)
-//     are reported with a witness path. `//lotec:lockorder-ok` blesses
-//     an ordered nested acquisition.
 //
 // After the analyzers run, RunAll audits every `//lotec:` directive in the
 // analyzed sources: unknown directives and suppressions with no matching
@@ -84,30 +77,24 @@ type Package struct {
 	Info *types.Info
 }
 
-// Analyzer is one invariant checker. Per-package analyzers set Run;
-// whole-program analyzers (detsource, lockorder) set RunProgram
-// and receive every loaded package at once, sharing the program's
-// type-checked state instead of re-loading per analyzer.
+// Analyzer is one invariant checker, run once per package over the
+// program's shared type-checked state.
 type Analyzer struct {
 	Name string
 	Doc  string
 	Run  func(prog *Program, p *Package) []Finding
-	// RunProgram analyzes all packages together (cross-package dataflow).
-	RunProgram func(prog *Program) []Finding
 }
 
 // All returns every analyzer of the suite, in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{MapIter, LockHeld, ErrDrop, DetSource, LockOrder}
+	return []*Analyzer{MapIter, LockHeld, ErrDrop}
 }
 
 // knownDirectives are the `//lotec:<name>` markers the suite understands.
 // Anything else trailing `//lotec:` is a typo and gets flagged by the
 // directive audit.
 var knownDirectives = map[string]string{
-	"unordered":    "mapiter",
-	"nondet-ok":    "detsource",
-	"lockorder-ok": "lockorder",
+	"unordered": "mapiter",
 }
 
 // directive is one `//lotec:<name>` comment occurrence in analyzed source.
@@ -115,7 +102,6 @@ type directive struct {
 	name string
 	file string
 	line int
-	pos  token.Pos
 	used bool
 }
 
@@ -127,16 +113,6 @@ type Program struct {
 
 	directives []*directive
 	byFileLine map[string]map[int]*directive
-	cg         *callGraph
-}
-
-// graph returns the program's static call graph, built on first use and
-// shared by every whole-program analyzer.
-func (prog *Program) graph() *callGraph {
-	if prog.cg == nil {
-		prog.cg = buildCallGraph(prog)
-	}
-	return prog.cg
 }
 
 // NewProgram indexes the packages and their `//lotec:` directives.
@@ -153,25 +129,14 @@ func NewProgram(pkgs []*Package) *Program {
 					if !ok {
 						continue
 					}
+					// A justification may follow the marker, e.g.
+					// `//lotec:unordered — sorted below`.
 					name := rest
-					if i := strings.IndexAny(rest, " \t—-"); i >= 0 {
-						// Allow a justification after the marker, e.g.
-						// `//lotec:unordered — sorted below`. A dash directly
-						// inside the name (nondet-ok) is kept by matching the
-						// longest known prefix first.
-						for known := range knownDirectives {
-							if rest == known || strings.HasPrefix(rest, known+" ") ||
-								strings.HasPrefix(rest, known+"\t") || strings.HasPrefix(rest, known+"—") {
-								name = known
-								break
-							}
-						}
-						if name == rest {
-							name = rest[:i]
-						}
+					if i := strings.IndexAny(rest, " \t—"); i >= 0 {
+						name = rest[:i]
 					}
 					pos := p.Fset.Position(c.Pos())
-					d := &directive{name: name, file: pos.Filename, line: pos.Line, pos: c.Pos()}
+					d := &directive{name: name, file: pos.Filename, line: pos.Line}
 					prog.directives = append(prog.directives, d)
 					m := prog.byFileLine[d.file]
 					if m == nil {
@@ -186,40 +151,20 @@ func NewProgram(pkgs []*Package) *Program {
 	return prog
 }
 
-// directiveAt returns the named directive covering a site at pos (directive
-// on the same line, or on the line directly above), or nil.
-func (prog *Program) directiveAt(name string, pos token.Position) *directive {
+// Suppressed reports whether a site at pos carries the named directive, on
+// the same line or the line directly above; a positive answer marks the
+// directive as consumed for the staleness audit. Analyzers must call this
+// only for sites that would otherwise be flagged — a directive that never
+// suppresses anything is stale by definition.
+func (prog *Program) Suppressed(name string, pos token.Position) bool {
 	m := prog.byFileLine[pos.Filename]
-	if m == nil {
-		return nil
-	}
 	for _, line := range []int{pos.Line, pos.Line - 1} {
 		if d, ok := m[line]; ok && d.name == name {
-			return d
+			d.used = true
+			return true
 		}
 	}
-	return nil
-}
-
-// Suppressed reports whether a site at pos carries the named directive; a
-// positive answer marks the directive as consumed for the staleness audit.
-// Analyzers must call this only for sites that would otherwise be flagged —
-// a directive that never suppresses anything is stale by definition.
-func (prog *Program) Suppressed(name string, pos token.Position) bool {
-	d := prog.directiveAt(name, pos)
-	if d == nil {
-		return false
-	}
-	d.used = true
-	return true
-}
-
-// MarkUsed marks the named directive at pos as consumed, for analyzers that
-// look a directive up themselves rather than through Suppressed.
-func (prog *Program) MarkUsed(name string, pos token.Position) {
-	if d := prog.directiveAt(name, pos); d != nil {
-		d.used = true
-	}
+	return false
 }
 
 // auditDirectives flags unknown `//lotec:` markers and suppressions that no
@@ -235,7 +180,7 @@ func (prog *Program) auditDirectives() []Finding {
 				File:     d.file,
 				Line:     d.line,
 				Col:      1,
-				Message:  fmt.Sprintf("unknown directive //lotec:%s (known: lockorder-ok, nondet-ok, unordered)", d.name),
+				Message:  fmt.Sprintf("unknown directive //lotec:%s (known: unordered)", d.name),
 			})
 			continue
 		}
@@ -274,12 +219,8 @@ func RunAllTimed(pkgs []*Package, analyzers []*Analyzer) ([]Finding, []Timing) {
 	timings := make([]Timing, 0, len(analyzers)+1)
 	for _, a := range analyzers {
 		start := time.Now()
-		if a.RunProgram != nil {
-			out = append(out, a.RunProgram(prog)...)
-		} else {
-			for _, p := range prog.Pkgs {
-				out = append(out, a.Run(prog, p)...)
-			}
+		for _, p := range prog.Pkgs {
+			out = append(out, a.Run(prog, p)...)
 		}
 		timings = append(timings, Timing{Analyzer: a.Name, Elapsed: time.Since(start)})
 	}

@@ -36,12 +36,8 @@ func runOn(t *testing.T, a *Analyzer, dirs ...string) []Finding {
 	t.Helper()
 	prog := NewProgram(loadFixturePkgs(t, dirs...))
 	var fs []Finding
-	if a.RunProgram != nil {
-		fs = a.RunProgram(prog)
-	} else {
-		for _, p := range prog.Pkgs {
-			fs = append(fs, a.Run(prog, p)...)
-		}
+	for _, p := range prog.Pkgs {
+		fs = append(fs, a.Run(prog, p)...)
 	}
 	Sort(fs)
 	return fs
@@ -131,76 +127,6 @@ func TestErrDropSkipsOtherPackages(t *testing.T) {
 	if fs := ErrDrop.Run(NewProgram([]*Package{p}), p); len(fs) != 0 {
 		t.Fatalf("got %d findings in non-boundary package, want 0", len(fs))
 	}
-}
-
-func TestDetSourcePositive(t *testing.T) {
-	fs := runOn(t, DetSource, "./testdata/detsource_pos/sim", "./testdata/detsource_pos/helper")
-	wantFindings(t, fs, 4,
-		"time.Now() (wall clock) in deterministic package sim",
-		"multi-case select",
-		"math/rand.Intn() (global RNG)",
-		"order-unsafe map iteration",
-	)
-	// The transitive finding must carry the full call path to the source.
-	found := false
-	for _, f := range fs {
-		if strings.Contains(f.Message, "helper.jitter2 → math/rand.Intn()") {
-			found = true
-		}
-	}
-	if !found {
-		for _, f := range fs {
-			t.Logf("  %s", f)
-		}
-		t.Error("no finding shows the helper.Jitter → helper.jitter2 call path")
-	}
-}
-
-func TestDetSourceNegative(t *testing.T) {
-	wantFindings(t, runOn(t, DetSource, "./testdata/detsource_neg"), 0)
-}
-
-// TestDetSourceBlessedSourceConsumesDirective runs the whole suite so the
-// directive audit sees the //lotec:nondet-ok in the positive fixture being
-// consumed (helper.Host is reachable from sim.Blessed).
-func TestDetSourceBlessedSourceConsumesDirective(t *testing.T) {
-	pkgs := loadFixturePkgs(t, "./testdata/detsource_pos/sim", "./testdata/detsource_pos/helper")
-	for _, f := range RunAll(pkgs, []*Analyzer{DetSource}) {
-		if f.Analyzer == "directive" {
-			t.Errorf("blessed source reported stale: %s", f)
-		}
-		if strings.Contains(f.Message, "Hostname") {
-			t.Errorf("blessed source still reported: %s", f)
-		}
-	}
-}
-
-func TestLockOrderPositive(t *testing.T) {
-	fs := runOn(t, LockOrder, "./testdata/lockorder_pos")
-	wantFindings(t, fs, 2,
-		"lock-order cycle (potential deadlock)",
-		"while already holding it",
-	)
-	var cycle string
-	for _, f := range fs {
-		if strings.Contains(f.Message, "cycle") {
-			cycle = f.Message
-		}
-	}
-	for _, want := range []string{"gdo.A.mu → gdo.B.mu", "gdo.B.mu → gdo.A.mu", "call to gdo.lockA"} {
-		if !strings.Contains(cycle, want) {
-			t.Errorf("cycle witness %q missing %q", cycle, want)
-		}
-	}
-}
-
-func TestLockOrderNegative(t *testing.T) {
-	// The negative fixture includes a deliberately inverted acquisition
-	// blessed with //lotec:lockorder-ok; the full run must stay clean,
-	// including the directive audit (the blessing is consumed).
-	pkgs := loadFixturePkgs(t, "./testdata/lockorder_neg")
-	fs := RunAll(pkgs, []*Analyzer{LockOrder})
-	wantFindings(t, fs, 0)
 }
 
 func TestDirectiveAudit(t *testing.T) {

@@ -8,18 +8,28 @@ import (
 )
 
 // deterministicPackages are the package names whose behavior feeds the
-// simulation trace: map-iteration order leaking out of any of them breaks
+// simulation trace: every module package the simulator and the serial
+// replay import. Map-iteration order leaking out of any of them breaks
 // LOTEC's byte-identical-runs contract.
 var deterministicPackages = map[string]bool{
-	"sim":       true,
-	"gdo":       true,
+	"core":      true,
 	"directory": true,
+	"fault":     true,
+	"gdo":       true,
+	"history":   true,
+	"ids":       true,
+	"netmodel":  true,
 	"node":      true,
 	"o2pl":      true,
+	"pstore":    true,
+	"schema":    true,
+	"sim":       true,
 	"stats":     true,
-	"xfer":      true,
+	"transport": true,
+	"txn":       true,
+	"wire":      true,
 	"workload":  true,
-	"history":   true, // the serial replay's order
+	"xfer":      true,
 }
 
 // MapIter flags `for range` over a map in determinism-critical packages

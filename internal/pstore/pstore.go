@@ -442,17 +442,6 @@ func (s *Store) ResidentPages(obj ids.ObjectID) []ids.PageNum {
 	return out
 }
 
-// Objects returns the IDs of all registered objects, in unspecified order.
-func (s *Store) Objects() []ids.ObjectID {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]ids.ObjectID, 0, len(s.objects))
-	for o := range s.objects {
-		out = append(out, o)
-	}
-	return out
-}
-
 // snapshotLocked returns a copy of the page's bytes in a pool page, its
 // dirty flag, and its open journal epoch for undo. Caller holds s.mu.
 func (pg *page) snapshotLocked() ([]byte, bool, intervalSet) {

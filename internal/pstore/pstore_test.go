@@ -304,23 +304,6 @@ func TestResidentPagesPartial(t *testing.T) {
 	}
 }
 
-func TestObjects(t *testing.T) {
-	s := NewStore(8)
-	mustRegister(t, s, 3, 1)
-	mustRegister(t, s, 5, 1)
-	objs := s.Objects()
-	if len(objs) != 2 {
-		t.Fatalf("Objects() = %v, want 2 entries", objs)
-	}
-	seen := map[ids.ObjectID]bool{}
-	for _, o := range objs {
-		seen[o] = true
-	}
-	if !seen[3] || !seen[5] {
-		t.Errorf("Objects() = %v, want {3,5}", objs)
-	}
-}
-
 func TestUndoRestoresExactBytes(t *testing.T) {
 	s := NewStore(8)
 	mustRegister(t, s, 1, 2)

@@ -1,6 +1,11 @@
 package sim
 
-import "testing"
+import (
+	"fmt"
+	"runtime"
+	"testing"
+	"time"
+)
 
 // TestAvailabilitySweep runs the availability experiment at replica counts
 // 1, 2 and 3. With a single host the primary kill is unrecoverable, so
@@ -10,6 +15,7 @@ import "testing"
 // advance its lagging backup past a promotion-bumped epoch (via the map
 // carried on ReplicateReq) instead of livelocking on refusals.
 func TestAvailabilitySweep(t *testing.T) {
+	failAfter(t, 30*time.Second)
 	rows, err := RunAvailability(11, []int{1, 2, 3})
 	if err != nil {
 		t.Fatal(err)
@@ -44,4 +50,16 @@ func TestAvailabilitySweep(t *testing.T) {
 	if tbl := AvailabilityTable(rows); len(tbl) == 0 {
 		t.Error("empty availability table")
 	}
+}
+
+// failAfter panics with every goroutine's stack if the test is still
+// running after d, so a self-deadlock fails in seconds with the blocked
+// lock named in the dump instead of hanging to the package timeout.
+func failAfter(t *testing.T, d time.Duration) {
+	name := t.Name()
+	timer := time.AfterFunc(d, func() {
+		buf := make([]byte, 1<<20)
+		panic(fmt.Sprintf("%s still running after %v\n%s", name, d, buf[:runtime.Stack(buf, true)]))
+	})
+	t.Cleanup(func() { timer.Stop() })
 }

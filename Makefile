@@ -54,7 +54,8 @@ bench:
 # Steady-state allocation gates (testing.AllocsPerRun) over the hot paths:
 # pooled frame get/release, EncodeFrame, ReadFrame, DecodeView, the page
 # pool, the directory's immediate-grant fast path and its contended path
-# (queues, deferred grants, deadlock aborts, upgrades, recalls), the serving
+# (queues, deferred grants, deadlock aborts, upgrades, recalls), the search
+# a directory host runs over the union of its shards, the serving
 # side of a fetch and a push, and a whole TCPNet.Call round trip on
 # loopback; and the per-root budgets: a flat root — a repeat one, on a grant
 # retained at its site, and a first one — in the engine alone, a root over

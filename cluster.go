@@ -29,11 +29,6 @@ type Options struct {
 	Lenient bool
 	// MaxRetries bounds automatic deadlock retries per transaction.
 	MaxRetries int
-	// DirectoryShards partitions the GDO into that many independent lock
-	// shards (0 or 1 → the paper's single logical directory). Object
-	// placement and per-object cost attribution are identical at every
-	// shard count; sharding only relieves directory contention.
-	DirectoryShards int
 	// DeltaOff disables sub-page delta transfers: fetches and pushes move
 	// full pages only, byte-identical to the pre-delta data plane. The
 	// default (false) lets version-tracking protocols ship just the bytes
@@ -75,7 +70,6 @@ func NewCluster(opts Options) (*Cluster, error) {
 		Net:               opts.Net,
 		Lenient:           opts.Lenient,
 		MaxRetries:        opts.MaxRetries,
-		DirectoryShards:   opts.DirectoryShards,
 		DeltaOff:          opts.DeltaOff,
 	})
 	if err != nil {

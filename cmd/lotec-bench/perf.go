@@ -6,7 +6,6 @@ import (
 	"io"
 	"testing"
 
-	"lotec/internal/directory"
 	"lotec/internal/gdo"
 	"lotec/internal/ids"
 	"lotec/internal/o2pl"
@@ -106,7 +105,7 @@ func perfRows() ([]benchResult, error) {
 	var dirErr error
 	rows = append(rows, benchRow("perf/directory-acquire-release", func(b *testing.B) {
 		const objects = 64
-		s := directory.NewSharded(1, 1)
+		s := gdo.New(1)
 		for o := ids.ObjectID(1); o <= objects; o++ {
 			if err := s.Register(o, 1, 1); err != nil {
 				dirErr = err

@@ -17,7 +17,7 @@ import (
 // state that mutates under the shard lock.
 func TestAllocsAcquireRelease(t *testing.T) {
 	const objects = 64
-	s := NewSharded(1, 1)
+	s := gdo.New(1)
 	for o := ids.ObjectID(1); o <= objects; o++ {
 		if err := s.Register(o, 1, 1); err != nil {
 			t.Fatal(err)

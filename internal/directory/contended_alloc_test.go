@@ -20,14 +20,14 @@ import (
 // scratch and the frame pools absorb everything else after warmup.
 const contendedAllocs = 81
 
-// contendedDir drives a one-shard directory the way a directory host does:
+// contendedDir drives a directory the way a directory host does:
 // each request is encoded to a pooled frame, served through the wire form of
 // the lock service, and its reply and every event it releases are encoded to
 // pooled frames in turn. The request messages are reused, so what a pass
 // allocates is the directory's.
 type contendedDir struct {
 	t    *testing.T
-	s    *Sharded
+	s    *gdo.Directory
 	acq  wire.AcquireReq
 	rel  wire.ReleaseReq
 	rels [2]gdo.ObjectRelease
@@ -112,7 +112,7 @@ func (c *contendedDir) cycleRound(x, y ids.ObjectID, a, b ids.FamilyID) {
 //  5. a site earns a retained grant, a request from another site recalls
 //     it, and the site hands it back.
 func TestAllocsContendedAcquire(t *testing.T) {
-	c := &contendedDir{t: t, s: NewSharded(1, 2)}
+	c := &contendedDir{t: t, s: gdo.New(2)}
 	c.s.SetRetainGrants(true)
 	const x, y, z = 1, 2, 3
 	for obj := ids.ObjectID(x); obj <= z; obj++ {
@@ -175,42 +175,59 @@ func TestAllocsContendedAcquire(t *testing.T) {
 	}
 }
 
-// contendedAcrossAllocs is what one pass of
-// TestAllocsContendedAcquireAcrossShards allocates: exactly what its two
-// rounds allocate on one shard. A second shard's events need nothing more —
-// the router appends a victim's abort events to the acquire's own event
-// list — and the union graph is pooled and searched in place.
-const contendedAcrossAllocs = 32
-
-// TestAllocsContendedAcquireAcrossShards runs TestAllocsContendedAcquire's
-// first two rounds with x and y on different shards, at 2 and 4 shards, so
-// the cycle of round 2 is one that only the router's union graph shows.
-func TestAllocsContendedAcquireAcrossShards(t *testing.T) {
-	for _, shards := range []int{2, 4} {
-		c := &contendedDir{t: t, s: NewSharded(shards, 2)}
-		const x, y = 1, 2
-		for _, obj := range []ids.ObjectID{x, y} {
-			if err := c.s.Register(obj, 2, 1); err != nil {
-				t.Fatal(err)
+// TestAllocsUnionSearch gates the search a tier-1 host runs over the
+// shards it serves as primary (detect.go), at 2 and 4 directories, each
+// with a family queued on it: findVictimFrom over a ring of families that
+// closes a cycle through every directory, and sweep over a star that closes
+// none. The union graph is reused, so at steady state neither allocates.
+func TestAllocsUnionSearch(t *testing.T) {
+	for _, n := range []int{2, 4} {
+		// Family i+1 holds object i, the only object of directory i. In the
+		// ring it queues for object i+1 (the last family for object 0); in
+		// the star family n+1, which holds nothing, queues for every object.
+		build := func(ring bool) []*gdo.Directory {
+			dirs := make([]*gdo.Directory, n)
+			for i := range dirs {
+				dirs[i] = gdo.New(1)
+				if err := dirs[i].Register(ids.ObjectID(i), 1, 1); err != nil {
+					t.Fatal(err)
+				}
+			}
+			acquire := func(f ids.FamilyID, obj int, want gdo.AcquireStatus) {
+				res, _, err := dirs[obj].Acquire(ids.ObjectID(obj), ids.TxRef{Tx: ids.TxID(f), Node: 1}, f, uint64(f), 1, o2pl.Write)
+				if err != nil || res.Status != want {
+					t.Fatalf("n=%d: acquire of %d by %v: %v, %v; want %v", n, obj, f, res.Status, err, want)
+				}
+			}
+			for i := range dirs {
+				acquire(ids.FamilyID(i+1), i, gdo.GrantedNow)
+			}
+			for i := range dirs {
+				if ring {
+					acquire(ids.FamilyID(i+1), (i+1)%n, gdo.Queued)
+				} else {
+					acquire(ids.FamilyID(n+1), i, gdo.Queued)
+				}
+			}
+			return dirs
+		}
+		var g gdo.WaitGraph
+		ring, star := build(true), build(false)
+		find := func() {
+			if v, ok := findVictimFrom(&g, ring, 1); !ok || v != ids.FamilyID(n) {
+				t.Fatalf("n=%d: the ring's victim is %v, %v; want the youngest, %d", n, v, ok, n)
 			}
 		}
-		if c.s.ShardOf(x) == c.s.ShardOf(y) {
-			t.Fatalf("shards=%d: x and y share shard %d", shards, c.s.ShardOf(x))
+		walk := func() {
+			sweep(&g, star, func(v ids.FamilyID) { t.Fatalf("n=%d: sweep of an acyclic star aborted %v", n, v) })
 		}
-		var fam ids.FamilyID
-		pass := func() {
-			c.got = c.got[:0]
-			fam += 10
-			c.queueRound(x, fam+1, fam+2)
-			c.cycleRound(x, y, fam+3, fam+4)
+		find()
+		walk()
+		if a := testing.AllocsPerRun(200, find); a != 0 {
+			t.Errorf("n=%d: findVictimFrom over the ring allocates %.2f, want 0", n, a)
 		}
-		pass()
-		want := []gdo.EventKind{gdo.EventGrant, gdo.EventDeadlockAbort, gdo.EventGrant}
-		if !slices.Equal(c.got, want) {
-			t.Fatalf("shards=%d: a pass releases events %v, want %v", shards, c.got, want)
-		}
-		if n := testing.AllocsPerRun(500, pass); n > contendedAcrossAllocs {
-			t.Errorf("shards=%d: a pass over the queue and cycle rounds allocates %.2f, want ≤ %v", shards, n, contendedAcrossAllocs)
+		if a := testing.AllocsPerRun(200, walk); a != 0 {
+			t.Errorf("n=%d: sweep over the star allocates %.2f, want 0", n, a)
 		}
 	}
 }

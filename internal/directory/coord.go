@@ -2,8 +2,8 @@
 // run the one waits-for search (gdo.WaitGraph) over a graph the host keeps
 // under h.mu.
 //
-// Tier 1 — host-local union: a host serving several primary shards runs
-// the in-process Sharded router's detection (detect.go) over them. When an
+// Tier 1 — host-local union: a host serving several primary shards
+// searches the union of their waits-for graphs (detect.go). When an
 // acquire parks or a release re-points grants, it appends its own shards'
 // waits-for edges into its graph and aborts the youngest family on any
 // cycle reachable from the trigger.

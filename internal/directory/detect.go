@@ -3,46 +3,31 @@
 // Each shard detects cycles among its own waiters (gdo/deadlock.go). A cycle
 // whose edges straddle shards — family A queued on a shard-0 object family
 // B holds while B is queued on a shard-1 object A holds — is invisible to
-// both shards individually, so the router performs the paper-family of
-// "edge chasing" in its simplest sound form: every shard appends its
-// waits-for edges and ages to one reused gdo.WaitGraph, and the router runs
-// the shards' own search (gdo.WaitGraph) over the union. There is one
-// search and one victim policy — the youngest (largest-age) waiting family
-// on the cycle, FamilyID tie-break, neighbours visited in ascending order,
-// wound-wait stable ages, so a repeatedly victimized root eventually
-// becomes oldest and cannot starve — whether one shard, a router, a host or
-// the tier-2 coordinator (coord.go) runs it.
+// both shards individually, so a host serving several primary shards
+// performs the paper-family of "edge chasing" in its simplest sound form:
+// every shard appends its waits-for edges and ages to one reused
+// gdo.WaitGraph, and the host runs the shards' own search (gdo.WaitGraph)
+// over the union. There is one search and one victim policy — the youngest
+// (largest-age) waiting family on the cycle, FamilyID tie-break, neighbours
+// visited in ascending order, wound-wait stable ages, so a repeatedly
+// victimized root eventually becomes oldest and cannot starve — whether one
+// directory, a host (tier 1, over the shards it serves as primary) or the
+// tier-2 coordinator (coord.go) runs it.
 //
-// In this in-process router aggregation runs synchronously at the two
-// moments the graph can gain an edge or re-point one — when an acquire
-// parks (Acquire → Queued) and after a release hands locks to new holders —
-// rather than on a timer, so detection latency is zero and simulation runs
-// stay deterministic. A parked acquire builds the union only when some
-// shard has a family waiting on a lock the requester holds: a cycle through
-// the requester needs that edge.
-//
-// The router (Sharded, over all its shards) and the replicated host (Host,
-// over the shards it serves as primary) run the same detection below, over
-// a list of directories in shard order.
-//
-// Under real concurrency (stress tests) the union is a sequence of
-// per-shard snapshots, not one atomic cut, so the search can observe a
-// phantom cycle assembled from edges that never coexisted. A phantom victim
-// is safe — the family aborts and retries, exactly like a real victim — and
-// the stable-age policy still guarantees progress.
+// A host runs the search synchronously at the two moments the graph can
+// gain an edge or re-point one — when an acquire parks (Acquire → Queued)
+// and after a release or an adoption hands locks to new holders — rather
+// than on a timer, so detection latency is zero and simulation runs stay
+// deterministic. A parked acquire builds the union only when some shard has
+// a family waiting on a lock the requester holds: a cycle through the
+// requester needs that edge.
 
 package directory
 
 import (
-	"sync"
-
 	"lotec/internal/gdo"
 	"lotec/internal/ids"
 )
-
-// graphs pools the union graphs of Sharded routers, which are called
-// concurrently: each search takes a graph and puts it back.
-var graphs = sync.Pool{New: func() any { return new(gdo.WaitGraph) }}
 
 // unionInto resets g to the union of the directories' waits-for relations,
 // unsorted. Ages follow directory order, so where they differ the first
@@ -111,26 +96,4 @@ func sweep(g *gdo.WaitGraph, dirs []*gdo.Directory, abort func(victim ids.Family
 		}
 		abort(victim)
 	}
-}
-
-// abortVictim cancels the victim's waits on every shard and appends the
-// deadlock-abort events for its site(s) to events, each stamped with the
-// shard it came from.
-func (s *Sharded) abortVictim(events []gdo.Event, victim ids.FamilyID) []gdo.Event {
-	for i, sh := range s.shards {
-		events = append(events, stamp(i, sh.AbortVictim(victim))...)
-	}
-	return events
-}
-
-// sweep aborts the youngest family of each cross-shard cycle until the
-// router's union graph is acyclic, and returns the abort events.
-func (s *Sharded) sweep() []gdo.Event {
-	g := graphs.Get().(*gdo.WaitGraph)
-	defer graphs.Put(g)
-	var events []gdo.Event
-	sweep(g, s.shards, func(victim ids.FamilyID) {
-		events = s.abortVictim(events, victim)
-	})
-	return events
 }

@@ -7,8 +7,6 @@ import (
 
 	"lotec/internal/gdo"
 	"lotec/internal/ids"
-	"lotec/internal/o2pl"
-	"lotec/internal/transport"
 	"lotec/internal/wire"
 )
 
@@ -35,42 +33,11 @@ type doorEvent struct {
 	fam   ids.FamilyID
 	obj   ids.ObjectID
 	shard int32
+	site  ids.NodeID
 }
 
-// throughSharded runs the steps through the in-process router.
-func throughSharded(t *testing.T, shards int, objs []ids.ObjectID, steps []doorStep) []doorOutcome {
-	t.Helper()
-	s := NewSharded(shards, 1)
-	for _, obj := range objs {
-		if err := s.Register(obj, 1, 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var out []doorOutcome
-	for _, st := range steps {
-		var o doorOutcome
-		var events []gdo.Event
-		var err error
-		if st.release {
-			events, _, err = s.Release(st.fam, 1, false, []gdo.ObjectRelease{{Obj: st.obj}})
-		} else {
-			var res gdo.AcquireResult
-			res, events, err = s.Acquire(st.obj, ids.TxRef{Tx: ids.TxID(st.fam), Node: 1}, st.fam, uint64(st.fam), 1, o2pl.Write)
-			o.status = res.Status
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, ev := range events {
-			o.events = append(o.events, doorEvent{ev.Kind, ev.Family, ev.Obj, ev.Shard})
-		}
-		out = append(out, o)
-	}
-	return out
-}
-
-// throughHosts runs the steps through directory hosts 2..1+len(hosts) over
-// a SimNet, node 1 being the client and the site every event goes to. Each
+// throughHosts runs the steps through directory hosts 2..1+nHosts over a
+// SimNet, node 1 being the client and the site every event goes to. Each
 // step is one wire request driven to quiescence, so the tier-2 summary
 // pushes and aborts it triggers have all landed before the next step.
 func throughHosts(t *testing.T, shards int, m wire.PlacementMap, nHosts int, objs []ids.ObjectID, steps []doorStep) []doorOutcome {
@@ -79,36 +46,16 @@ func throughHosts(t *testing.T, shards int, m wire.PlacementMap, nHosts int, obj
 	for _, obj := range objs {
 		b.register(t, obj, 1)
 	}
-	var got []doorEvent
-	b.net.SetHandler(1, func(_ ids.NodeID, m wire.Msg) wire.Msg {
-		switch e := m.(type) {
-		case *wire.Grant:
-			got = append(got, doorEvent{gdo.EventGrant, e.Family, e.Obj, e.Shard})
-		case *wire.Abort:
-			got = append(got, doorEvent{gdo.EventDeadlockAbort, e.Family, e.Obj, e.Shard})
-		default:
-			t.Errorf("site received %T", m)
-		}
-		return nil
-	})
+	b.watchSites(t, 1)
 	var out []doorOutcome
 	for _, st := range steps {
 		var o doorOutcome
-		b.client(t, func(_ transport.Env, rt *RouteTable) {
-			shard := b.place.ShardOf(st.obj)
-			if st.release {
-				reply, err := rt.Call(shard, &wire.ReleaseReq{
-					Family: st.fam, Site: 1, Shard: int32(shard),
-					Rels: []gdo.ObjectRelease{{Obj: st.obj}},
-				})
-				if _, ok := reply.(*wire.ReleaseResp); err != nil || !ok {
-					t.Errorf("release of %v by %v: %T, %v", st.obj, st.fam, reply, err)
-				}
-				return
-			}
-			o.status = acquire(t, rt, b.place, st.obj, st.fam, o2pl.Write).Status
-		})
-		o.events, got = got, nil
+		if st.release {
+			b.releaseAt(t, 1, st.fam, false, st.obj)
+		} else {
+			o.status = b.acquireAt(t, 1, st.obj, st.fam, uint64(st.fam), false).Status
+		}
+		o.events = b.takeEvents()
 		out = append(out, o)
 	}
 	for id, h := range b.hosts {
@@ -129,12 +76,12 @@ func hostIDs(n int) []ids.NodeID {
 
 // TestSameCycleSameVictimThroughEveryDoor builds a two-family cycle across
 // two shards and a three-family cycle across three, and drives each through
-// the three places a cross-shard cycle can be decided: the in-process
-// router (Sharded), one host that is primary for every shard (tier 1), and
-// one host per shard, where the cycle straddles hosts and only the
-// coordinator's union of pushed summaries shows it (tier 2). All three must
-// pick the same victim — the youngest family on the cycle, not the
-// requester that closed it — and release the same abort and grant events.
+// the two places a cross-shard cycle can be decided: one host that is
+// primary for every shard (tier 1), and one host per shard, where the cycle
+// straddles hosts and only the coordinator's union of pushed summaries
+// shows it (tier 2). Tier 1 must pick the youngest family on the cycle, not
+// the requester that closed it, and tier 2 must pick the same victim and
+// release the same abort and grant events.
 func TestSameCycleSameVictimThroughEveryDoor(t *testing.T) {
 	const a, b, c = ids.FamilyID(10), ids.FamilyID(30), ids.FamilyID(20) // b is the youngest
 	cases := []struct {
@@ -181,9 +128,9 @@ func TestSameCycleSameVictimThroughEveryDoor(t *testing.T) {
 					t.Fatalf("object %v is on shard %d, want %d", obj, place.ShardOf(obj), s)
 				}
 			}
-			router := throughSharded(t, tc.shards, tc.objs, tc.steps)
+			tier1 := throughHosts(t, tc.shards, InitialMap(tc.shards, 1, hostIDs(1), false), 1, tc.objs, tc.steps)
 			var aborted []ids.FamilyID
-			for _, o := range router {
+			for _, o := range tier1 {
 				for _, ev := range o.events {
 					if ev.kind == gdo.EventDeadlockAbort {
 						aborted = append(aborted, ev.fam)
@@ -191,21 +138,11 @@ func TestSameCycleSameVictimThroughEveryDoor(t *testing.T) {
 				}
 			}
 			if !reflect.DeepEqual(aborted, []ids.FamilyID{tc.victim}) {
-				t.Fatalf("router aborted %v, want only %v\n%s", aborted, tc.victim, renderOutcomes(router))
+				t.Fatalf("tier 1 aborted %v, want only %v\n%s", aborted, tc.victim, renderOutcomes(tier1))
 			}
-			doors := []struct {
-				name   string
-				m      wire.PlacementMap
-				nHosts int
-			}{
-				{"tier 1", InitialMap(tc.shards, 1, hostIDs(1), false), 1},
-				{"tier 2", InitialMap(tc.shards, 1, hostIDs(tc.shards), true), tc.shards},
-			}
-			for _, d := range doors {
-				got := throughHosts(t, tc.shards, d.m, d.nHosts, tc.objs, tc.steps)
-				if !reflect.DeepEqual(got, router) {
-					t.Errorf("%s decides differently from the router\n%s:\n%srouter:\n%s", d.name, d.name, renderOutcomes(got), renderOutcomes(router))
-				}
+			tier2 := throughHosts(t, tc.shards, InitialMap(tc.shards, 1, hostIDs(tc.shards), true), tc.shards, tc.objs, tc.steps)
+			if !reflect.DeepEqual(tier2, tier1) {
+				t.Errorf("tier 2 decides differently from tier 1\ntier 2:\n%stier 1:\n%s", renderOutcomes(tier2), renderOutcomes(tier1))
 			}
 		})
 	}

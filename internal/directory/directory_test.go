@@ -7,30 +7,36 @@ import (
 	"lotec/internal/gdo"
 	"lotec/internal/ids"
 	"lotec/internal/o2pl"
+	"lotec/internal/transport"
+	"lotec/internal/wire"
 )
-
-func ref(f ids.FamilyID, n ids.NodeID) ids.TxRef {
-	return ids.TxRef{Tx: ids.TxID(f), Node: n}
-}
 
 func TestPlacement(t *testing.T) {
 	p := NewPlacement(4, 8)
-	single := gdo.New(8)
 	for obj := ids.ObjectID(-5); obj < 40; obj++ {
-		s := p.ShardOf(obj)
-		if s < 0 || s >= 4 {
+		if s := p.ShardOf(obj); s < 0 || s >= 4 {
 			t.Fatalf("ShardOf(%v) = %d outside [0,4)", obj, s)
 		}
-		// The cost model's home assignment must be unchanged from the
-		// single directory at every shard count. (IDs are allocated from 1;
-		// the single directory never normalizes negatives.)
-		if obj < 0 {
-			continue
-		}
-		if got, want := p.HomeNode(obj), single.HomeNode(obj); got != want {
-			t.Errorf("HomeNode(%v) = %v, single directory says %v", obj, got, want)
-		}
 	}
+	// The cost model's home assignment is one formula, the same at every
+	// shard count, and spreads objects over every node.
+	t.Run("HomeNodePartitioning", func(t *testing.T) {
+		one := NewPlacement(1, 8)
+		homes := map[ids.NodeID]bool{}
+		for obj := ids.ObjectID(-5); obj < 40; obj++ {
+			h := p.HomeNode(obj)
+			if h < 1 || h > 8 {
+				t.Fatalf("HomeNode(%v) = %v outside [1,8]", obj, h)
+			}
+			if want := one.HomeNode(obj); h != want {
+				t.Errorf("HomeNode(%v) = %v at 4 shards, %v at 1", obj, h, want)
+			}
+			homes[h] = true
+		}
+		if len(homes) != 8 {
+			t.Errorf("objects homed at %d of 8 nodes", len(homes))
+		}
+	})
 	// Shards == Nodes: the objects homed at one node form exactly one shard.
 	q := NewPlacement(8, 8)
 	for obj := ids.ObjectID(0); obj < 64; obj++ {
@@ -43,118 +49,177 @@ func TestPlacement(t *testing.T) {
 	}
 }
 
-// step runs one scripted directory operation and flattens everything
-// observable about its outcome.
-type step func(s Service) []any
-
-// TestSingleShardDelegation scripts an acquire/queue/commit/grant sequence
-// against a plain gdo.Directory and a 1-shard router and requires identical
-// results, events and stamps — the delegation path must add nothing.
+// TestSingleShardDelegation: Sharded, which the repo benchmark's directory
+// probes drive, is one gdo.Directory and nothing more. Asked for more than
+// one shard it panics: a partitioned directory is a Host's.
 func TestSingleShardDelegation(t *testing.T) {
-	script := []step{
-		func(s Service) []any { return []any{s.Register(1, 3, 1), s.Register(2, 2, 2)} },
-		func(s Service) []any {
-			res, ev, err := s.Acquire(1, ref(10, 1), 10, 10, 1, o2pl.Write)
-			return []any{res, ev, err}
-		},
-		func(s Service) []any {
-			res, ev, err := s.Acquire(1, ref(20, 2), 20, 20, 2, o2pl.Write)
-			return []any{res, ev, err}
-		},
-		func(s Service) []any {
-			res, ev, err := s.Acquire(2, ref(10, 1), 10, 10, 1, o2pl.Read)
-			return []any{res, ev, err}
-		},
-		func(s Service) []any {
-			ev, st, err := s.Release(10, 1, true, []gdo.ObjectRelease{
-				{Obj: 1, Dirty: []ids.PageNum{0, 2}}, {Obj: 2}})
-			return []any{ev, st, err}
-		},
-		func(s Service) []any {
-			ev, st, err := s.Release(20, 2, false, []gdo.ObjectRelease{{Obj: 1}})
-			return []any{ev, st, err}
-		},
-		func(s Service) []any {
-			st, err := s.State(1)
-			pm, pmErr := s.PageMap(1)
-			return []any{st, err, pm, pmErr}
-		},
+	s := NewSharded(1, 4)
+	if err := s.Register(1, 1, 1); err != nil {
+		t.Fatal(err)
 	}
-	var outs [2][][]any
-	for i, svc := range []Service{gdo.New(4), NewSharded(1, 4)} {
-		for _, f := range script {
-			outs[i] = append(outs[i], f(svc))
-		}
+	res, ev, err := s.Acquire(1, ids.TxRef{Tx: 10, Node: 1}, 10, 10, 1, o2pl.Write)
+	if err != nil || res.Status != gdo.GrantedNow || len(ev) != 0 {
+		t.Fatalf("acquire: %+v, %v, %v", res, ev, err)
 	}
-	for i := range script {
-		if !reflect.DeepEqual(outs[0][i], outs[1][i]) {
-			t.Errorf("step %d diverges:\n single %#v\nsharded %#v", i, outs[0][i], outs[1][i])
+	if st, err := s.Directory.State(1); err != nil || st != gdo.HeldWrite {
+		t.Errorf("the wrapped directory reports %v, %v; want held-write", st, err)
+	}
+	if seq := s.AssignCommitSeq(10); seq != 0 {
+		t.Errorf("AssignCommitSeq = %d, want the stub's 0", seq)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("NewSharded(2, 4) did not panic")
 		}
+	}()
+	NewSharded(2, 4)
+}
+
+// The directory a lotec-gdo -shards N runs is one Host that is primary for
+// every shard, so a cycle across its shards is tier 1's to find (coord.go).
+// newTier1 stands one up over a SimNet, serving sites 1 and 2 (node 3 is the
+// host), registers objs one page each, and watches what the host sends the
+// sites.
+func newTier1(t *testing.T, shards int, retain bool, objs ...ids.ObjectID) *repBed {
+	t.Helper()
+	const sites = 2
+	b := newBed(t, sites, 1, shards, InitialMap(shards, 1, []ids.NodeID{sites + 1}, false), retain)
+	for _, obj := range objs {
+		b.register(t, obj, 1)
+	}
+	b.watchSites(t, sites)
+	return b
+}
+
+// watchSites makes sites 1..sites collect every grant, abort and recall the
+// hosts send them into b.events, in delivery order.
+func (b *repBed) watchSites(t *testing.T, sites int) {
+	for i := 1; i <= sites; i++ {
+		site := ids.NodeID(i)
+		b.net.SetHandler(site, func(_ ids.NodeID, m wire.Msg) wire.Msg {
+			switch e := m.(type) {
+			case *wire.Grant:
+				b.events = append(b.events, doorEvent{gdo.EventGrant, e.Family, e.Obj, e.Shard, site})
+			case *wire.Abort:
+				b.events = append(b.events, doorEvent{gdo.EventDeadlockAbort, e.Family, e.Obj, e.Shard, site})
+			case *wire.Recall:
+				b.events = append(b.events, doorEvent{gdo.EventRecall, e.Family, e.Obj, e.Shard, site})
+			default:
+				t.Errorf("site %v received %T", site, m)
+			}
+			return nil
+		})
 	}
 }
 
-// crossShardCycle stands up the canonical two-family, two-shard deadlock:
-// on a 2-shard directory, famA (at site 1) holds object 2 (shard 0) and
-// famB (at site 2) holds object 3 (shard 1); then B parks behind A on
-// object 2. Neither shard alone sees a cycle until A requests object 3.
-func crossShardCycle(t *testing.T, ageA, ageB uint64) *Sharded {
+// takeEvents returns the events the sites received since the last call.
+func (b *repBed) takeEvents() []doorEvent {
+	ev := b.events
+	b.events = nil
+	return ev
+}
+
+// acquireAt has family f, of deadlock age age, at site ask for obj in write
+// mode — as an Adopt when adopt is set — in one wire request driven to
+// quiescence.
+func (b *repBed) acquireAt(t *testing.T, site ids.NodeID, obj ids.ObjectID, f ids.FamilyID, age uint64, adopt bool) *wire.AcquireResp {
 	t.Helper()
-	s := NewSharded(2, 2)
-	for _, o := range []ids.ObjectID{2, 3} {
-		if err := s.Register(o, 2, 1); err != nil {
-			t.Fatal(err)
+	shard := b.place.ShardOf(obj)
+	var resp *wire.AcquireResp
+	b.clientAt(t, site, func(_ transport.Env, rt *RouteTable) {
+		reply, err := rt.Call(shard, &wire.AcquireReq{
+			Obj: obj, Ref: ids.TxRef{Tx: ids.TxID(f), Node: site}, Family: f, Age: age,
+			Site: site, Mode: o2pl.Write, Shard: int32(shard), Adopt: adopt,
+		})
+		resp, _ = reply.(*wire.AcquireResp)
+		if err != nil || resp == nil {
+			t.Errorf("acquire of %v by %v: %T, %v", obj, f, reply, err)
+		}
+	})
+	if resp == nil {
+		t.FailNow()
+	}
+	return resp
+}
+
+// releaseAt has family f at site release objs, all on one shard, in one
+// wire request driven to quiescence; each object's page 0 is dirty when
+// commit is set.
+func (b *repBed) releaseAt(t *testing.T, site ids.NodeID, f ids.FamilyID, commit bool, objs ...ids.ObjectID) *wire.ReleaseResp {
+	t.Helper()
+	shard := b.place.ShardOf(objs[0])
+	rels := make([]gdo.ObjectRelease, len(objs))
+	for i, obj := range objs {
+		rels[i].Obj = obj
+		if commit {
+			rels[i].Dirty = []ids.PageNum{0}
 		}
 	}
-	if s.ShardOf(2) != 0 || s.ShardOf(3) != 1 {
-		t.Fatalf("placement: O2→%d O3→%d, want 0 and 1", s.ShardOf(2), s.ShardOf(3))
+	var resp *wire.ReleaseResp
+	b.clientAt(t, site, func(_ transport.Env, rt *RouteTable) {
+		reply, err := rt.Call(shard, &wire.ReleaseReq{Family: f, Site: site, Commit: commit, Shard: int32(shard), Rels: rels})
+		resp, _ = reply.(*wire.ReleaseResp)
+		if err != nil || resp == nil {
+			t.Errorf("release of %v by %v: %T, %v", objs, f, reply, err)
+		}
+	})
+	if resp == nil {
+		t.FailNow()
 	}
-	mustGrant := func(obj ids.ObjectID, f ids.FamilyID, age uint64, site ids.NodeID) {
-		t.Helper()
-		res, ev, err := s.Acquire(obj, ref(f, site), f, age, site, o2pl.Write)
-		if err != nil || res.Status != gdo.GrantedNow || len(ev) != 0 {
-			t.Fatalf("acquire %v by fam %v: %+v, %v, %v", obj, f, res, ev, err)
+	return resp
+}
+
+// crossShardCycle stands up the canonical two-family, two-shard deadlock on
+// a tier-1 host: famA (at site 1) holds object 2 (shard 0) and famB (at
+// site 2) holds object 3 (shard 1); then B parks behind A on object 2.
+// Neither shard alone sees a cycle until A requests object 3.
+func crossShardCycle(t *testing.T, ageA, ageB uint64) *repBed {
+	t.Helper()
+	b := newTier1(t, 2, false, 2, 3)
+	if b.place.ShardOf(2) != 0 || b.place.ShardOf(3) != 1 {
+		t.Fatalf("placement: O2→%d O3→%d, want 0 and 1", b.place.ShardOf(2), b.place.ShardOf(3))
+	}
+	for _, st := range []struct {
+		obj  ids.ObjectID
+		f    ids.FamilyID
+		age  uint64
+		site ids.NodeID
+		want gdo.AcquireStatus
+	}{
+		{2, 100, ageA, 1, gdo.GrantedNow},
+		{3, 200, ageB, 2, gdo.GrantedNow},
+		{2, 200, ageB, 2, gdo.Queued},
+	} {
+		if res := b.acquireAt(t, st.site, st.obj, st.f, st.age, false); res.Status != st.want {
+			t.Fatalf("acquire of %v by fam %v: %v, want %v", st.obj, st.f, res.Status, st.want)
 		}
 	}
-	mustGrant(2, 100, ageA, 1)
-	mustGrant(3, 200, ageB, 2)
-	res, ev, err := s.Acquire(2, ref(200, 2), 200, ageB, 2, o2pl.Write)
-	if err != nil || res.Status != gdo.Queued || len(ev) != 0 {
-		t.Fatalf("B parks on O2: %+v, %v, %v", res, ev, err)
+	if ev := b.takeEvents(); len(ev) != 0 {
+		t.Fatalf("setting up the cycle raised %+v", ev)
 	}
-	return s
+	return b
 }
 
 // TestCrossShardDeadlockAbortsYoungest: A is older, so when A's request for
-// object 3 closes the inter-shard cycle, the router must pick B (youngest)
-// as victim and cancel its shard-0 wait.
+// object 3 closes the inter-shard cycle, the host must pick B (youngest) as
+// victim and cancel its shard-0 wait.
 func TestCrossShardDeadlockAbortsYoungest(t *testing.T) {
-	s := crossShardCycle(t, 1, 2) // ageA=1 (older), ageB=2 (youngest)
+	b := crossShardCycle(t, 1, 2) // ageA=1 (older), ageB=2 (youngest)
 
-	res, ev, err := s.Acquire(3, ref(100, 1), 100, 1, 1, o2pl.Write)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Status != gdo.Queued {
+	if res := b.acquireAt(t, 1, 3, 100, 1, false); res.Status != gdo.Queued {
 		t.Fatalf("A's closing request: status %v, want Queued", res.Status)
 	}
-	if len(ev) != 1 || ev[0].Kind != gdo.EventDeadlockAbort || ev[0].Family != 200 {
-		t.Fatalf("victim events = %+v, want one DeadlockAbort for fam 200", ev)
-	}
-	if ev[0].Shard != 0 || ev[0].Obj != 2 {
-		t.Errorf("abort stamped shard %d obj %v, want shard 0 obj 2", ev[0].Shard, ev[0].Obj)
+	want := []doorEvent{{gdo.EventDeadlockAbort, 200, 2, 0, 2}}
+	if ev := b.takeEvents(); !reflect.DeepEqual(ev, want) {
+		t.Fatalf("victim events = %+v, want %+v: fam 200's wait on O2 (shard 0) aborted at site 2", ev, want)
 	}
 
 	// B's site reacts by aborting the family: releasing its holds must
 	// grant object 3 to the still-queued A.
-	rel, _, err := s.Release(200, 2, false, []gdo.ObjectRelease{{Obj: 3}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rel) != 1 || rel[0].Kind != gdo.EventGrant || rel[0].Family != 100 || rel[0].Obj != 3 {
-		t.Fatalf("post-abort release events = %+v, want grant of O3 to fam 100", rel)
-	}
-	if rel[0].Shard != 1 {
-		t.Errorf("grant stamped shard %d, want 1", rel[0].Shard)
+	b.releaseAt(t, 2, 200, false, 3)
+	want = []doorEvent{{gdo.EventGrant, 100, 3, 1, 1}}
+	if ev := b.takeEvents(); !reflect.DeepEqual(ev, want) {
+		t.Fatalf("post-abort release events = %+v, want %+v: O3 (shard 1) granted to fam 100", ev, want)
 	}
 }
 
@@ -162,65 +227,52 @@ func TestCrossShardDeadlockAbortsYoungest(t *testing.T) {
 // request is refused with DeadlockAbort and its parked state is purged from
 // every shard, leaving B's wait intact.
 func TestCrossShardDeadlockSelfVictim(t *testing.T) {
-	s := crossShardCycle(t, 2, 1) // ageA=2 (youngest), ageB=1
+	b := crossShardCycle(t, 2, 1) // ageA=2 (youngest), ageB=1
 
-	res, ev, err := s.Acquire(3, ref(100, 1), 100, 2, 1, o2pl.Write)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Status != gdo.DeadlockAbort {
+	if res := b.acquireAt(t, 1, 3, 100, 2, false); res.Status != gdo.DeadlockAbort {
 		t.Fatalf("youngest requester: status %v, want DeadlockAbort", res.Status)
 	}
-	if len(ev) != 0 {
+	if ev := b.takeEvents(); len(ev) != 0 {
 		t.Fatalf("self-victim must abort silently, got events %+v", ev)
 	}
 
 	// A aborts and hands back object 2: B's surviving wait is granted.
-	rel, _, err := s.Release(100, 1, false, []gdo.ObjectRelease{{Obj: 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rel) != 1 || rel[0].Kind != gdo.EventGrant || rel[0].Family != 200 || rel[0].Obj != 2 {
-		t.Fatalf("release events = %+v, want grant of O2 to fam 200", rel)
+	b.releaseAt(t, 1, 100, false, 2)
+	want := []doorEvent{{gdo.EventGrant, 200, 2, 0, 2}}
+	if ev := b.takeEvents(); !reflect.DeepEqual(ev, want) {
+		t.Fatalf("release events = %+v, want %+v", ev, want)
 	}
 
 	// A's purged request must be gone from shard 1: when B finishes, object
 	// 3 goes Free instead of to the phantom waiter.
-	if _, _, err := s.Release(200, 2, false, []gdo.ObjectRelease{{Obj: 2, Dirty: nil}, {Obj: 3}}); err != nil {
-		t.Fatal(err)
+	b.releaseAt(t, 2, 200, false, 2)
+	b.releaseAt(t, 2, 200, false, 3)
+	if ev := b.takeEvents(); len(ev) != 0 {
+		t.Errorf("B's releases raised %+v", ev)
 	}
-	if st, err := s.State(3); err != nil || st != gdo.Free {
+	dir, _ := b.hosts[3].PrimaryDir(1)
+	if st, err := dir.State(3); err != nil || st != gdo.Free {
 		t.Errorf("O3 state = %v, %v, want Free", st, err)
 	}
 }
 
-// TestRouterCommitOrder: the router keeps no commit order; the page
-// versions are the order. One committing family's per-shard batches each
-// advance their own pages by exactly one, and a later family's release of a
-// shared object stamps the version after it.
+// TestRouterCommitOrder: the host keeps no commit order across its shards;
+// the page versions are the order. One committing family's per-shard
+// batches each advance their own pages by exactly one, and a later family's
+// release of a shared object stamps the version after it.
 func TestRouterCommitOrder(t *testing.T) {
-	s := NewSharded(2, 2)
-	for _, o := range []ids.ObjectID{2, 3} {
-		if err := s.Register(o, 1, 1); err != nil {
-			t.Fatal(err)
-		}
-	}
+	b := newTier1(t, 2, false, 2, 3)
 	acquire := func(obj ids.ObjectID, f ids.FamilyID) {
 		t.Helper()
-		res, _, err := s.Acquire(obj, ref(f, 1), f, uint64(f), 1, o2pl.Write)
-		if err != nil || res.Status != gdo.GrantedNow {
-			t.Fatalf("acquire %v by %v: %+v %v", obj, f, res, err)
+		if res := b.acquireAt(t, 1, obj, f, uint64(f), false); res.Status != gdo.GrantedNow {
+			t.Fatalf("acquire %v by %v: %v", obj, f, res.Status)
 		}
 	}
 	var stamps []gdo.PageStamp
 	release := func(f ids.FamilyID, objs ...ids.ObjectID) {
 		t.Helper()
 		for _, o := range objs { // one batch per shard, like the engine
-			_, st, err := s.Release(f, 1, true, []gdo.ObjectRelease{{Obj: o, Dirty: []ids.PageNum{0}}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			stamps = append(stamps, st...)
+			stamps = append(stamps, b.releaseAt(t, 1, f, true, o).Stamps...)
 		}
 	}
 	acquire(2, 10)

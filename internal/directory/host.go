@@ -322,6 +322,14 @@ func (h *Host) routeEvents(events []gdo.Event) {
 	}
 }
 
+// stamp tags events with the shard they originated from.
+func stamp(shard int, events []gdo.Event) []gdo.Event {
+	for i := range events {
+		events[i].Shard = int32(shard)
+	}
+	return events
+}
+
 // handle is the raw (pre-dedup) dispatcher.
 func (h *Host) handle(from ids.NodeID, m wire.Msg, reply func(wire.Msg)) {
 	var a acts
@@ -497,8 +505,9 @@ func (h *Host) applyLocked(rep *replica, op *repOp) (map[int]*repOp, wire.Msg) {
 			}
 		}
 		if t.Adopt && resp.Status != gdo.NotAdopted {
-			// The renamed holder may wait on another shard: sweep as after
-			// a release (see Sharded.Adopt).
+			// Renaming a site hold to a family that waits on another shard
+			// can close a cycle across shards whether or not this request
+			// parked, so sweep as after a release.
 			extras = h.sweepIntoLocked(rep, op, extras)
 		}
 		op.reply = resp

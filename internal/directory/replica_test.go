@@ -21,27 +21,32 @@ import (
 // placement-map construction, epoch discipline, promotion, and handoff,
 // driven by hand-written wire traffic over a deterministic SimNet.
 
-// repBed is a minimal replicated deployment: node 1 is the client, nodes
-// 2..1+len(hosts) are directory hosts serving the given initial map.
+// repBed is a minimal replicated deployment: nodes 1..sites are the
+// clients, nodes sites+1..sites+nHosts are directory hosts serving the
+// given initial map.
 type repBed struct {
 	net   *transport.SimNet
 	rec   *stats.Recorder
 	hosts map[ids.NodeID]*Host
 	place Placement
 	m     wire.PlacementMap
+	// events collects what the hosts send the sites, once watchSites has
+	// installed the sites' handlers.
+	events []doorEvent
 }
 
+// newRepBed is a bed with one client, node 1.
 func newRepBed(t *testing.T, nHosts, shards int, m wire.PlacementMap) *repBed {
 	t.Helper()
-	return newRepBedRetaining(t, nHosts, shards, m, false)
+	return newBed(t, 1, nHosts, shards, m, false)
 }
 
-// newRepBedRetaining is newRepBed with the hosts' site-retained grants on
-// or off.
-func newRepBedRetaining(t *testing.T, nHosts, shards int, m wire.PlacementMap, retain bool) *repBed {
+// newBed is a bed with the given number of clients and the hosts'
+// site-retained grants on or off.
+func newBed(t *testing.T, sites, nHosts, shards int, m wire.PlacementMap, retain bool) *repBed {
 	t.Helper()
 	rec := stats.NewRecorder()
-	net := transport.NewSimNet(1+nHosts, netmodel.Ethernet100.WithSoftwareCost(10*time.Microsecond), rec)
+	net := transport.NewSimNet(sites+nHosts, netmodel.Ethernet100.WithSoftwareCost(10*time.Microsecond), rec)
 	b := &repBed{
 		net:   net,
 		rec:   rec,
@@ -50,7 +55,7 @@ func newRepBedRetaining(t *testing.T, nHosts, shards int, m wire.PlacementMap, r
 		m:     m,
 	}
 	for i := 0; i < nHosts; i++ {
-		id := ids.NodeID(2 + i)
+		id := ids.NodeID(sites + 1 + i)
 		h := NewHost(HostConfig{Env: net.Env(id), Place: b.place, Map: m, Rec: rec, RetainGrants: retain})
 		b.hosts[id] = h
 		net.SetAsyncHandler(id, h.Handler())
@@ -72,7 +77,13 @@ func (b *repBed) register(t *testing.T, obj ids.ObjectID, numPages int) {
 // client runs fn as a proc on node 1 and drives the net to quiescence.
 func (b *repBed) client(t *testing.T, fn func(env transport.Env, rt *RouteTable)) {
 	t.Helper()
-	env := b.net.Env(1)
+	b.clientAt(t, 1, fn)
+}
+
+// clientAt runs fn as a proc on site and drives the net to quiescence.
+func (b *repBed) clientAt(t *testing.T, site ids.NodeID, fn func(env transport.Env, rt *RouteTable)) {
+	t.Helper()
+	env := b.net.Env(site)
 	rt := NewRouteTable(env, b.rec, b.m)
 	env.Go(func() { fn(env, rt) })
 	if err := b.net.Run(); err != nil {

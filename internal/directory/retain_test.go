@@ -2,6 +2,7 @@ package directory
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"lotec/internal/gdo"
@@ -11,36 +12,29 @@ import (
 	"lotec/internal/wire"
 )
 
-// Site-retained grants (gdo/retain.go) through the router and through the
-// replicated host.
+// Site-retained grants (gdo/retain.go) through the directory host.
 
 // commitAt runs family f through one committing write of obj at site and
 // reports what the release left there.
-func commitAt(t *testing.T, s *Sharded, obj ids.ObjectID, f ids.FamilyID, site ids.NodeID) []ids.ObjectID {
+func commitAt(t *testing.T, b *repBed, obj ids.ObjectID, f ids.FamilyID, site ids.NodeID) []ids.ObjectID {
 	t.Helper()
-	if res, _, err := s.Acquire(obj, ids.TxRef{Tx: f, Node: site}, f, uint64(f), site, o2pl.Write); err != nil || res.Status != gdo.GrantedNow {
-		t.Fatalf("acquire of %v by %v: %v, %v", obj, f, res.Status, err)
+	if res := b.acquireAt(t, site, obj, f, uint64(f), false); res.Status != gdo.GrantedNow {
+		t.Fatalf("acquire of %v by %v: %v", obj, f, res.Status)
 	}
-	_, _, kept, err := s.ReleaseKeep(f, site, true, []gdo.ObjectRelease{{Obj: obj, Dirty: []ids.PageNum{0}}})
-	if err != nil {
-		t.Fatalf("release of %v by %v: %v", obj, f, err)
-	}
-	return kept
+	return b.releaseAt(t, site, f, true, obj).Kept
 }
 
 // TestShardedRetentionIsOffUnlessSwitchedOn: the paper's directory keeps
-// nothing, through either release entry point.
+// nothing: a host started with RetainGrants off leaves no lock at a site
+// that commits on an object again and again.
 func TestShardedRetentionIsOffUnlessSwitchedOn(t *testing.T) {
-	s := NewSharded(2, 2)
-	if err := s.Register(2, 1, 1); err != nil {
-		t.Fatal(err)
-	}
+	b := newTier1(t, 2, false, 2)
 	for f := ids.FamilyID(1); f <= gdo.KeepStreak+2; f++ {
-		if kept := commitAt(t, s, 2, f, 1); len(kept) != 0 {
+		if kept := commitAt(t, b, 2, f, 1); len(kept) != 0 {
 			t.Fatalf("a directory with retention off kept %v", kept)
 		}
 	}
-	if dump := s.DebugDump(); dump != "" {
+	if dump := b.hosts[3].DebugDump(); dump != "" {
 		t.Fatalf("not drained:\n%s", dump)
 	}
 }
@@ -48,54 +42,54 @@ func TestShardedRetentionIsOffUnlessSwitchedOn(t *testing.T) {
 // TestShardedCrossShardDeadlockThroughAdopt: object 2 (shard 0) is retained
 // by site 1 and family F runs on it; G at site 2 holds object 3 (shard 1).
 // F queues for 3, G queues for 2 behind the site hold: no shard, and not
-// the router's union graph either, sees a cycle, because the site hold
-// waits for nobody. The Adopt the recall triggers names F as the holder,
-// and the router's sweep after it breaks the cycle.
+// the host's union graph either, sees a cycle, because the site hold waits
+// for nobody. The Adopt the recall triggers names F as the holder, and the
+// host's sweep after it breaks the cycle.
 func TestShardedCrossShardDeadlockThroughAdopt(t *testing.T) {
-	s := NewSharded(2, 2)
-	s.SetRetainGrants(true)
-	for _, o := range []ids.ObjectID{2, 3} {
-		if err := s.Register(o, 1, 1); err != nil {
-			t.Fatal(err)
-		}
-	}
+	b := newTier1(t, 2, true, 2, 3)
 	for f := ids.FamilyID(1); f <= gdo.KeepStreak; f++ {
-		kept := commitAt(t, s, 2, f, 1)
+		kept := commitAt(t, b, 2, f, 1)
 		if want := f == gdo.KeepStreak; (len(kept) == 1) != want {
 			t.Fatalf("release %d kept %v", f, kept)
 		}
 	}
 
 	const F, G = ids.FamilyID(10), ids.FamilyID(11) // F runs on the retained grant: no acquire
-	if res, _, err := s.Acquire(3, ids.TxRef{Tx: G, Node: 2}, G, uint64(G), 2, o2pl.Write); err != nil || res.Status != gdo.GrantedNow {
-		t.Fatalf("G's acquire of 3: %v, %v", res.Status, err)
+	if res := b.acquireAt(t, 2, 3, G, uint64(G), false); res.Status != gdo.GrantedNow {
+		t.Fatalf("G's acquire of 3: %v", res.Status)
 	}
-	if res, ev, err := s.Acquire(3, ids.TxRef{Tx: F, Node: 1}, F, uint64(F), 1, o2pl.Write); err != nil || res.Status != gdo.Queued || len(ev) != 0 {
-		t.Fatalf("F's acquire of 3: %v, %v, %v", res.Status, ev, err)
+	if res := b.acquireAt(t, 1, 3, F, uint64(F), false); res.Status != gdo.Queued {
+		t.Fatalf("F's acquire of 3: %v", res.Status)
 	}
-	res, ev, err := s.Acquire(2, ids.TxRef{Tx: G, Node: 2}, G, uint64(G), 2, o2pl.Write)
-	if err != nil || res.Status != gdo.Queued {
-		t.Fatalf("G's acquire of 2: %v, %v", res.Status, err)
+	if ev := b.takeEvents(); len(ev) != 0 {
+		t.Fatalf("F's acquire of 3 raised %+v", ev)
 	}
-	if len(ev) != 1 || ev[0].Kind != gdo.EventRecall || ev[0].Site != 1 || ev[0].Family != ids.SiteFamily(1) || ev[0].Shard != 0 {
-		t.Fatalf("G's acquire of 2 raised %+v, want one recall to site 1 from shard 0", ev)
+	if res := b.acquireAt(t, 2, 2, G, uint64(G), false); res.Status != gdo.Queued {
+		t.Fatalf("G's acquire of 2: %v", res.Status)
+	}
+	want := []doorEvent{{gdo.EventRecall, ids.SiteFamily(1), 2, 0, 1}}
+	if ev := b.takeEvents(); !reflect.DeepEqual(ev, want) {
+		t.Fatalf("G's acquire of 2 raised %+v, want %+v: one recall to site 1 from shard 0", ev, want)
 	}
 
-	res, ev, err = s.Adopt(2, ids.TxRef{Tx: F, Node: 1}, F, uint64(F), 1, o2pl.Write)
-	if err != nil || res.Status != gdo.GrantedNow {
-		t.Fatalf("adopt: %v, %v", res.Status, err)
+	if res := b.acquireAt(t, 1, 2, F, uint64(F), true); res.Status != gdo.GrantedNow {
+		t.Fatalf("adopt: %v", res.Status)
 	}
 	// G is the younger: its wait on object 2 is cancelled.
-	if len(ev) != 1 || ev[0].Kind != gdo.EventDeadlockAbort || ev[0].Family != G || ev[0].Obj != 2 {
-		t.Fatalf("adopt raised %+v, want G's wait on object 2 aborted", ev)
+	want = []doorEvent{{gdo.EventDeadlockAbort, G, 2, 0, 2}}
+	if ev := b.takeEvents(); !reflect.DeepEqual(ev, want) {
+		t.Fatalf("adopt raised %+v, want %+v: G's wait on object 2 aborted", ev, want)
 	}
 	// A second Adopt is a repeat grant to the holder F now is; one for a
 	// family that never ran on the grant finds nothing to adopt.
-	if res, _, err := s.Adopt(2, ids.TxRef{Tx: F, Node: 1}, F, uint64(F), 1, o2pl.Write); err != nil || res.Status != gdo.GrantedNow {
-		t.Fatalf("repeated adopt: %v, %v", res.Status, err)
+	if res := b.acquireAt(t, 1, 2, F, uint64(F), true); res.Status != gdo.GrantedNow {
+		t.Fatalf("repeated adopt: %v", res.Status)
 	}
-	if res, ev, err := s.Adopt(2, ids.TxRef{Tx: 12, Node: 1}, 12, 12, 1, o2pl.Write); err != nil || res.Status != gdo.NotAdopted || len(ev) != 0 {
-		t.Fatalf("late adopt: %v, %v, %v", res.Status, ev, err)
+	if res := b.acquireAt(t, 1, 2, 12, 12, true); res.Status != gdo.NotAdopted {
+		t.Fatalf("late adopt: %v", res.Status)
+	}
+	if ev := b.takeEvents(); len(ev) != 0 {
+		t.Fatalf("the repeated and the late adopt raised %+v", ev)
 	}
 }
 
@@ -105,7 +99,7 @@ func TestShardedCrossShardDeadlockThroughAdopt(t *testing.T) {
 // request its dead primary had queued.
 func TestBackupReplaysKeepAndPromotedBackupRecalls(t *testing.T) {
 	m := InitialMap(1, 1, []ids.NodeID{2, 3}, false)
-	b := newRepBedRetaining(t, 2, 1, m, true)
+	b := newBed(t, 1, 2, 1, m, true)
 	const obj = ids.ObjectID(1)
 	b.register(t, obj, 1)
 	// Node 1 is the one site: it collects what the directory sends it.

@@ -5,17 +5,17 @@ import (
 	"lotec/internal/wire"
 )
 
-// The wire form of the lock service, shared by every front door that serves
-// it (the engine's co-located directory, the TCP directory server, the
-// replicated host): what a request asks of a Service, what the reply
-// carries back, and which message delivers a deferred decision.
+// The wire form of the lock service, shared by both front doors that serve
+// it (the engine's co-located directory and the directory host, which the
+// TCP directory server runs): what a request asks of a directory, what the
+// reply carries back, and which message delivers a deferred decision.
 
-// ServeAcquire applies an AcquireReq to svc — as an Adopt when the request
+// ServeAcquire applies an AcquireReq to dir — as an Adopt when the request
 // says so — and builds the reply.
-func ServeAcquire(svc Service, req *wire.AcquireReq) (*wire.AcquireResp, []gdo.Event, error) {
-	op := svc.Acquire
+func ServeAcquire(dir *gdo.Directory, req *wire.AcquireReq) (*wire.AcquireResp, []gdo.Event, error) {
+	op := dir.Acquire
 	if req.Adopt {
-		op = svc.Adopt
+		op = dir.Adopt
 	}
 	res, events, err := op(req.Obj, req.Ref, req.Family, req.Age, req.Site, req.Mode)
 	if err != nil {
@@ -32,11 +32,11 @@ func ServeAcquire(svc Service, req *wire.AcquireReq) (*wire.AcquireResp, []gdo.E
 	}, events, nil
 }
 
-// ServeRelease applies a ReleaseReq to svc and builds the reply. A
+// ServeRelease applies a ReleaseReq to dir and builds the reply. A
 // committing release may leave locks at the releasing site; the reply names
 // them.
-func ServeRelease(svc Service, req *wire.ReleaseReq) (*wire.ReleaseResp, []gdo.Event, error) {
-	events, stamps, kept, err := svc.ReleaseKeep(req.Family, req.Site, req.Commit, req.Rels)
+func ServeRelease(dir *gdo.Directory, req *wire.ReleaseReq) (*wire.ReleaseResp, []gdo.Event, error) {
+	events, stamps, kept, err := dir.ReleaseKeep(req.Family, req.Site, req.Commit, req.Rels)
 	if err != nil {
 		return nil, nil, err
 	}

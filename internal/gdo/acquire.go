@@ -84,9 +84,9 @@ type Event struct {
 	Upgrade    bool       // EventGrant: this grant is a read→write upgrade
 	LastWriter ids.NodeID // EventGrant: site of the most recent update
 	// Shard is the directory partition the event originated from. The
-	// single Directory always reports 0; the sharded router (package
-	// directory) stamps the owning shard so the wire messages built from
-	// the event stay shard-addressed.
+	// Directory always reports 0; a directory host (package directory)
+	// stamps the owning shard so the wire messages built from the event
+	// stay shard-addressed.
 	Shard int32
 }
 

@@ -21,8 +21,8 @@ import (
 //
 // The search over the relation is WaitGraph's, and it is the only one:
 // this directory runs it over its own waits, and package directory runs it
-// over the union of several directories' waits (shards of one router or one
-// host) and over the summaries other hosts push. Every detector therefore
+// over the union of several directories' waits (the shards of one host) and
+// over the summaries other hosts push. Every detector therefore
 // decides alike: the same traversal order, the same victim.
 //
 // The detector runs on every release that re-points waiters (the directory's
@@ -198,8 +198,8 @@ func (g *WaitGraph) age(f ids.FamilyID) uint64 {
 	return 0
 }
 
-// HasWaiters reports whether any family is queued or upgrading here. The
-// sharded router uses it as an O(1) precheck: a cycle spanning shards needs
+// HasWaiters reports whether any family is queued or upgrading here. A
+// directory host uses it as an O(1) precheck: a cycle spanning shards needs
 // waiting families in at least two of them.
 func (d *Directory) HasWaiters() bool {
 	d.mu.Lock()
@@ -208,8 +208,8 @@ func (d *Directory) HasWaiters() bool {
 }
 
 // WaitedOn reports whether some other family waits here for a lock f
-// holds. A cycle through f needs such an edge, so a router that finds none
-// in any directory can skip the search for one.
+// holds. A cycle through f needs such an edge, so a host that finds none
+// in any of its directories can skip the search for one.
 func (d *Directory) WaitedOn(f ids.FamilyID) bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -218,9 +218,8 @@ func (d *Directory) WaitedOn(f ids.FamilyID) bool {
 
 // AppendWaits appends this directory's waits-for relation to g, unsorted:
 // a queued family waits on every holder of that object; an upgrading
-// family waits on every *other* holder. The sharded router and the
-// replicated host append several directories into one graph and search the
-// union.
+// family waits on every *other* holder. A directory host appends several
+// directories into one graph and searches the union.
 func (d *Directory) AppendWaits(g *WaitGraph) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -230,7 +229,7 @@ func (d *Directory) AppendWaits(g *WaitGraph) {
 // AbortVictim cancels every queued request and pending upgrade of victim in
 // this directory and returns the deadlock-abort events for its site(s). It
 // is the externally driven form of the abort performed when local detection
-// picks a victim; the sharded router calls it on every shard once an
+// picks a victim; a directory host calls it on every shard once an
 // inter-shard cycle is found.
 func (d *Directory) AbortVictim(victim ids.FamilyID) []Event {
 	d.mu.Lock()
@@ -239,7 +238,7 @@ func (d *Directory) AbortVictim(victim ids.FamilyID) []Event {
 }
 
 // PurgeFamily silently removes family from every queue and upgrade list
-// (no events). The sharded router uses it when the requesting family itself
+// (no events). A directory host uses it when the requesting family itself
 // is chosen as the victim of an inter-shard cycle: the synchronous
 // DeadlockAbort reply covers the notification, exactly as the local
 // detector's purge does.
@@ -322,12 +321,18 @@ func (d *Directory) breakCyclesLocked(start ids.FamilyID) (events []Event, self 
 // directory calls and a cycle can only run through start's own new edges.
 // It then needs an edge back into start; when nobody waits on start — every
 // root's first acquire — there is none and the graph is not built at all.
+// Within one recheckQueuedLocked sweep only an abort changes the relation,
+// so the sweep's searches share one build until abortVictimLocked marks it
+// stale.
 func (d *Directory) findDeadlockVictimLocked(start ids.FamilyID) (ids.FamilyID, bool) {
 	if !d.waitedOnLocked(start) {
 		return 0, false
 	}
-	d.wf.Reset()
-	d.appendWaitsLocked(&d.wf)
-	d.wf.Sort()
+	if !d.wfFresh {
+		d.wf.Reset()
+		d.appendWaitsLocked(&d.wf)
+		d.wf.Sort()
+		d.wfFresh = d.wfSweep
+	}
 	return d.wf.VictimFrom(start)
 }

@@ -1,7 +1,10 @@
 package gdo
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
+	"time"
 
 	"lotec/internal/ids"
 	"lotec/internal/o2pl"
@@ -116,5 +119,57 @@ func TestReaderJoiningAQueuedWriterIsChecked(t *testing.T) {
 	}
 	if len(ev) != 1 || ev[0].Kind != EventDeadlockAbort || ev[0].Family != r2 || ev[0].Obj != q {
 		t.Fatalf("events = %+v, want the younger family %v aborted on %v", ev, r2, q)
+	}
+}
+
+// TestRecheckSweepSeesEarlierAbort: a hand-off re-checks every waiter of the
+// object against one waits-for graph, built once per sweep, and an abort
+// mid-sweep must reach the next waiter's search. W queues for x behind X and
+// for y behind its readers Y1 and Y2, which both queue for x too. X's
+// release grants x to W and closes two cycles, Y1 → W → Y1 and
+// Y2 → W → Y2. Y1, younger than W, aborts itself; Y2's search must then see
+// Y1's waits gone and abort Y2, not pick Y1 again. A search over the graph
+// built before Y1's abort keeps picking Y1 and never returns, so the release
+// runs under a deadline that fails with every goroutine's stack.
+func TestRecheckSweepSeesEarlierAbort(t *testing.T) {
+	const (
+		x, y         = ids.ObjectID(1), ids.ObjectID(2)
+		X, W, Y1, Y2 = ids.FamilyID(10), ids.FamilyID(11), ids.FamilyID(12), ids.FamilyID(13)
+		deadline     = 20 * time.Second
+	)
+	d := newDir(t, x, y)
+	mustAcquire(t, d, x, X, 1, o2pl.Write)
+	mustAcquire(t, d, y, Y1, 3, o2pl.Read)
+	mustAcquire(t, d, y, Y2, 4, o2pl.Read)
+	mustAcquire(t, d, x, W, 2, o2pl.Write)  // W → X
+	mustAcquire(t, d, y, W, 2, o2pl.Write)  // W → Y1, Y2
+	mustAcquire(t, d, x, Y1, 3, o2pl.Write) // Y1 → X
+	mustAcquire(t, d, x, Y2, 4, o2pl.Write) // Y2 → X
+
+	done := make(chan []Event, 1)
+	go func() {
+		ev, _, err := d.Release(X, 1, false, []ObjectRelease{{Obj: x}})
+		if err != nil {
+			t.Error(err)
+		}
+		done <- ev
+	}()
+	var ev []Event
+	select {
+	case ev = <-done:
+	case <-time.After(deadline):
+		buf := make([]byte, 1<<20)
+		panic(fmt.Sprintf("%s: the hand-off's re-check sweep still running after %v\n%s", t.Name(), deadline, buf[:runtime.Stack(buf, true)]))
+	}
+	if len(ev) != 3 || ev[0].Kind != EventGrant || ev[0].Family != W || ev[0].Obj != x {
+		t.Fatalf("hand-off events = %+v, want x granted to %v, then %v and %v aborted", ev, W, Y1, Y2)
+	}
+	for i, f := range []ids.FamilyID{Y1, Y2} {
+		if e := ev[1+i]; e.Kind != EventDeadlockAbort || e.Family != f || e.Obj != x {
+			t.Errorf("event %d = %+v, want %v's wait on x aborted", 1+i, e, f)
+		}
+	}
+	if v, cycle := d.findDeadlockVictimLocked(W); cycle {
+		t.Errorf("a cycle through %v survived the sweep (next victim %v)", W, v)
 	}
 }

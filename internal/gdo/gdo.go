@@ -14,10 +14,9 @@
 //
 // A Directory holds one partition's worth of state. The paper partitions
 // and replicates the GDO for scale/reliability; package directory realizes
-// the partitioning — a Sharded router over N Directory instances, one per
-// shard — while HomeNode keeps the cost model's per-object message
-// attribution. A deployment with a single partition (the default) uses one
-// Directory exactly as before.
+// the partitioning — a Host serves each of its shards from one Directory —
+// and its Placement keeps the cost model's per-object message attribution.
+// The co-located simulator's engines share one Directory.
 package gdo
 
 import (
@@ -159,7 +158,7 @@ func (e *entry) queue(f ids.FamilyID) *familyQueue {
 type Directory struct {
 	mu      sync.Mutex
 	entries map[ids.ObjectID]*entry // guarded by mu
-	nodes   int                     // cluster size, for HomeNode; immutable
+	nodes   int                     // cluster size, kept in the export format; immutable
 	retain  bool                    // guarded by mu; site-retained grants on (retain.go)
 
 	// waitObjs indexes the entries that currently have queued requests or
@@ -172,14 +171,16 @@ type Directory struct {
 	// recycled: at steady state the grant/release path performs no
 	// allocations. All guarded by mu.
 	wf       WaitGraph      // waits-for detector working state (deadlock.go)
+	wfSweep  bool           // a recheckQueuedLocked sweep is running
+	wfFresh  bool           // during a sweep: wf is the current relation, sorted
 	entScr   []*entry       // waitEntriesSortedLocked sweep list
 	famScr   []ids.FamilyID // recheckQueuedLocked deadlock re-check snapshot
 	touchScr []*entry       // Release touched-entry list
 	holdFree []*familyHold  // familyHold freelist (records never escape)
 }
 
-// New returns an empty directory for a cluster of n nodes (n ≥ 1; used only
-// by HomeNode cost attribution).
+// New returns an empty directory for a cluster of n nodes (n ≥ 1; the
+// export format records it).
 func New(n int) *Directory {
 	if n < 1 {
 		n = 1
@@ -229,14 +230,6 @@ func (d *Directory) removeHolderLocked(e *entry, f ids.FamilyID) bool {
 		}
 	}
 	return false
-}
-
-// HomeNode returns the GDO partition (node) responsible for obj. The
-// directory state itself is centralized; HomeNode exists so the simulation
-// charges global lock messages to the right partition, matching the paper's
-// partitioned GDO.
-func (d *Directory) HomeNode(obj ids.ObjectID) ids.NodeID {
-	return ids.NodeID(int64(obj)%int64(d.nodes)) + 1
 }
 
 // Register adds an object of numPages pages whose initial up-to-date copy

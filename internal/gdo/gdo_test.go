@@ -76,21 +76,6 @@ func TestInitialPageMapAtOwner(t *testing.T) {
 	}
 }
 
-func TestHomeNodePartitioning(t *testing.T) {
-	d := New(4)
-	seen := map[ids.NodeID]bool{}
-	for o := ids.ObjectID(0); o < 8; o++ {
-		h := d.HomeNode(o)
-		if h < 1 || h > 4 {
-			t.Fatalf("HomeNode(%v) = %v out of range", o, h)
-		}
-		seen[h] = true
-	}
-	if len(seen) != 4 {
-		t.Errorf("homes not spread: %v", seen)
-	}
-}
-
 func TestAcquireFreeGrantsImmediately(t *testing.T) {
 	d := newDir(t, 1)
 	res := mustAcquire(t, d, 1, 100, 2, o2pl.Write)

@@ -179,7 +179,8 @@ func (d *Directory) scheduleLocked(e *entry) []Event {
 // new holder can close waits-for cycles that enqueue-time detection could
 // not see. (Upgraders only matter to a rename: a fresh holder is granted
 // only when none is pending.) The family IDs are snapshotted (into reused
-// scratch) because an abort may edit e.queues mid-sweep. Caller holds d.mu.
+// scratch) because an abort may edit e.queues mid-sweep; the searches share
+// one graph build between aborts. Caller holds d.mu.
 func (d *Directory) recheckQueuedLocked(e *entry) []Event {
 	var events []Event
 	d.famScr = d.famScr[:0]
@@ -189,6 +190,7 @@ func (d *Directory) recheckQueuedLocked(e *entry) []Event {
 	for _, u := range e.upgrades {
 		d.famScr = append(d.famScr, u.family)
 	}
+	d.wfSweep = true
 	for _, f := range d.famScr {
 		ev, self := d.breakCyclesLocked(f)
 		events = append(events, ev...)
@@ -197,6 +199,7 @@ func (d *Directory) recheckQueuedLocked(e *entry) []Event {
 			events = append(events, d.abortVictimLocked(f)...)
 		}
 	}
+	d.wfSweep, d.wfFresh = false, false
 	return events
 }
 
@@ -286,6 +289,7 @@ func (d *Directory) purgeFamilyLocked(family ids.FamilyID) {
 // abortVictimLocked purges victim's waits everywhere and builds the abort
 // events telling its site to fail the parked requests. Caller holds d.mu.
 func (d *Directory) abortVictimLocked(victim ids.FamilyID) []Event {
+	d.wfFresh = false // the victim's waits leave the relation
 	var events []Event
 	for _, e := range d.waitEntriesSortedLocked() {
 		for i := 0; i < len(e.queues); i++ {

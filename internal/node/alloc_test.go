@@ -46,7 +46,7 @@ func TestAllocsFlatRoot(t *testing.T) {
 			net := newThreadNet()
 			dir := gdo.New(1)
 			dir.SetRetainGrants(tc.retain)
-			engines, _ := newThreadClusterOn(t, net, dir, 1, 1, nil)
+			engines, _ := newThreadClusterOn(t, net, dir, 1, 1, 1, nil)
 			root := func() {
 				if _, _, err := engines[1].Run(1, "set", nil); err != nil {
 					t.Fatal(err)
@@ -70,9 +70,8 @@ const twoShardRootAllocs = 74
 
 func TestAllocsTwoShardRoot(t *testing.T) {
 	net := newThreadNet()
-	dir := directory.NewSharded(2, 1)
-	engines, _ := newThreadClusterOn(t, net, dir, 1, 2, nil)
-	if dir.ShardOf(1) == dir.ShardOf(2) {
+	engines, _ := newThreadClusterOn(t, net, gdo.New(1), 2, 1, 2, nil)
+	if place := directory.NewPlacement(2, 1); place.ShardOf(1) == place.ShardOf(2) {
 		t.Fatal("objects 1 and 2 share a shard")
 	}
 	root := func() {

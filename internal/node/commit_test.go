@@ -8,6 +8,7 @@ import (
 
 	"lotec/internal/core"
 	"lotec/internal/directory"
+	"lotec/internal/gdo"
 	"lotec/internal/history"
 	"lotec/internal/ids"
 	"lotec/internal/netmodel"
@@ -27,13 +28,14 @@ type sentRelease struct {
 	Objs   []ids.ObjectID
 }
 
-// routedRig is one routed engine (node 1) in front of a four-shard
-// directory served by a plain handler on node 2, which logs every release
-// it is sent — the addressing of Engine.releaseGlobal made visible.
+// routedRig is one routed engine (node 1) in front of one directory, which
+// the engine addresses as four shards, served by a plain handler on node 2
+// that logs every release it is sent — the addressing of
+// Engine.releaseGlobal made visible.
 type routedRig struct {
 	net      *transport.SimNet
 	eng      *node.Engine
-	dir      *directory.Sharded
+	dir      *gdo.Directory
 	cls      *schema.Class
 	releases []sentRelease
 	history  []history.Record
@@ -42,7 +44,7 @@ type routedRig struct {
 func newRoutedRig(t *testing.T) *routedRig {
 	t.Helper()
 	const shards = 4
-	r := &routedRig{dir: directory.NewSharded(shards, 1)}
+	r := &routedRig{dir: gdo.New(1)}
 	r.net = transport.NewSimNet(2, netmodel.Ethernet100.WithSoftwareCost(5*time.Microsecond), stats.NewRecorder())
 	schemas := schema.NewRegistry(64)
 	methods := node.NewMethodTable()
@@ -97,7 +99,7 @@ func newRoutedRig(t *testing.T) *routedRig {
 		Manager:  txn.NewManager(),
 		Protocol: core.LOTEC,
 		HomeFn:   func(ids.ObjectID) ids.NodeID { return 2 },
-		ShardFn:  r.dir.ShardOf,
+		ShardFn:  directory.NewPlacement(shards, 1).ShardOf,
 		Route:    directory.NewRouteTable(env, nil, directory.InitialMap(shards, 1, []ids.NodeID{2}, false)),
 		History:  func(rec history.Record) { r.history = append(r.history, rec) },
 	})

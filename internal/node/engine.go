@@ -96,9 +96,10 @@ type Config struct {
 	// deployment must agree with the directory's own placement; nil means
 	// a single-shard directory (every object on shard 0).
 	ShardFn func(ids.ObjectID) int
-	// Dir, when non-nil, makes this node serve GDO requests from Dir —
-	// either a single *gdo.Directory or a *directory.Sharded router.
-	Dir directory.Service
+	// Dir, when non-nil, makes this node serve GDO requests from Dir: the
+	// co-located simulator's engines share one directory, and each serves
+	// the objects HomeFn homes at it.
+	Dir *gdo.Directory
 	// Route, when non-nil, sends every GDO request through the replicated
 	// control plane's placement map instead of HomeFn: calls go to the
 	// shard's current primary, stale-epoch rejections re-aim, and an

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"lotec/internal/core"
+	"lotec/internal/directory"
 	"lotec/internal/gdo"
 	"lotec/internal/ids"
 	"lotec/internal/netmodel"
@@ -56,7 +57,7 @@ func newRig(t *testing.T, nodes int, p core.Protocol) *rig {
 			Methods:  r.methods,
 			Manager:  mgr,
 			Protocol: p,
-			HomeFn:   r.dir.HomeNode,
+			HomeFn:   directory.NewPlacement(1, nodes).HomeNode,
 			Dir:      r.dir,
 		})
 		if err != nil {

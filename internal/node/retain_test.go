@@ -68,7 +68,7 @@ func newRetainCluster(t *testing.T, objects int, hook func(*node.Ctx)) *retainCl
 		c.seen = append(c.seen, what)
 		c.mu.Unlock()
 	}
-	c.engines, _ = newThreadClusterOn(t, c.net, c.dir, 2, objects, hook)
+	c.engines, _ = newThreadClusterOn(t, c.net, c.dir, 1, 2, objects, hook)
 	return c
 }
 

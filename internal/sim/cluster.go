@@ -46,9 +46,10 @@ type Config struct {
 	Lenient bool
 	// MaxRetries bounds deadlock retries per root (default 20).
 	MaxRetries int
-	// DirectoryShards partitions the GDO into that many independent shards
-	// (default 1 — the paper's single logical directory). Placement and
-	// per-object cost attribution are unchanged at any shard count.
+	// DirectoryShards is the shard count of the dedicated directory
+	// (Replicas > 0; default 1). The co-located directory is one
+	// gdo.Directory, so without Replicas it must stay 1. Per-object cost
+	// attribution is unchanged at any shard count.
 	DirectoryShards int
 	// Faults, when non-nil, installs a deterministic network fault plan:
 	// the virtual wire drops/delays/duplicates/reorders messages per the
@@ -113,7 +114,7 @@ func (c Config) withDefaults() Config {
 type Cluster struct {
 	cfg     Config
 	net     *transport.SimNet
-	dir     *directory.Sharded
+	dir     *gdo.Directory // the co-located directory; nil with Replicas
 	rec     *stats.Recorder
 	schemas *schema.Registry
 	methods *node.MethodTable
@@ -122,10 +123,11 @@ type Cluster struct {
 	stores  map[ids.NodeID]*pstore.Store
 	objGen  ids.ObjectIDGenerator
 
+	place directory.Placement
+
 	// Replicated control plane (Replicas > 0); empty in legacy mode.
 	hosts      map[ids.NodeID]*directory.Host
 	hostIDs    []ids.NodeID
-	place      directory.Placement
 	initialMap wire.PlacementMap
 
 	results  []*Result
@@ -156,26 +158,30 @@ type Result struct {
 // objects before Run.
 func NewCluster(cfg Config) (*Cluster, error) {
 	cfg = cfg.withDefaults()
+	if cfg.Replicas <= 0 && cfg.DirectoryShards > 1 {
+		return nil, fmt.Errorf("sim: DirectoryShards %d needs Replicas > 0: the co-located directory has one shard", cfg.DirectoryShards)
+	}
 	c := &Cluster{
 		cfg:     cfg,
 		rec:     stats.NewRecorder(),
-		dir:     directory.NewSharded(cfg.DirectoryShards, cfg.Nodes),
+		place:   directory.NewPlacement(cfg.DirectoryShards, cfg.Nodes),
 		schemas: schema.NewRegistry(cfg.PageSize),
 		methods: node.NewMethodTable(),
 		mgr:     txn.NewManager(),
 		engines: make(map[ids.NodeID]*node.Engine, cfg.Nodes),
 		stores:  make(map[ids.NodeID]*pstore.Store, cfg.Nodes),
 	}
-	c.dir.SetRetainGrants(cfg.RetainGrants)
 	simSize := cfg.Nodes
-	homeFn := c.dir.HomeNode
-	if cfg.Replicas > 0 {
+	homeFn := c.place.HomeNode
+	if cfg.Replicas <= 0 {
+		c.dir = gdo.New(cfg.Nodes)
+		c.dir.SetRetainGrants(cfg.RetainGrants)
+	} else {
 		simSize = cfg.Nodes + cfg.Replicas
 		for i := 0; i < cfg.Replicas; i++ {
 			c.hostIDs = append(c.hostIDs, ids.NodeID(cfg.Nodes+1+i))
 		}
 		c.hosts = make(map[ids.NodeID]*directory.Host, cfg.Replicas)
-		c.place = directory.NewPlacement(cfg.DirectoryShards, cfg.Nodes)
 		c.initialMap = directory.InitialMap(cfg.DirectoryShards, cfg.Nodes, c.hostIDs, cfg.SpreadShards)
 		// HomeFn survives as the engines' fallback only; with a RouteTable
 		// configured every lock message is routed by the adopted map.
@@ -204,11 +210,9 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	}
 	for i := 1; i <= cfg.Nodes; i++ {
 		id := ids.NodeID(i)
-		var dirSvc directory.Service = c.dir
 		var route *directory.RouteTable
 		if cfg.Replicas > 0 {
 			// Lock traffic goes to the control-plane hosts, not peers.
-			dirSvc = nil
 			route = directory.NewRouteTable(c.net.Env(id), c.rec, c.initialMap)
 		}
 		store := pstore.NewStore(cfg.PageSize)
@@ -221,8 +225,8 @@ func NewCluster(cfg Config) (*Cluster, error) {
 			Protocol:          cfg.Protocol,
 			ProtocolOverrides: cfg.ProtocolOverrides,
 			HomeFn:            homeFn,
-			ShardFn:           c.dir.ShardOf,
-			Dir:               dirSvc,
+			ShardFn:           c.place.ShardOf,
+			Dir:               c.dir,
 			Route:             route,
 			Rec:               c.rec,
 			MaxRetries:        cfg.MaxRetries,
@@ -254,9 +258,6 @@ func (c *Cluster) Schemas() *schema.Registry { return c.schemas }
 
 // Recorder exposes the run's statistics.
 func (c *Cluster) Recorder() *stats.Recorder { return c.rec }
-
-// Directory exposes the shared GDO (tests and verification).
-func (c *Cluster) Directory() *directory.Sharded { return c.dir }
 
 // Protocol returns the cluster's consistency protocol.
 func (c *Cluster) Protocol() core.Protocol { return c.cfg.Protocol }
@@ -442,7 +443,7 @@ func (c *Cluster) objects() []ids.ObjectID {
 }
 
 // DirectoryDump renders the undrained lock state of the authoritative
-// directory — the Sharded router in legacy mode, each shard's current
+// directory — the shared gdo.Directory in legacy mode, each shard's current
 // primary in replicated mode (deposed and crashed ex-primaries excluded).
 // Empty means fully drained.
 func (c *Cluster) DirectoryDump() string {

@@ -70,9 +70,8 @@ type benchResult struct {
 	AbortsPerFailover float64 `json:"aborts_per_failover,omitempty"`
 	HandoffBytes      uint64  `json:"handoff_bytes,omitempty"`
 	HandoffNs         int64   `json:"handoff_ns,omitempty"`
-	// MsgsPerOp is the frames on the wire per committed root (the
-	// tcp/msgs-per-root and tcp/msgs-per-repeat-root rows only): a count,
-	// gated exactly.
+	// MsgsPerOp is the frames on the wire per committed root or per object
+	// created (the tcp/msgs-per-* rows only): a count, gated exactly.
 	MsgsPerOp float64 `json:"msgs_per_op,omitempty"`
 	// WritesPerFrame is the write calls per frame sent (the
 	// tcp/writes-per-frame row only): a count, gated under a ceiling.
@@ -338,7 +337,7 @@ func noWorse(pad float64) func(committed, got benchResult) error {
 // property of the protocol, not of the machine.
 func sameMsgs(c, g benchResult) error {
 	if g.MsgsPerOp != c.MsgsPerOp {
-		return fmt.Errorf("%v frames per root, committed %v", g.MsgsPerOp, c.MsgsPerOp)
+		return fmt.Errorf("%v frames per op, committed %v", g.MsgsPerOp, c.MsgsPerOp)
 	}
 	return nil
 }

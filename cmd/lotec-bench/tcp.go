@@ -91,8 +91,9 @@ func (l *loopback) startNode(cfg server.NodeConfig, classes []*schema.Class, bod
 	return nil
 }
 
-// create makes obj known at every node, its owner first: the owner's call
-// is the one that registers it with the directory.
+// create makes obj known at every node. The owner's call also registers it
+// with the directory, one-way: nothing waits for the directory, and a root
+// at another node that gets there first retries.
 func (l *loopback) create(obj ids.ObjectID, class ids.ClassID, owner ids.NodeID) error {
 	if err := l.nodes[owner-1].CreateObject(obj, class, owner); err != nil {
 		return fmt.Errorf("create object %v: %w", obj, err)
@@ -114,10 +115,12 @@ func (l *loopback) close() {
 	}
 }
 
-// The two rows that count a root's frames on the TCP runtime.
+// The rows that count frames on the TCP runtime: a root's, and an object
+// creation's.
 const (
 	msgsPerRootOp       = "tcp/msgs-per-root"
 	msgsPerRepeatRootOp = "tcp/msgs-per-repeat-root"
+	msgsPerCreateOp     = "tcp/msgs-per-create"
 )
 
 // msgsPerRootRows commits flat roots at the owner of their object on the
@@ -128,7 +131,9 @@ const (
 // gdo.KeepStreak leaves the lock at the site, and a repeat root is its
 // release pair, 2. The first row is the first thousand roots on a fresh
 // object (gdo.KeepStreak = 5 first roots, then repeats: 2.010), the second
-// the thousand after it. Both are counts; they carry no timing.
+// the thousand after it. The third row is the frames per object created on
+// a four-node deployment: the owner's one-way RegisterReq, 1. All three are
+// counts; they carry no timing.
 func msgsPerRootRows() ([]benchResult, error) {
 	cls, err := schema.NewClassBuilder(1, "Counter").
 		Attr("n", 8).
@@ -160,7 +165,30 @@ func msgsPerRootRows() ([]benchResult, error) {
 		}
 		rows = append(rows, benchResult{Op: op, Ops: roots, MsgsPerOp: float64(rec.MsgCount()-before) / roots})
 	}
-	return rows, nil
+	create, err := msgsPerCreateRow(cls, bump)
+	if err != nil {
+		return nil, err
+	}
+	return append(rows, create), nil
+}
+
+// msgsPerCreateRow creates objects owned in turn by each node of a
+// four-node deployment, each at every node, and counts the frames that
+// puts on the wire per object.
+func msgsPerCreateRow(cls *schema.Class, body node.MethodFunc) (benchResult, error) {
+	rec := stats.NewRecorder()
+	const nodes, objs = 4, 64
+	l, err := startLoopback(nodes, server.NodeConfig{Protocol: core.LOTEC, Rec: rec}, []*schema.Class{cls}, body)
+	if err != nil {
+		return benchResult{}, err
+	}
+	defer l.close()
+	for obj := ids.ObjectID(1); obj <= objs; obj++ {
+		if err := l.create(obj, cls.ID, ids.NodeID(obj%nodes)+1); err != nil {
+			return benchResult{}, err
+		}
+	}
+	return benchResult{Op: msgsPerCreateOp, Ops: objs, MsgsPerOp: float64(rec.MsgCount()) / objs}, nil
 }
 
 const (

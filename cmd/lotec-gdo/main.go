@@ -18,7 +18,7 @@ import (
 func main() {
 	addr := flag.String("addr", ":7100", "listen address of the directory")
 	nodes := flag.String("nodes", "", "comma-separated data node addresses, in node-ID order")
-	shards := flag.Int("shards", 1, "directory partitions; every node must be started with the same value")
+	shards := flag.Int("shards", 1, "directory partitions; every node must be started with the same value. One host serializes all its shards under one mutex: shards partition directory state and the deadlock search, not CPU")
 	faultPlan := flag.String("fault-plan", "", `inject deterministic network faults: a preset (drop, delay, dup, reorder, chaos) or clause list like "drop(p=0.1);delay(p=0.2,d=1ms)"`)
 	faultSeed := flag.Uint64("fault-seed", 1, "seed driving the fault plan's random draws")
 	flag.Parse()

@@ -108,7 +108,8 @@ func (c *contendedDir) cycleRound(x, y ids.ObjectID, a, b ids.FamilyID) {
 //  3. two readers of one object both ask to upgrade to write; the younger's
 //     request closes a cycle and is refused, and the elder upgrades once the
 //     younger releases;
-//  4. a queued request is withdrawn with CancelRequest;
+//  4. a queued family is withdrawn with PurgeFamily, as a host withdraws
+//     a requester it aborts;
 //  5. a site earns a retained grant, a request from another site recalls
 //     it, and the site hands it back.
 func TestAllocsContendedAcquire(t *testing.T) {
@@ -139,13 +140,11 @@ func TestAllocsContendedAcquire(t *testing.T) {
 		c.release(b, 2, false, x)
 		c.release(a, 1, false, x)
 
-		// 4. A queued request withdrawn.
+		// 4. A queued family withdrawn: a's release grants nothing.
 		a, b = fam+7, fam+8
 		c.acquire(x, a, 1, o2pl.Write, gdo.GrantedNow)
 		c.acquire(x, b, 2, o2pl.Write, gdo.Queued)
-		if ok, err := c.s.CancelRequest(x, b); err != nil || !ok {
-			t.Fatalf("CancelRequest = %v, %v", ok, err)
-		}
+		c.s.PurgeFamily(b)
 		c.release(a, 1, false, x)
 
 		// 5. KeepStreak committing roots at site 1 leave z there; a request

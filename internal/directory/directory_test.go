@@ -75,6 +75,45 @@ func TestSingleShardDelegation(t *testing.T) {
 	NewSharded(2, 4)
 }
 
+// TestServeAcquireUnregistered: an acquire or an adopt of an object the
+// directory does not know is answered gdo.Unregistered, with no error and
+// no events, and changes nothing; once the object is registered the same
+// request is granted. Through a host's front door the reply is the same.
+func TestServeAcquireUnregistered(t *testing.T) {
+	for _, adopt := range []bool{false, true} {
+		dir := gdo.New(1)
+		req := &wire.AcquireReq{Obj: 4, Ref: ids.TxRef{Tx: 10, Node: 1}, Family: 10, Age: 10, Site: 1, Mode: o2pl.Write, Shard: 2, Adopt: adopt}
+		resp, ev, err := ServeAcquire(dir, req)
+		if err != nil || len(ev) != 0 {
+			t.Fatalf("adopt=%v: ServeAcquire of an unknown object: events %v, error %v", adopt, ev, err)
+		}
+		if resp.Status != gdo.Unregistered || resp.Obj != 4 || resp.Shard != 2 {
+			t.Fatalf("adopt=%v: reply %+v, want status %v for object 4 on shard 2", adopt, resp, gdo.Unregistered)
+		}
+		if objs := dir.Objects(); len(objs) != 0 {
+			t.Fatalf("adopt=%v: the directory now knows %v", adopt, objs)
+		}
+		if adopt {
+			continue
+		}
+		if err := dir.Register(4, 1, 1); err != nil {
+			t.Fatal(err)
+		}
+		if resp, _, err := ServeAcquire(dir, req); err != nil || resp.Status != gdo.GrantedNow {
+			t.Fatalf("after registration: %+v, %v; want granted", resp, err)
+		}
+	}
+
+	b := newTier1(t, 2, false)
+	if resp := b.acquireAt(t, 1, 5, 10, 10, false); resp.Status != gdo.Unregistered {
+		t.Fatalf("host reply to an acquire of an unknown object: %v, want %v", resp.Status, gdo.Unregistered)
+	}
+	b.register(t, 5, 1)
+	if resp := b.acquireAt(t, 1, 5, 10, 10, false); resp.Status != gdo.GrantedNow {
+		t.Fatalf("host reply after registration: %v, want granted", resp.Status)
+	}
+}
+
 // The directory a lotec-gdo -shards N runs is one Host that is primary for
 // every shard, so a cycle across its shards is tier 1's to find (coord.go).
 // newTier1 stands one up over a SimNet, serving sites 1 and 2 (node 3 is the

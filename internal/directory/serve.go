@@ -1,6 +1,8 @@
 package directory
 
 import (
+	"errors"
+
 	"lotec/internal/gdo"
 	"lotec/internal/wire"
 )
@@ -11,13 +13,18 @@ import (
 // reply carries back, and which message delivers a deferred decision.
 
 // ServeAcquire applies an AcquireReq to dir — as an Adopt when the request
-// says so — and builds the reply.
+// says so — and builds the reply. An object dir does not know is answered
+// with gdo.Unregistered, not an error: over TCP an owner registers its
+// objects one-way, and a site on another connection can get here first.
 func ServeAcquire(dir *gdo.Directory, req *wire.AcquireReq) (*wire.AcquireResp, []gdo.Event, error) {
 	op := dir.Acquire
 	if req.Adopt {
 		op = dir.Adopt
 	}
 	res, events, err := op(req.Obj, req.Ref, req.Family, req.Age, req.Site, req.Mode)
+	if errors.Is(err, gdo.ErrUnknownObject) {
+		return &wire.AcquireResp{Obj: req.Obj, Status: gdo.Unregistered, Shard: req.Shard}, nil, nil
+	}
 	if err != nil {
 		return nil, nil, err
 	}

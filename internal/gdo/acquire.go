@@ -26,6 +26,12 @@ const (
 	// nor a hold of the family itself (the grant was handed back or
 	// released meanwhile); nothing changed.
 	NotAdopted
+	// Unregistered: the directory does not know the object yet — over TCP
+	// its owner's one-way registration may still be on another connection.
+	// Nothing changed; the requesting root aborts and retries. The
+	// Directory itself reports ErrUnknownObject; the wire form of the lock
+	// service (package directory) answers with this status.
+	Unregistered
 )
 
 // String implements fmt.Stringer.
@@ -39,6 +45,8 @@ func (s AcquireStatus) String() string {
 		return "deadlock-abort"
 	case NotAdopted:
 		return "not-adopted"
+	case Unregistered:
+		return "unregistered"
 	default:
 		return fmt.Sprintf("acquire-status(%d)", int(s))
 	}

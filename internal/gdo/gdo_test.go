@@ -325,28 +325,6 @@ func TestDeadlockVictimIsYoungestWhenOlderRequests(t *testing.T) {
 	}
 }
 
-func TestCancelRequest(t *testing.T) {
-	d := newDir(t, 1)
-	mustAcquire(t, d, 1, 100, 2, o2pl.Write)
-	mustAcquire(t, d, 1, 200, 3, o2pl.Write)
-	ok, err := d.CancelRequest(1, 200)
-	if err != nil || !ok {
-		t.Fatalf("CancelRequest = %v, %v", ok, err)
-	}
-	ok, err = d.CancelRequest(1, 200)
-	if err != nil || ok {
-		t.Fatalf("second CancelRequest = %v, %v", ok, err)
-	}
-	if _, err := d.CancelRequest(9, 200); !errors.Is(err, ErrUnknownObject) {
-		t.Errorf("unknown object: %v", err)
-	}
-	// Release by holder should now free the lock with no events.
-	ev, _, err := d.Release(100, 2, true, []ObjectRelease{{Obj: 1}})
-	if err != nil || len(ev) != 0 {
-		t.Fatalf("release: %v, %v", ev, err)
-	}
-}
-
 func TestGrantEventCarriesPageMap(t *testing.T) {
 	d := newDir(t, 1)
 	mustAcquire(t, d, 1, 100, 2, o2pl.Write)
@@ -396,7 +374,8 @@ func TestStateAndStatusStrings(t *testing.T) {
 	if LockState(9).String() == "" {
 		t.Error("unknown LockState string empty")
 	}
-	if GrantedNow.String() != "granted" || Queued.String() != "queued" || DeadlockAbort.String() != "deadlock-abort" {
+	if GrantedNow.String() != "granted" || Queued.String() != "queued" || DeadlockAbort.String() != "deadlock-abort" ||
+		Unregistered.String() != "unregistered" {
 		t.Error("AcquireStatus strings")
 	}
 	if AcquireStatus(9).String() == "" {

@@ -203,37 +203,6 @@ func (d *Directory) recheckQueuedLocked(e *entry) []Event {
 	return events
 }
 
-// CancelRequest withdraws any queued requests and pending upgrades of
-// family on obj (used when the engine unwinds a waiting transaction, e.g.
-// on external abort). It reports whether anything was removed.
-func (d *Directory) CancelRequest(obj ids.ObjectID, family ids.FamilyID) (bool, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	e, ok := d.entries[obj]
-	if !ok {
-		return false, fmt.Errorf("%w: %v", ErrUnknownObject, obj)
-	}
-	removed := false
-	for i, q := range e.queues {
-		if q.family == family {
-			e.queues = append(e.queues[:i], e.queues[i+1:]...)
-			removed = true
-			break
-		}
-	}
-	for i, u := range e.upgrades {
-		if u.family == family {
-			e.upgrades = append(e.upgrades[:i], e.upgrades[i+1:]...)
-			removed = true
-			break
-		}
-	}
-	if removed {
-		d.noteWaitersLocked(e)
-	}
-	return removed, nil
-}
-
 // waitEntriesSortedLocked returns the entries with queued requests or
 // pending upgrades in ascending object order. Only waitObjs entries can
 // contain a waiting family (noteWaitersLocked keeps the index exact), and

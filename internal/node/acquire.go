@@ -151,6 +151,11 @@ func (e *Engine) acquireGlobal(ts *txState, obj ids.ObjectID, mode o2pl.Mode) er
 		e.doomFamily(ts.fam, ErrDeadlockVictim)
 		return ErrDeadlockVictim
 
+	case gdo.Unregistered:
+		clearPending()
+		e.doomFamily(ts.fam, ErrNotRegistered)
+		return ErrNotRegistered
+
 	default:
 		clearPending()
 		return fmt.Errorf("global acquire of %v: unknown status %v", obj, resp.Status)

@@ -47,9 +47,15 @@ var (
 	// an attribute outside its declared access sets — the conservative
 	// prediction contract of §3.5 would be violated.
 	ErrUndeclaredAccess = errors.New("node: access outside declared attribute set")
-	// ErrRetriesExhausted is returned by Run when a root keeps losing
-	// deadlock resolution.
-	ErrRetriesExhausted = errors.New("node: deadlock retries exhausted")
+	// ErrNotRegistered marks a family aborted because the directory did not
+	// know an object yet: over TCP its owner registers it one-way, and a
+	// root at another site can reach the directory first. Run retries such
+	// roots as it retries deadlock victims.
+	ErrNotRegistered = errors.New("node: object not yet registered with the directory")
+	// ErrRetriesExhausted is returned by Run when a root keeps being
+	// aborted with a retryable cause (ErrDeadlockVictim, ErrNotRegistered);
+	// it wraps the last attempt's error.
+	ErrRetriesExhausted = errors.New("node: retries exhausted")
 	// ErrSiteUnreachable marks a root aborted because a home site or page
 	// source stopped answering (every transport-level retry timed out).
 	// The root is rolled back through the normal abort path — shadow-page
@@ -107,7 +113,7 @@ type Config struct {
 	Route *directory.RouteTable
 	// Rec records the message trace and counters; may be nil.
 	Rec *stats.Recorder
-	// MaxRetries bounds deadlock-victim retries of a root (default 20).
+	// MaxRetries bounds the retries of a root (default 50).
 	MaxRetries int
 	// Strict rejects accesses outside declared sets (the paper's
 	// conservative-compiler contract). When false, undeclared accesses are
@@ -294,8 +300,9 @@ func (e *Engine) classOf(obj ids.ObjectID) (*schema.Class, *schema.Layout, error
 }
 
 // Run executes one root transaction: invoke method on obj, retrying if the
-// family is chosen as a deadlock victim (bounded by MaxRetries, with a
-// linearly growing backoff so the competing family can finish).
+// family is chosen as a deadlock victim or finds an object not yet
+// registered (bounded by MaxRetries, with a linearly growing backoff so the
+// competing family can finish or the registration arrive).
 func (e *Engine) Run(obj ids.ObjectID, method string, arg []byte) ([]byte, ids.FamilyID, error) {
 	var lastErr error
 	var age uint64 // stable deadlock priority across retries (first root's TxID)
@@ -311,11 +318,11 @@ func (e *Engine) Run(obj ids.ObjectID, method string, arg []byte) ([]byte, ids.F
 			return res, fam, nil
 		}
 		lastErr = err
-		if !errors.Is(err, ErrDeadlockVictim) {
+		if !errors.Is(err, ErrDeadlockVictim) && !errors.Is(err, ErrNotRegistered) {
 			return nil, fam, err
 		}
 	}
-	return nil, 0, fmt.Errorf("%w after %d attempts: %v", ErrRetriesExhausted, e.cfg.MaxRetries, lastErr)
+	return nil, 0, fmt.Errorf("%w after %d attempts: %w", ErrRetriesExhausted, e.cfg.MaxRetries, lastErr)
 }
 
 // invokeRoot runs one root attempt, reporting the family it used. age is

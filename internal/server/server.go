@@ -226,7 +226,12 @@ func (s *NodeServer) OnMethod(cls *schema.Class, method string, fn node.MethodFu
 }
 
 // CreateObject registers an object locally and, when this node is the
-// owner, also in the GDO (exactly one node per object should own it).
+// owner, also in the GDO (exactly one node per object should own it). The
+// GDO registration is one-way: it returns once the RegisterReq is written,
+// with that write's error. The directory applies a connection's frames in
+// order, so every later request of this node finds the object; a root at
+// another node can reach the directory first, finds the object
+// unregistered and retries (node.ErrNotRegistered).
 func (s *NodeServer) CreateObject(obj ids.ObjectID, class ids.ClassID, owner ids.NodeID) error {
 	if err := s.eng.RegisterObject(obj, class, owner); err != nil {
 		return err
@@ -238,17 +243,13 @@ func (s *NodeServer) CreateObject(obj ids.ObjectID, class ids.ClassID, owner ids
 	if err != nil {
 		return err
 	}
-	reply, err := s.net.Call(s.cfg.Topology.GDONode(), &wire.RegisterReq{
+	if err := s.net.Send(s.cfg.Topology.GDONode(), &wire.RegisterReq{
 		Obj:      obj,
 		Class:    class,
 		NumPages: int32(layout.NumPages()),
 		Owner:    owner,
-	})
-	if err != nil {
+	}); err != nil {
 		return fmt.Errorf("server: register %v with GDO: %w", obj, err)
-	}
-	if _, ok := reply.(*wire.RegisterResp); !ok {
-		return fmt.Errorf("server: register %v: unexpected reply %T", obj, reply)
 	}
 	return nil
 }

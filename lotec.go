@@ -141,6 +141,8 @@ var (
 	// inter-family deadlock; Exec retries these automatically, so
 	// applications only see it when retries are exhausted.
 	ErrDeadlockVictim = node.ErrDeadlockVictim
-	// ErrRetriesExhausted: a root lost deadlock resolution too many times.
+	// ErrRetriesExhausted: a root was aborted too many times, by deadlock
+	// resolution or by reaching the directory before an object's
+	// registration; it wraps the last attempt's error.
 	ErrRetriesExhausted = node.ErrRetriesExhausted
 )

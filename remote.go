@@ -125,8 +125,10 @@ func (n *Node) OnMethod(cls *Class, method string, fn MethodFunc) error {
 }
 
 // CreateObject registers an object. Call on every node with identical
-// arguments; the owner node additionally registers it with the GDO, so
-// start the owner's call first.
+// arguments, in any order; the owner node additionally registers it with
+// the GDO, one-way. The owner's own roots always find the object there; a
+// root at another node that reaches the GDO before the registration
+// aborts and retries, as a deadlock victim does.
 func (n *Node) CreateObject(obj ObjectID, class ClassID, owner NodeID) error {
 	return n.inner.CreateObject(obj, class, owner)
 }

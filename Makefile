@@ -29,9 +29,9 @@ test:
 # The tests built only without -race (test above skips them), bar the
 # allocation gates of bench-allocs: the golden simulator outputs, which
 # prove a refactor kept the paper's figures, and the TCP runtime's
-# steady-state heap and home-page journal bounds.
+# steady-state heap, home-page journal and zero-page cache bounds.
 norace:
-	go test -run 'TestGoldenOutputs|TestSteadyStateHeapIsConstant|TestHomePagesKeepNoJournal' ./cmd/lotec-sim/ ./internal/server/
+	go test -run 'TestGoldenOutputs|TestSteadyStateHeapIsConstant|TestHomePagesKeepNoJournal|TestZeroPagesShareOneBuffer' ./cmd/lotec-sim/ ./internal/server/
 
 # The repo benchmark (benchmark/) is a module of its own, so ./... above
 # does not reach it; vet and test it from its own directory.

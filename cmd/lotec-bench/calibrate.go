@@ -89,8 +89,7 @@ type calibRun struct {
 // never appear in its trace and must not count against the model.
 func serverOnlyKind(k stats.MsgKind) bool {
 	switch k {
-	case stats.KindRegister, stats.KindRegisterReply,
-		stats.KindRun, stats.KindRunReply, stats.KindError:
+	case stats.KindRegister, stats.KindRun, stats.KindRunReply, stats.KindError:
 		return true
 	}
 	return false

@@ -11,6 +11,12 @@
 // Drive (client mode):
 //
 //	lotec-node -call host1:7101 -node 1 -obj 1 -method deposit -amount 25
+//
+// Start order: each node creates the demo accounts it owns when it starts
+// (round-robin over the nodes), so start the directory and every node before
+// driving any of them. A root sent to another node before an account's owner
+// is up fails after about 127 ms with a retries-exhausted error wrapping
+// "object not yet registered with the directory".
 package main
 
 import (
@@ -107,7 +113,7 @@ func main() {
 	faultPlan := flag.String("fault-plan", "", `inject deterministic network faults: a preset (drop, delay, dup, reorder, chaos) or clause list like "drop(p=0.1);delay(p=0.2,d=1ms)"`)
 	faultSeed := flag.Uint64("fault-seed", 1, "seed driving the fault plan's random draws")
 
-	call := flag.String("call", "", "client mode: node address to dial")
+	call := flag.String("call", "", "client mode: node address to dial; start the directory and every node first, since a root on an object whose owner is not up fails after about 127 ms")
 	node := flag.Int("node", 1, "client mode: node ID at -call")
 	obj := flag.Int64("obj", 1, "client mode: object ID")
 	method := flag.String("method", "peek", "client mode: method to invoke")

@@ -469,6 +469,8 @@ func (h *Host) enqueueLocked(a *acts, rep *replica, op *repOp) {
 	entry := *op
 	if entry.msg != nil {
 		entry.opBytes = wire.Encode(wire.Envelope{From: entry.client, To: h.self}, entry.msg)
+	}
+	if entry.reply != nil {
 		entry.replyBytes = wire.Encode(wire.Envelope{From: h.self, To: entry.client}, entry.reply)
 	}
 	rep.queue = append(rep.queue, &entry)
@@ -520,10 +522,10 @@ func (h *Host) applyLocked(rep *replica, op *repOp) (map[int]*repOp, wire.Msg) {
 		extras = h.sweepIntoLocked(rep, op, nil)
 		op.reply = resp
 	case *wire.RegisterReq:
+		// Registration is one-way: the op has no reply.
 		if err := rep.dir.Register(t.Obj, int(t.NumPages), t.Owner); err != nil {
 			return nil, &wire.ErrResp{Msg: err.Error()}
 		}
-		op.reply = &wire.RegisterResp{}
 	default:
 		return nil, &wire.ErrResp{Msg: fmt.Sprintf("directory: %T is not a shard op", op.msg)}
 	}
@@ -588,10 +590,12 @@ func (h *Host) pumpLocked(a *acts, rep *replica) {
 }
 
 // completeLocked finishes an acknowledged (or unreplicated) op: events
-// first, then the withheld client reply.
+// first, then the withheld client reply, if the op has one.
 func (h *Host) completeLocked(a *acts, op *repOp) {
 	a.events(op.events)
-	a.reply(op.done, op.reply)
+	if op.reply != nil {
+		a.reply(op.done, op.reply)
+	}
 }
 
 // onReplicated is the continuation of one ReplicateReq.

@@ -33,8 +33,6 @@ func (e *Engine) Handle(from ids.NodeID, m wire.Msg) wire.Msg {
 		return e.handleGDORelease(t)
 	case *wire.CopySetReq:
 		return e.handleGDOCopySet(t)
-	case *wire.RegisterReq:
-		return e.handleGDORegister(t)
 	default:
 		return &wire.ErrResp{Msg: "node: unhandled message type"}
 	}
@@ -143,16 +141,6 @@ func (e *Engine) handleGDOCopySet(req *wire.CopySetReq) wire.Msg {
 		sets = append(sets, wire.CopySet{Obj: obj, Sites: sites})
 	}
 	return &wire.CopySetResp{Sets: sets}
-}
-
-func (e *Engine) handleGDORegister(req *wire.RegisterReq) wire.Msg {
-	if e.cfg.Dir == nil {
-		return &wire.ErrResp{Msg: "node: not a GDO host"}
-	}
-	if err := e.cfg.Dir.Register(req.Obj, int(req.NumPages), req.Owner); err != nil {
-		return &wire.ErrResp{Msg: err.Error()}
-	}
-	return &wire.RegisterResp{}
 }
 
 // routeEvents ships deferred directory decisions to the affected sites:

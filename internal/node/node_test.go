@@ -315,7 +315,7 @@ func TestHandleRejectsGDOMessagesWithoutDirectory(t *testing.T) {
 	}
 	_ = cls
 	for _, m := range []wire.Msg{
-		&wire.AcquireReq{}, &wire.ReleaseReq{}, &wire.CopySetReq{}, &wire.RegisterReq{},
+		&wire.AcquireReq{}, &wire.ReleaseReq{}, &wire.CopySetReq{},
 	} {
 		reply := eng.Handle(2, m)
 		er, ok := reply.(*wire.ErrResp)

@@ -129,3 +129,28 @@ func TestAllocsJournal(t *testing.T) {
 		}
 	}
 }
+
+// TestAllocsZeroInstall gates the zero page: an all-zero copy installed
+// into an empty slot allocates its page record and no page buffer, and a
+// non-zero one allocates its page.
+func TestAllocsZeroInstall(t *testing.T) {
+	st := NewStore(DefaultPageSize)
+	if err := st.Register(1, 1); err != nil {
+		t.Fatal(err)
+	}
+	pid := ids.PageID{Object: 1}
+	data := make([]byte, DefaultPageSize)
+	install := func() {
+		st.Drop(pid)
+		if err := st.InstallPage(pid, data, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if b := bytesPerRun(1000, install); b >= DefaultPageSize/4 {
+		t.Errorf("an all-zero install allocates %.0f B, want under %d: it took a page buffer", b, DefaultPageSize/4)
+	}
+	data[DefaultPageSize-1] = 1
+	if b := bytesPerRun(1000, install); b < DefaultPageSize {
+		t.Errorf("a non-zero install allocates %.0f B, want a page (%d B) or more", b, DefaultPageSize)
+	}
+}

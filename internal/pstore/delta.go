@@ -172,6 +172,7 @@ func (s *Store) ApplyDelta(pid ids.PageID, base, target uint64, runs []Span, dat
 	if pg.dirty || len(pg.pending) > 0 || pg.version != base {
 		return fmt.Errorf("%w: %v at version %d (dirty=%v), delta base %d", ErrDeltaBase, pid, pg.version, pg.dirty, base)
 	}
+	pg.own()
 	done := 0
 	for _, r := range runs {
 		copy(pg.data[r.Off:r.Off+r.Len], data[done:done+r.Len])

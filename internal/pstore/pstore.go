@@ -15,6 +15,7 @@
 package pstore
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -78,6 +79,20 @@ type page struct {
 	// ask it for a delta, and its seals journal nothing. Serving the page
 	// or installing into it from another site clears the bit for good.
 	homeOnly bool
+	// shared marks a page whose data is its store's zero buffer: a copy
+	// installed all zero, which no one has written since. Every path that
+	// changes a page's bytes calls own first, so the zero buffer is never
+	// written.
+	shared bool
+}
+
+// own gives a shared page a buffer of its own. The shared buffer holds only
+// zeros, and so does a fresh one, so nothing is copied. Caller holds s.mu.
+func (pg *page) own() {
+	if pg.shared {
+		pg.data = make([]byte, len(pg.data))
+		pg.shared = false
+	}
 }
 
 // objectMem is the per-object residency record at one site.
@@ -101,6 +116,7 @@ func (om *objectMem) page(p ids.PageNum) *page {
 type Store struct {
 	mu       sync.Mutex
 	pageSize int                         // immutable after NewStore
+	zero     []byte                      // one all-zero page, never written
 	objects  map[ids.ObjectID]*objectMem // guarded by mu
 }
 
@@ -112,6 +128,7 @@ func NewStore(pageSize int) *Store {
 	}
 	return &Store{
 		pageSize: pageSize,
+		zero:     make([]byte, pageSize),
 		objects:  make(map[ids.ObjectID]*objectMem),
 	}
 }
@@ -233,7 +250,11 @@ func (s *Store) lookupLocked(pid ids.PageID) (*page, bool) {
 // clean, with an empty journal that records its seals from now on. A
 // resident page is overwritten in place: its buffer never leaves s.mu
 // (every reader copies out), so reusing it is indistinguishable from
-// installing a fresh one.
+// installing a fresh one. An all-zero copy — a segment some method reads
+// and none has written — takes no buffer: it shares the store's zero page
+// until something writes it. A page that already owns a buffer keeps it,
+// zeroed: it was written before, and giving the buffer up would cost an
+// allocation at its next write.
 func (s *Store) InstallPage(pid ids.PageID, data []byte, version uint64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -247,14 +268,18 @@ func (s *Store) InstallPage(pid ids.PageID, data []byte, version uint64) error {
 	if len(data) != s.pageSize {
 		return fmt.Errorf("pstore: install %v: got %d bytes, page size is %d", pid, len(data), s.pageSize)
 	}
-	if pg := om.pages[pid.Page]; pg != nil {
-		copy(pg.data, data)
-		*pg = page{data: pg.data, version: version}
+	pg := om.pages[pid.Page]
+	if pg == nil {
+		pg = &page{data: s.zero, shared: true}
+		om.pages[pid.Page] = pg
+	}
+	if pg.shared && bytes.Equal(data, s.zero) {
+		*pg = page{data: s.zero, version: version, shared: true}
 		return nil
 	}
-	buf := make([]byte, s.pageSize)
-	copy(buf, data)
-	om.pages[pid.Page] = &page{data: buf, version: version}
+	pg.own()
+	copy(pg.data, data)
+	*pg = page{data: pg.data, version: version}
 	return nil
 }
 
@@ -364,6 +389,7 @@ func (s *Store) Write(obj ids.ObjectID, off int, data []byte) ([]ids.PageNum, er
 		pnum := ids.PageNum((off + done) / s.pageSize)
 		poff := (off + done) % s.pageSize
 		pg := om.pages[pnum]
+		pg.own()
 		c := copy(pg.data[poff:], data[done:])
 		done += c
 		pg.dirty = true
@@ -455,6 +481,7 @@ func (pg *page) snapshotLocked() ([]byte, bool, intervalSet) {
 // or a later seal would describe changes the commit never made. Caller holds
 // s.mu.
 func (pg *page) restore(data []byte, dirty bool, pending intervalSet) {
+	pg.own()
 	copy(pg.data, data)
 	pg.dirty = dirty
 	pg.pending = append(pg.pending[:0], pending...)

@@ -203,6 +203,39 @@ func TestHomePagesKeepNoJournal(t *testing.T) {
 	}
 }
 
+// TestZeroPagesShareOneBuffer is the page cache's growth gate: a node that
+// reads objects no method has written caches their all-zero pages, and they
+// must share its store's zero page instead of taking 4 KiB each. The reads
+// leave ≈ 100 B of records per object at the reader; before zero pages were
+// shared the heap grew by ≈ 4 160 B per object, a page more.
+func TestZeroPagesShareOneBuffer(t *testing.T) {
+	const (
+		objects = 256
+		// maxGrowth is per object read, a quarter of a page.
+		maxGrowth = pstore.DefaultPageSize / 4
+	)
+	nodes := startPageDeployment(t, nil)
+	for o := 2; o <= objects+1; o++ {
+		createObject(t, nodes, ids.ObjectID(o), 1)
+	}
+	if _, err := nodes[1].Run(sheetObj, "look", nil); err != nil { // dial, fill the pools
+		t.Fatal(err)
+	}
+	before := liveHeap()
+	for o := 2; o <= objects+1; o++ {
+		if _, err := nodes[1].Run(ids.ObjectID(o), "look", nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	after := liveHeap()
+	if grown := int64(after) - int64(before); grown > maxGrowth*objects {
+		t.Errorf("live heap grew %d B over reads of %d never-written objects: %.1f B per object, want < %d",
+			grown, objects, float64(grown)/objects, maxGrowth)
+	} else {
+		t.Logf("live heap grew %.1f B per never-written object read", float64(grown)/objects)
+	}
+}
+
 // steadyStateHeap commits the gate's roots with run consecutive roots of an
 // object at one node before the other takes over.
 func steadyStateHeap(t *testing.T, run int) {

@@ -355,7 +355,7 @@ func TestGDOServerChecksOutsideInput(t *testing.T) {
 	}
 
 	const onShard1 = ids.ObjectID(11)
-	if _, err := call(&wire.RegisterReq{Obj: onShard1, Class: 1, NumPages: 1, Owner: 1}); err != nil {
+	if err := site.Send(topo.GDONode(), &wire.RegisterReq{Obj: onShard1, Class: 1, NumPages: 1, Owner: 1}); err != nil {
 		t.Fatal(err)
 	}
 	epoch := topo.InitialMap().Epoch

@@ -30,7 +30,7 @@ func frameCounts(trace []stats.MsgRecord) map[wireFrame]int {
 	out := map[wireFrame]int{}
 	for _, r := range trace {
 		switch r.Kind {
-		case stats.KindRegister, stats.KindRegisterReply, stats.KindRun, stats.KindRunReply, stats.KindError:
+		case stats.KindRegister, stats.KindRun, stats.KindRunReply, stats.KindError:
 			continue
 		}
 		out[wireFrame{r.Kind, r.From, r.To, r.Shard, fmt.Sprint(r.Obj, r.Objs), r.Bytes - r.Payload, r.Payload}]++

@@ -464,9 +464,6 @@ func (c *Cluster) DirectoryDump() string {
 	return out
 }
 
-// Hosts returns the control-plane host IDs (empty in legacy mode).
-func (c *Cluster) Hosts() []ids.NodeID { return append([]ids.NodeID(nil), c.hostIDs...) }
-
 // Host returns a control-plane host by node ID (tests and oracles).
 func (c *Cluster) Host(id ids.NodeID) *directory.Host { return c.hosts[id] }
 

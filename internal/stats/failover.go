@@ -1,9 +1,6 @@
 package stats
 
-import (
-	"sort"
-	"time"
-)
+import "time"
 
 // Control-plane availability metrics. The route layer records one
 // FailoverSample per primary-crash recovery (from the moment a call
@@ -61,35 +58,6 @@ func (r *Recorder) Handoffs() []HandoffSample {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return append([]HandoffSample(nil), r.handoffs...)
-}
-
-// LatencyQuantile returns the q-quantile (0 ≤ q ≤ 1, nearest-rank) of the
-// given durations, or 0 when empty.
-func LatencyQuantile(ds []time.Duration, q float64) time.Duration {
-	if len(ds) == 0 {
-		return 0
-	}
-	sorted := append([]time.Duration(nil), ds...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	idx := int(q*float64(len(sorted))+0.5) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
-}
-
-// FailoverLatencies extracts the failover latency series.
-func (r *Recorder) FailoverLatencies() []time.Duration {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]time.Duration, 0, len(r.failovers))
-	for _, s := range r.failovers {
-		out = append(out, s.Latency)
-	}
-	return out
 }
 
 // HandoffBytes sums the snapshot bytes shipped by every recorded handoff.

@@ -35,10 +35,10 @@ const (
 	KindPushReply // RC push acknowledgement
 	KindAbort     // deadlock-abort notification
 	KindRegister  // object registration → GDO (server mode)
-	KindRegisterReply
-	KindRun      // remote transaction-body dispatch
-	KindRunReply // remote transaction-body completion
-	KindError    // protocol-level error reply
+	_             // 12 was the registration reply; registration is one-way
+	KindRun       // remote transaction-body dispatch
+	KindRunReply  // remote transaction-body completion
+	KindError     // protocol-level error reply
 	KindOther
 	KindMultiFetchReq // batched cross-object page fetch request (xfer gather)
 	KindMultiPageData // batched cross-object page payload reply
@@ -82,8 +82,6 @@ func (k MsgKind) String() string {
 		return "abort"
 	case KindRegister:
 		return "register"
-	case KindRegisterReply:
-		return "register-reply"
 	case KindRun:
 		return "run"
 	case KindRunReply:
@@ -422,27 +420,6 @@ func (r *Recorder) PerObject() map[ids.ObjectID]ObjStats {
 			}
 			out[o] = s
 		}
-	}
-	return out
-}
-
-// PerShard aggregates the directory-addressed portion of the trace per
-// shard, exposing how evenly a partitioned GDO's lock traffic spreads.
-// Records with Shard == NoShard (non-directory traffic) are excluded.
-func (r *Recorder) PerShard() map[int]ObjStats {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make(map[int]ObjStats)
-	for i := range r.msgs {
-		rec := &r.msgs[i]
-		if rec.Shard == NoShard {
-			continue
-		}
-		s := out[rec.Shard]
-		s.Msgs++
-		s.DataBytes += int64(rec.Payload)
-		s.ControlBytes += int64(rec.Bytes - rec.Payload)
-		out[rec.Shard] = s
 	}
 	return out
 }

@@ -12,7 +12,7 @@ import (
 func TestMsgKindStrings(t *testing.T) {
 	kinds := []MsgKind{KindLockReq, KindLockReply, KindGrant, KindRelease,
 		KindReleaseReply, KindPushReply, KindAbort,
-		KindRegister, KindRegisterReply, KindRun, KindRunReply, KindError, KindOther,
+		KindRegister, KindRun, KindRunReply, KindError, KindOther,
 		KindMultiFetchReq, KindMultiPageData, KindMultiPush}
 	seen := map[string]bool{}
 	for _, k := range kinds {

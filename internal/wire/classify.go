@@ -87,8 +87,6 @@ func Classify(m Msg) stats.MsgRecord {
 		}
 	case *RegisterReq:
 		rec.Kind, rec.Obj = stats.KindRegister, t.Obj
-	case *RegisterResp:
-		rec.Kind = stats.KindRegisterReply
 	case *RunReq:
 		rec.Kind, rec.Obj = stats.KindRun, t.Obj
 	case *RunResp:

@@ -36,7 +36,7 @@ const (
 	TCopySetReq
 	TCopySetResp
 	TRegisterReq
-	TRegisterResp
+	_ // 14 was RegisterResp: registration is one-way; the number is not reused
 	TRunReq
 	TRunResp
 	TErrResp
@@ -430,14 +430,6 @@ func (m *RegisterReq) layout(c *coder) {
 	u32(c, &m.Owner)
 }
 
-// RegisterResp acknowledges a RegisterReq.
-type RegisterResp struct{}
-
-// Type implements Msg.
-func (*RegisterResp) Type() MsgType { return TRegisterResp }
-
-func (*RegisterResp) layout(*coder) {}
-
 // RunReq asks a node to run a root transaction: invoke Method on Obj.
 type RunReq struct {
 	Obj    ids.ObjectID
@@ -591,8 +583,6 @@ func newMsg(t MsgType) (Msg, error) {
 		return &CopySetResp{}, nil
 	case TRegisterReq:
 		return &RegisterReq{}, nil
-	case TRegisterResp:
-		return &RegisterResp{}, nil
 	case TRunReq:
 		return &RunReq{}, nil
 	case TRunResp:

@@ -53,7 +53,6 @@ func samples() []Msg {
 			{Obj: 3, Pages: []PagePayload{{Page: 0, Version: 1, Data: []byte{5, 5}}}}}},
 		&MultiPushReq{},
 		&RegisterReq{Obj: 3, Class: 2, NumPages: 9, Owner: 1},
-		&RegisterResp{},
 		&RunReq{Obj: 3, Method: "deposit", Arg: []byte("100")},
 		&RunReq{},
 		&RunResp{Result: []byte("ok"), ErrMsg: "boom"},

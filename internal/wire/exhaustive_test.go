@@ -89,7 +89,7 @@ func fill(v reflect.Value, ctr *int64) {
 
 // msgTypeEnum reads the MsgType enum out of wire.go: the tag of every named
 // constant, and the tags of the blank ones, which are retired.
-func msgTypeEnum(t *testing.T) (named map[MsgType]string, retired []MsgType) {
+func msgTypeEnum(t testing.TB) (named map[MsgType]string, retired []MsgType) {
 	t.Helper()
 	f, err := parser.ParseFile(token.NewFileSet(), "wire.go", nil, 0)
 	if err != nil {

@@ -81,6 +81,18 @@ func FuzzDecode(f *testing.F) {
 		f.Add(append(append([]byte(nil), buf...), 0, 0)) // trailing garbage
 	}
 
+	// Frames an old peer might still send under a retired tag, bodiless and
+	// with a body: Decode must reject them rather than read another type.
+	_, retired := msgTypeEnum(f)
+	for _, tag := range retired {
+		bare := make([]byte, HeaderSize)
+		bare[0] = byte(tag)
+		f.Add(bare)
+		buf := Encode(Envelope{ReqID: 16, From: 2, To: 1}, &RegisterReq{Obj: 3, Class: 2, NumPages: 9, Owner: 1})
+		buf[0] = byte(tag)
+		f.Add(buf)
+	}
+
 	f.Fuzz(func(t *testing.T, data []byte) {
 		env, m, err := Decode(data)
 
